@@ -2,20 +2,23 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <numeric>
 #include <queue>
+#include <tuple>
 
 #include "src/common/check.h"
 #include "src/debug/structural_auditor.h"
 #include "src/geometry/kernel.h"
+#include "src/index/soa_page.h"
 #include "src/storage/image_io.h"
 
 namespace srtree {
 namespace {
 
-constexpr size_t kHeaderBytes = 8;
+constexpr size_t kHeaderBytes = kSoaPageHeaderBytes;
 
 // Floating-point slack for sphere-containment checks (see ss_tree.cc).
 constexpr double kEps = 1e-9;
@@ -87,11 +90,17 @@ struct SrImageHeader {
   double reinsert_fraction;
   uint8_t use_rect_in_radius;
   uint8_t use_rect_in_mindist;
-  uint8_t pad[6];
+  // kSoaPageLayout. Images written before pages went dimension-major carry
+  // 0 here (the byte was padding, always zeroed).
+  uint8_t page_layout;
+  uint8_t pad[5];
   uint32_t root_id;
   int32_t root_level;
   uint64_t size;
 };
+
+constexpr uint8_t kRowMajorPageLayout = 0;
+constexpr uint8_t kSoaPageLayout = 1;
 
 // True iff `o` would pass every constructor CHECK, so Open() can reject a
 // forged header with Corruption instead of crashing the process. The
@@ -123,6 +132,7 @@ Status SRTree::Save(const std::string& path) const {
   header.reinsert_fraction = options_.reinsert_fraction;
   header.use_rect_in_radius = options_.use_rect_in_radius ? 1 : 0;
   header.use_rect_in_mindist = options_.use_rect_in_mindist ? 1 : 0;
+  header.page_layout = kSoaPageLayout;
   header.root_id = root_id_;
   header.root_level = root_level_;
   header.size = size_;
@@ -148,6 +158,15 @@ StatusOr<std::unique_ptr<SRTree>> SRTree::Open(const std::string& path) {
         "(PointIndex::Save) using a release that still reads it");
   }
   RETURN_IF_ERROR(image.Open(path, kImageTag, &header, sizeof(header)));
+  if (header.page_layout == kRowMajorPageLayout) {
+    return Status::InvalidArgument(
+        "SR-tree image uses the retired row-major page layout, which this "
+        "release cannot read; rebuild the index from its points and re-save "
+        "it");
+  }
+  if (header.page_layout != kSoaPageLayout) {
+    return Status::Corruption("unknown SR-tree page layout");
+  }
 
   Options options;
   options.dim = header.dim;
@@ -185,61 +204,64 @@ StatusOr<std::unique_ptr<SRTree>> SRTree::Open(const std::string& path) {
 // --------------------------------------------------------------------------
 
 void SRTree::SerializeNode(const Node& node, char* buf) const {
-  CHECK_LE(node.count(), Capacity(node));
-  PageWriter w(buf, options_.page_size);
-  w.PutU8(static_cast<uint8_t>(node.level));
-  w.PutU8(0);
-  w.PutU16(static_cast<uint16_t>(node.count()));
-  w.PutU32(0);
+  const size_t count = node.count();
+  CHECK_LE(count, Capacity(node));
+  const int dim = options_.dim;
+  PutSoaHeader(buf, node.level, count, 0);
+  char* cursor = buf + kHeaderBytes;
   if (node.is_leaf()) {
-    for (const LeafEntry& e : node.points) {
-      w.PutDoubles(e.point);
-      w.PutU32(e.oid);
-      w.Skip(options_.leaf_data_size);
-    }
+    const std::vector<LeafEntry>& e = node.points;
+    cursor = PutSoaColumn(cursor, dim, count,
+                          [&](size_t i) { return PointView(e[i].point); });
+    cursor = PutSoaArray<uint32_t>(cursor, count,
+                                   [&](size_t i) { return e[i].oid; });
   } else {
-    for (const NodeEntry& e : node.children) {
-      w.PutDoubles(e.sphere.center());
-      w.PutDouble(e.sphere.radius());
-      w.PutDoubles(e.rect.lo());
-      w.PutDoubles(e.rect.hi());
-      w.PutU32(e.weight);
-      w.PutU32(e.child);
-    }
+    const std::vector<NodeEntry>& e = node.children;
+    cursor = PutSoaColumn(cursor, dim, count, [&](size_t i) {
+      return PointView(e[i].sphere.center());
+    });
+    cursor = PutSoaArray<double>(
+        cursor, count, [&](size_t i) { return e[i].sphere.radius(); });
+    cursor = PutSoaColumn(cursor, dim, count,
+                          [&](size_t i) { return PointView(e[i].rect.lo()); });
+    cursor = PutSoaColumn(cursor, dim, count,
+                          [&](size_t i) { return PointView(e[i].rect.hi()); });
+    cursor = PutSoaArray<uint32_t>(cursor, count,
+                                   [&](size_t i) { return e[i].weight; });
+    cursor = PutSoaArray<uint32_t>(cursor, count,
+                                   [&](size_t i) { return e[i].child; });
   }
+  // The rest of the page, including a leaf's data area, is zero.
+  std::memset(cursor, 0,
+              static_cast<size_t>(buf + options_.page_size - cursor));
 }
 
 SRTree::Node SRTree::DeserializeNode(const char* buf, PageId id) const {
-  PageReader r(buf, options_.page_size);
+  const auto gather = [&](const SoaBlock& block, size_t i) {
+    Point p(static_cast<size_t>(options_.dim));
+    GatherSoaElement(block, i, p);
+    return p;
+  };
   Node node;
   node.id = id;
-  node.level = r.GetU8();
-  r.GetU8();
-  const size_t count = r.GetU16();
-  r.GetU32();
-  const size_t dim = static_cast<size_t>(options_.dim);
+  node.level = SoaPageLevel(buf);
   if (node.level == 0) {
-    node.points.resize(count);
-    for (LeafEntry& e : node.points) {
-      e.point.resize(dim);
-      r.GetDoubles(e.point);
-      e.oid = r.GetU32();
-      r.Skip(options_.leaf_data_size);
+    const SoaLeafView leaf = ParseSoaLeaf(buf, options_.dim);
+    node.points.resize(leaf.count);
+    for (size_t i = 0; i < leaf.count; ++i) {
+      node.points[i].point = gather(leaf.points, i);
+      node.points[i].oid = leaf.oids[i];
     }
-  } else {
-    node.children.resize(count);
-    for (NodeEntry& e : node.children) {
-      Point center(dim);
-      r.GetDoubles(center);
-      const double radius = r.GetDouble();
-      e.sphere = Sphere(std::move(center), radius);
-      Point lo(dim), hi(dim);
-      r.GetDoubles(lo);
-      r.GetDoubles(hi);
-      e.rect = Rect(std::move(lo), std::move(hi));
-      e.weight = r.GetU32();
-      e.child = r.GetU32();
-    }
+    return node;
+  }
+  const SoaInnerView inner = ParseSoaInner(buf, options_.dim);
+  node.children.resize(inner.count);
+  for (size_t i = 0; i < inner.count; ++i) {
+    NodeEntry& e = node.children[i];
+    e.sphere = Sphere(gather(inner.centers, i), inner.radii[i]);
+    e.rect = Rect(gather(inner.lo, i), gather(inner.hi, i));
+    e.weight = inner.weights[i];
+    e.child = inner.tail[i];
   }
   return node;
 }
@@ -248,8 +270,8 @@ SRTree::Node SRTree::ReadNode(PageId id, int level, IoStatsDelta* io) const {
   std::vector<char> buf(options_.page_size);
   // Writer-side reads bypass the pool: WriteNode stages to the file without
   // touching pool frames, so the pool's legacy stamp-0 namespace would go
-  // stale here. Queries still read pooled through the snapshot-stamped
-  // ReadNodeSnapshot path below.
+  // stale here. Queries read pooled pages through the snapshot-stamped
+  // ReadQueryPage instead.
   file_.Read(id, buf.data(), level, io);
   Node node = DeserializeNode(buf.data(), id);
   DCHECK_EQ(node.level, level);
@@ -261,26 +283,13 @@ SRTree::Node SRTree::PeekNode(PageId id) const {
 }
 
 void SRTree::WriteNode(const Node& node) {
-  std::vector<char> buf(options_.page_size);
-  SerializeNode(node, buf.data());
+  // SerializeNode defines every byte of the page.
+  const auto buf = std::make_unique_for_overwrite<char[]>(options_.page_size);
+  SerializeNode(node, buf.get());
   // Copy-on-write staging: snapshots keep reading the committed buffer, and
   // the buffer pool needs no invalidation — its frames are keyed by stamp,
   // and staging a shared page moves this id to a fresh one.
-  file_.StageWrite(node.id, buf.data());
-}
-
-SRTree::Node SRTree::ReadNodeSnapshot(const PageFile::Snapshot& snap,
-                                      PageId id, int level,
-                                      IoStatsDelta* io) const {
-  std::vector<char> buf(options_.page_size);
-  if (pool_ != nullptr) {
-    pool_->ReadSnapshot(snap, id, buf.data(), level, io);
-  } else {
-    snap.Read(id, buf.data(), level, io);
-  }
-  Node node = DeserializeNode(buf.data(), id);
-  DCHECK_EQ(node.level, level);
-  return node;
+  file_.StageWrite(node.id, buf.get());
 }
 
 void SRTree::CommitState() {
@@ -351,36 +360,6 @@ PointView SRTree::EntryCentroid(const Node& node, size_t i) const {
                         : PointView(node.children[i].sphere.center());
 }
 
-double SRTree::EntryMinDist(const NodeEntry& entry, PointView query) const {
-  const double d_s = entry.sphere.MinDist(query);
-  if (!options_.use_rect_in_mindist) return d_s;
-  const double d_r = std::sqrt(entry.rect.MinDistSq(query));
-  // Section 4.4: the true region is the intersection of both shapes, so the
-  // larger of the two lower bounds is still a lower bound — and sharper.
-  return std::max(d_s, d_r);
-}
-
-// Batched EntryMinDist over every child of `node`, into scratch.dist2.
-// (scratch.dist and the SoA buffers are clobbered by the two batch calls.)
-const std::vector<double>& SRTree::EntryMinDists(const Node& node,
-                                                 PointView query,
-                                                 KernelScratch& scratch) const {
-  const size_t n = node.children.size();
-  BatchSphereMinDist(scratch, query, n, [&](size_t i) -> const Sphere& {
-    return node.children[i].sphere;
-  });
-  scratch.dist2 = scratch.dist;
-  if (options_.use_rect_in_mindist) {
-    const std::vector<double>& m2 = BatchRectMinDistSq(
-        scratch, query, n,
-        [&](size_t i) -> const Rect& { return node.children[i].rect; });
-    for (size_t i = 0; i < n; ++i) {
-      scratch.dist2[i] = std::max(scratch.dist2[i], std::sqrt(m2[i]));
-    }
-  }
-  return scratch.dist2;
-}
-
 // --------------------------------------------------------------------------
 // Insertion
 // --------------------------------------------------------------------------
@@ -388,6 +367,9 @@ const std::vector<double>& SRTree::EntryMinDists(const Node& node,
 Status SRTree::Insert(PointView point, uint32_t oid) {
   if (static_cast<int>(point.size()) != options_.dim) {
     return Status::InvalidArgument("point dimensionality mismatch");
+  }
+  if (!AllFinite(point)) {
+    return Status::InvalidArgument("point has a non-finite coordinate");
   }
   MutexLock lock(writer_mu_);
   reinserted_nodes_.clear();
@@ -631,6 +613,9 @@ Status SRTree::Delete(PointView point, uint32_t oid) {
   if (static_cast<int>(point.size()) != options_.dim) {
     return Status::InvalidArgument("point dimensionality mismatch");
   }
+  if (!AllFinite(point)) {
+    return Status::InvalidArgument("point has a non-finite coordinate");
+  }
   MutexLock lock(writer_mu_);
   std::vector<Node> path;
   std::vector<int> idx;
@@ -777,26 +762,32 @@ std::vector<Neighbor> SRTree::KnnDfsSnapshot(const PageFile::Snapshot& snap,
 void SRTree::SearchKnn(const PageFile::Snapshot& snap, PageId id, int level,
                        PointView query, KnnCandidates& cand,
                        KernelScratch& scratch, IoStatsDelta* io) const {
-  Node node = ReadNodeSnapshot(snap, id, level, io);
-  if (node.is_leaf()) {
-    const double bound_sq = cand.PruneDistanceSquared();
-    const std::vector<double>& d2 = BatchSquaredL2(
-        scratch, query, node.points.size(),
-        [&](size_t i) { return PointView(node.points[i].point); }, bound_sq);
-    for (size_t i = 0; i < node.points.size(); ++i) {
-      if (d2[i] <= bound_sq) cand.OfferSquared(d2[i], node.points[i].oid);
+  // (MINDIST, entry index, child), visited in (MINDIST, index) order.
+  std::vector<std::tuple<double, size_t, PageId>> order;
+  {
+    const QueryPage page = ReadQueryPage(pool_.get(), snap, id, level, io);
+    DCHECK_EQ(SoaPageLevel(page.data), level);
+    if (level == 0) {
+      const SoaLeafView leaf = ParseSoaLeaf(page.data, options_.dim);
+      ScanSoaLeaf(leaf, query, cand.PruneDistanceSquared(), scratch,
+                  [&](double d2, size_t i) {
+                    cand.OfferSquared(d2, leaf.oids[i]);
+                  });
+      return;
     }
-    return;
+    const SoaInnerView inner = ParseSoaInner(page.data, options_.dim);
+    const std::vector<double>& md = SrEntryMinDists(
+        inner, query, options_.use_rect_in_mindist, scratch);
+    order.resize(inner.count);
+    for (size_t i = 0; i < inner.count; ++i) {
+      order[i] = {md[i], i, inner.tail[i]};
+    }
+    std::sort(order.begin(), order.end());
+    // The page is released here; the recursion needs only `order`.
   }
-  const std::vector<double>& md = EntryMinDists(node, query, scratch);
-  // Copy out of the scratch before recursing — the callee reuses it.
-  std::vector<std::pair<double, size_t>> order(node.children.size());
-  for (size_t i = 0; i < node.children.size(); ++i) order[i] = {md[i], i};
-  std::sort(order.begin(), order.end());
-  for (const auto& [mindist, i] : order) {
+  for (const auto& [mindist, i, child] : order) {
     if (mindist > cand.PruneDistance()) break;
-    SearchKnn(snap, node.children[i].child, level - 1, query, cand, scratch,
-              io);
+    SearchKnn(snap, child, level - 1, query, cand, scratch, io);
   }
 }
 
@@ -832,23 +823,23 @@ std::vector<Neighbor> SRTree::KnnBestFirstSnapshot(
     const Pending next = frontier.top();
     frontier.pop();
     if (next.mindist > candidates.PruneDistance()) break;
-    Node node = ReadNodeSnapshot(snap, next.id, next.level, io);
-    if (node.is_leaf()) {
-      const double bound_sq = candidates.PruneDistanceSquared();
-      const std::vector<double>& d2 = BatchSquaredL2(
-          scratch, query, node.points.size(),
-          [&](size_t i) { return PointView(node.points[i].point); }, bound_sq);
-      for (size_t i = 0; i < node.points.size(); ++i) {
-        if (d2[i] <= bound_sq) {
-          candidates.OfferSquared(d2[i], node.points[i].oid);
-        }
-      }
+    const QueryPage page =
+        ReadQueryPage(pool_.get(), snap, next.id, next.level, io);
+    DCHECK_EQ(SoaPageLevel(page.data), next.level);
+    if (next.level == 0) {
+      const SoaLeafView leaf = ParseSoaLeaf(page.data, options_.dim);
+      ScanSoaLeaf(leaf, query, candidates.PruneDistanceSquared(), scratch,
+                  [&](double d2, size_t i) {
+                    candidates.OfferSquared(d2, leaf.oids[i]);
+                  });
       continue;
     }
-    const std::vector<double>& md = EntryMinDists(node, query, scratch);
-    for (size_t i = 0; i < node.children.size(); ++i) {
+    const SoaInnerView inner = ParseSoaInner(page.data, options_.dim);
+    const std::vector<double>& md = SrEntryMinDists(
+        inner, query, options_.use_rect_in_mindist, scratch);
+    for (size_t i = 0; i < inner.count; ++i) {
       if (md[i] <= candidates.PruneDistance()) {
-        frontier.push(Pending{md[i], node.children[i].child, node.level - 1});
+        frontier.push(Pending{md[i], inner.tail[i], next.level - 1});
       }
     }
   }
@@ -880,24 +871,25 @@ void SRTree::SearchRange(const PageFile::Snapshot& snap, PageId id, int level,
                          PointView query, double radius,
                          std::vector<Neighbor>& out, KernelScratch& scratch,
                          IoStatsDelta* io) const {
-  Node node = ReadNodeSnapshot(snap, id, level, io);
-  if (node.is_leaf()) {
-    const double radius_sq = radius * radius;
-    const std::vector<double>& d2 = BatchSquaredL2(
-        scratch, query, node.points.size(),
-        [&](size_t i) { return PointView(node.points[i].point); }, radius_sq);
-    for (size_t i = 0; i < node.points.size(); ++i) {
-      if (d2[i] <= radius_sq) {
-        out.push_back(Neighbor{std::sqrt(d2[i]), node.points[i].oid});
-      }
-    }
-    return;
-  }
-  const std::vector<double>& md = EntryMinDists(node, query, scratch);
-  // Copy out of the scratch before recursing — the callee reuses it.
   std::vector<PageId> hits;
-  for (size_t i = 0; i < node.children.size(); ++i) {
-    if (md[i] <= radius) hits.push_back(node.children[i].child);
+  {
+    const QueryPage page = ReadQueryPage(pool_.get(), snap, id, level, io);
+    DCHECK_EQ(SoaPageLevel(page.data), level);
+    if (level == 0) {
+      const SoaLeafView leaf = ParseSoaLeaf(page.data, options_.dim);
+      ScanSoaLeaf(leaf, query, radius * radius, scratch,
+                  [&](double d2, size_t i) {
+                    out.push_back(Neighbor{std::sqrt(d2), leaf.oids[i]});
+                  });
+      return;
+    }
+    const SoaInnerView inner = ParseSoaInner(page.data, options_.dim);
+    const std::vector<double>& md = SrEntryMinDists(
+        inner, query, options_.use_rect_in_mindist, scratch);
+    for (size_t i = 0; i < inner.count; ++i) {
+      if (md[i] <= radius) hits.push_back(inner.tail[i]);
+    }
+    // The page is released here; the recursion needs only `hits`.
   }
   for (const PageId child : hits) {
     SearchRange(snap, child, level - 1, query, radius, out, scratch, io);

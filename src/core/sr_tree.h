@@ -27,6 +27,21 @@
 // epoch scheme (src/storage/epoch.h). Structural accessors that walk
 // working state (GetTreeStats, VisitNodes, Save, ...) take writer_mu_ and
 // therefore exclude the writer, not queries.
+//
+// Page layout: nodes are serialized dimension-major (SoA, see
+// src/index/soa_page.h), with the same bytes per entry as the paper's
+// row-major entries, so the Table 1 fanouts are unchanged:
+//   leaf:  [header] coords (dim x count doubles) | oids (count u32) |
+//          leaf-data area (count x leaf_data_size bytes, zero)
+//   inner: [header] centers | radii | rect lo | rect hi | weights (u32) |
+//          child page ids (u32)
+// The writer decodes pages into Node (DeserializeNode) and encodes them
+// back (SerializeNode). A query never decodes: it overlays SoaBlock views
+// on the pinned version's own page buffer (PageFile::Snapshot::ReadInPlace,
+// or a pinned BufferPool frame) and feeds them to the distance kernels —
+// no lock, no copy, no per-entry decode, no allocation per page read. The
+// image header records the layout; Open() rejects images in the retired
+// row-major layout.
 
 #ifndef SRTREE_CORE_SR_TREE_H_
 #define SRTREE_CORE_SR_TREE_H_
@@ -81,8 +96,9 @@ class SRTree : public PointIndex {
   Status Save(const std::string& path) const override EXCLUDES(writer_mu_);
 
   // Opens an index previously written by Save(); the options are restored
-  // from the file. Only the current v2 image is readable — a pre-v2 legacy
-  // file fails with an explicit "re-save with v2" error.
+  // from the file. Only the current v2 image in the SoA page layout is
+  // readable — a pre-v2 legacy file or a row-major-layout image fails with
+  // an explicit "re-save" error.
   static StatusOr<std::unique_ptr<SRTree>> Open(const std::string& path);
 
   int dim() const override { return options_.dim; }
@@ -122,11 +138,9 @@ class SRTree : public PointIndex {
     return maintenance_;
   }
 
-  // Forwarders to the page file's counters. io_stats() is the deprecated
-  // unlocked reference (single-threaded benches only); the reset is locked
-  // but only meaningful on a quiesced index — see PointIndex::ResetIoStats
-  // for the exclusion contract the concurrent fuzzer asserts.
-  const IoStats& io_stats() const override { return file_.stats(); }
+  // Forwarders to the page file's counters. The reset is only meaningful
+  // on a quiesced index — see PointIndex::ResetIoStats for the exclusion
+  // contract the concurrent fuzzer asserts.
   void ResetIoStats() override { file_.ResetStats(); }
   IoStats GetIoStats() const override { return file_.GetIoStats(); }
 
@@ -200,16 +214,16 @@ class SRTree : public PointIndex {
 
   // --- page I/O ---
   // ReadNode/PeekNode/WriteNode operate on *working state* and belong to
-  // the writer (or a locked structural accessor). The query path reads
-  // committed versions through ReadNodeSnapshot instead: via the attached
-  // BufferPool keyed by (page id, stamp) when one is present, else straight
-  // from the snapshot; `io` collects the per-query delta.
+  // the writer (or a locked structural accessor). The query path never
+  // builds a Node: it reads committed pages in place through ReadQueryPage
+  // (src/index/soa_page.h) — via the attached BufferPool keyed by (page id,
+  // stamp) when one is present, else straight from the snapshot.
   Node ReadNode(PageId id, int level, IoStatsDelta* io = nullptr) const
       REQUIRES(writer_mu_);
   Node PeekNode(PageId id) const REQUIRES(writer_mu_);
   void WriteNode(const Node& node) REQUIRES(writer_mu_);
-  Node ReadNodeSnapshot(const PageFile::Snapshot& snap, PageId id, int level,
-                        IoStatsDelta* io) const;
+  // Encodes `node` into the whole page at `buf` (page_size bytes) in the
+  // SoA layout above, and decodes it back.
   void SerializeNode(const Node& node, char* buf) const;
   Node DeserializeNode(const char* buf, PageId id) const;
 
@@ -230,10 +244,6 @@ class SRTree : public PointIndex {
   // Sphere (radius = min(d_s, d_r)), exact MBR, and weight for `node`.
   NodeEntry ComputeEntry(const Node& node) const;
   PointView EntryCentroid(const Node& node, size_t i) const;
-  // MINDIST from a query point to an entry's region (Section 4.4).
-  double EntryMinDist(const NodeEntry& entry, PointView query) const;
-  const std::vector<double>& EntryMinDists(const Node& node, PointView query,
-                                           KernelScratch& scratch) const;
 
   // --- insertion machinery (writer only) ---
   void ProcessPending(std::deque<Pending>& pending) REQUIRES(writer_mu_);
@@ -258,7 +268,8 @@ class SRTree : public PointIndex {
   void ShrinkRoot() REQUIRES(writer_mu_);
 
   // --- search (const + re-entrant; all traversal state is per query and
-  //     every page read comes from the pinned committed version) ---
+  //     every page is read in place from the pinned committed version;
+  //     MINDIST is the Section 4.4 max(sphere, rect), SrEntryMinDists) ---
   std::vector<Neighbor> KnnDfsSnapshot(const PageFile::Snapshot& snap,
                                        PointView query, int k,
                                        IoStatsDelta* io) const;

@@ -26,6 +26,17 @@ namespace srtree {
 using Point = std::vector<double>;
 using PointView = std::span<const double>;
 
+// True when every coordinate is finite (no NaN, no infinity). Indexes
+// reject other points at the API boundary: a NaN compares false against
+// every bound, so a stored one is unreachable and a query with one prunes
+// everything.
+inline bool AllFinite(PointView p) {
+  for (const double x : p) {
+    if (!std::isfinite(x)) return false;
+  }
+  return true;
+}
+
 // Squared L2 distance between two points of equal dimensionality.
 [[deprecated("use GetDistanceKernel().SquaredL2() (src/geometry/kernel.h)")]]
 inline double SquaredDistance(PointView a, PointView b) {

@@ -42,12 +42,6 @@ class BruteForceIndex : public PointIndex {
   Status CheckInvariants() const override { return Status::OK(); }
   RegionSummary LeafRegionSummary() const override { return {}; }
 
-  // DEPRECATED: unsynchronized reference into the counters; sound only
-  // under the external-exclusion contract (no concurrent Search() while the
-  // reference is read) that the analysis opt-out stands in for.
-  const IoStats& io_stats() const override NO_THREAD_SAFETY_ANALYSIS {
-    return stats_;
-  }
   // The reset itself is locked, but the reset-then-peek *measurement
   // pattern* is not: queries running between the reset and the peek corrupt
   // the reading. Callers must exclude concurrent Search() around the whole

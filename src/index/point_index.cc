@@ -16,6 +16,12 @@ QueryResult RunValidatedSearch(const SearchDispatch& dispatch, int dim,
     result.elapsed_seconds = timer.ElapsedSeconds();
     return result;
   }
+  if (!AllFinite(query)) {
+    result.status =
+        Status::InvalidArgument("query has a non-finite coordinate");
+    result.elapsed_seconds = timer.ElapsedSeconds();
+    return result;
+  }
   switch (spec.kind) {
     case QueryKind::kKnn:
     case QueryKind::kKnnBestFirst:

@@ -48,10 +48,10 @@ class SearchDispatch {
 
 // The single validation + dispatch + timing shell behind every Search():
 // checks the spec (k >= 1 for the k-NN kinds, radius finite and >= 0 for
-// range, query dimensionality == `dim`), returns InvalidArgument with an
-// empty neighbor list when malformed (no traversal runs), and otherwise
-// routes to the matching SearchDispatch hook, stamping elapsed time either
-// way.
+// range, query dimensionality == `dim`, every query coordinate finite),
+// returns InvalidArgument with an empty neighbor list when malformed (no
+// traversal runs), and otherwise routes to the matching SearchDispatch
+// hook, stamping elapsed time either way.
 [[nodiscard]] QueryResult RunValidatedSearch(const SearchDispatch& dispatch,
                                              int dim, PointView query,
                                              const QuerySpec& spec);
@@ -163,8 +163,9 @@ class PointIndex : private SearchDispatch {
 
   // The unified query entry point. Validates the spec (k >= 1 for the k-NN
   // kinds, radius >= 0 and finite for range, query dimensionality matching
-  // dim()) and returns InvalidArgument with an empty neighbor list when it
-  // is malformed — no traversal runs. The read path is const and
+  // dim(), every query coordinate finite) and returns InvalidArgument with
+  // an empty neighbor list when it is malformed — no traversal runs. The
+  // read path is const and
   // re-entrant: any number of Search() calls may run concurrently. Whether
   // they may also run concurrently with mutations is per-structure: the
   // SR-tree serves every Search() from a pinned committed snapshot and is
@@ -219,15 +220,9 @@ class PointIndex : private SearchDispatch {
   // Figure 5/6/12/13 experiments.
   virtual RegionSummary LeafRegionSummary() const = 0;
 
-  // Disk access counters for the measurements; reset between experiment
-  // phases. io_stats() returns a reference into mutable counters — a
-  // dangling/race hazard under the concurrent engine — so it is kept only
-  // for the single-threaded paper benches; prefer GetIoStats().
-  virtual const IoStats& io_stats() const = 0;
-
-  // Zeroes the global counters. The reset itself is locked in every
-  // implementation, but the reset-then-measure pattern it exists for is
-  // not: a Search() racing the reset lands its reads on an unknown side of
+  // Zeroes the global counters. The reset itself is safe against
+  // concurrent reads in every implementation, but the reset-then-measure
+  // pattern it exists for is not: a Search() racing the reset lands its reads on an unknown side of
   // the zeroing, corrupting the measurement. Callers must quiesce the index
   // (join every query thread) before resetting — the contract
   // debug::RunConcurrentQueryFuzz asserts after its workers join.
@@ -235,9 +230,11 @@ class PointIndex : private SearchDispatch {
   // rule R1 flags new call sites of this method.
   virtual void ResetIoStats() = 0;
 
-  // By-value snapshot of the global counters, safe to take while queries
-  // are in flight (implementations lock against concurrent readers).
-  virtual IoStats GetIoStats() const { return io_stats(); }
+  // Disk access counters for the measurements: a by-value snapshot of the
+  // global counters, safe to take while queries are in flight. Per-query
+  // accounting comes back in QueryResult::io; summed over a quiesced batch
+  // the deltas equal the movement of these counters.
+  virtual IoStats GetIoStats() const = 0;
 
   // Enables LRU-cache simulation on the underlying page file (see
   // PageFile::SimulateCache). No-op for structures without one.

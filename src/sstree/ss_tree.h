@@ -62,11 +62,9 @@ class SSTree : public PointIndex {
     return maintenance_;
   }
 
-  // Forwarders to the page file's counters. io_stats() is the deprecated
-  // unlocked reference (single-threaded benches only); the reset is locked
-  // but only meaningful on a quiesced index — see PointIndex::ResetIoStats
-  // for the exclusion contract the concurrent fuzzer asserts.
-  const IoStats& io_stats() const override { return file_.stats(); }
+  // Forwarders to the page file's counters. The reset is only meaningful
+  // on a quiesced index — see PointIndex::ResetIoStats for the exclusion
+  // contract the concurrent fuzzer asserts.
   void ResetIoStats() override { file_.ResetStats(); }
   IoStats GetIoStats() const override { return file_.GetIoStats(); }
 

@@ -13,9 +13,9 @@
 namespace srtree {
 namespace {
 
-// Page header: [u8 level][u8 flags][u16 count][u32 first_child]. 8 bytes
-// keeps the double blocks that follow 8-byte aligned.
-constexpr size_t kHeaderBytes = 8;
+// Pages are SoA (src/index/soa_page.h); the header word of an inner page
+// is its first child's id.
+constexpr size_t kHeaderBytes = kSoaPageHeaderBytes;
 
 size_t LeafEntryBytes(int dim) {
   return static_cast<size_t>(dim) * sizeof(double) + sizeof(uint32_t);
@@ -150,24 +150,24 @@ Status StaticSRTree::ValidateStructure() const {
       return Status::Corruption("static SR-tree structure is not a tree");
     }
     const char* buf = file_.PeekPage(item.id);
-    if (PageLevel(buf) != item.level) {
+    if (SoaPageLevel(buf) != item.level) {
       return Status::Corruption("static SR-tree page level mismatch");
     }
     if (item.level == 0) {
-      const LeafRef leaf = ParseLeaf(buf);
+      const SoaLeafView leaf = ParseSoaLeaf(buf, options_.dim);
       if (leaf.count == 0 || leaf.count > leaf_cap_) {
         return Status::Corruption("static SR-tree leaf count out of range");
       }
       points += leaf.count;
       continue;
     }
-    const InnerRef inner = ParseInner(buf);
+    const SoaInnerView inner = ParseSoaInner(buf, options_.dim);
     if (inner.count == 0 || inner.count > node_cap_) {
       return Status::Corruption("static SR-tree node count out of range");
     }
     for (size_t i = 0; i < inner.count; ++i) {
-      const PageId child = inner.first_child + static_cast<PageId>(i);
-      if (child < inner.first_child || !file_.is_live(child)) {
+      const PageId child = FirstChild(inner) + static_cast<PageId>(i);
+      if (child < FirstChild(inner) || !file_.is_live(child)) {
         return Status::Corruption("static SR-tree child page is not live");
       }
       queue.push({child, item.level - 1});
@@ -183,74 +183,11 @@ Status StaticSRTree::ValidateStructure() const {
 // Page views
 // --------------------------------------------------------------------------
 
-int StaticSRTree::PageLevel(const char* buf) const {
-  return static_cast<int>(static_cast<unsigned char>(buf[0]));
-}
-
-StaticSRTree::LeafRef StaticSRTree::ParseLeaf(const char* buf) const {
-  LeafRef leaf;
-  uint16_t count = 0;
-  std::memcpy(&count, buf + 2, sizeof(count));
-  leaf.count = count;
-  const double* coords = reinterpret_cast<const double*>(buf + kHeaderBytes);
-  leaf.points = SoaBlock{coords, leaf.count, options_.dim};
-  leaf.oids = reinterpret_cast<const uint32_t*>(
-      buf + kHeaderBytes +
-      static_cast<size_t>(options_.dim) * leaf.count * sizeof(double));
-  return leaf;
-}
-
-StaticSRTree::InnerRef StaticSRTree::ParseInner(const char* buf) const {
-  InnerRef inner;
-  inner.level = PageLevel(buf);
-  uint16_t count = 0;
-  std::memcpy(&count, buf + 2, sizeof(count));
-  inner.count = count;
-  uint32_t first_child = 0;
-  std::memcpy(&first_child, buf + 4, sizeof(first_child));
-  inner.first_child = first_child;
-  const size_t dim = static_cast<size_t>(options_.dim);
-  const double* cursor = reinterpret_cast<const double*>(buf + kHeaderBytes);
-  inner.centers = SoaBlock{cursor, inner.count, options_.dim};
-  cursor += dim * inner.count;
-  inner.radii = cursor;
-  cursor += inner.count;
-  inner.lo = SoaBlock{cursor, inner.count, options_.dim};
-  cursor += dim * inner.count;
-  inner.hi = SoaBlock{cursor, inner.count, options_.dim};
-  cursor += dim * inner.count;
-  inner.weights = reinterpret_cast<const uint32_t*>(cursor);
-  return inner;
-}
-
-StaticSRTree::PageHandle StaticSRTree::ReadPage(
-    const PageFile::Snapshot& snap, PageId id, int level, IoStatsDelta* io,
-    std::vector<char>& scratch) const {
-  PageHandle handle;
-  if (pool_ != nullptr) {
-    handle.guard.emplace(pool_->PinSnapshot(snap, id, level, io));
-    handle.data = handle.guard->data();
-  } else {
-    scratch.resize(options_.page_size);
-    snap.Read(id, scratch.data(), level, io);
-    handle.data = scratch.data();
-  }
-  return handle;
-}
-
-void StaticSRTree::GatherPoint(const SoaBlock& block, size_t i,
-                               Point& out) const {
-  out.resize(static_cast<size_t>(block.dim));
-  for (size_t d = 0; d < out.size(); ++d) {
-    out[d] = block.coords[d * block.count + i];
-  }
-}
-
 bool StaticSRTree::Tombstoned(const TombstoneSet* tombstones,
                               const SoaBlock& points, size_t i, uint32_t oid,
                               Point& scratch) const {
   if (tombstones == nullptr || tombstones->empty()) return false;
-  GatherPoint(points, i, scratch);
+  GatherSoaElement(points, i, scratch);
   return tombstones->find({scratch, oid}) != tombstones->end();
 }
 
@@ -404,59 +341,46 @@ void StaticSRTree::SerializeTree(const std::vector<Point>& points,
     for (const size_t child : pool[index].children) queue.push(child);
   }
 
-  const size_t dim = static_cast<size_t>(options_.dim);
+  const int dim = options_.dim;
   std::vector<char> buf(options_.page_size);
-  std::vector<double> block;
   for (const size_t index : order) {
     const BuildNode& node = pool[index];
     std::memset(buf.data(), 0, buf.size());
-    PageWriter w(buf.data(), options_.page_size);
     const size_t count =
         node.level == 0 ? node.items.size() : node.children.size();
     CHECK_GT(count, 0u);
-    w.PutU8(static_cast<uint8_t>(node.level));
-    w.PutU8(0);
-    w.PutU16(static_cast<uint16_t>(count));
+    CHECK_LE(count, node.level == 0 ? leaf_cap_ : node_cap_);
+    char* cursor = buf.data() + kHeaderBytes;
     if (node.level == 0) {
-      w.PutU32(0);
-      // Coordinates dimension-major, then the oid array.
-      block.resize(dim * count);
-      for (size_t i = 0; i < count; ++i) {
-        const Point& p = points[node.items[i]];
-        for (size_t d = 0; d < dim; ++d) block[d * count + i] = p[d];
-      }
-      w.PutDoubles(block);
-      for (size_t i = 0; i < count; ++i) w.PutU32(oids[node.items[i]]);
+      PutSoaHeader(buf.data(), 0, count, 0);
+      cursor = PutSoaColumn(cursor, dim, count, [&](size_t i) {
+        return PointView(points[node.items[i]]);
+      });
+      PutSoaArray<uint32_t>(cursor, count,
+                            [&](size_t i) { return oids[node.items[i]]; });
     } else {
-      const PageId first_child = pool[node.children.front()].page;
+      const auto child = [&](size_t i) -> const BuildNode& {
+        return pool[node.children[i]];
+      };
+      const PageId first_child = child(0).page;
       for (size_t i = 0; i < count; ++i) {
-        CHECK_EQ(pool[node.children[i]].page,
-                 first_child + static_cast<PageId>(i));
+        CHECK_EQ(child(i).page, first_child + static_cast<PageId>(i));
       }
-      w.PutU32(first_child);
-      // centers | radii | rect lo | rect hi | weights, each dim-major.
-      block.resize(dim * count);
-      for (size_t i = 0; i < count; ++i) {
-        const BuildNode& child = pool[node.children[i]];
-        for (size_t d = 0; d < dim; ++d) block[d * count + i] = child.center[d];
-      }
-      w.PutDoubles(block);
-      for (size_t i = 0; i < count; ++i) {
-        w.PutDouble(pool[node.children[i]].radius);
-      }
-      for (size_t i = 0; i < count; ++i) {
-        const Point& lo = pool[node.children[i]].rect.lo();
-        for (size_t d = 0; d < dim; ++d) block[d * count + i] = lo[d];
-      }
-      w.PutDoubles(block);
-      for (size_t i = 0; i < count; ++i) {
-        const Point& hi = pool[node.children[i]].rect.hi();
-        for (size_t d = 0; d < dim; ++d) block[d * count + i] = hi[d];
-      }
-      w.PutDoubles(block);
-      for (size_t i = 0; i < count; ++i) {
-        w.PutU32(static_cast<uint32_t>(pool[node.children[i]].weight));
-      }
+      PutSoaHeader(buf.data(), node.level, count, first_child);
+      cursor = PutSoaColumn(cursor, dim, count, [&](size_t i) {
+        return PointView(child(i).center);
+      });
+      cursor = PutSoaArray<double>(cursor, count,
+                                   [&](size_t i) { return child(i).radius; });
+      cursor = PutSoaColumn(cursor, dim, count, [&](size_t i) {
+        return PointView(child(i).rect.lo());
+      });
+      cursor = PutSoaColumn(cursor, dim, count, [&](size_t i) {
+        return PointView(child(i).rect.hi());
+      });
+      PutSoaArray<uint32_t>(cursor, count, [&](size_t i) {
+        return static_cast<uint32_t>(child(i).weight);
+      });
     }
     file_.StageWrite(node.page, buf.data());
   }
@@ -512,9 +436,9 @@ Status StaticSRTree::ExportEntries(
       for (size_t i = 0; i < points.size(); ++i) fn(points[i], oids[i]);
       continue;
     }
-    const InnerRef inner = ParseInner(buf);
+    const SoaInnerView inner = ParseSoaInner(buf, options_.dim);
     for (size_t i = 0; i < inner.count; ++i) {
-      queue.push({inner.first_child + static_cast<PageId>(i), level - 1});
+      queue.push({FirstChild(inner) + static_cast<PageId>(i), level - 1});
     }
   }
   return Status::OK();
@@ -535,17 +459,17 @@ bool StaticSRTree::Contains(PointView point, uint32_t oid) const {
     queue.pop();
     const char* buf = file_.PeekPage(id);
     if (level == 0) {
-      const LeafRef leaf = ParseLeaf(buf);
+      const SoaLeafView leaf = ParseSoaLeaf(buf, options_.dim);
       for (size_t i = 0; i < leaf.count; ++i) {
         if (leaf.oids[i] != oid) continue;
-        GatherPoint(leaf.points, i, scratch);
+        GatherSoaElement(leaf.points, i, scratch);
         if (std::equal(point.begin(), point.end(), scratch.begin())) {
           return true;
         }
       }
       continue;
     }
-    const InnerRef inner = ParseInner(buf);
+    const SoaInnerView inner = ParseSoaInner(buf, options_.dim);
     for (size_t i = 0; i < inner.count; ++i) {
       bool inside = true;
       for (size_t d = 0; d < point.size() && inside; ++d) {
@@ -554,7 +478,7 @@ bool StaticSRTree::Contains(PointView point, uint32_t oid) const {
         inside = point[d] >= lo && point[d] <= hi;
       }
       if (inside) {
-        queue.push({inner.first_child + static_cast<PageId>(i), level - 1});
+        queue.push({FirstChild(inner) + static_cast<PageId>(i), level - 1});
       }
     }
   }
@@ -565,65 +489,47 @@ bool StaticSRTree::Contains(PointView point, uint32_t oid) const {
 // Search
 // --------------------------------------------------------------------------
 
-void StaticSRTree::EntryMinDists(const InnerRef& inner, PointView query,
-                                 KernelScratch& scratch,
-                                 std::vector<double>& out) const {
-  // Rect MINDIST^2 lands in scratch.dist, sphere MINDIST in scratch.dist2;
-  // the combined SR bound is the max of the two in distance space.
-  const std::vector<double>& rect_d2 =
-      BatchRectMinDistSqFromBlocks(scratch, query, inner.lo, inner.hi);
-  const std::vector<double>& sphere_d =
-      BatchSphereMinDistFromBlock(scratch, query, inner.centers, inner.radii);
-  out.resize(inner.count);
-  for (size_t i = 0; i < inner.count; ++i) {
-    out[i] = std::max(std::sqrt(rect_d2[i]), sphere_d[i]);
-  }
-}
-
-void StaticSRTree::ScanLeaf(
-    const LeafRef& leaf, PointView query, double bound_sq,
-    KernelScratch& scratch, const TombstoneSet* tombstones,
-    const std::function<void(double, uint32_t)>& offer) const {
-  const std::vector<double>& d2 =
-      BatchSquaredL2FromBlock(scratch, query, leaf.points, bound_sq);
+template <typename Offer>
+void StaticSRTree::ScanLeaf(const SoaLeafView& leaf, PointView query,
+                            double bound_sq, KernelScratch& scratch,
+                            const TombstoneSet* tombstones,
+                            Offer&& offer) const {
   Point gather;
-  for (size_t i = 0; i < leaf.count; ++i) {
-    if (d2[i] > bound_sq) continue;
-    if (Tombstoned(tombstones, leaf.points, i, leaf.oids[i], gather)) continue;
-    offer(d2[i], leaf.oids[i]);
-  }
+  ScanSoaLeaf(leaf, query, bound_sq, scratch, [&](double d2, size_t i) {
+    if (Tombstoned(tombstones, leaf.points, i, leaf.oids[i], gather)) return;
+    offer(d2, leaf.oids[i]);
+  });
 }
 
 void StaticSRTree::SearchKnnDfs(const PageFile::Snapshot& snap, PageId id,
                                 int level, PointView query,
                                 KnnCandidates& cand, KernelScratch& scratch,
-                                std::vector<char>& page_scratch,
                                 IoStatsDelta* io,
                                 const TombstoneSet* tombstones) const {
   std::vector<std::pair<double, PageId>> order;
   {
-    const PageHandle page = ReadPage(snap, id, level, io, page_scratch);
+    const QueryPage page = ReadQueryPage(pool_.get(), snap, id, level, io);
     if (level == 0) {
-      ScanLeaf(ParseLeaf(page.data), query, cand.PruneDistanceSquared(),
-               scratch, tombstones,
+      ScanLeaf(ParseSoaLeaf(page.data, options_.dim), query,
+               cand.PruneDistanceSquared(), scratch, tombstones,
                [&](double d2, uint32_t oid) { cand.OfferSquared(d2, oid); });
       return;
     }
-    const InnerRef inner = ParseInner(page.data);
-    std::vector<double> mindist;
-    EntryMinDists(inner, query, scratch, mindist);
+    const SoaInnerView inner = ParseSoaInner(page.data, options_.dim);
+    const std::vector<double>& mindist =
+        SrEntryMinDists(inner, query, /*use_rect=*/true, scratch);
     order.resize(inner.count);
     for (size_t i = 0; i < inner.count; ++i) {
-      order[i] = {mindist[i], inner.first_child + static_cast<PageId>(i)};
+      order[i] = {mindist[i], FirstChild(inner) + static_cast<PageId>(i)};
     }
     std::sort(order.begin(), order.end());
-    // The page (pin or scratch buffer) is released here; everything the
+    // The page (pin or snapshot buffer) is released here; everything the
     // recursion needs has been copied into `order`.
   }
   for (const auto& [mindist, child] : order) {
     if (mindist > cand.PruneDistance()) break;
-    SearchKnnDfs(snap, child, level - 1, query, cand, scratch, page_scratch,
-                 io, tombstones);
+    SearchKnnDfs(snap, child, level - 1, query, cand, scratch, io,
+                 tombstones);
   }
 }
 
@@ -635,9 +541,8 @@ std::vector<Neighbor> StaticSRTree::KnnDfsSnapshot(
   const PageId root = static_cast<PageId>(snap.meta(0));
   if (snap.meta(2) > 0 && root != kInvalidPageId) {
     KernelScratch scratch;
-    std::vector<char> page_scratch;
     SearchKnnDfs(snap, root, static_cast<int>(snap.meta(1)), query,
-                 candidates, scratch, page_scratch, io, tombstones);
+                 candidates, scratch, io, tombstones);
   }
   return candidates.TakeSorted();
 }
@@ -663,28 +568,28 @@ std::vector<Neighbor> StaticSRTree::KnnBestFirstSnapshot(
   std::priority_queue<Pending, std::vector<Pending>, std::greater<Pending>>
       frontier;
   KernelScratch scratch;
-  std::vector<char> page_scratch;
-  std::vector<double> mindist;
   frontier.push(Pending{0.0, root, static_cast<int>(snap.meta(1))});
   while (!frontier.empty()) {
     const Pending next = frontier.top();
     frontier.pop();
     if (next.mindist > candidates.PruneDistance()) break;
-    const PageHandle page =
-        ReadPage(snap, next.id, next.level, io, page_scratch);
+    const QueryPage page =
+        ReadQueryPage(pool_.get(), snap, next.id, next.level, io);
     if (next.level == 0) {
-      ScanLeaf(ParseLeaf(page.data), query, candidates.PruneDistanceSquared(),
-               scratch, tombstones, [&](double d2, uint32_t oid) {
+      ScanLeaf(ParseSoaLeaf(page.data, options_.dim), query,
+               candidates.PruneDistanceSquared(), scratch, tombstones,
+               [&](double d2, uint32_t oid) {
                  candidates.OfferSquared(d2, oid);
                });
       continue;
     }
-    const InnerRef inner = ParseInner(page.data);
-    EntryMinDists(inner, query, scratch, mindist);
+    const SoaInnerView inner = ParseSoaInner(page.data, options_.dim);
+    const std::vector<double>& mindist =
+        SrEntryMinDists(inner, query, /*use_rect=*/true, scratch);
     for (size_t i = 0; i < inner.count; ++i) {
       if (mindist[i] <= candidates.PruneDistance()) {
         frontier.push(Pending{mindist[i],
-                              inner.first_child + static_cast<PageId>(i),
+                              FirstChild(inner) + static_cast<PageId>(i),
                               next.level - 1});
       }
     }
@@ -695,32 +600,30 @@ std::vector<Neighbor> StaticSRTree::KnnBestFirstSnapshot(
 void StaticSRTree::SearchRange(const PageFile::Snapshot& snap, PageId id,
                                int level, PointView query, double radius,
                                std::vector<Neighbor>& out,
-                               KernelScratch& scratch,
-                               std::vector<char>& page_scratch,
-                               IoStatsDelta* io,
+                               KernelScratch& scratch, IoStatsDelta* io,
                                const TombstoneSet* tombstones) const {
   std::vector<PageId> hits;
   {
-    const PageHandle page = ReadPage(snap, id, level, io, page_scratch);
+    const QueryPage page = ReadQueryPage(pool_.get(), snap, id, level, io);
     if (level == 0) {
-      ScanLeaf(ParseLeaf(page.data), query, radius * radius, scratch,
-               tombstones, [&](double d2, uint32_t oid) {
+      ScanLeaf(ParseSoaLeaf(page.data, options_.dim), query, radius * radius,
+               scratch, tombstones, [&](double d2, uint32_t oid) {
                  out.push_back(Neighbor{std::sqrt(d2), oid});
                });
       return;
     }
-    const InnerRef inner = ParseInner(page.data);
-    std::vector<double> mindist;
-    EntryMinDists(inner, query, scratch, mindist);
+    const SoaInnerView inner = ParseSoaInner(page.data, options_.dim);
+    const std::vector<double>& mindist =
+        SrEntryMinDists(inner, query, /*use_rect=*/true, scratch);
     for (size_t i = 0; i < inner.count; ++i) {
       if (mindist[i] <= radius) {
-        hits.push_back(inner.first_child + static_cast<PageId>(i));
+        hits.push_back(FirstChild(inner) + static_cast<PageId>(i));
       }
     }
   }
   for (const PageId child : hits) {
-    SearchRange(snap, child, level - 1, query, radius, out, scratch,
-                page_scratch, io, tombstones);
+    SearchRange(snap, child, level - 1, query, radius, out, scratch, io,
+                tombstones);
   }
 }
 
@@ -732,9 +635,8 @@ std::vector<Neighbor> StaticSRTree::RangeSnapshot(
   const PageId root = static_cast<PageId>(snap.meta(0));
   if (snap.meta(2) > 0 && root != kInvalidPageId) {
     KernelScratch scratch;
-    std::vector<char> page_scratch;
     SearchRange(snap, root, static_cast<int>(snap.meta(1)), query, radius,
-                result, scratch, page_scratch, io, tombstones);
+                result, scratch, io, tombstones);
   }
   std::sort(result.begin(), result.end());  // canonical (distance, oid)
   return result;
@@ -816,7 +718,7 @@ std::unique_ptr<IndexSnapshot> StaticSRTree::AcquireSnapshot() const {
 
 std::vector<StaticSRTree::DecodedEntry> StaticSRTree::DecodeInner(
     const char* buf) const {
-  const InnerRef inner = ParseInner(buf);
+  const SoaInnerView inner = ParseSoaInner(buf, options_.dim);
   const size_t dim = static_cast<size_t>(options_.dim);
   std::vector<DecodedEntry> entries(inner.count);
   for (size_t i = 0; i < inner.count; ++i) {
@@ -829,18 +731,18 @@ std::vector<StaticSRTree::DecodedEntry> StaticSRTree::DecodeInner(
     entries[i].sphere = Sphere(std::move(center), inner.radii[i]);
     entries[i].rect = Rect(std::move(lo), std::move(hi));
     entries[i].weight = inner.weights[i];
-    entries[i].child = inner.first_child + static_cast<PageId>(i);
+    entries[i].child = FirstChild(inner) + static_cast<PageId>(i);
   }
   return entries;
 }
 
 void StaticSRTree::DecodeLeaf(const char* buf, std::vector<Point>& points,
                               std::vector<uint32_t>& oids) const {
-  const LeafRef leaf = ParseLeaf(buf);
+  const SoaLeafView leaf = ParseSoaLeaf(buf, options_.dim);
   points.resize(leaf.count);
   oids.resize(leaf.count);
   for (size_t i = 0; i < leaf.count; ++i) {
-    GatherPoint(leaf.points, i, points[i]);
+    GatherSoaElement(leaf.points, i, points[i]);
     oids[i] = leaf.oids[i];
   }
 }
@@ -857,13 +759,13 @@ TreeStats StaticSRTree::GetTreeStats() const {
     const char* buf = file_.PeekPage(id);
     if (level == 0) {
       ++stats.leaf_count;
-      stats.entry_count += ParseLeaf(buf).count;
+      stats.entry_count += ParseSoaLeaf(buf, options_.dim).count;
       continue;
     }
     ++stats.node_count;
-    const InnerRef inner = ParseInner(buf);
+    const SoaInnerView inner = ParseSoaInner(buf, options_.dim);
     for (size_t i = 0; i < inner.count; ++i) {
-      queue.push({inner.first_child + static_cast<PageId>(i), level - 1});
+      queue.push({FirstChild(inner) + static_cast<PageId>(i), level - 1});
     }
   }
   return stats;
@@ -889,9 +791,9 @@ RegionSummary StaticSRTree::LeafRegionSummary() const {
       collector.AddRect(bound);
       continue;
     }
-    const InnerRef inner = ParseInner(buf);
+    const SoaInnerView inner = ParseSoaInner(buf, options_.dim);
     for (size_t i = 0; i < inner.count; ++i) {
-      queue.push({inner.first_child + static_cast<PageId>(i), level - 1});
+      queue.push({FirstChild(inner) + static_cast<PageId>(i), level - 1});
     }
   }
   return collector.Finish();
@@ -911,7 +813,7 @@ void StaticSRTree::VisitNodes(const NodeVisitor& visitor) const {
 void StaticSRTree::VisitSubtree(PageId id, std::vector<int>& path,
                                 const NodeVisitor& visitor) const {
   const char* buf = file_.PeekPage(id);
-  const int level = PageLevel(buf);
+  const int level = SoaPageLevel(buf);
   NodeView view;
   view.level = level;
   view.min_entries = 0;  // bulk-loaded: no minimum is enforced

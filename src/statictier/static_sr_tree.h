@@ -10,15 +10,17 @@
 //     order, so the children of an inner node are CONTIGUOUS and the node
 //     stores a single `first_child` page id instead of per-entry pointers
 //     (child i lives at page first_child + i);
-//   * node payloads are dimension-major (SoA): a leaf page is a coordinate
-//     block followed by an oid array, an inner page is center / radius /
-//     rect-lo / rect-hi / weight blocks. A query overlays SoaBlock views on
-//     the raw page bytes and feeds them straight to the DistanceKernel batch
-//     API — zero per-entry deserialization on the search path;
-//   * reads go through PageFile::Snapshot (and BufferPool::PinSnapshot when
-//     a pool is attached), the same commit-protocol machinery the dynamic
-//     SR-tree uses, so a TieredIndex can swap a freshly compacted tree in
-//     while concurrent snapshot readers keep traversing the old one.
+//   * node payloads are dimension-major (SoA, src/index/soa_page.h — the
+//     layout the dynamic SR-tree shares): a leaf page is a coordinate block
+//     followed by an oid array, an inner page is center / radius / rect-lo
+//     / rect-hi / weight blocks. A query overlays SoaBlock views on the raw
+//     page bytes and feeds them straight to the DistanceKernel batch API —
+//     zero per-entry deserialization on the search path;
+//   * reads are zero-copy through PageFile::Snapshot::ReadInPlace (or a
+//     BufferPool::PinSnapshot frame when a pool is attached), the same
+//     commit-protocol machinery the dynamic SR-tree uses, so a TieredIndex
+//     can swap a freshly compacted tree in while concurrent snapshot
+//     readers keep traversing the old one.
 //
 // The structure is immutable after BulkLoad()/Open(): Insert and Delete
 // return Unimplemented. Logical deletes against a static tier are the
@@ -33,7 +35,6 @@
 #include <functional>
 #include <iosfwd>
 #include <memory>
-#include <optional>
 #include <set>
 #include <span>
 #include <string>
@@ -43,6 +44,7 @@
 #include "src/geometry/kernel.h"
 #include "src/index/knn.h"
 #include "src/index/point_index.h"
+#include "src/index/soa_page.h"
 #include "src/storage/buffer_pool.h"
 #include "src/storage/page_file.h"
 
@@ -101,7 +103,6 @@ class StaticSRTree : public PointIndex {
   AuditSpec GetAuditSpec() const override;
   RegionSummary LeafRegionSummary() const override;
 
-  const IoStats& io_stats() const override { return file_.stats(); }
   void ResetIoStats() override { file_.ResetStats(); }
   IoStats GetIoStats() const override { return file_.GetIoStats(); }
 
@@ -159,42 +160,14 @@ class StaticSRTree : public PointIndex {
                                   IoStatsDelta* io) const override;
 
  private:
-  // ---- zero-copy page views -----------------------------------------------
-  // Overlays on the raw page bytes; the blocks alias the page buffer, so a
-  // view is valid only while its PageHandle (below) is.
+  // ---- page views (src/index/soa_page.h) ----------------------------------
+  // The header word of an inner page is its first child's id: child i
+  // lives at page first_child + i.
 
-  struct LeafRef {
-    size_t count = 0;
-    SoaBlock points;       // dim-major coordinate block
-    const uint32_t* oids = nullptr;
-  };
+  static PageId FirstChild(const SoaInnerView& inner) {
+    return static_cast<PageId>(inner.header_word);
+  }
 
-  struct InnerRef {
-    size_t count = 0;
-    int level = 0;
-    PageId first_child = kInvalidPageId;  // child i = first_child + i
-    SoaBlock centers, lo, hi;             // dim-major blocks
-    const double* radii = nullptr;
-    const uint32_t* weights = nullptr;
-  };
-
-  // One resolved page: either a pinned buffer-pool frame (zero copy) or the
-  // caller's scratch buffer filled through Snapshot::Read (one page copy,
-  // still no per-entry decode).
-  struct PageHandle {
-    std::optional<BufferPool::PageGuard> guard;
-    const char* data = nullptr;
-  };
-
-  PageHandle ReadPage(const PageFile::Snapshot& snap, PageId id, int level,
-                      IoStatsDelta* io, std::vector<char>& scratch) const;
-
-  int PageLevel(const char* buf) const;
-  LeafRef ParseLeaf(const char* buf) const;
-  InnerRef ParseInner(const char* buf) const;
-
-  // Gathers element `i` of a dim-major block into `out` (dim doubles).
-  void GatherPoint(const SoaBlock& block, size_t i, Point& out) const;
   bool Tombstoned(const TombstoneSet* tombstones, const SoaBlock& points,
                   size_t i, uint32_t oid, Point& scratch) const;
 
@@ -237,21 +210,22 @@ class StaticSRTree : public PointIndex {
                     const NodeVisitor& visitor) const;
 
   // ---- search -------------------------------------------------------------
+  // Every page read is zero-copy: a pinned pool frame or the snapshot's
+  // own buffer (ReadQueryPage).
   void SearchKnnDfs(const PageFile::Snapshot& snap, PageId id, int level,
                     PointView query, KnnCandidates& cand,
-                    KernelScratch& scratch, std::vector<char>& page_scratch,
-                    IoStatsDelta* io, const TombstoneSet* tombstones) const;
+                    KernelScratch& scratch, IoStatsDelta* io,
+                    const TombstoneSet* tombstones) const;
   void SearchRange(const PageFile::Snapshot& snap, PageId id, int level,
                    PointView query, double radius, std::vector<Neighbor>& out,
-                   KernelScratch& scratch, std::vector<char>& page_scratch,
-                   IoStatsDelta* io, const TombstoneSet* tombstones) const;
-  void ScanLeaf(const LeafRef& leaf, PointView query, double bound_sq,
+                   KernelScratch& scratch, IoStatsDelta* io,
+                   const TombstoneSet* tombstones) const;
+  // ScanSoaLeaf with the tombstone filter: offer(d2, oid) for every live
+  // entry within bound_sq.
+  template <typename Offer>
+  void ScanLeaf(const SoaLeafView& leaf, PointView query, double bound_sq,
                 KernelScratch& scratch, const TombstoneSet* tombstones,
-                const std::function<void(double, uint32_t)>& offer) const;
-  // Fills `out` with the combined SR MINDIST (distance space) of every
-  // entry: max(sphere MINDIST, sqrt(rect MINDISTSQ)).
-  void EntryMinDists(const InnerRef& inner, PointView query,
-                     KernelScratch& scratch, std::vector<double>& out) const;
+                Offer&& offer) const;
 
   Options options_;
   size_t leaf_cap_;

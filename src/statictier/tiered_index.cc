@@ -432,15 +432,6 @@ RegionSummary TieredIndex::LeafRegionSummary() const {
   return LoadState()->static_tier->LeafRegionSummary();
 }
 
-const IoStats& TieredIndex::io_stats() const {
-  MutexLock lock(writer_mu_);  // guards legacy_io_stats_
-  const std::shared_ptr<const TierState> cur = LoadState();
-  legacy_io_stats_ = IoStats{};
-  AccumulateStats(cur->static_tier->GetIoStats(), &legacy_io_stats_);
-  AccumulateStats(cur->delta->GetIoStats(), &legacy_io_stats_);
-  return legacy_io_stats_;
-}
-
 void TieredIndex::ResetIoStats() {
   MutexLock lock(writer_mu_);
   const std::shared_ptr<const TierState> cur = LoadState();

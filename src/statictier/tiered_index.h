@@ -87,7 +87,6 @@ class TieredIndex : public PointIndex {
   Status CheckInvariants() const override;
   RegionSummary LeafRegionSummary() const override;
 
-  const IoStats& io_stats() const override;
   void ResetIoStats() override;
   IoStats GetIoStats() const override;
   void SimulateBufferPool(size_t capacity) override;
@@ -176,9 +175,6 @@ class TieredIndex : public PointIndex {
   std::shared_ptr<const TierState> state_ UNGUARDED_OK(
       "touched only through std::atomic_load/atomic_store in "
       "LoadState()/PublishState(); mutators are serialized by writer_mu_");
-
-  // Backing store for the deprecated io_stats() reference accessor.
-  mutable IoStats legacy_io_stats_ GUARDED_BY(writer_mu_);
 };
 
 }  // namespace srtree

@@ -172,12 +172,6 @@ void BufferPool::Read(PageId id, char* out, int level, IoStatsDelta* delta) {
   std::memcpy(out, pin.data(), file_->page_size());
 }
 
-void BufferPool::ReadSnapshot(const PageFile::Snapshot& snap, PageId id,
-                              char* out, int level, IoStatsDelta* delta) {
-  const ScopedPin pin(*this, snap, id, level, delta);
-  std::memcpy(out, pin.data(), file_->page_size());
-}
-
 void BufferPool::Write(PageId id, const char* data) {
   Shard& shard = ShardFor(id);
   const FrameKey key{id, 0};

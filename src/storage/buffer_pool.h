@@ -20,7 +20,7 @@
 //
 // Snapshot reads: frames are keyed by (page id, buffer stamp). Legacy
 // direct reads use stamp 0 and are invalidated by Write()/Discard() as
-// before. PinSnapshot()/ReadSnapshot() cache a PageFile::Snapshot's pages
+// before. PinSnapshot() caches a PageFile::Snapshot's pages
 // under the snapshot's own stamps — copy-on-write gives a changed page a
 // fresh stamp, so a stale hit is impossible by construction and retired
 // versions need no invalidation protocol at all: their frames simply age
@@ -133,10 +133,6 @@ class BufferPool {
   // Safe to call concurrently with other Read()/Pin() calls.
   void Read(PageId id, char* out, int level = -1,
             IoStatsDelta* delta = nullptr);
-
-  // Snapshot-keyed variant of Read(); see PinSnapshot.
-  void ReadSnapshot(const PageFile::Snapshot& snap, PageId id, char* out,
-                    int level = -1, IoStatsDelta* delta = nullptr);
 
   // Writes into the pool; the page is flushed to the file on eviction or
   // FlushAll(), so back-to-back updates of a hot node cost one disk write.

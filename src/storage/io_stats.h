@@ -15,12 +15,13 @@ namespace srtree {
 
 // Per-query I/O accounting, threaded through a single search traversal.
 //
-// The global IoStats on a PageFile aggregates every read the structure ever
-// performs and needs a lock under concurrent queries; an IoStatsDelta is
-// private to one query, so the traversal can record into it without
-// synchronization and hand it back inside the QueryResult. Summing the
-// deltas of a batch reproduces the global counters for the same queries
-// (the accounting-parity contract tests/query_engine_test.cc checks).
+// A PageFile's global counters aggregate every read the structure ever
+// performs, in per-thread atomic shards summed into an IoStats on demand;
+// an IoStatsDelta is private to one query, so the traversal can record into
+// it without synchronization and hand it back inside the QueryResult.
+// Summing the deltas of a batch reproduces the global counters for the
+// same queries (the accounting-parity contract tests/query_engine_test.cc
+// checks).
 struct IoStatsDelta {
   uint64_t reads = 0;
   uint64_t leaf_reads = 0;     // reads of level-0 pages
@@ -51,11 +52,12 @@ struct IoStatsDelta {
   bool operator==(const IoStatsDelta&) const = default;
 };
 
-// Aggregate counters. IoStats has no lock of its own: every shared instance
-// is a GUARDED_BY member of its owner (PageFile::stats_,
-// BruteForceIndex::stats_), and by-value snapshots/copies are thread-local.
-// Keep it that way — new shared instances should be declared
-// GUARDED_BY(owner mutex) so -Wthread-safety checks the discipline.
+// Aggregate counters. IoStats has no lock of its own: PageFile builds one
+// by value from its counter shards (PageFile::GetIoStats), the one shared
+// instance is a GUARDED_BY member of its owner (BruteForceIndex::stats_),
+// and copies are thread-local. Keep it that way — a new shared instance
+// should be declared GUARDED_BY(owner mutex) so -Wthread-safety checks the
+// discipline.
 struct IoStats {
   uint64_t reads = 0;
   uint64_t writes = 0;

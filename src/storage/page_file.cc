@@ -1,5 +1,6 @@
 #include "src/storage/page_file.h"
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
 #include <sstream>
@@ -87,9 +88,20 @@ uint32_t HeaderCrc(uint64_t page_size, uint64_t page_count,
   return Crc32c(bytes.data(), bytes.size());
 }
 
+// Round-robin thread slot for the counter shards, assigned on a thread's
+// first counted access.
+size_t ThreadStatSlot() {
+  static std::atomic<size_t> next_slot{0};
+  thread_local const size_t slot =
+      next_slot.fetch_add(1, std::memory_order_relaxed);
+  return slot;
+}
+
 }  // namespace
 
-PageFile::PageFile(size_t page_size) : page_size_(page_size) {
+PageFile::PageFile(size_t page_size)
+    : page_size_(page_size),
+      shards_(std::make_unique<StatShard[]>(kStatShards)) {
   CHECK_GT(page_size_, 0u);
   // Publish the empty version 1 so AcquireSnapshot never observes null and
   // committed_version() is meaningful from birth.
@@ -148,22 +160,35 @@ bool PageFile::IsLive(PageId id) const {
   return id < pages_.size() && live_[id];
 }
 
+PageFile::StatShard& PageFile::LocalShard() const {
+  return shards_[ThreadStatSlot() % kStatShards];
+}
+
+void PageFile::CountRead(PageId id, int level, IoStatsDelta* delta) const {
+  StatShard& shard = LocalShard();
+  const size_t slot = (level >= 0 && level < kTrackedLevels)
+                          ? static_cast<size_t>(level) + 1
+                          : 0;
+  shard.reads[slot].fetch_add(1, std::memory_order_relaxed);
+  bool cache_hit = false;
+  if (simulate_cache_.load(std::memory_order_relaxed)) {
+    MutexLock lock(stats_mu_);
+    if (cache_capacity_ > 0) cache_hit = TouchCache(id);
+  }
+  if (cache_hit) shard.cache_hits.fetch_add(1, std::memory_order_relaxed);
+  if (delta != nullptr) {
+    delta->RecordRead(level);
+    if (cache_hit) delta->RecordCacheHit();
+  }
+}
+
 void PageFile::Read(PageId id, char* out, int level,
                     IoStatsDelta* delta) const {
   CHECK(IsLive(id));
   // Page bytes are stable while queries run (writers are excluded by
   // contract), so the copy itself needs no lock.
   std::memcpy(out, pages_[id].get(), page_size_);
-  bool cache_hit = false;
-  {
-    MutexLock lock(stats_mu_);
-    stats_.RecordRead(level);
-    if (cache_capacity_ > 0) cache_hit = TouchCache(id);
-  }
-  if (delta != nullptr) {
-    delta->RecordRead(level);
-    if (cache_hit) delta->RecordCacheHit();
-  }
+  CountRead(id, level, delta);
 }
 
 void PageFile::SimulateCache(size_t capacity) {
@@ -171,12 +196,13 @@ void PageFile::SimulateCache(size_t capacity) {
   cache_capacity_ = capacity;
   cache_lru_.clear();
   cache_index_.clear();
+  simulate_cache_.store(capacity > 0, std::memory_order_relaxed);
 }
 
 bool PageFile::TouchCache(PageId id) const {
   const auto it = cache_index_.find(id);
   if (it != cache_index_.end()) {
-    stats_.RecordCacheHit();  // the cache would have served this read
+    // The cache would have served this read.
     cache_lru_.splice(cache_lru_.begin(), cache_lru_, it->second);
     return true;
   }
@@ -198,8 +224,7 @@ void PageFile::Write(PageId id, const char* data) {
   // for them.
   CHECK(!shared_with_committed_[id]);
   std::memcpy(pages_[id].get(), data, page_size_);
-  MutexLock lock(stats_mu_);
-  stats_.RecordWrite();
+  LocalShard().writes.fetch_add(1, std::memory_order_relaxed);
 }
 
 void PageFile::StageWrite(PageId id, const char* data) {
@@ -218,8 +243,7 @@ void PageFile::StageWrite(PageId id, const char* data) {
     // The buffer was created after the last commit; no snapshot can see it.
     std::memcpy(pages_[id].get(), data, page_size_);
   }
-  MutexLock lock(stats_mu_);
-  stats_.RecordWrite();
+  LocalShard().writes.fetch_add(1, std::memory_order_relaxed);
 }
 
 void PageFile::Commit(const std::array<uint64_t, kCommitMetaWords>& meta) {
@@ -268,25 +292,22 @@ uint64_t PageFile::page_stamp(PageId id) const {
   return page_stamp_[id];
 }
 
-void PageFile::Snapshot::Read(PageId id, char* out, int level,
-                              IoStatsDelta* delta) const {
+const char* PageFile::Snapshot::ReadInPlace(PageId id, int level,
+                                            IoStatsDelta* delta) const {
   const auto* state = static_cast<const VersionState*>(state_);
   CHECK_LT(static_cast<size_t>(id), state->table.size());
   const PageRef& ref = state->table[id];
   CHECK(ref.data != nullptr);
-  // The buffer is immutable for this version's lifetime (copy-on-write),
-  // so the copy needs no lock; only the shared counters do.
-  std::memcpy(out, ref.data, file_->page_size_);
-  bool cache_hit = false;
-  {
-    MutexLock lock(file_->stats_mu_);
-    file_->stats_.RecordRead(level);
-    if (file_->cache_capacity_ > 0) cache_hit = file_->TouchCache(id);
-  }
-  if (delta != nullptr) {
-    delta->RecordRead(level);
-    if (cache_hit) delta->RecordCacheHit();
-  }
+  // The buffer is immutable for this version's lifetime (copy-on-write) and
+  // reclaimed only after every guard that could reach it is gone, so it is
+  // handed out as is.
+  file_->CountRead(id, level, delta);
+  return ref.data;
+}
+
+void PageFile::Snapshot::Read(PageId id, char* out, int level,
+                              IoStatsDelta* delta) const {
+  std::memcpy(out, ReadInPlace(id, level, delta), file_->page_size_);
 }
 
 uint64_t PageFile::Snapshot::version() const {
@@ -312,13 +333,37 @@ uint64_t PageFile::Snapshot::page_stamp(PageId id) const {
 }
 
 IoStats PageFile::GetIoStats() const {
-  MutexLock lock(stats_mu_);
-  return stats_;
+  std::array<uint64_t, kTrackedLevels + 1> reads{};
+  uint64_t cache_hits = 0;
+  IoStats stats;
+  for (size_t s = 0; s < kStatShards; ++s) {
+    const StatShard& shard = shards_[s];
+    for (size_t slot = 0; slot < reads.size(); ++slot) {
+      reads[slot] += shard.reads[slot].load(std::memory_order_relaxed);
+    }
+    stats.writes += shard.writes.load(std::memory_order_relaxed);
+    cache_hits += shard.cache_hits.load(std::memory_order_relaxed);
+  }
+  for (const uint64_t r : reads) stats.reads += r;
+  // A hit is counted after its read, but a sum racing live readers may
+  // still see the hit first.
+  stats.cache_misses = stats.reads - std::min(stats.reads, cache_hits);
+  size_t top = kTrackedLevels;  // highest slot with a read
+  while (top > 0 && reads[top] == 0) --top;
+  stats.reads_by_level.assign(reads.begin() + 1,
+                              reads.begin() + static_cast<ptrdiff_t>(top) + 1);
+  return stats;
 }
 
 void PageFile::ResetStats() {
-  MutexLock lock(stats_mu_);
-  stats_.Reset();
+  for (size_t s = 0; s < kStatShards; ++s) {
+    StatShard& shard = shards_[s];
+    for (std::atomic<uint64_t>& r : shard.reads) {
+      r.store(0, std::memory_order_relaxed);
+    }
+    shard.writes.store(0, std::memory_order_relaxed);
+    shard.cache_hits.store(0, std::memory_order_relaxed);
+  }
 }
 
 const char* PageFile::PeekPage(PageId id) const {
@@ -526,8 +571,8 @@ Status PageFile::LoadFrom(std::istream& in) {
     MutexLock lock(stats_mu_);
     cache_lru_.clear();
     cache_index_.clear();
-    stats_.Reset();
   }
+  ResetStats();
   return Status::OK();
 }
 

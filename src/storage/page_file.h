@@ -13,11 +13,9 @@
 // Thread safety — two coexisting contracts:
 //
 //   * Legacy (frozen-tree) contract: Read() is safe from any number of
-//     threads at once (the shared counters and the simulated-cache LRU are
-//     guarded by a mutex). All mutating operations — Allocate/Free/Write/
-//     SimulateCache/Load* and the stats() reference accessors — require
-//     external exclusion against every other call. The six non-SR trees
-//     still run under this contract.
+//     threads at once. All mutating operations — Allocate/Free/Write/
+//     SimulateCache/Load* — require external exclusion against every other
+//     call. The six non-SR trees still run under this contract.
 //
 //   * Commit protocol (single writer / many readers): the writer mutates
 //     *working state* through StageWrite() — which copy-on-writes any page
@@ -26,8 +24,15 @@
 //     AcquireSnapshot() under an EpochGuard and read through the returned
 //     Snapshot; retired versions and displaced page buffers are reclaimed
 //     by the epoch scheme (src/storage/epoch.h) once no reader can reach
-//     them. Snapshot::Read is safe against a concurrently staging and
-//     committing writer; the writer itself must still be a single thread.
+//     them. Snapshot::ReadInPlace/Read are safe against a concurrently
+//     staging and committing writer; the writer itself must still be a
+//     single thread.
+//
+// Accounting takes no lock: every read and write lands in a per-thread,
+// cache-line-padded shard of relaxed atomic counters, and GetIoStats()
+// sums the shards. stats_mu_ guards only the simulated LRU and is taken on
+// a read only while SimulateCache() is on, so a Snapshot read with the
+// simulation off writes no cache line another thread touches.
 
 #ifndef SRTREE_STORAGE_PAGE_FILE_H_
 #define SRTREE_STORAGE_PAGE_FILE_H_
@@ -72,12 +77,20 @@ class PageFile {
   // An immutable view of one committed version: the page table published by
   // the Commit() that created it, plus its metadata words. Light value type
   // (two pointers); valid only while the EpochGuard passed to
-  // AcquireSnapshot() is alive. Read() performs the same I/O accounting as
-  // PageFile::Read and is safe against the concurrently mutating writer.
+  // AcquireSnapshot() is alive. Reads perform the same I/O accounting as
+  // PageFile::Read and are safe against the concurrently mutating writer.
   class Snapshot {
    public:
-    // Copies the page as of this version into `out` (page_size bytes) and
-    // counts one disk read (see PageFile::Read for `level` / `delta`).
+    // Zero-copy read: returns the version's own page buffer (page_size
+    // bytes) and counts one disk read (see PageFile::Read for `level` /
+    // `delta`). Copy-on-write never mutates a published buffer, so the bytes
+    // are immutable and stay valid exactly as long as the EpochGuard the
+    // snapshot was acquired under — the pointer must not outlive it
+    // (srcheck rule C5).
+    const char* ReadInPlace(PageId id, int level = -1,
+                            IoStatsDelta* delta = nullptr) const;
+
+    // ReadInPlace plus a copy into `out` (page_size bytes).
     void Read(PageId id, char* out, int level = -1,
               IoStatsDelta* delta = nullptr) const;
 
@@ -115,8 +128,8 @@ class PageFile {
   // Copies the page into `out` (page_size bytes) and counts one disk read.
   // `level` tags the read for the per-level breakdown (0 = leaf, -1 =
   // unknown). When `delta` is non-null the read (and any simulated cache
-  // hit) is additionally recorded there, giving the caller a per-query view
-  // without touching the shared counters twice. Safe to call concurrently.
+  // hit) is additionally recorded there, giving the caller a per-query
+  // view. Safe to call concurrently.
   void Read(PageId id, char* out, int level = -1,
             IoStatsDelta* delta = nullptr) const;
 
@@ -199,16 +212,11 @@ class PageFile {
   Status Save(const std::string& path) const;
   Status Load(const std::string& path);
 
-  // DEPRECATED: unsynchronized views of the counters; valid only while no
-  // concurrent Read() is in flight (the legacy reset-then-peek measurement
-  // pattern). That external-exclusion contract is what the analysis opt-out
-  // stands in for; new code takes GetIoStats() snapshots instead.
-  IoStats& stats() NO_THREAD_SAFETY_ANALYSIS { return stats_; }
-  const IoStats& stats() const NO_THREAD_SAFETY_ANALYSIS { return stats_; }
-
-  // Locked by-value snapshot / reset, safe against concurrent Read()s.
-  IoStats GetIoStats() const EXCLUDES(stats_mu_);
-  void ResetStats() EXCLUDES(stats_mu_);
+  // By-value sum of the per-thread counter shards / zeroing of every
+  // shard. Both are safe against concurrent reads; a read racing either
+  // lands on an unspecified side of it.
+  IoStats GetIoStats() const;
+  void ResetStats();
 
   // Number of currently live (allocated and not freed) pages.
   size_t live_pages() const { return live_pages_; }
@@ -235,19 +243,41 @@ class PageFile {
     uint64_t version = 0;
   };
 
-  // Returns true when the simulated cache already held the page (the hit is
-  // recorded in stats_, the caller mirrors it into the per-query delta).
+  // Returns true when the simulated cache already held the page.
   bool TouchCache(PageId id) const REQUIRES(stats_mu_);
+
+  // The accounting shared by every read path: one read in the calling
+  // thread's counter shard (plus the simulated-cache probe while it is on)
+  // and, when non-null, in `delta`.
+  void CountRead(PageId id, int level, IoStatsDelta* delta) const;
 
   // Moves the page's buffer out of the working state and into the batch
   // retired at the next Commit() (the published version still references
   // it). The slot is left null for Allocate() to rematerialize.
   void DetachSharedBuffer(PageId id);
 
+  // Counters of one thread slot. Padded to its own cache lines so threads
+  // on different slots never share one; relaxed atomics keep two threads
+  // that hash to the same slot exact. reads[0] counts reads of unknown
+  // level (and of levels >= kTrackedLevels, deeper than any tree with
+  // fanout >= 2 over 32-bit oids can grow); reads[l + 1] counts level l.
+  // A read bumps exactly one word, and GetIoStats() derives the total.
+  static constexpr size_t kStatShards = 32;
+  static constexpr int kTrackedLevels = 64;
+  struct alignas(64) StatShard {
+    std::array<std::atomic<uint64_t>, kTrackedLevels + 1> reads{};
+    std::atomic<uint64_t> writes{0};
+    std::atomic<uint64_t> cache_hits{0};
+  };
+  // The calling thread's shard (threads take slots round-robin).
+  StatShard& LocalShard() const;
+
   const size_t page_size_;
-  // stats_mu_ guards stats_ and the simulated-cache LRU — the only state a
-  // read mutates — so concurrent queries stay race-free.
+  const std::unique_ptr<StatShard[]> shards_;
+  // stats_mu_ guards the simulated-cache LRU, the only shared state a read
+  // can mutate; reads take it only while simulate_cache_ is set.
   mutable Mutex stats_mu_;
+  std::atomic<bool> simulate_cache_{false};
   size_t cache_capacity_ GUARDED_BY(stats_mu_) = 0;
   // front = most recently used
   mutable std::list<PageId> cache_lru_ GUARDED_BY(stats_mu_);
@@ -264,7 +294,6 @@ class PageFile {
       "single-writer working state; readers go through committed_");
   size_t live_pages_ UNGUARDED_OK(
       "single-writer working state; readers go through committed_") = 0;
-  mutable IoStats stats_ GUARDED_BY(stats_mu_);
 
   // --- commit-protocol state (owned by the single writer, except
   //     `committed_`, which readers load through AcquireSnapshot) ----------

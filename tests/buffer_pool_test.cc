@@ -15,14 +15,14 @@ TEST(BufferPoolTest, HitsAvoidDiskReads) {
   const PageId a = file.Allocate();
   std::vector<char> data(64, 'a');
   file.Write(a, data.data());
-  file.stats().Reset();
+  file.ResetStats();
 
   BufferPool pool(&file, 4);
   std::vector<char> out(64);
   pool.Read(a, out.data());
   pool.Read(a, out.data());
   pool.Read(a, out.data());
-  EXPECT_EQ(file.stats().reads, 1u);  // only the first miss hit the disk
+  EXPECT_EQ(file.GetIoStats().reads, 1u);  // only the first miss hit the disk
   EXPECT_EQ(pool.hits(), 2u);
   EXPECT_EQ(pool.misses(), 1u);
 }
@@ -32,17 +32,17 @@ TEST(BufferPoolTest, EvictionWritesBackDirtyPages) {
   const PageId a = file.Allocate();
   const PageId b = file.Allocate();
   const PageId c = file.Allocate();
-  file.stats().Reset();
+  file.ResetStats();
 
   BufferPool pool(&file, 2);
   std::vector<char> data(64, 'x');
   pool.Write(a, data.data());
-  EXPECT_EQ(file.stats().writes, 0u);  // buffered, not yet on disk
+  EXPECT_EQ(file.GetIoStats().writes, 0u);  // buffered, not yet on disk
 
   std::vector<char> out(64);
   pool.Read(b, out.data());
   pool.Read(c, out.data());  // evicts a (LRU), forcing the writeback
-  EXPECT_EQ(file.stats().writes, 1u);
+  EXPECT_EQ(file.GetIoStats().writes, 1u);
 
   std::vector<char> check(64);
   file.Read(a, check.data());
@@ -52,27 +52,27 @@ TEST(BufferPoolTest, EvictionWritesBackDirtyPages) {
 TEST(BufferPoolTest, WriteCoalescing) {
   PageFile file(64);
   const PageId a = file.Allocate();
-  file.stats().Reset();
+  file.ResetStats();
 
   {
     BufferPool pool(&file, 2);
     std::vector<char> data(64, 'y');
     for (int i = 0; i < 10; ++i) pool.Write(a, data.data());
   }  // destructor flushes
-  EXPECT_EQ(file.stats().writes, 1u);
+  EXPECT_EQ(file.GetIoStats().writes, 1u);
 }
 
 TEST(BufferPoolTest, DiscardDropsWithoutWriteback) {
   PageFile file(64);
   const PageId a = file.Allocate();
-  file.stats().Reset();
+  file.ResetStats();
 
   BufferPool pool(&file, 2);
   std::vector<char> data(64, 'z');
   pool.Write(a, data.data());
   pool.Discard(a);
   pool.FlushAll();
-  EXPECT_EQ(file.stats().writes, 0u);
+  EXPECT_EQ(file.GetIoStats().writes, 0u);
 }
 
 TEST(BufferPoolTest, ReadsStayCorrectAcrossEvictions) {

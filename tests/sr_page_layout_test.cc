@@ -1,0 +1,267 @@
+// The SR-tree's dimension-major (SoA) page layout and its persistence:
+//   * SerializeNode/DeserializeNode round-trip every field, for leaf and
+//     inner pages, at D = 1, 3 and 16, on small and default pages, with 0,
+//     1 and a full page of entries;
+//   * the entry sizes — and so the Table 1 fanouts — are those of the
+//     paper's row-major entries;
+//   * Save -> Open round-trips the new layout, and an image whose header
+//     carries the retired row-major layout byte is rejected with a clear
+//     "re-save" error instead of being misread.
+
+#include <cstring>
+#include <string>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "src/common/random.h"
+#include "src/core/sr_tree.h"
+#include "src/storage/crc32c.h"
+#include "src/storage/image_io.h"
+#include "src/workload/queries.h"
+#include "src/workload/uniform.h"
+#include "tests/sr_tree_test_access.h"
+
+namespace srtree {
+namespace {
+
+using Access = SRTreeTestAccess;
+
+struct LayoutCase {
+  int dim;
+  size_t page_size;
+  size_t leaf_data_size;
+};
+
+std::string CaseName(const ::testing::TestParamInfo<LayoutCase>& info) {
+  return "d" + std::to_string(info.param.dim) + "_page" +
+         std::to_string(info.param.page_size);
+}
+
+class SrPageLayoutTest : public ::testing::TestWithParam<LayoutCase> {
+ protected:
+  SRTree::Options MakeOptions() const {
+    SRTree::Options options;
+    options.dim = GetParam().dim;
+    options.page_size = GetParam().page_size;
+    options.leaf_data_size = GetParam().leaf_data_size;
+    return options;
+  }
+
+  Point RandomPoint() {
+    Point p(static_cast<size_t>(GetParam().dim));
+    for (double& x : p) x = rng_.NextDouble() * 2.0 - 0.5;
+    return p;
+  }
+
+  Access::Node MakeLeaf(size_t count) {
+    Access::Node node;
+    node.id = 7;
+    node.level = 0;
+    for (size_t i = 0; i < count; ++i) {
+      node.points.push_back(
+          Access::LeafEntry{RandomPoint(), static_cast<uint32_t>(1000 + i)});
+    }
+    return node;
+  }
+
+  Access::Node MakeInner(size_t count, int level) {
+    Access::Node node;
+    node.id = 9;
+    node.level = level;
+    for (size_t i = 0; i < count; ++i) {
+      Point lo = RandomPoint(), hi = lo;
+      for (double& x : hi) x += rng_.NextDouble();
+      Access::NodeEntry e;
+      e.sphere = Sphere(RandomPoint(), rng_.NextDouble());
+      e.rect = Rect(std::move(lo), std::move(hi));
+      e.weight = static_cast<uint32_t>(3 + 5 * i);
+      e.child = static_cast<PageId>(40 + 2 * i);
+      node.children.push_back(std::move(e));
+    }
+    return node;
+  }
+
+  Xoshiro256 rng_{4242};
+};
+
+void ExpectSameNode(const Access::Node& got, const Access::Node& want) {
+  EXPECT_EQ(got.id, want.id);
+  EXPECT_EQ(got.level, want.level);
+  ASSERT_EQ(got.points.size(), want.points.size());
+  for (size_t i = 0; i < want.points.size(); ++i) {
+    EXPECT_EQ(got.points[i].point, want.points[i].point) << "entry " << i;
+    EXPECT_EQ(got.points[i].oid, want.points[i].oid) << "entry " << i;
+  }
+  ASSERT_EQ(got.children.size(), want.children.size());
+  for (size_t i = 0; i < want.children.size(); ++i) {
+    const Access::NodeEntry& g = got.children[i];
+    const Access::NodeEntry& w = want.children[i];
+    EXPECT_EQ(g.sphere.center(), w.sphere.center()) << "entry " << i;
+    EXPECT_EQ(g.sphere.radius(), w.sphere.radius()) << "entry " << i;
+    EXPECT_EQ(g.rect.lo(), w.rect.lo()) << "entry " << i;
+    EXPECT_EQ(g.rect.hi(), w.rect.hi()) << "entry " << i;
+    EXPECT_EQ(g.weight, w.weight) << "entry " << i;
+    EXPECT_EQ(g.child, w.child) << "entry " << i;
+  }
+}
+
+TEST_P(SrPageLayoutTest, LeafPagesRoundTrip) {
+  const SRTree tree(MakeOptions());
+  for (const size_t count : {size_t{0}, size_t{1}, tree.leaf_capacity()}) {
+    SCOPED_TRACE("count " + std::to_string(count));
+    const Access::Node node = MakeLeaf(count);
+    const std::vector<char> page = Access::Serialize(tree, node);
+    ExpectSameNode(Access::Deserialize(tree, page, node.id), node);
+  }
+}
+
+TEST_P(SrPageLayoutTest, InnerPagesRoundTrip) {
+  const SRTree tree(MakeOptions());
+  for (const size_t count : {size_t{0}, size_t{1}, tree.node_capacity()}) {
+    SCOPED_TRACE("count " + std::to_string(count));
+    const Access::Node node = MakeInner(count, /*level=*/2);
+    const std::vector<char> page = Access::Serialize(tree, node);
+    ExpectSameNode(Access::Deserialize(tree, page, node.id), node);
+  }
+}
+
+// The page is dimension-major: coordinate d of entry i sits at double slot
+// d * count + i after the 8-byte header, the oids follow the coordinate
+// block, and every byte past the entries is zero.
+TEST_P(SrPageLayoutTest, LeafPageIsDimensionMajor) {
+  const SRTree tree(MakeOptions());
+  const size_t count = tree.leaf_capacity();
+  const Access::Node node = MakeLeaf(count);
+  const std::vector<char> page = Access::Serialize(tree, node);
+  const size_t dim = static_cast<size_t>(GetParam().dim);
+  for (size_t i = 0; i < count; ++i) {
+    for (size_t d = 0; d < dim; ++d) {
+      double x = 0;
+      std::memcpy(&x, page.data() + 8 + (d * count + i) * sizeof(double),
+                  sizeof(x));
+      EXPECT_EQ(x, node.points[i].point[d]);
+    }
+    uint32_t oid = 0;
+    std::memcpy(&oid,
+                page.data() + 8 + dim * count * sizeof(double) +
+                    i * sizeof(uint32_t),
+                sizeof(oid));
+    EXPECT_EQ(oid, node.points[i].oid);
+  }
+  const size_t used = 8 + count * (dim * sizeof(double) + sizeof(uint32_t));
+  for (size_t b = used; b < page.size(); ++b) {
+    ASSERT_EQ(page[b], 0) << "byte " << b;
+  }
+}
+
+// Same bytes per entry as the row-major entries of Section 5.3, so the
+// fanouts (Table 1) are unchanged by the layout.
+TEST_P(SrPageLayoutTest, FanoutsMatchRowMajorEntrySizes) {
+  const SRTree tree(MakeOptions());
+  const size_t dim = static_cast<size_t>(GetParam().dim);
+  const size_t usable = GetParam().page_size - 8;
+  EXPECT_EQ(tree.leaf_capacity(),
+            usable / (dim * 8 + 4 + GetParam().leaf_data_size));
+  EXPECT_EQ(tree.node_capacity(), usable / (3 * dim * 8 + 8 + 4 + 4));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Pages, SrPageLayoutTest,
+    ::testing::Values(LayoutCase{1, 512, 0}, LayoutCase{3, 512, 0},
+                      LayoutCase{16, 2048, 0}, LayoutCase{1, 8192, 512},
+                      LayoutCase{3, 8192, 512}, LayoutCase{16, 8192, 512}),
+    CaseName);
+
+std::string TempPath(const std::string& name) {
+  return ::testing::TempDir() + "/" + name;
+}
+
+std::unique_ptr<SRTree> BuildTree(const Dataset& data) {
+  SRTree::Options options;
+  options.dim = data.dim();
+  options.page_size = 2048;
+  options.leaf_data_size = 64;
+  auto tree = std::make_unique<SRTree>(options);
+  EXPECT_TRUE(tree->BulkLoad(data.ToPoints(), data.SequentialOids()).ok());
+  return tree;
+}
+
+TEST(SrImageLayoutTest, SaveOpenRoundTripsSoaPages) {
+  const Dataset data = MakeUniformDataset(1500, 5, /*seed=*/17);
+  const auto tree = BuildTree(data);
+  const std::string path = TempPath("sr_soa_layout.idx");
+  ASSERT_TRUE(tree->Save(path).ok());
+
+  auto reopened = SRTree::Open(path);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->size(), tree->size());
+  EXPECT_EQ((*reopened)->GetTreeStats().leaf_count,
+            tree->GetTreeStats().leaf_count);
+  for (const Point& q : SampleQueriesFromDataset(data, 20, /*seed=*/19)) {
+    for (const QuerySpec& spec : {QuerySpec::Knn(9), QuerySpec::KnnBestFirst(9),
+                                  QuerySpec::Range(0.3)}) {
+      const QueryResult want = tree->Search(q, spec);
+      const QueryResult got = (*reopened)->Search(q, spec);
+      ASSERT_TRUE(got.status.ok()) << got.status.ToString();
+      EXPECT_EQ(got.neighbors, want.neighbors);
+      EXPECT_EQ(got.io, want.io);
+    }
+  }
+}
+
+// Byte offset of the layout byte inside the SRIX container: 24 bytes of
+// framing (magic, version, tag, header size, header CRC), then the SR-tree
+// header record, whose layout byte follows dim (4 + 4 padding), page size,
+// leaf-data size, two doubles and the two option flags.
+constexpr size_t kContainerFraming = 24;
+constexpr size_t kLayoutByteInHeader = 42;
+constexpr size_t kSrHeaderBytes = 64;
+
+// Rewrites the layout byte of a saved image and re-seals the header CRC,
+// so only the layout check — not the checksum — can reject the file.
+void ForgeLayoutByte(const std::string& path, uint8_t layout) {
+  std::string bytes;
+  ASSERT_TRUE(ReadFileToString(path, &bytes).ok());
+  ASSERT_GT(bytes.size(), kContainerFraming + kSrHeaderBytes);
+  uint32_t header_size = 0;
+  std::memcpy(&header_size, bytes.data() + 16, sizeof(header_size));
+  ASSERT_EQ(header_size, kSrHeaderBytes);
+  ASSERT_EQ(bytes[kContainerFraming + kLayoutByteInHeader], 1)
+      << "the saved image should carry the SoA layout byte";
+  bytes[kContainerFraming + kLayoutByteInHeader] = static_cast<char>(layout);
+  const uint32_t crc = Crc32c(bytes.data() + kContainerFraming, header_size);
+  for (int i = 0; i < 4; ++i) {
+    bytes[20 + static_cast<size_t>(i)] = static_cast<char>(crc >> (8 * i));
+  }
+  ASSERT_TRUE(WriteStringToFileForTest(bytes, path).ok());
+}
+
+TEST(SrImageLayoutTest, RowMajorLayoutImageIsRejectedWithResaveError) {
+  const auto tree = BuildTree(MakeUniformDataset(400, 4, /*seed=*/23));
+  const std::string path = TempPath("sr_row_major_layout.idx");
+  ASSERT_TRUE(tree->Save(path).ok());
+  ForgeLayoutByte(path, /*layout=*/0);
+
+  auto reopened = SRTree::Open(path);
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_TRUE(reopened.status().IsInvalidArgument())
+      << reopened.status().ToString();
+  EXPECT_NE(reopened.status().message().find("re-save"), std::string::npos)
+      << reopened.status().ToString();
+}
+
+TEST(SrImageLayoutTest, UnknownLayoutByteIsCorruption) {
+  const auto tree = BuildTree(MakeUniformDataset(400, 4, /*seed=*/29));
+  const std::string path = TempPath("sr_unknown_layout.idx");
+  ASSERT_TRUE(tree->Save(path).ok());
+  ForgeLayoutByte(path, /*layout=*/9);
+
+  auto reopened = SRTree::Open(path);
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_TRUE(reopened.status().IsCorruption())
+      << reopened.status().ToString();
+}
+
+}  // namespace
+}  // namespace srtree

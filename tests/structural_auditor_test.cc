@@ -1,7 +1,8 @@
 // StructuralAuditor coverage: clean trees of every variant audit clean,
 // and deliberately corrupted trees yield the right violation class at the
-// right node path. Corruption goes through SRTreeTestAccess, a test-only
-// friend that rewrites pages directly.
+// right node path. Corruption goes through SRTreeTestAccess
+// (tests/sr_tree_test_access.h), a test-only friend that rewrites pages
+// directly.
 
 #include <algorithm>
 #include <memory>
@@ -13,40 +14,10 @@
 #include "src/core/sr_tree.h"
 #include "src/debug/structural_auditor.h"
 #include "src/workload/uniform.h"
+#include "tests/sr_tree_test_access.h"
 #include "tests/test_util.h"
 
 namespace srtree {
-
-// Test-only backdoor into the SR-tree's private page machinery (declared a
-// friend in sr_tree.h). Reads a node by path, lets the test mutate it, and
-// writes it back without refreshing the parent entries — exactly the kind
-// of inconsistency the auditor exists to catch.
-struct SRTreeTestAccess {
-  using Node = SRTree::Node;
-
-  // Each helper takes the tree's writer lock: the page accessors require it
-  // (REQUIRES(writer_mu_)), and the corruption below is exactly a writer-
-  // side mutation. Staged writes are visible to the auditor, which walks
-  // the live pages under the same lock.
-  static Node ReadByPath(const SRTree& tree, const std::vector<int>& path) {
-    MutexLock lock(tree.writer_mu_);
-    Node node = tree.PeekNode(tree.root_id_);
-    for (const int i : path) {
-      node = tree.PeekNode(node.children[static_cast<size_t>(i)].child);
-    }
-    return node;
-  }
-
-  static void Write(SRTree& tree, const Node& node) {
-    MutexLock lock(tree.writer_mu_);
-    tree.WriteNode(node);
-  }
-
-  static int RootLevel(const SRTree& tree) {
-    MutexLock lock(tree.writer_mu_);
-    return tree.root_level_;
-  }
-};
 
 namespace {
 

@@ -53,9 +53,12 @@ where available, a real clang AST:
       Owning handles (unique_ptr/shared_ptr<IndexSnapshot>, whose
       destructor releases the guard) may be moved or shared freely; it is
       the raw views (`snapshot.get()`, `&snap`, a by-value
-      PageFile::Snapshot) that dangle once the guard dies. Only the
-      snapshot/epoch protocol implementation (src/storage/page_file.*,
-      src/storage/epoch.*) is exempt.
+      PageFile::Snapshot) that dangle once the guard dies. The zero-copy
+      page pointer a snapshot hands out (`snap.ReadInPlace(...)`, the
+      pinned version's own buffer) is such a view: it may be read in
+      scope, never returned, stored into a member, or captured by a
+      deferred lambda. Only the snapshot/epoch protocol implementation
+      (src/storage/page_file.*, src/storage/epoch.*) is exempt.
 
   C6  Lock-order graph: a whole-program analysis extracts every nested
       acquisition — a MutexLock taken while another MutexLock (or a
@@ -163,6 +166,9 @@ C5_GUARD_TYPES = ("EpochGuard",)
 C5_VIEW_TYPES = ("SRTreeSnapshot", "IndexSnapshot", "VersionState",
                  "Snapshot")
 C5_OWNER_MARKERS = ("unique_ptr", "shared_ptr")
+# The snapshot's zero-copy page read: its result points into the pinned
+# version's buffer and is valid only while the EpochGuard lives.
+C5_ZERO_COPY_READ = "ReadInPlace"
 
 # C6: the lock-order artifact. Regenerate with --emit-lock-order whenever
 # the repo-wide run reports it stale.
@@ -727,7 +733,8 @@ def check_c2(rel: str, tokens: list[Token],
 #   view   a non-owning snapshot value/reference (PageFile::Snapshot,
 #          SRTreeSnapshot&, a raw IndexSnapshot*...) — dies with the guard
 #   owner  unique_ptr/shared_ptr<...Snapshot...> — owns its guard, may move
-#   ptr    a raw pointer laundered out of an owner via .get() / &view
+#   ptr    a raw pointer laundered out of an owner via .get() / &view, or
+#          a zero-copy page pointer bound from snap.ReadInPlace(...)
 
 def _c5_decl_kind(texts_before: list[str], type_tok: str) -> str:
     """Classify a snapshot-type declaration as owner or view from the
@@ -858,8 +865,10 @@ def check_c5(rel: str, tokens: list[Token],
                   expr[1].text in (".", "->") and expr[2].text == "get"):
                 leak = expr[0]
             else:
-                for t in expr:
-                    if names.get(t.text) == "ptr":
+                for k, t in enumerate(expr):
+                    if names.get(t.text) == "ptr" or (
+                            t.text == C5_ZERO_COPY_READ and k >= 1 and
+                            expr[k - 1].text in (".", "->")):
                         leak = t
                         break
             if leak is not None and "C5" not in waivers.get(leak.line, {}):
@@ -869,6 +878,36 @@ def check_c5(rel: str, tokens: list[Token],
                     f"its epoch guard at end of scope; return the owning "
                     f"handle (unique_ptr/shared_ptr) instead"))
             i = j
+        elif tok.text == C5_ZERO_COPY_READ and i >= 1 and \
+                tokens[i - 1].text in (".", "->"):
+            # `const char* page = snap.ReadInPlace(...)`: find what the
+            # pointer is bound to by looking backwards for `name =` on the
+            # same statement. A member target outlives the guard; a local
+            # one is tracked like any other view.
+            j = i - 2
+            while j >= 0 and tokens[j].text not in (";", "{", "}"):
+                if tokens[j].text == "=" and j >= 1 and \
+                        re.match(r"[A-Za-z_]\w*$", tokens[j - 1].text):
+                    target = tokens[j - 1].text
+                    this_member = (j >= 3 and tokens[j - 2].text == "->" and
+                                   tokens[j - 3].text == "this")
+                    preceded = (j >= 2 and
+                                tokens[j - 2].text in (".", "->") and
+                                not this_member)
+                    if (target.endswith("_") or this_member) and \
+                            not preceded:
+                        if "C5" not in waivers.get(tok.line, {}):
+                            findings.append(Finding(
+                                rel, tok.line, "C5",
+                                f"zero-copy page pointer from "
+                                f"{C5_ZERO_COPY_READ}() stored into member "
+                                f"'{target}', outliving its epoch guard; "
+                                f"copy the bytes instead"))
+                    elif not preceded:
+                        tracked.append(_Tracked(target, depth, tok.line,
+                                                "ptr"))
+                    break
+                j -= 1
         elif tok.text == "[" and (
                 i == 0 or tokens[i - 1].text in
                 ("=", "(", ",", "return", "{", ";", "&&", "||", "!", ":")):
@@ -2221,6 +2260,20 @@ class ClangEngine:
             guards: set[str] = set()
             views: set[str] = set()
             owners: set[str] = set()
+
+            def zero_copy_read(cursor) -> bool:
+                """A snap.ReadInPlace(...) call: a pointer into the pinned
+                version's own page buffer."""
+                return any(d.kind == ck.MEMBER_REF_EXPR and
+                           d.spelling == C5_ZERO_COPY_READ
+                           for d in descendants(cursor))
+
+            def this_member(cursor) -> bool:
+                """A member of *this (implicit or explicit), not of some
+                local object."""
+                kids = list(cursor.get_children())
+                return not kids or kids[0].kind == ck.CXX_THIS_EXPR
+
             for d in descendants(cursor):
                 if d.kind != ck.VAR_DECL:
                     continue
@@ -2234,7 +2287,9 @@ class ClangEngine:
                     views.add(d.spelling)
                 elif owners and "*" in t and refs_any(d, owners):
                     views.add(d.spelling)  # laundered raw pointer
-            if not (guards or views or owners):
+                elif "*" in t and zero_copy_read(d):
+                    views.add(d.spelling)  # zero-copy page pointer
+            if not (guards or views or owners or zero_copy_read(cursor)):
                 return
             escaping = guards | views
 
@@ -2265,6 +2320,8 @@ class ClangEngine:
                     if inner.kind == ck.DECL_REF_EXPR and \
                             inner.spelling in views:
                         hit = inner.spelling
+                    elif zero_copy_read(d):
+                        hit = C5_ZERO_COPY_READ
                     else:
                         hit = laundered(d)
                     if hit:
@@ -2289,6 +2346,9 @@ class ClangEngine:
                         if "=" in toks:
                             hit = refs_any(children[1], views) or \
                                 laundered(children[1])
+                            if not hit and this_member(children[0]) and \
+                                    zero_copy_read(children[1]):
+                                hit = C5_ZERO_COPY_READ
                             if hit:
                                 add(d.location.line, "C5",
                                     f"epoch-scoped snapshot '{hit}' "
