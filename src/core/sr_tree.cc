@@ -23,6 +23,23 @@ constexpr size_t kHeaderBytes = kSoaPageHeaderBytes;
 // Floating-point slack for sphere-containment checks (see ss_tree.cc).
 constexpr double kEps = 1e-9;
 
+// Element `i` of a dim-major block equals `p`, coordinate for coordinate.
+bool SoaElementEquals(const SoaBlock& block, size_t i, PointView p) {
+  for (size_t d = 0; d < p.size(); ++d) {
+    if (block.coords[d * block.count + i] != p[d]) return false;
+  }
+  return true;
+}
+
+// Rect::Contains on entry `i`'s rectangle, read from the page.
+bool SoaRectContains(const SoaInnerView& inner, size_t i, PointView p) {
+  for (size_t d = 0; d < p.size(); ++d) {
+    const size_t at = d * inner.count + i;
+    if (p[d] < inner.lo.coords[at] || p[d] > inner.hi.coords[at]) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 SRTree::Options SRTree::Validated(const Options& options) {
@@ -236,46 +253,45 @@ void SRTree::SerializeNode(const Node& node, char* buf) const {
               static_cast<size_t>(buf + options_.page_size - cursor));
 }
 
-SRTree::Node SRTree::DeserializeNode(const char* buf, PageId id) const {
-  const auto gather = [&](const SoaBlock& block, size_t i) {
-    Point p(static_cast<size_t>(options_.dim));
-    GatherSoaElement(block, i, p);
-    return p;
-  };
-  Node node;
+void SRTree::DecodeNode(const char* buf, PageId id, Node& node) const {
   node.id = id;
   node.level = SoaPageLevel(buf);
   if (node.level == 0) {
     const SoaLeafView leaf = ParseSoaLeaf(buf, options_.dim);
+    node.children.clear();
     node.points.resize(leaf.count);
     for (size_t i = 0; i < leaf.count; ++i) {
-      node.points[i].point = gather(leaf.points, i);
+      GatherSoaElement(leaf.points, i, node.points[i].point);
       node.points[i].oid = leaf.oids[i];
     }
-    return node;
+    return;
   }
   const SoaInnerView inner = ParseSoaInner(buf, options_.dim);
+  node.points.clear();
   node.children.resize(inner.count);
   for (size_t i = 0; i < inner.count; ++i) {
     NodeEntry& e = node.children[i];
-    e.sphere = Sphere(gather(inner.centers, i), inner.radii[i]);
-    e.rect = Rect(gather(inner.lo, i), gather(inner.hi, i));
+    GatherSoaElement(inner.centers, i, e.sphere.mutable_center());
+    e.sphere.set_radius(inner.radii[i]);
+    GatherSoaElement(inner.lo, i, e.rect.mutable_lo());
+    GatherSoaElement(inner.hi, i, e.rect.mutable_hi());
     e.weight = inner.weights[i];
     e.child = inner.tail[i];
   }
+}
+
+SRTree::Node SRTree::DeserializeNode(const char* buf, PageId id) const {
+  Node node;
+  DecodeNode(buf, id, node);
   return node;
 }
 
-SRTree::Node SRTree::ReadNode(PageId id, int level, IoStatsDelta* io) const {
-  std::vector<char> buf(options_.page_size);
-  // Writer-side reads bypass the pool: WriteNode stages to the file without
-  // touching pool frames, so the pool's legacy stamp-0 namespace would go
-  // stale here. Queries read pooled pages through the snapshot-stamped
-  // ReadQueryPage instead.
-  file_.Read(id, buf.data(), level, io);
-  Node node = DeserializeNode(buf.data(), id);
+void SRTree::ReadNode(PageId id, int level, Node& node) const {
+  // The writer reads its own working pages: in place, counted like any disk
+  // read, and never through the buffer pool, whose frames only cache
+  // committed (page id, stamp) pairs for queries.
+  DecodeNode(file_.ReadInPlace(id, level), id, node);
   DCHECK_EQ(node.level, level);
-  return node;
 }
 
 SRTree::Node SRTree::PeekNode(PageId id) const {
@@ -283,13 +299,11 @@ SRTree::Node SRTree::PeekNode(PageId id) const {
 }
 
 void SRTree::WriteNode(const Node& node) {
-  // SerializeNode defines every byte of the page.
-  const auto buf = std::make_unique_for_overwrite<char[]>(options_.page_size);
-  SerializeNode(node, buf.get());
-  // Copy-on-write staging: snapshots keep reading the committed buffer, and
-  // the buffer pool needs no invalidation — its frames are keyed by stamp,
-  // and staging a shared page moves this id to a fresh one.
-  file_.StageWrite(node.id, buf.get());
+  // Serialized straight into the staged buffer, which SerializeNode fills
+  // completely. Copy-on-write staging keeps snapshots on the committed
+  // buffer, and the buffer pool needs no invalidation: its frames are keyed
+  // by stamp, and staging a shared page moves this id to a fresh one.
+  SerializeNode(node, file_.StageWrite(node.id));
 }
 
 void SRTree::CommitState() {
@@ -365,12 +379,7 @@ PointView SRTree::EntryCentroid(const Node& node, size_t i) const {
 // --------------------------------------------------------------------------
 
 Status SRTree::Insert(PointView point, uint32_t oid) {
-  if (static_cast<int>(point.size()) != options_.dim) {
-    return Status::InvalidArgument("point dimensionality mismatch");
-  }
-  if (!AllFinite(point)) {
-    return Status::InvalidArgument("point has a non-finite coordinate");
-  }
+  RETURN_IF_ERROR(ValidatePoint(point, options_.dim));
   MutexLock lock(writer_mu_);
   reinserted_nodes_.clear();
   std::deque<Pending> pending;
@@ -400,24 +409,26 @@ void SRTree::InsertPending(const Pending& item, std::deque<Pending>& pending) {
                       : PointView(item.node.sphere.center());
   CHECK_LE(item.level, root_level_);
 
-  std::vector<Node> path;
-  std::vector<int> idx;
-  Node cur = ReadNode(root_id_, root_level_);
-  while (cur.level > item.level) {
+  // The descent decodes into writer-owned nodes reused from one insert to
+  // the next, so their entry vectors (and entry points) keep their capacity.
+  const size_t last = static_cast<size_t>(root_level_ - item.level);
+  if (descent_.size() <= last) descent_.resize(last + 1);
+  descent_idx_.clear();
+  ReadNode(root_id_, root_level_, descent_[0]);
+  for (size_t d = 0; d < last; ++d) {
+    const Node& cur = descent_[d];
     const int i = ChooseSubtree(cur, centroid);
-    const PageId child = cur.children[i].child;
-    const int child_level = cur.level - 1;
-    path.push_back(std::move(cur));
-    idx.push_back(i);
-    cur = ReadNode(child, child_level);
+    descent_idx_.push_back(i);
+    ReadNode(cur.children[static_cast<size_t>(i)].child, cur.level - 1,
+             descent_[d + 1]);
   }
+  Node& target = descent_[last];
   if (item.level == 0) {
-    cur.points.push_back(item.leaf);
+    target.points.push_back(item.leaf);
   } else {
-    cur.children.push_back(item.node);
+    target.children.push_back(item.node);
   }
-  path.push_back(std::move(cur));
-  ResolvePath(path, idx, pending);
+  ResolvePath(descent_, descent_idx_, static_cast<int>(last), pending);
 }
 
 int SRTree::ChooseSubtree(const Node& node, PointView centroid) const {
@@ -436,9 +447,9 @@ int SRTree::ChooseSubtree(const Node& node, PointView centroid) const {
   return best;
 }
 
-void SRTree::ResolvePath(std::vector<Node>& path, std::vector<int>& idx,
-                         std::deque<Pending>& pending) {
-  int i = static_cast<int>(path.size()) - 1;
+void SRTree::ResolvePath(std::vector<Node>& path, const std::vector<int>& idx,
+                         int last, std::deque<Pending>& pending) {
+  int i = last;
   while (true) {
     Node& n = path[i];
     if (n.count() <= Capacity(n)) break;
@@ -610,20 +621,21 @@ void SRTree::GrowRoot(Node& left, Node& right) {
 // --------------------------------------------------------------------------
 
 Status SRTree::Delete(PointView point, uint32_t oid) {
-  if (static_cast<int>(point.size()) != options_.dim) {
-    return Status::InvalidArgument("point dimensionality mismatch");
-  }
-  if (!AllFinite(point)) {
-    return Status::InvalidArgument("point has a non-finite coordinate");
-  }
+  RETURN_IF_ERROR(ValidatePoint(point, options_.dim));
   MutexLock lock(writer_mu_);
-  std::vector<Node> path;
+  std::vector<PageId> ids;
   std::vector<int> idx;
-  Node root = ReadNode(root_id_, root_level_);
-  if (!FindLeafPath(root, point, oid, path, idx)) {
+  Point center;
+  if (!FindLeafPath(root_id_, root_level_, point, oid, ids, idx, center)) {
     // Nothing staged, nothing committed: the version number advances only
     // on successful mutations.
     return Status::NotFound("point not present");
+  }
+  // Only the nodes on the returned path are decoded (the search already
+  // counted their reads).
+  std::vector<Node> path(ids.size());
+  for (size_t j = 0; j < ids.size(); ++j) {
+    DecodeNode(file_.PeekPage(ids[j]), ids[j], path[j]);
   }
   Node& leaf = path.back();
   bool erased = false;
@@ -644,32 +656,38 @@ Status SRTree::Delete(PointView point, uint32_t oid) {
   return Status::OK();
 }
 
-bool SRTree::FindLeafPath(const Node& node, PointView point, uint32_t oid,
-                          std::vector<Node>& path, std::vector<int>& idx) {
-  path.push_back(node);
-  if (node.is_leaf()) {
-    for (const LeafEntry& e : node.points) {
-      if (e.oid == oid && std::equal(point.begin(), point.end(),
-                                     e.point.begin(), e.point.end())) {
+bool SRTree::FindLeafPath(PageId id, int level, PointView point, uint32_t oid,
+                          std::vector<PageId>& ids, std::vector<int>& idx,
+                          Point& center) {
+  const char* page = file_.ReadInPlace(id, level);
+  DCHECK_EQ(SoaPageLevel(page), level);
+  ids.push_back(id);
+  if (level == 0) {
+    const SoaLeafView leaf = ParseSoaLeaf(page, options_.dim);
+    for (size_t i = 0; i < leaf.count; ++i) {
+      if (leaf.oids[i] == oid && SoaElementEquals(leaf.points, i, point)) {
         return true;
       }
     }
-    path.pop_back();
-    return false;
-  }
-  for (size_t i = 0; i < node.children.size(); ++i) {
-    const NodeEntry& e = node.children[i];
-    if (!e.rect.Contains(point)) continue;
-    if (GetDistanceKernel().L2(e.sphere.center(), point) >
-        e.sphere.radius() * (1.0 + kEps) + kEps) {
-      continue;
+  } else {
+    // The page stays valid across the recursion: the search stages nothing.
+    const SoaInnerView inner = ParseSoaInner(page, options_.dim);
+    for (size_t i = 0; i < inner.count; ++i) {
+      if (!SoaRectContains(inner, i, point)) continue;
+      GatherSoaElement(inner.centers, i, center);
+      if (GetDistanceKernel().L2(center, point) >
+          inner.radii[i] * (1.0 + kEps) + kEps) {
+        continue;
+      }
+      idx.push_back(static_cast<int>(i));
+      if (FindLeafPath(inner.tail[i], level - 1, point, oid, ids, idx,
+                       center)) {
+        return true;
+      }
+      idx.pop_back();
     }
-    idx.push_back(static_cast<int>(i));
-    Node child = ReadNode(e.child, node.level - 1);
-    if (FindLeafPath(child, point, oid, path, idx)) return true;
-    idx.pop_back();
   }
-  path.pop_back();
+  ids.pop_back();
   return false;
 }
 

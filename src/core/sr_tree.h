@@ -35,8 +35,9 @@
 //          leaf-data area (count x leaf_data_size bytes, zero)
 //   inner: [header] centers | radii | rect lo | rect hi | weights (u32) |
 //          child page ids (u32)
-// The writer decodes pages into Node (DeserializeNode) and encodes them
-// back (SerializeNode). A query never decodes: it overlays SoaBlock views
+// The writer decodes its working pages in place into reused Node storage
+// (ReadNode) and serializes nodes straight into the buffer StageWrite
+// hands back (WriteNode). A query never decodes: it overlays SoaBlock views
 // on the pinned version's own page buffer (PageFile::Snapshot::ReadInPlace,
 // or a pinned BufferPool frame) and feeds them to the distance kernels —
 // no lock, no copy, no per-entry decode, no allocation per page read. The
@@ -218,13 +219,18 @@ class SRTree : public PointIndex {
   // builds a Node: it reads committed pages in place through ReadQueryPage
   // (src/index/soa_page.h) — via the attached BufferPool keyed by (page id,
   // stamp) when one is present, else straight from the snapshot.
-  Node ReadNode(PageId id, int level, IoStatsDelta* io = nullptr) const
-      REQUIRES(writer_mu_);
+  //
+  // ReadNode decodes the working page in place (PageFile::ReadInPlace,
+  // counted as one read) into `node`, reusing its storage; WriteNode
+  // serializes straight into the buffer PageFile::StageWrite hands back.
+  void ReadNode(PageId id, int level, Node& node) const REQUIRES(writer_mu_);
   Node PeekNode(PageId id) const REQUIRES(writer_mu_);
   void WriteNode(const Node& node) REQUIRES(writer_mu_);
   // Encodes `node` into the whole page at `buf` (page_size bytes) in the
-  // SoA layout above, and decodes it back.
+  // SoA layout above, and decodes it back. DecodeNode refills `node` in
+  // place, keeping the capacity of its entry vectors and entry points.
   void SerializeNode(const Node& node, char* buf) const;
+  void DecodeNode(const char* buf, PageId id, Node& node) const;
   Node DeserializeNode(const char* buf, PageId id) const;
 
   // Publishes the working state as the next committed version, carrying
@@ -250,8 +256,11 @@ class SRTree : public PointIndex {
   void InsertPending(const Pending& item, std::deque<Pending>& pending)
       REQUIRES(writer_mu_);
   int ChooseSubtree(const Node& node, PointView centroid) const;
-  void ResolvePath(std::vector<Node>& path, std::vector<int>& idx,
-                   std::deque<Pending>& pending) REQUIRES(writer_mu_);
+  // Resolves overflow bottom-up from path[last] (idx[j] is path[j + 1]'s
+  // entry in path[j]) and writes the path back.
+  void ResolvePath(std::vector<Node>& path, const std::vector<int>& idx,
+                   int last, std::deque<Pending>& pending)
+      REQUIRES(writer_mu_);
   void WritePathRefreshingEntries(std::vector<Node>& path,
                                   const std::vector<int>& idx, int from)
       REQUIRES(writer_mu_);
@@ -260,9 +269,13 @@ class SRTree : public PointIndex {
   void GrowRoot(Node& left, Node& right) REQUIRES(writer_mu_);
 
   // --- deletion machinery (writer only) ---
-  bool FindLeafPath(const Node& node, PointView point, uint32_t oid,
-                    std::vector<Node>& path, std::vector<int>& idx)
-      REQUIRES(writer_mu_);
+  // Depth-first search for the leaf holding (point, oid) from page `id`,
+  // testing containment on the pages in place; on success `ids` holds the
+  // page ids from `id` down to that leaf and `idx` the entry taken at each
+  // inner node. `center` is scratch.
+  bool FindLeafPath(PageId id, int level, PointView point, uint32_t oid,
+                    std::vector<PageId>& ids, std::vector<int>& idx,
+                    Point& center) REQUIRES(writer_mu_);
   void CondenseTree(std::vector<Node>& path, std::vector<int>& idx)
       REQUIRES(writer_mu_);
   void ShrinkRoot() REQUIRES(writer_mu_);
@@ -327,6 +340,11 @@ class SRTree : public PointIndex {
 
   // Per-node forced-reinsertion bookkeeping, inherited from the SS-tree.
   std::set<PageId> reinserted_nodes_ GUARDED_BY(writer_mu_);
+
+  // The insert descent's root-to-target nodes and the entry taken at each
+  // inner one, reused by every InsertPending (see there).
+  std::vector<Node> descent_ GUARDED_BY(writer_mu_);
+  std::vector<int> descent_idx_ GUARDED_BY(writer_mu_);
 };
 
 }  // namespace srtree

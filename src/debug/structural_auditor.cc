@@ -137,12 +137,16 @@ class AuditRun {
         (claimed != nullptr && claimed->rect.has_value()) ? &*claimed->rect
                                                           : nullptr;
     CheckRects(node, region, path);
+    CheckFinite(node, path);
 
-    // Recurse, gathering the subtree's points.
+    // Recurse, gathering the subtree's points. A non-finite point is
+    // stored but unreachable, so it does not count toward size().
     std::vector<Point> local;
     if (node.is_leaf()) {
       local = node.points;
-      total_points_ += node.points.size();
+      total_points_ += static_cast<uint64_t>(std::count_if(
+          node.points.begin(), node.points.end(),
+          [](const Point& p) { return AllFinite(p); }));
     } else {
       for (size_t i = 0; i < node.entries.size(); ++i) {
         path.push_back(static_cast<int>(i));
@@ -160,6 +164,34 @@ class AuditRun {
       CheckClaim(node, *claimed, local, path);
     }
     return local;
+  }
+
+  // Every leaf point and entry region of `node` is finite (one report per
+  // node for points, one per entry for regions).
+  void CheckFinite(const MirrorNode& node, std::vector<int>& path) {
+    for (size_t i = 0; i < node.points.size(); ++i) {
+      if (!AllFinite(node.points[i])) {
+        Report(ViolationKind::kNonFinite, path,
+               "leaf point " + std::to_string(i) + " " +
+                   FormatPoint(node.points[i]) + " is not finite");
+        break;
+      }
+    }
+    for (size_t i = 0; i < node.entries.size(); ++i) {
+      const MirrorEntry& e = node.entries[i];
+      const bool rect_ok = !e.rect.has_value() ||
+                           (AllFinite(e.rect->lo()) && AllFinite(e.rect->hi()));
+      const bool sphere_ok =
+          !e.sphere.has_value() || (AllFinite(e.sphere->center()) &&
+                                    std::isfinite(e.sphere->radius()));
+      if (!rect_ok || !sphere_ok) {
+        path.push_back(static_cast<int>(i));
+        Report(ViolationKind::kNonFinite, path,
+               std::string("entry ") + (rect_ok ? "sphere" : "rect") +
+                   " has a non-finite coordinate");
+        path.pop_back();
+      }
+    }
   }
 
   // Rectangle semantics of `node`'s own contents against the region claimed
@@ -352,6 +384,8 @@ const char* ViolationKindName(ViolationKind kind) {
       return "weight-mismatch";
     case ViolationKind::kEntryCountMismatch:
       return "entry-count-mismatch";
+    case ViolationKind::kNonFinite:
+      return "non-finite";
   }
   return "unknown";
 }
@@ -383,7 +417,7 @@ std::vector<Violation> StructuralAuditor::Audit(const PointIndex& index) const {
     violations.push_back(Violation{
         ViolationKind::kEntryCountMismatch, "root",
         "leaves hold " + std::to_string(run.total_points()) +
-            " points but the index reports size " +
+            " reachable points but the index reports size " +
             std::to_string(index.size())});
   }
   return violations;

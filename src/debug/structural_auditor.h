@@ -12,8 +12,12 @@
 //     the farthest corner of the entry's own rectangle;
 //   * fanout within [min_entries, capacity], supernode page economy;
 //   * uniform leaf depth and level bookkeeping;
+//   * finiteness — every leaf point and every region (rect bounds, sphere
+//     center and radius) is finite: a NaN compares false against every
+//     bound, so it would slip past the containment checks above while
+//     hiding what it guards from every query;
 //   * entry-count bookkeeping — entry weights match actual subtree counts
-//     and the leaf total matches PointIndex::size().
+//     and the reachable (finite) leaf points number PointIndex::size().
 //
 // Unlike a bare Status, the auditor reports a typed list of violations,
 // each naming the offending node by its root path ("root/2/0"), so tests
@@ -43,7 +47,8 @@ enum class ViolationKind {
   kSphereContainment,   // subtree point escapes the entry sphere
   kSphereExceedsRect,   // sphere radius above the d_r bound (Section 4.2)
   kWeightMismatch,      // entry weight != actual subtree point count
-  kEntryCountMismatch,  // leaf point total != PointIndex::size()
+  kEntryCountMismatch,  // reachable leaf point total != PointIndex::size()
+  kNonFinite,           // leaf point or entry region has a NaN/inf coordinate
 };
 
 const char* ViolationKindName(ViolationKind kind);

@@ -31,6 +31,10 @@ class Rect {
   int dim() const { return static_cast<int>(lo_.size()); }
   const Point& lo() const { return lo_; }
   const Point& hi() const { return hi_; }
+  // In-place access for decoders that refill a reused rectangle without
+  // reallocating its bounds; the caller keeps lo[i] <= hi[i].
+  Point& mutable_lo() { return lo_; }
+  Point& mutable_hi() { return hi_; }
 
   bool IsEmpty() const;
 

@@ -19,6 +19,9 @@ class Sphere {
   double radius() const { return radius_; }
 
   void set_center(Point center) { center_ = std::move(center); }
+  // In-place access for decoders that refill a reused sphere without
+  // reallocating its center.
+  Point& mutable_center() { return center_; }
   void set_radius(double radius) { radius_ = radius; }
 
   bool Contains(PointView p) const;

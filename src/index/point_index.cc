@@ -64,11 +64,30 @@ QueryResult IndexSnapshot::Search(PointView query,
 
 size_t IndexSnapshot::size() const { return index_->size(); }
 
-Status PointIndex::BulkLoad(const std::vector<Point>& points,
-                            const std::vector<uint32_t>& oids) {
+Status ValidatePoint(PointView point, int dim) {
+  if (static_cast<int>(point.size()) != dim) {
+    return Status::InvalidArgument("point dimensionality mismatch");
+  }
+  if (!AllFinite(point)) {
+    return Status::InvalidArgument("point has a non-finite coordinate");
+  }
+  return Status::OK();
+}
+
+Status ValidateBulkLoad(const std::vector<Point>& points,
+                        const std::vector<uint32_t>& oids, int dim) {
   if (points.size() != oids.size()) {
     return Status::InvalidArgument("points/oids size mismatch");
   }
+  for (const Point& p : points) RETURN_IF_ERROR(ValidatePoint(p, dim));
+  return Status::OK();
+}
+
+Status PointIndex::BulkLoad(const std::vector<Point>& points,
+                            const std::vector<uint32_t>& oids) {
+  // Validated up front, so a bad point leaves the index empty instead of
+  // half loaded.
+  RETURN_IF_ERROR(ValidateBulkLoad(points, oids, dim()));
   if (size() != 0) {
     return Status::FailedPrecondition("BulkLoad requires an empty index");
   }

@@ -56,6 +56,16 @@ class SearchDispatch {
                                              int dim, PointView query,
                                              const QuerySpec& spec);
 
+// The boundary checks every mutation shares, so a point no query could
+// reach is never stored: InvalidArgument when `point` does not have `dim`
+// coordinates or has a non-finite one (NaN compares false against every
+// bound). ValidateBulkLoad also requires one oid per point, and checks
+// every point before a BulkLoad stores any.
+[[nodiscard]] Status ValidatePoint(PointView point, int dim);
+[[nodiscard]] Status ValidateBulkLoad(const std::vector<Point>& points,
+                                      const std::vector<uint32_t>& oids,
+                                      int dim);
+
 // A read view of an index pinned at acquisition time. What "pinned" means
 // is the implementation's contract:
 //

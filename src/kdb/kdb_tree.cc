@@ -213,9 +213,7 @@ void KdbTree::WriteNode(const Node& node) {
 // --------------------------------------------------------------------------
 
 Status KdbTree::Insert(PointView point, uint32_t oid) {
-  if (static_cast<int>(point.size()) != options_.dim) {
-    return Status::InvalidArgument("point dimensionality mismatch");
-  }
+  RETURN_IF_ERROR(ValidatePoint(point, options_.dim));
   if (!Domain().Contains(point)) {
     return Status::InvalidArgument("point outside the indexed domain");
   }
@@ -464,9 +462,7 @@ Rect KdbTree::ClipLo(const Rect& region, int dim, double value) {
 // --------------------------------------------------------------------------
 
 Status KdbTree::Delete(PointView point, uint32_t oid) {
-  if (static_cast<int>(point.size()) != options_.dim) {
-    return Status::InvalidArgument("point dimensionality mismatch");
-  }
+  RETURN_IF_ERROR(ValidatePoint(point, options_.dim));
   if (!DeleteFrom(root_id_, root_level_, point, oid)) {
     return Status::NotFound("point not present");
   }

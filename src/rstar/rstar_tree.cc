@@ -234,9 +234,7 @@ Rect RStarTree::NodeBoundingRect(const Node& node) const {
 // --------------------------------------------------------------------------
 
 Status RStarTree::Insert(PointView point, uint32_t oid) {
-  if (static_cast<int>(point.size()) != options_.dim) {
-    return Status::InvalidArgument("point dimensionality mismatch");
-  }
+  RETURN_IF_ERROR(ValidatePoint(point, options_.dim));
   reinserted_levels_.clear();
   std::deque<Pending> pending;
   Pending item;
@@ -540,9 +538,7 @@ void RStarTree::GrowRoot(Node& left, Node& right) {
 // --------------------------------------------------------------------------
 
 Status RStarTree::Delete(PointView point, uint32_t oid) {
-  if (static_cast<int>(point.size()) != options_.dim) {
-    return Status::InvalidArgument("point dimensionality mismatch");
-  }
+  RETURN_IF_ERROR(ValidatePoint(point, options_.dim));
   std::vector<Node> path;
   std::vector<int> idx;
   Node root = ReadNode(root_id_, root_level_);

@@ -276,9 +276,7 @@ PointView SSTree::EntryCentroid(const Node& node, size_t i) const {
 // --------------------------------------------------------------------------
 
 Status SSTree::Insert(PointView point, uint32_t oid) {
-  if (static_cast<int>(point.size()) != options_.dim) {
-    return Status::InvalidArgument("point dimensionality mismatch");
-  }
+  RETURN_IF_ERROR(ValidatePoint(point, options_.dim));
   reinserted_nodes_.clear();
   std::deque<Pending> pending;
   Pending item;
@@ -515,9 +513,7 @@ void SSTree::GrowRoot(Node& left, Node& right) {
 // --------------------------------------------------------------------------
 
 Status SSTree::Delete(PointView point, uint32_t oid) {
-  if (static_cast<int>(point.size()) != options_.dim) {
-    return Status::InvalidArgument("point dimensionality mismatch");
-  }
+  RETURN_IF_ERROR(ValidatePoint(point, options_.dim));
   std::vector<Node> path;
   std::vector<int> idx;
   Node root = ReadNode(root_id_, root_level_);

@@ -342,17 +342,19 @@ void StaticSRTree::SerializeTree(const std::vector<Point>& points,
   }
 
   const int dim = options_.dim;
-  std::vector<char> buf(options_.page_size);
   for (const size_t index : order) {
     const BuildNode& node = pool[index];
-    std::memset(buf.data(), 0, buf.size());
+    // Serialized straight into the staged page, zeroed first so the unused
+    // tail is defined.
+    char* const page = file_.StageWrite(node.page);
+    std::memset(page, 0, options_.page_size);
     const size_t count =
         node.level == 0 ? node.items.size() : node.children.size();
     CHECK_GT(count, 0u);
     CHECK_LE(count, node.level == 0 ? leaf_cap_ : node_cap_);
-    char* cursor = buf.data() + kHeaderBytes;
+    char* cursor = page + kHeaderBytes;
     if (node.level == 0) {
-      PutSoaHeader(buf.data(), 0, count, 0);
+      PutSoaHeader(page, 0, count, 0);
       cursor = PutSoaColumn(cursor, dim, count, [&](size_t i) {
         return PointView(points[node.items[i]]);
       });
@@ -366,7 +368,7 @@ void StaticSRTree::SerializeTree(const std::vector<Point>& points,
       for (size_t i = 0; i < count; ++i) {
         CHECK_EQ(child(i).page, first_child + static_cast<PageId>(i));
       }
-      PutSoaHeader(buf.data(), node.level, count, first_child);
+      PutSoaHeader(page, node.level, count, first_child);
       cursor = PutSoaColumn(cursor, dim, count, [&](size_t i) {
         return PointView(child(i).center);
       });
@@ -382,22 +384,14 @@ void StaticSRTree::SerializeTree(const std::vector<Point>& points,
         return static_cast<uint32_t>(child(i).weight);
       });
     }
-    file_.StageWrite(node.page, buf.data());
   }
 }
 
 Status StaticSRTree::BulkLoad(const std::vector<Point>& points,
                               const std::vector<uint32_t>& oids) {
-  if (points.size() != oids.size()) {
-    return Status::InvalidArgument("points/oids size mismatch");
-  }
+  RETURN_IF_ERROR(ValidateBulkLoad(points, oids, options_.dim));
   if (size_ != 0) {
     return Status::FailedPrecondition("BulkLoad requires an empty index");
-  }
-  for (const Point& p : points) {
-    if (static_cast<int>(p.size()) != options_.dim) {
-      return Status::InvalidArgument("point dimensionality mismatch");
-    }
   }
   if (points.size() > 0xffffffffull) {
     return Status::InvalidArgument("too many points for 32-bit object slots");

@@ -111,32 +111,38 @@ PageFile::PageFile(size_t page_size)
 PageFile::~PageFile() {
   // EpochManager's destructor (which runs after this body, epochs_ being the
   // last member) CHECKs that no reader guard is still alive, so deleting the
-  // published version here cannot race a Snapshot::Read.
+  // published version here cannot race a Snapshot::Read. Its chunks go with
+  // chunks_.
   delete committed_.exchange(nullptr, std::memory_order_seq_cst);
 }
 
+void PageFile::MarkChunkDirty(PageId id) {
+  const size_t c = id / kChunkPages;
+  if (c >= chunk_dirty_.size()) chunk_dirty_.resize(c + 1, false);
+  chunk_dirty_[c] = true;
+}
+
 PageId PageFile::Allocate() {
+  PageId id;
   if (!free_list_.empty()) {
-    const PageId id = free_list_.back();
+    id = free_list_.back();
     free_list_.pop_back();
     // A recycled slot may hold no buffer: dead pages restored by LoadFrom
     // stage none (a forged image must not be able to force one allocation
     // per claimed page), and Free() detaches buffers the published version
     // still references. Materialize on reuse.
-    CHECK(!shared_with_committed_[id]);
     if (pages_[id] == nullptr) pages_[id] = std::make_unique<char[]>(page_size_);
     std::memset(pages_[id].get(), 0, page_size_);
     live_[id] = true;
-    ++live_pages_;
     page_stamp_[id] = next_stamp_++;
-    return id;
+  } else {
+    id = static_cast<PageId>(pages_.size());
+    pages_.push_back(std::make_unique<char[]>(page_size_));
+    live_.push_back(true);
+    page_stamp_.push_back(next_stamp_++);
   }
-  const PageId id = static_cast<PageId>(pages_.size());
-  pages_.push_back(std::make_unique<char[]>(page_size_));
-  live_.push_back(true);
-  shared_with_committed_.push_back(false);
-  page_stamp_.push_back(next_stamp_++);
   ++live_pages_;
+  MarkChunkDirty(id);
   return id;
 }
 
@@ -144,16 +150,13 @@ void PageFile::Free(PageId id) {
   CHECK(IsLive(id));
   // The published version's table still points at a shared buffer; hand it
   // to the next Commit()'s retire batch instead of letting Allocate() zero
-  // it under a live snapshot.
-  if (shared_with_committed_[id]) DetachSharedBuffer(id);
+  // it under a live snapshot. The slot is left null for Allocate() to
+  // rematerialize.
+  if (SharedWithCommitted(id)) pending_retire_.push_back(std::move(pages_[id]));
   live_[id] = false;
   --live_pages_;
   free_list_.push_back(id);
-}
-
-void PageFile::DetachSharedBuffer(PageId id) {
-  pending_retire_.push_back(std::move(pages_[id]));
-  shared_with_committed_[id] = false;
+  MarkChunkDirty(id);
 }
 
 bool PageFile::IsLive(PageId id) const {
@@ -182,13 +185,18 @@ void PageFile::CountRead(PageId id, int level, IoStatsDelta* delta) const {
   }
 }
 
+const char* PageFile::ReadInPlace(PageId id, int level,
+                                  IoStatsDelta* delta) const {
+  CHECK(IsLive(id));
+  CountRead(id, level, delta);
+  return pages_[id].get();
+}
+
 void PageFile::Read(PageId id, char* out, int level,
                     IoStatsDelta* delta) const {
-  CHECK(IsLive(id));
   // Page bytes are stable while queries run (writers are excluded by
   // contract), so the copy itself needs no lock.
-  std::memcpy(out, pages_[id].get(), page_size_);
-  CountRead(id, level, delta);
+  std::memcpy(out, ReadInPlace(id, level, delta), page_size_);
 }
 
 void PageFile::SimulateCache(size_t capacity) {
@@ -222,55 +230,81 @@ void PageFile::Write(PageId id, const char* data) {
   // Legacy frozen-tree indexes never Commit() past the initial empty
   // version, so none of their pages is ever shared and this never fires
   // for them.
-  CHECK(!shared_with_committed_[id]);
+  CHECK(!SharedWithCommitted(id));
   std::memcpy(pages_[id].get(), data, page_size_);
   LocalShard().writes.fetch_add(1, std::memory_order_relaxed);
 }
 
-void PageFile::StageWrite(PageId id, const char* data) {
+char* PageFile::StageWrite(PageId id) {
   CHECK(IsLive(id));
-  if (shared_with_committed_[id]) {
+  if (SharedWithCommitted(id)) {
     // Copy-on-write: the published version keeps the old buffer (retired at
     // the next Commit); the working state moves to a fresh one under a
-    // fresh stamp so (id, stamp) keeps naming immutable bytes.
-    auto fresh = std::make_unique<char[]>(page_size_);
-    std::memcpy(fresh.get(), data, page_size_);
+    // fresh stamp so (id, stamp) keeps naming immutable bytes. The caller
+    // overwrites the whole page, so the fresh buffer is not zeroed.
     pending_retire_.push_back(std::move(pages_[id]));
-    pages_[id] = std::move(fresh);
-    shared_with_committed_[id] = false;
+    pages_[id] = std::make_unique_for_overwrite<char[]>(page_size_);
     page_stamp_[id] = next_stamp_++;
-  } else {
-    // The buffer was created after the last commit; no snapshot can see it.
-    std::memcpy(pages_[id].get(), data, page_size_);
+    MarkChunkDirty(id);
   }
+  // Otherwise the buffer was created after the last commit; no snapshot can
+  // see it.
   LocalShard().writes.fetch_add(1, std::memory_order_relaxed);
+  return pages_[id].get();
+}
+
+void PageFile::StageWrite(PageId id, const char* data) {
+  std::memcpy(StageWrite(id), data, page_size_);
 }
 
 void PageFile::Commit(const std::array<uint64_t, kCommitMetaWords>& meta) {
+  auto retired = std::make_shared<Retired>();
   auto next = std::make_unique<VersionState>();
   const VersionState* prev = committed_.load(std::memory_order_seq_cst);
   next->version = (prev != nullptr) ? prev->version + 1 : 1;
   next->meta = meta;
-  next->table.resize(pages_.size());
-  for (size_t i = 0; i < pages_.size(); ++i) {
-    if (live_[i]) {
-      next->table[i] = PageRef{pages_[i].get(), page_stamp_[i]};
-      shared_with_committed_[i] = true;
-    }
+  // Path copying: rebuild only the chunks whose entries changed since the
+  // last commit; every other chunk is shared with the previous version.
+  // Chunks past the page count were dropped by a shrinking LoadFrom.
+  const size_t chunk_count = (pages_.size() + kChunkPages - 1) / kChunkPages;
+  for (size_t c = chunk_count; c < chunks_.size(); ++c) {
+    retired->chunks.push_back(std::move(chunks_[c]));
   }
+  chunks_.resize(chunk_count);
+  chunk_dirty_.resize(chunk_count, false);
+  next->chunks.resize(chunk_count);
+  for (size_t c = 0; c < chunk_count; ++c) {
+    if (chunk_dirty_[c]) {
+      chunk_dirty_[c] = false;
+      auto chunk = std::make_unique<Chunk>();
+      const size_t begin = c * kChunkPages;
+      const size_t end = std::min(begin + kChunkPages, pages_.size());
+      for (size_t i = begin; i < end; ++i) {
+        if (live_[i]) {
+          chunk->refs[i - begin] = PageRef{pages_[i].get(), page_stamp_[i]};
+        }
+      }
+      if (chunks_[c] != nullptr) {
+        retired->chunks.push_back(std::move(chunks_[c]));
+      }
+      chunks_[c] = std::move(chunk);
+    }
+    // Pages only enter a chunk through Allocate or LoadFrom, which mark it.
+    DCHECK(chunks_[c] != nullptr);
+    next->chunks[c] = chunks_[c].get();
+  }
+  first_unpublished_stamp_ = next_stamp_;
+
   const VersionState* old =
       committed_.exchange(next.release(), std::memory_order_seq_cst);
-  // Unlink-before-retire: from here on neither `old` nor the displaced
-  // buffers are reachable from the published state, so a reader announcing
-  // after this point can never acquire them (src/storage/epoch.h).
-  if (old != nullptr) {
-    epochs_.Retire(std::shared_ptr<const VersionState>(old));
-  }
-  if (!pending_retire_.empty()) {
-    epochs_.Retire(std::make_shared<std::vector<std::unique_ptr<char[]>>>(
-        std::move(pending_retire_)));
-    pending_retire_.clear();
-  }
+  // Unlink-before-retire: from here on neither `old` nor the chunks and
+  // buffers only it references are reachable from the published state, so
+  // a reader announcing after this point can never acquire them
+  // (src/storage/epoch.h).
+  retired->version.reset(old);
+  retired->buffers = std::move(pending_retire_);
+  pending_retire_.clear();
+  epochs_.Retire(std::move(retired));
   epochs_.AdvanceAndReclaim();
 }
 
@@ -292,17 +326,22 @@ uint64_t PageFile::page_stamp(PageId id) const {
   return page_stamp_[id];
 }
 
+const PageFile::PageRef* PageFile::FindRef(const VersionState* state,
+                                           PageId id) {
+  const size_t c = id / kChunkPages;
+  if (c >= state->chunks.size()) return nullptr;
+  return &state->chunks[c]->refs[id % kChunkPages];
+}
+
 const char* PageFile::Snapshot::ReadInPlace(PageId id, int level,
                                             IoStatsDelta* delta) const {
-  const auto* state = static_cast<const VersionState*>(state_);
-  CHECK_LT(static_cast<size_t>(id), state->table.size());
-  const PageRef& ref = state->table[id];
-  CHECK(ref.data != nullptr);
+  const PageRef* ref = FindRef(static_cast<const VersionState*>(state_), id);
+  CHECK(ref != nullptr && ref->data != nullptr);
   // The buffer is immutable for this version's lifetime (copy-on-write) and
   // reclaimed only after every guard that could reach it is gone, so it is
   // handed out as is.
   file_->CountRead(id, level, delta);
-  return ref.data;
+  return ref->data;
 }
 
 void PageFile::Snapshot::Read(PageId id, char* out, int level,
@@ -320,16 +359,14 @@ uint64_t PageFile::Snapshot::meta(size_t i) const {
 }
 
 bool PageFile::Snapshot::is_live(PageId id) const {
-  const auto* state = static_cast<const VersionState*>(state_);
-  return static_cast<size_t>(id) < state->table.size() &&
-         state->table[id].data != nullptr;
+  const PageRef* ref = FindRef(static_cast<const VersionState*>(state_), id);
+  return ref != nullptr && ref->data != nullptr;
 }
 
 uint64_t PageFile::Snapshot::page_stamp(PageId id) const {
-  const auto* state = static_cast<const VersionState*>(state_);
-  CHECK_LT(static_cast<size_t>(id), state->table.size());
-  CHECK(state->table[id].data != nullptr);
-  return state->table[id].stamp;
+  const PageRef* ref = FindRef(static_cast<const VersionState*>(state_), id);
+  CHECK(ref != nullptr && ref->data != nullptr);
+  return ref->stamp;
 }
 
 IoStats PageFile::GetIoStats() const {
@@ -550,10 +587,10 @@ Status PageFile::LoadFrom(std::istream& in) {
   // the counters refer to the replaced pages, so both reset with the
   // contents (the configured cache capacity is kept).
   //
-  // Commit-protocol interaction: buffers the published version references
-  // are moved into the pending-retire batch, NOT destroyed — a concurrent
-  // snapshot keeps reading the pre-load version until the caller's next
-  // Commit() retires it. The new contents are deliberately left unpublished
+  // Commit-protocol interaction: the old buffers are moved into the
+  // pending-retire batch, NOT destroyed — a concurrent snapshot keeps
+  // reading the pre-load version until the caller's next Commit() retires
+  // it. The new contents are deliberately left unpublished
   // and unshared: a committing caller (SRTree::Open) follows up with a
   // Commit() carrying its real metadata, while legacy frozen-tree callers
   // never commit and keep mutating the fresh buffers through Write().
@@ -564,9 +601,12 @@ Status PageFile::LoadFrom(std::istream& in) {
   live_ = std::move(live);
   free_list_ = std::move(free_list);
   live_pages_ = live_pages;
-  shared_with_committed_.assign(pages_.size(), false);
+  // Fresh stamps mark every page unshared, and every chunk of the new page
+  // count is rebuilt by the next Commit(), which also retires the chunks
+  // past it when the image is smaller.
   page_stamp_.resize(pages_.size());
   for (size_t i = 0; i < pages_.size(); ++i) page_stamp_[i] = next_stamp_++;
+  chunk_dirty_.assign((pages_.size() + kChunkPages - 1) / kChunkPages, true);
   {
     MutexLock lock(stats_mu_);
     cache_lru_.clear();

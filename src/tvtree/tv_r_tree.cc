@@ -249,9 +249,7 @@ Rect TvRTree::NodeBoundingRect(const Node& node) const {
 // --------------------------------------------------------------------------
 
 Status TvRTree::Insert(PointView point, uint32_t oid) {
-  if (static_cast<int>(point.size()) != options_.dim) {
-    return Status::InvalidArgument("point dimensionality mismatch");
-  }
+  RETURN_IF_ERROR(ValidatePoint(point, options_.dim));
   reinserted_levels_.clear();
   std::deque<Pending> pending;
   Pending item;
@@ -556,9 +554,7 @@ void TvRTree::GrowRoot(Node& left, Node& right) {
 // --------------------------------------------------------------------------
 
 Status TvRTree::Delete(PointView point, uint32_t oid) {
-  if (static_cast<int>(point.size()) != options_.dim) {
-    return Status::InvalidArgument("point dimensionality mismatch");
-  }
+  RETURN_IF_ERROR(ValidatePoint(point, options_.dim));
   std::vector<Node> path;
   std::vector<int> idx;
   Node root = ReadNode(root_id_, root_level_);

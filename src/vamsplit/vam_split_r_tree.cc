@@ -213,16 +213,9 @@ uint64_t VamSplitRTree::SubtreeCapacity(int height) const {
 
 Status VamSplitRTree::BulkLoad(const std::vector<Point>& points,
                                const std::vector<uint32_t>& oids) {
-  if (points.size() != oids.size()) {
-    return Status::InvalidArgument("points/oids size mismatch");
-  }
+  RETURN_IF_ERROR(ValidateBulkLoad(points, oids, options_.dim));
   if (size_ != 0) {
     return Status::FailedPrecondition("BulkLoad requires an empty index");
-  }
-  for (const Point& p : points) {
-    if (static_cast<int>(p.size()) != options_.dim) {
-      return Status::InvalidArgument("point dimensionality mismatch");
-    }
   }
   if (points.size() > 0xffffffffull) {
     return Status::InvalidArgument("too many points for 32-bit object slots");

@@ -303,9 +303,7 @@ Rect XTree::NodeBoundingRect(const Node& node) const {
 // --------------------------------------------------------------------------
 
 Status XTree::Insert(PointView point, uint32_t oid) {
-  if (static_cast<int>(point.size()) != options_.dim) {
-    return Status::InvalidArgument("point dimensionality mismatch");
-  }
+  RETURN_IF_ERROR(ValidatePoint(point, options_.dim));
   InsertLeafEntry(LeafEntry{Point(point.begin(), point.end()), oid});
   ++size_;
   return Status::OK();
@@ -612,9 +610,7 @@ void XTree::GrowRoot(Node& left, Node& right) {
 // --------------------------------------------------------------------------
 
 Status XTree::Delete(PointView point, uint32_t oid) {
-  if (static_cast<int>(point.size()) != options_.dim) {
-    return Status::InvalidArgument("point dimensionality mismatch");
-  }
+  RETURN_IF_ERROR(ValidatePoint(point, options_.dim));
   std::vector<Node> path;
   std::vector<int> idx;
   Node root = ReadNode(root_id_, root_level_);

@@ -2,8 +2,8 @@
 //
 // Regressions: a query with a NaN coordinate used to return OK with zero
 // neighbors (every MINDIST comparison against NaN is false, so the
-// traversal pruned everything), and an SR-tree Insert of a NaN point was
-// counted by size() but could never be found again.
+// traversal pruned everything), and an Insert of a NaN point (SR, SS and
+// R* trees alike) was counted by size() but could never be found again.
 
 #include <limits>
 #include <memory>
@@ -75,28 +75,62 @@ INSTANTIATE_TEST_SUITE_P(AllIndexes, NonFiniteQueryTest,
                            return testing::TypeToken(info.param);
                          });
 
-// Every SR-tree mutation path (the dynamic tree and the tiered index's
-// delta) rejects a non-finite point without committing anything.
-TEST(NonFiniteMutationTest, SrTreeRejectsNonFinitePoints) {
-  for (const IndexType type : {IndexType::kSRTree, IndexType::kTieredSRTree}) {
-    SCOPED_TRACE(testing::TypeToken(type));
-    auto index = testing::MakeSmallPageIndex(type, kDim);
-    const Dataset data = MakeUniformDataset(200, kDim, /*seed=*/37);
-    ASSERT_TRUE(index->BulkLoad(data.ToPoints(), data.SequentialOids()).ok());
-    const uint64_t version = index->AcquireSnapshot()->version();
-    for (const Point& p : NonFinitePoints()) {
-      EXPECT_TRUE(index->Insert(p, 9000).IsInvalidArgument());
-      EXPECT_TRUE(index->Delete(p, 9000).IsInvalidArgument());
+// Static structures take no single-point mutations (Unimplemented); the
+// rest must reject a non-finite point before touching the index.
+bool TakesPointMutations(IndexType type) {
+  return type != IndexType::kVamSplitRTree &&
+         type != IndexType::kStaticSRTree;
+}
+
+class NonFiniteMutationTest : public ::testing::TestWithParam<IndexType> {};
+
+TEST_P(NonFiniteMutationTest, InsertAndDeleteRejectedWithoutSideEffects) {
+  auto index = testing::MakeSmallPageIndex(GetParam(), kDim);
+  const Dataset data = MakeUniformDataset(200, kDim, /*seed=*/41);
+  ASSERT_TRUE(index->BulkLoad(data.ToPoints(), data.SequentialOids()).ok());
+  const uint64_t version = index->AcquireSnapshot()->version();
+  for (const Point& p : NonFinitePoints()) {
+    const Status inserted = index->Insert(p, 9000);
+    const Status deleted = index->Delete(p, 9000);
+    EXPECT_FALSE(inserted.ok());
+    EXPECT_FALSE(deleted.ok());
+    if (TakesPointMutations(GetParam())) {
+      EXPECT_TRUE(inserted.IsInvalidArgument()) << inserted.ToString();
+      EXPECT_TRUE(deleted.IsInvalidArgument()) << deleted.ToString();
     }
-    EXPECT_EQ(index->size(), 200u);
-    EXPECT_EQ(index->AcquireSnapshot()->version(), version);
+  }
+  EXPECT_EQ(index->size(), 200u);
+  EXPECT_EQ(index->AcquireSnapshot()->version(), version);
+  EXPECT_TRUE(index->CheckInvariants().ok());
+  EXPECT_EQ(index->Search(Point(kDim, 0.5), QuerySpec::Knn(500))
+                .neighbors.size(),
+            200u);
+}
+
+// BulkLoad validates every point before storing any: one bad point leaves
+// the index empty and still loadable.
+TEST_P(NonFiniteMutationTest, BulkLoadRejectedBeforeStoringAnything) {
+  const Dataset data = MakeUniformDataset(150, kDim, /*seed=*/43);
+  for (const Point& bad : NonFinitePoints()) {
+    auto index = testing::MakeSmallPageIndex(GetParam(), kDim);
+    std::vector<Point> points = data.ToPoints();
+    points[points.size() / 2] = bad;
+    const Status status = index->BulkLoad(points, data.SequentialOids());
+    EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+    EXPECT_EQ(index->size(), 0u);
     EXPECT_TRUE(index->CheckInvariants().ok());
-    // Every stored point stays reachable.
+    ASSERT_TRUE(index->BulkLoad(data.ToPoints(), data.SequentialOids()).ok());
     EXPECT_EQ(index->Search(Point(kDim, 0.5), QuerySpec::Knn(500))
                   .neighbors.size(),
-              200u);
+              150u);
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(AllIndexes, NonFiniteMutationTest,
+                         ::testing::ValuesIn(AllIndexTypes()),
+                         [](const ::testing::TestParamInfo<IndexType>& info) {
+                           return testing::TypeToken(info.param);
+                         });
 
 }  // namespace
 }  // namespace srtree

@@ -36,6 +36,14 @@ struct SRTreeTestAccess {
     tree.WriteNode(node);
   }
 
+  // The working page of the node at `path`, for byte-level corruption that
+  // the Node codec cannot express (a NaN written into the page itself).
+  static char* MutablePageByPath(SRTree& tree, const std::vector<int>& path) {
+    const PageId id = ReadByPath(tree, path).id;
+    MutexLock lock(tree.writer_mu_);
+    return tree.file_.MutablePageForTest(id);
+  }
+
   static int RootLevel(const SRTree& tree) {
     MutexLock lock(tree.writer_mu_);
     return tree.root_level_;

@@ -5,6 +5,7 @@
 // directly.
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -13,6 +14,7 @@
 
 #include "src/core/sr_tree.h"
 #include "src/debug/structural_auditor.h"
+#include "src/index/soa_page.h"
 #include "src/workload/uniform.h"
 #include "tests/sr_tree_test_access.h"
 #include "tests/test_util.h"
@@ -212,6 +214,48 @@ TEST(CorruptedAuditTest, SphereInflatedPastRectBoundIsLocated) {
   EXPECT_TRUE(HasViolationAt(violations, ViolationKind::kSphereExceedsRect,
                              "root/0"))
       << Describe(violations);
+}
+
+// A NaN written straight into a page passes every containment check (it
+// compares false against every bound) and hides its point from every
+// query; the finiteness and reachable-count checks catch it.
+TEST(CorruptedAuditTest, NonFiniteLeafPointIsLocated) {
+  auto tree = BuildSmallPageSRTree(800);
+  ASSERT_GE(SRTreeTestAccess::RootLevel(*tree), 1);
+  std::vector<int> path(static_cast<size_t>(SRTreeTestAccess::RootLevel(*tree)),
+                        0);
+  char* page = SRTreeTestAccess::MutablePageByPath(*tree, path);
+  const size_t count = ParseSoaLeaf(page, kDim).count;
+  ASSERT_GT(count, 0u);
+  // Coordinate 1 of entry 0 (dimension-major layout).
+  double* coords = reinterpret_cast<double*>(page + kSoaPageHeaderBytes);
+  coords[1 * count + 0] = std::numeric_limits<double>::quiet_NaN();
+
+  const std::vector<Violation> violations = StructuralAuditor().Audit(*tree);
+  std::string leaf_path = "root";
+  for (const int i : path) leaf_path += "/" + std::to_string(i);
+  EXPECT_TRUE(HasViolationAt(violations, ViolationKind::kNonFinite, leaf_path))
+      << Describe(violations);
+  EXPECT_TRUE(
+      HasViolationAt(violations, ViolationKind::kEntryCountMismatch, "root"))
+      << Describe(violations);
+  EXPECT_FALSE(tree->CheckInvariants().ok());
+}
+
+TEST(CorruptedAuditTest, NonFiniteRegionIsLocated) {
+  auto tree = BuildSmallPageSRTree(800);
+  ASSERT_GE(SRTreeTestAccess::RootLevel(*tree), 1);
+  char* page = SRTreeTestAccess::MutablePageByPath(*tree, {});
+  const size_t count = ParseSoaInner(page, kDim).count;
+  ASSERT_GT(count, 1u);
+  // Entry 1's sphere center, coordinate 0: centers are the first block.
+  double* centers = reinterpret_cast<double*>(page + kSoaPageHeaderBytes);
+  centers[0 * count + 1] = std::numeric_limits<double>::infinity();
+
+  const std::vector<Violation> violations = StructuralAuditor().Audit(*tree);
+  EXPECT_TRUE(HasViolationAt(violations, ViolationKind::kNonFinite, "root/1"))
+      << Describe(violations);
+  EXPECT_FALSE(tree->CheckInvariants().ok());
 }
 
 }  // namespace

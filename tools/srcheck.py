@@ -55,9 +55,12 @@ where available, a real clang AST:
       the raw views (`snapshot.get()`, `&snap`, a by-value
       PageFile::Snapshot) that dangle once the guard dies. The zero-copy
       page pointer a snapshot hands out (`snap.ReadInPlace(...)`, the
-      pinned version's own buffer) is such a view: it may be read in
-      scope, never returned, stored into a member, or captured by a
-      deferred lambda. Only the snapshot/epoch protocol implementation
+      pinned version's own buffer) is such a view, and so are the
+      writer's raw page pointers — the working buffer `file.StageWrite(id)`
+      returns and the writer's in-place `file.ReadInPlace(...)`, which the
+      next copy-on-write or Commit invalidates: each may be used in scope,
+      never returned, stored into a member, or captured by a deferred
+      lambda. Only the snapshot/epoch protocol implementation
       (src/storage/page_file.*, src/storage/epoch.*) is exempt.
 
   C6  Lock-order graph: a whole-program analysis extracts every nested
@@ -166,9 +169,12 @@ C5_GUARD_TYPES = ("EpochGuard",)
 C5_VIEW_TYPES = ("SRTreeSnapshot", "IndexSnapshot", "VersionState",
                  "Snapshot")
 C5_OWNER_MARKERS = ("unique_ptr", "shared_ptr")
-# The snapshot's zero-copy page read: its result points into the pinned
-# version's buffer and is valid only while the EpochGuard lives.
-C5_ZERO_COPY_READ = "ReadInPlace"
+# Calls that hand out a raw page pointer. A snapshot's ReadInPlace points
+# into the pinned version's buffer and is valid only while the EpochGuard
+# lives; the writer's PageFile::ReadInPlace and the buffer StageWrite(id)
+# returns point into working state that the next copy-on-write, Commit or
+# Load replaces (and, once published, must never be written again).
+C5_PAGE_POINTER_CALLS = ("ReadInPlace", "StageWrite")
 
 # C6: the lock-order artifact. Regenerate with --emit-lock-order whenever
 # the repo-wide run reports it stale.
@@ -734,7 +740,8 @@ def check_c2(rel: str, tokens: list[Token],
 #          SRTreeSnapshot&, a raw IndexSnapshot*...) — dies with the guard
 #   owner  unique_ptr/shared_ptr<...Snapshot...> — owns its guard, may move
 #   ptr    a raw pointer laundered out of an owner via .get() / &view, or
-#          a zero-copy page pointer bound from snap.ReadInPlace(...)
+#          a raw page pointer bound from snap.ReadInPlace(...) or
+#          file.StageWrite(id)
 
 def _c5_decl_kind(texts_before: list[str], type_tok: str) -> str:
     """Classify a snapshot-type declaration as owner or view from the
@@ -867,7 +874,7 @@ def check_c5(rel: str, tokens: list[Token],
             else:
                 for k, t in enumerate(expr):
                     if names.get(t.text) == "ptr" or (
-                            t.text == C5_ZERO_COPY_READ and k >= 1 and
+                            t.text in C5_PAGE_POINTER_CALLS and k >= 1 and
                             expr[k - 1].text in (".", "->")):
                         leak = t
                         break
@@ -878,12 +885,13 @@ def check_c5(rel: str, tokens: list[Token],
                     f"its epoch guard at end of scope; return the owning "
                     f"handle (unique_ptr/shared_ptr) instead"))
             i = j
-        elif tok.text == C5_ZERO_COPY_READ and i >= 1 and \
+        elif tok.text in C5_PAGE_POINTER_CALLS and i >= 1 and \
                 tokens[i - 1].text in (".", "->"):
-            # `const char* page = snap.ReadInPlace(...)`: find what the
-            # pointer is bound to by looking backwards for `name =` on the
-            # same statement. A member target outlives the guard; a local
-            # one is tracked like any other view.
+            # `const char* page = snap.ReadInPlace(...)` /
+            # `char* page = file_.StageWrite(id)`: find what the pointer is
+            # bound to by looking backwards for `name =` on the same
+            # statement. A member target outlives the page; a local one is
+            # tracked like any other view.
             j = i - 2
             while j >= 0 and tokens[j].text not in (";", "{", "}"):
                 if tokens[j].text == "=" and j >= 1 and \
@@ -899,10 +907,10 @@ def check_c5(rel: str, tokens: list[Token],
                         if "C5" not in waivers.get(tok.line, {}):
                             findings.append(Finding(
                                 rel, tok.line, "C5",
-                                f"zero-copy page pointer from "
-                                f"{C5_ZERO_COPY_READ}() stored into member "
-                                f"'{target}', outliving its epoch guard; "
-                                f"copy the bytes instead"))
+                                f"raw page pointer from {tok.text}() "
+                                f"stored into member '{target}', outliving "
+                                f"the page it points into; copy the bytes "
+                                f"instead"))
                     elif not preceded:
                         tracked.append(_Tracked(target, depth, tok.line,
                                                 "ptr"))
@@ -2261,12 +2269,13 @@ class ClangEngine:
             views: set[str] = set()
             owners: set[str] = set()
 
-            def zero_copy_read(cursor) -> bool:
-                """A snap.ReadInPlace(...) call: a pointer into the pinned
-                version's own page buffer."""
-                return any(d.kind == ck.MEMBER_REF_EXPR and
-                           d.spelling == C5_ZERO_COPY_READ
-                           for d in descendants(cursor))
+            def zero_copy_read(cursor) -> str | None:
+                """A snap.ReadInPlace(...) / file.StageWrite(id) call: a
+                raw pointer into a page buffer (see C5_PAGE_POINTER_CALLS).
+                Returns the call's name."""
+                return next((d.spelling for d in descendants(cursor)
+                             if d.kind == ck.MEMBER_REF_EXPR and
+                             d.spelling in C5_PAGE_POINTER_CALLS), None)
 
             def this_member(cursor) -> bool:
                 """A member of *this (implicit or explicit), not of some
@@ -2321,7 +2330,7 @@ class ClangEngine:
                             inner.spelling in views:
                         hit = inner.spelling
                     elif zero_copy_read(d):
-                        hit = C5_ZERO_COPY_READ
+                        hit = zero_copy_read(d)
                     else:
                         hit = laundered(d)
                     if hit:
@@ -2346,9 +2355,8 @@ class ClangEngine:
                         if "=" in toks:
                             hit = refs_any(children[1], views) or \
                                 laundered(children[1])
-                            if not hit and this_member(children[0]) and \
-                                    zero_copy_read(children[1]):
-                                hit = C5_ZERO_COPY_READ
+                            if not hit and this_member(children[0]):
+                                hit = zero_copy_read(children[1])
                             if hit:
                                 add(d.location.line, "C5",
                                     f"epoch-scoped snapshot '{hit}' "
