@@ -1,9 +1,9 @@
 // Exact gate on the paper's own metric. Performance work on the read and
 // write paths must leave page reads per query, the Table 1 fanouts and the
 // Fig. 9 maintenance counts bit-identical; these tests pin them on fixed
-// small uniform SR-trees (and the static tier) to the values the row-major
-// page layout produced, so any drift turns the suite red instead of
-// slipping into the figures.
+// small uniform SR-trees, the static tier and the six baseline trees (SS,
+// R*, K-D-B, VAMSplit R, X, TV), so any drift turns the suite red instead
+// of slipping into the figures.
 
 #include <cstdint>
 #include <memory>
@@ -152,6 +152,132 @@ TEST(PaperMetricGate, StaticTierUniformD8) {
       .best_first_reads = 2882,
       .range_reads = 729};
   ExpectSame(Measure(IndexType::kStaticSRTree, config, 6000, 0.25), want);
+}
+
+
+// The six baseline trees on small-page low-D uniform sets where pruning
+// works, so the reads depend on each tree's bound and on the order its
+// traversals visit entries in.
+IndexConfig BaselineConfig() {
+  IndexConfig config;
+  config.dim = 8;
+  config.page_size = 2048;
+  config.leaf_data_size = 0;
+  return config;
+}
+
+TEST(PaperMetricGate, SsTreeUniformD8) {
+  const GateValues want{
+      .leaf_capacity = 30,
+      .node_capacity = 25,
+      .height = 3,
+      .node_count = 8,
+      .leaf_count = 119,
+      .splits = 124,
+      .reinsertions = 753,
+      .build_reads = 27558,
+      .build_writes = 27684,
+      .knn_leaf_reads = 4033,
+      .knn_nonleaf_reads = 320,
+      .best_first_reads = 3803,
+      .range_reads = 1542};
+  ExpectSame(Measure(IndexType::kSSTree, BaselineConfig(), 3000, 0.25), want);
+}
+
+TEST(PaperMetricGate, RStarTreeUniformD8) {
+  const GateValues want{
+      .leaf_capacity = 30,
+      .node_capacity = 15,
+      .height = 3,
+      .node_count = 14,
+      .leaf_count = 145,
+      .splits = 156,
+      .reinsertions = 221,
+      .build_reads = 14230,
+      .build_writes = 14388,
+      .knn_leaf_reads = 2604,
+      .knn_nonleaf_reads = 504,
+      .best_first_reads = 2999,
+      .range_reads = 657};
+  ExpectSame(Measure(IndexType::kRStarTree, BaselineConfig(), 3000, 0.25),
+             want);
+}
+
+TEST(PaperMetricGate, KdbTreeUniformD8) {
+  const GateValues want{
+      .leaf_capacity = 30,
+      .node_capacity = 15,
+      .height = 3,
+      .node_count = 16,
+      .leaf_count = 145,
+      .splits = 158,
+      .reinsertions = 0,
+      .build_reads = 8666,
+      .build_writes = 3316,
+      .knn_leaf_reads = 2942,
+      .knn_nonleaf_reads = 514,
+      .best_first_reads = 3361,
+      .range_reads = 708};
+  ExpectSame(Measure(IndexType::kKdbTree, BaselineConfig(), 3000, 0.25), want);
+}
+
+TEST(PaperMetricGate, VamSplitRTreeUniformD8) {
+  const GateValues want{
+      .leaf_capacity = 30,
+      .node_capacity = 15,
+      .height = 3,
+      .node_count = 8,
+      .leaf_count = 100,
+      .splits = 0,
+      .reinsertions = 0,
+      .build_reads = 0,
+      .build_writes = 108,
+      .knn_leaf_reads = 2051,
+      .knn_nonleaf_reads = 298,
+      .best_first_reads = 2281,
+      .range_reads = 540};
+  ExpectSame(Measure(IndexType::kVamSplitRTree, BaselineConfig(), 3000, 0.25),
+             want);
+}
+
+TEST(PaperMetricGate, XTreeUniformD8) {
+  const GateValues want{
+      .leaf_capacity = 30,
+      .node_capacity = 15,
+      .height = 3,
+      .node_count = 14,
+      .leaf_count = 139,
+      .splits = 149,
+      .reinsertions = 0,
+      .build_reads = 8661,
+      .build_writes = 8813,
+      .knn_leaf_reads = 2508,
+      .knn_nonleaf_reads = 505,
+      .best_first_reads = 2918,
+      .range_reads = 629};
+  ExpectSame(Measure(IndexType::kXTree, BaselineConfig(), 3000, 0.25), want);
+}
+
+// At D = 10 the TV-tree indexes only the first 8 dimensions, so its
+// directory bound is the active-subspace MINDIST, weaker than the full one.
+TEST(PaperMetricGate, TvTreeUniformD10) {
+  IndexConfig config = BaselineConfig();
+  config.dim = 10;
+  const GateValues want{
+      .leaf_capacity = 24,
+      .node_capacity = 15,
+      .height = 4,
+      .node_count = 19,
+      .leaf_count = 174,
+      .splits = 189,
+      .reinsertions = 276,
+      .build_reads = 15074,
+      .build_writes = 15266,
+      .knn_leaf_reads = 4865,
+      .knn_nonleaf_reads = 750,
+      .best_first_reads = 5406,
+      .range_reads = 1061};
+  ExpectSame(Measure(IndexType::kTvTree, config, 3000, 0.3), want);
 }
 
 }  // namespace
