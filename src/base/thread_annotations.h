@@ -17,7 +17,7 @@
 //       void Lock() ACQUIRE(mu_);
 //       uint64_t reads() const REQUIRES(mu_);
 //   * on virtual overrides they must come AFTER the virt-specifier:
-//       void ResetIoStats() override EXCLUDES(stats_mu_);
+//       IoStats GetIoStats() const override EXCLUDES(stats_mu_);
 
 #ifndef SRTREE_BASE_THREAD_ANNOTATIONS_H_
 #define SRTREE_BASE_THREAD_ANNOTATIONS_H_

@@ -6,13 +6,13 @@
 #include <fstream>
 #include <limits>
 #include <numeric>
-#include <queue>
-#include <tuple>
 
 #include "src/common/check.h"
 #include "src/debug/structural_auditor.h"
 #include "src/geometry/kernel.h"
+#include "src/index/pinned_snapshot.h"
 #include "src/index/soa_page.h"
+#include "src/index/traversal.h"
 #include "src/storage/image_io.h"
 
 namespace srtree {
@@ -751,62 +751,49 @@ void SRTree::ShrinkRoot() {
 // Search
 // --------------------------------------------------------------------------
 
-// Each entry point pins the committed version for the duration of one
+// The SR-tree's bound policy for the shared traversals
+// (src/index/traversal.h) over one pinned version: every page is read in
+// place (ReadQueryPage) and bounded by the Section 4.4 MINDIST,
+// max(sphere, rect), in distance space (SrEntryMinDists).
+struct SRTree::SearchBound {
+  static constexpr BoundSpace kSpace = BoundSpace::kDistance;
+  const SRTree& tree;
+  const PageFile::Snapshot& snap;
+
+  TraversalRoot root() const {
+    if (snap.meta(2) == 0) return {};
+    return {static_cast<PageId>(snap.meta(0)), static_cast<int>(snap.meta(1))};
+  }
+
+  template <typename Offer, typename Child>
+  void Expand(PageId id, int level, PointView query, double leaf_bound_sq,
+              KernelScratch& scratch, IoStatsDelta* io, Offer&& offer,
+              Child&& child) const {
+    const QueryPage page = ReadQueryPage(tree.pool_.get(), snap, id, level, io);
+    DCHECK_EQ(SoaPageLevel(page.data), level);
+    if (level == 0) {
+      const SoaLeafView leaf = ParseSoaLeaf(page.data, tree.options_.dim);
+      ScanSoaLeaf(leaf, query, leaf_bound_sq, scratch,
+                  [&](double d2, size_t i) { offer(d2, leaf.oids[i]); });
+      return;
+    }
+    const SoaInnerView inner = ParseSoaInner(page.data, tree.options_.dim);
+    const std::vector<double>& md = SrEntryMinDists(
+        inner, query, tree.options_.use_rect_in_mindist, scratch);
+    for (size_t i = 0; i < inner.count; ++i) child(md[i], inner.tail[i]);
+  }
+};
+
+// Each live entry point pins the committed version for the duration of one
 // query: the guard announces an epoch, the snapshot captures the version,
 // and every page the traversal reads comes from that version — a writer
 // committing mid-query changes nothing the traversal can see. The *Snapshot
-// forms exist separately so SRTreeSnapshot (below) can run many queries
-// against one pinned version.
+// forms serve PinnedSnapshot, which runs many queries against one version.
 
 std::vector<Neighbor> SRTree::KnnDfsImpl(PointView query, int k,
                                          IoStatsDelta* io) const {
   const EpochGuard guard(file_.epochs());
   return KnnDfsSnapshot(file_.AcquireSnapshot(guard), query, k, io);
-}
-
-std::vector<Neighbor> SRTree::KnnDfsSnapshot(const PageFile::Snapshot& snap,
-                                             PointView query, int k,
-                                             IoStatsDelta* io) const {
-  CHECK_EQ(static_cast<int>(query.size()), options_.dim);
-  KnnCandidates candidates(k);
-  KernelScratch scratch;
-  if (snap.meta(2) > 0) {
-    SearchKnn(snap, static_cast<PageId>(snap.meta(0)),
-              static_cast<int>(snap.meta(1)), query, candidates, scratch, io);
-  }
-  return candidates.TakeSorted();
-}
-
-void SRTree::SearchKnn(const PageFile::Snapshot& snap, PageId id, int level,
-                       PointView query, KnnCandidates& cand,
-                       KernelScratch& scratch, IoStatsDelta* io) const {
-  // (MINDIST, entry index, child), visited in (MINDIST, index) order.
-  std::vector<std::tuple<double, size_t, PageId>> order;
-  {
-    const QueryPage page = ReadQueryPage(pool_.get(), snap, id, level, io);
-    DCHECK_EQ(SoaPageLevel(page.data), level);
-    if (level == 0) {
-      const SoaLeafView leaf = ParseSoaLeaf(page.data, options_.dim);
-      ScanSoaLeaf(leaf, query, cand.PruneDistanceSquared(), scratch,
-                  [&](double d2, size_t i) {
-                    cand.OfferSquared(d2, leaf.oids[i]);
-                  });
-      return;
-    }
-    const SoaInnerView inner = ParseSoaInner(page.data, options_.dim);
-    const std::vector<double>& md = SrEntryMinDists(
-        inner, query, options_.use_rect_in_mindist, scratch);
-    order.resize(inner.count);
-    for (size_t i = 0; i < inner.count; ++i) {
-      order[i] = {md[i], i, inner.tail[i]};
-    }
-    std::sort(order.begin(), order.end());
-    // The page is released here; the recursion needs only `order`.
-  }
-  for (const auto& [mindist, i, child] : order) {
-    if (mindist > cand.PruneDistance()) break;
-    SearchKnn(snap, child, level - 1, query, cand, scratch, io);
-  }
 }
 
 std::vector<Neighbor> SRTree::KnnBestFirstImpl(PointView query, int k,
@@ -815,148 +802,32 @@ std::vector<Neighbor> SRTree::KnnBestFirstImpl(PointView query, int k,
   return KnnBestFirstSnapshot(file_.AcquireSnapshot(guard), query, k, io);
 }
 
-std::vector<Neighbor> SRTree::KnnBestFirstSnapshot(
-    const PageFile::Snapshot& snap, PointView query, int k,
-    IoStatsDelta* io) const {
-  CHECK_EQ(static_cast<int>(query.size()), options_.dim);
-  KnnCandidates candidates(k);
-  if (snap.meta(2) == 0) return candidates.TakeSorted();
-
-  // Global best-first traversal: always expand the pending subtree with the
-  // smallest MINDIST. Stops once that bound exceeds the k-th candidate.
-  struct Pending {
-    double mindist;
-    PageId id;
-    int level;
-    bool operator>(const Pending& other) const {
-      return mindist > other.mindist;
-    }
-  };
-  std::priority_queue<Pending, std::vector<Pending>, std::greater<Pending>>
-      frontier;
-  KernelScratch scratch;
-  frontier.push(Pending{0.0, static_cast<PageId>(snap.meta(0)),
-                        static_cast<int>(snap.meta(1))});
-  while (!frontier.empty()) {
-    const Pending next = frontier.top();
-    frontier.pop();
-    if (next.mindist > candidates.PruneDistance()) break;
-    const QueryPage page =
-        ReadQueryPage(pool_.get(), snap, next.id, next.level, io);
-    DCHECK_EQ(SoaPageLevel(page.data), next.level);
-    if (next.level == 0) {
-      const SoaLeafView leaf = ParseSoaLeaf(page.data, options_.dim);
-      ScanSoaLeaf(leaf, query, candidates.PruneDistanceSquared(), scratch,
-                  [&](double d2, size_t i) {
-                    candidates.OfferSquared(d2, leaf.oids[i]);
-                  });
-      continue;
-    }
-    const SoaInnerView inner = ParseSoaInner(page.data, options_.dim);
-    const std::vector<double>& md = SrEntryMinDists(
-        inner, query, options_.use_rect_in_mindist, scratch);
-    for (size_t i = 0; i < inner.count; ++i) {
-      if (md[i] <= candidates.PruneDistance()) {
-        frontier.push(Pending{md[i], inner.tail[i], next.level - 1});
-      }
-    }
-  }
-  return candidates.TakeSorted();
-}
-
 std::vector<Neighbor> SRTree::RangeImpl(PointView query, double radius,
                                         IoStatsDelta* io) const {
   const EpochGuard guard(file_.epochs());
   return RangeSnapshot(file_.AcquireSnapshot(guard), query, radius, io);
 }
 
+std::vector<Neighbor> SRTree::KnnDfsSnapshot(const PageFile::Snapshot& snap,
+                                             PointView query, int k,
+                                             IoStatsDelta* io) const {
+  return TraverseKnnDfs(SearchBound{*this, snap}, query, k, io);
+}
+
+std::vector<Neighbor> SRTree::KnnBestFirstSnapshot(
+    const PageFile::Snapshot& snap, PointView query, int k,
+    IoStatsDelta* io) const {
+  return TraverseKnnBestFirst(SearchBound{*this, snap}, query, k, io);
+}
+
 std::vector<Neighbor> SRTree::RangeSnapshot(const PageFile::Snapshot& snap,
                                             PointView query, double radius,
                                             IoStatsDelta* io) const {
-  CHECK_EQ(static_cast<int>(query.size()), options_.dim);
-  std::vector<Neighbor> result;
-  KernelScratch scratch;
-  if (snap.meta(2) > 0) {
-    SearchRange(snap, static_cast<PageId>(snap.meta(0)),
-                static_cast<int>(snap.meta(1)), query, radius, result, scratch,
-                io);
-  }
-  std::sort(result.begin(), result.end());  // canonical (distance, oid)
-  return result;
+  return TraverseRange(SearchBound{*this, snap}, query, radius, io);
 }
-
-void SRTree::SearchRange(const PageFile::Snapshot& snap, PageId id, int level,
-                         PointView query, double radius,
-                         std::vector<Neighbor>& out, KernelScratch& scratch,
-                         IoStatsDelta* io) const {
-  std::vector<PageId> hits;
-  {
-    const QueryPage page = ReadQueryPage(pool_.get(), snap, id, level, io);
-    DCHECK_EQ(SoaPageLevel(page.data), level);
-    if (level == 0) {
-      const SoaLeafView leaf = ParseSoaLeaf(page.data, options_.dim);
-      ScanSoaLeaf(leaf, query, radius * radius, scratch,
-                  [&](double d2, size_t i) {
-                    out.push_back(Neighbor{std::sqrt(d2), leaf.oids[i]});
-                  });
-      return;
-    }
-    const SoaInnerView inner = ParseSoaInner(page.data, options_.dim);
-    const std::vector<double>& md = SrEntryMinDists(
-        inner, query, options_.use_rect_in_mindist, scratch);
-    for (size_t i = 0; i < inner.count; ++i) {
-      if (md[i] <= radius) hits.push_back(inner.tail[i]);
-    }
-    // The page is released here; the recursion needs only `hits`.
-  }
-  for (const PageId child : hits) {
-    SearchRange(snap, child, level - 1, query, radius, out, scratch, io);
-  }
-}
-
-// --------------------------------------------------------------------------
-// Snapshots
-// --------------------------------------------------------------------------
-
-// A pinned committed version of an SRTree, queryable many times. Holds the
-// epoch guard for its whole lifetime, so the version's pages cannot be
-// reclaimed under it; implements SearchDispatch so the queries share the
-// exact validation shell with PointIndex::Search.
-class SRTreeSnapshot final : public IndexSnapshot, public SearchDispatch {
- public:
-  explicit SRTreeSnapshot(const SRTree* tree)
-      : IndexSnapshot(tree),
-        tree_(tree),
-        guard_(tree->file_.epochs()),
-        snap_(tree->file_.AcquireSnapshot(guard_)) {}
-
-  QueryResult Search(PointView query, const QuerySpec& spec) const override {
-    return RunValidatedSearch(*this, tree_->options_.dim, query, spec);
-  }
-  uint64_t version() const override { return snap_.version(); }
-  size_t size() const override { return static_cast<size_t>(snap_.meta(2)); }
-
-  std::vector<Neighbor> KnnDfsImpl(PointView query, int k,
-                                   IoStatsDelta* io) const override {
-    return tree_->KnnDfsSnapshot(snap_, query, k, io);
-  }
-  std::vector<Neighbor> KnnBestFirstImpl(PointView query, int k,
-                                         IoStatsDelta* io) const override {
-    return tree_->KnnBestFirstSnapshot(snap_, query, k, io);
-  }
-  std::vector<Neighbor> RangeImpl(PointView query, double radius,
-                                  IoStatsDelta* io) const override {
-    return tree_->RangeSnapshot(snap_, query, radius, io);
-  }
-
- private:
-  const SRTree* tree_;
-  EpochGuard guard_;  // declared before snap_: the announce precedes the pin
-  PageFile::Snapshot snap_;
-};
 
 std::unique_ptr<IndexSnapshot> SRTree::AcquireSnapshot() const {
-  return std::make_unique<SRTreeSnapshot>(this);
+  return std::make_unique<PinnedSnapshot<SRTree>>(this, file_);
 }
 
 size_t SRTree::size() const {

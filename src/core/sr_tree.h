@@ -59,7 +59,7 @@
 #include "src/geometry/kernel.h"
 #include "src/geometry/rect.h"
 #include "src/geometry/sphere.h"
-#include "src/index/knn.h"
+#include "src/index/pinned_snapshot.h"
 #include "src/index/point_index.h"
 #include "src/storage/buffer_pool.h"
 #include "src/storage/epoch.h"
@@ -139,10 +139,7 @@ class SRTree : public PointIndex {
     return maintenance_;
   }
 
-  // Forwarders to the page file's counters. The reset is only meaningful
-  // on a quiesced index — see PointIndex::ResetIoStats for the exclusion
-  // contract the concurrent fuzzer asserts.
-  void ResetIoStats() override { file_.ResetStats(); }
+  // Forwarder to the page file's counters.
   IoStats GetIoStats() const override { return file_.GetIoStats(); }
 
   void SimulateBufferPool(size_t capacity) override {
@@ -179,8 +176,8 @@ class SRTree : public PointIndex {
 
  private:
   // Snapshot objects traverse the pinned version through the *Snapshot
-  // methods below; the class lives in sr_tree.cc.
-  friend class SRTreeSnapshot;
+  // methods below.
+  friend class PinnedSnapshot<SRTree>;
   // Test-only backdoor (tests/structural_auditor_test.cc): lets the
   // auditor's negative tests corrupt pages directly to prove each violation
   // class is detected and located.
@@ -281,8 +278,10 @@ class SRTree : public PointIndex {
   void ShrinkRoot() REQUIRES(writer_mu_);
 
   // --- search (const + re-entrant; all traversal state is per query and
-  //     every page is read in place from the pinned committed version;
-  //     MINDIST is the Section 4.4 max(sphere, rect), SrEntryMinDists) ---
+  //     every page is read in place from the pinned committed version) ---
+  // The bound policy the shared traversals (src/index/traversal.h) run
+  // with; defined in the .cc.
+  struct SearchBound;
   std::vector<Neighbor> KnnDfsSnapshot(const PageFile::Snapshot& snap,
                                        PointView query, int k,
                                        IoStatsDelta* io) const;
@@ -292,12 +291,6 @@ class SRTree : public PointIndex {
   std::vector<Neighbor> RangeSnapshot(const PageFile::Snapshot& snap,
                                       PointView query, double radius,
                                       IoStatsDelta* io) const;
-  void SearchKnn(const PageFile::Snapshot& snap, PageId id, int level,
-                 PointView query, KnnCandidates& cand, KernelScratch& scratch,
-                 IoStatsDelta* io) const;
-  void SearchRange(const PageFile::Snapshot& snap, PageId id, int level,
-                   PointView query, double radius, std::vector<Neighbor>& out,
-                   KernelScratch& scratch, IoStatsDelta* io) const;
 
   // --- validation / stats (walk working state; callers hold writer_mu_) ---
   void VisitSubtree(const Node& node, std::vector<int>& path,

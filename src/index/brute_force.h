@@ -42,16 +42,6 @@ class BruteForceIndex : public PointIndex {
   Status CheckInvariants() const override { return Status::OK(); }
   RegionSummary LeafRegionSummary() const override { return {}; }
 
-  // The reset itself is locked, but the reset-then-peek *measurement
-  // pattern* is not: queries running between the reset and the peek corrupt
-  // the reading. Callers must exclude concurrent Search() around the whole
-  // pattern (the concurrent fuzzer asserts the quiesced-reset contract);
-  // new code uses Search()'s per-query deltas instead. srlint rule R1
-  // flags any new call site.
-  void ResetIoStats() override EXCLUDES(stats_mu_) {
-    MutexLock lock(stats_mu_);
-    stats_.Reset();
-  }
   IoStats GetIoStats() const override EXCLUDES(stats_mu_) {
     MutexLock lock(stats_mu_);
     return stats_;

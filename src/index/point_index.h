@@ -1,9 +1,12 @@
 // PointIndex: the common interface of every index structure in this library.
 //
-// All five trees (SR, SS, R*, K-D-B, VAMSplit R) plus the brute-force
-// baseline implement this interface, which is what lets the experiment
-// harness, the invariant checkers, and the property tests treat them
-// uniformly.
+// All ten index types implement this interface: the paper's five trees
+// (SR, SS, R*, K-D-B, VAMSplit R), the X- and TV-trees, the brute-force
+// scan, the static SR tier and the tiered index. That is what lets the
+// experiment harness, the invariant checkers, and the property tests treat
+// them uniformly. Every tree answers its queries with the one set of
+// traversals in src/index/traversal.h, each run with the tree's own region
+// bound.
 
 #ifndef SRTREE_INDEX_POINT_INDEX_H_
 #define SRTREE_INDEX_POINT_INDEX_H_
@@ -181,7 +184,7 @@ class PointIndex : private SearchDispatch {
   // SR-tree serves every Search() from a pinned committed snapshot and is
   // safe against its (single) writer; the other structures keep the legacy
   // frozen-tree contract — no mutation
-  // (Insert/Delete/BulkLoad/ResetIoStats/...) while queries are in flight.
+  // (Insert/Delete/BulkLoad/...) while queries are in flight.
   //
   // Neighbors come back closest first, ties broken by oid:
   //   kKnn          — the paper's depth-first branch-and-bound
@@ -229,16 +232,6 @@ class PointIndex : private SearchDispatch {
   // Geometry of leaf-level regions — volumes and diameters for the
   // Figure 5/6/12/13 experiments.
   virtual RegionSummary LeafRegionSummary() const = 0;
-
-  // Zeroes the global counters. The reset itself is safe against
-  // concurrent reads in every implementation, but the reset-then-measure
-  // pattern it exists for is not: a Search() racing the reset lands its reads on an unknown side of
-  // the zeroing, corrupting the measurement. Callers must quiesce the index
-  // (join every query thread) before resetting — the contract
-  // debug::RunConcurrentQueryFuzz asserts after its workers join.
-  // Concurrent-safe accounting uses QueryResult::io deltas instead; srlint
-  // rule R1 flags new call sites of this method.
-  virtual void ResetIoStats() = 0;
 
   // Disk access counters for the measurements: a by-value snapshot of the
   // global counters, safe to take while queries are in flight. Per-query

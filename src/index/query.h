@@ -2,9 +2,7 @@
 // QuerySpec, returning a QueryResult that carries the neighbors together
 // with per-query I/O and latency accounting.
 //
-// This replaced the three legacy per-kind entry points (since removed from
-// PointIndex) and the ResetIoStats()-then-peek measurement pattern: a
-// QueryResult is self-contained, so any number of queries can run
+// A QueryResult is self-contained, so any number of queries can run
 // concurrently without sharing mutable counters.
 
 #ifndef SRTREE_INDEX_QUERY_H_

@@ -14,9 +14,7 @@
 
 #include <vector>
 
-#include "src/geometry/kernel.h"
 #include "src/geometry/rect.h"
-#include "src/index/knn.h"
 #include "src/index/point_index.h"
 #include "src/storage/buffer_pool.h"
 #include "src/storage/page_file.h"
@@ -69,10 +67,7 @@ class KdbTree : public PointIndex {
     return maintenance_;
   }
 
-  // Forwarders to the page file's counters. The reset is only meaningful
-  // on a quiesced index — see PointIndex::ResetIoStats for the exclusion
-  // contract the concurrent fuzzer asserts.
-  void ResetIoStats() override { file_.ResetStats(); }
+  // Forwarder to the page file's counters.
   IoStats GetIoStats() const override { return file_.GetIoStats(); }
 
   void SimulateBufferPool(size_t capacity) override {
@@ -150,13 +145,9 @@ class KdbTree : public PointIndex {
   static Rect ClipLo(const Rect& region, int dim, double value);
   static Rect ClipHi(const Rect& region, int dim, double value);
 
-  // --- search ---
-  void SearchKnn(PageId id, int level, PointView query,
-                 KnnCandidates& cand, KernelScratch& scratch,
-                 IoStatsDelta* io) const;
-  void SearchRange(PageId id, int level, PointView query,
-                   double radius, std::vector<Neighbor>& out,
-                   KernelScratch& scratch, IoStatsDelta* io) const;
+  // --- search: the bound policy the shared traversals
+  //     (src/index/traversal.h) run with; defined in the .cc ---
+  struct SearchBound;
   bool DeleteFrom(PageId id, int level, PointView point, uint32_t oid);
 
   // --- validation / stats ---

@@ -14,9 +14,7 @@
 #include <set>
 #include <vector>
 
-#include "src/geometry/kernel.h"
 #include "src/geometry/sphere.h"
-#include "src/index/knn.h"
 #include "src/index/point_index.h"
 #include "src/storage/buffer_pool.h"
 #include "src/storage/page_file.h"
@@ -62,10 +60,7 @@ class SSTree : public PointIndex {
     return maintenance_;
   }
 
-  // Forwarders to the page file's counters. The reset is only meaningful
-  // on a quiesced index — see PointIndex::ResetIoStats for the exclusion
-  // contract the concurrent fuzzer asserts.
-  void ResetIoStats() override { file_.ResetStats(); }
+  // Forwarder to the page file's counters.
   IoStats GetIoStats() const override { return file_.GetIoStats(); }
 
   void SimulateBufferPool(size_t capacity) override {
@@ -158,13 +153,9 @@ class SSTree : public PointIndex {
   void CondenseTree(std::vector<Node>& path, std::vector<int>& idx);
   void ShrinkRoot();
 
-  // --- search ---
-  void SearchKnn(PageId id, int level, PointView query,
-                 KnnCandidates& cand, KernelScratch& scratch,
-                 IoStatsDelta* io) const;
-  void SearchRange(PageId id, int level, PointView query,
-                   double radius, std::vector<Neighbor>& out,
-                   KernelScratch& scratch, IoStatsDelta* io) const;
+  // --- search: the bound policy the shared traversals
+  //     (src/index/traversal.h) run with; defined in the .cc ---
+  struct SearchBound;
 
   // --- validation / stats ---
   void VisitSubtree(const Node& node, std::vector<int>& path,

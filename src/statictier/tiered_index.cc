@@ -432,15 +432,6 @@ RegionSummary TieredIndex::LeafRegionSummary() const {
   return LoadState()->static_tier->LeafRegionSummary();
 }
 
-void TieredIndex::ResetIoStats() {
-  MutexLock lock(writer_mu_);
-  const std::shared_ptr<const TierState> cur = LoadState();
-  // This IS the reset interface, forwarded to both tiers; the quiesce
-  // contract (see PointIndex::ResetIoStats) is the caller's.
-  cur->static_tier->ResetIoStats();  // srlint: allow(R1) reset-interface fan-out
-  cur->delta->ResetIoStats();        // srlint: allow(R1) reset-interface fan-out
-}
-
 IoStats TieredIndex::GetIoStats() const {
   const std::shared_ptr<const TierState> cur = LoadState();
   IoStats merged;

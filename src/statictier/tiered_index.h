@@ -87,7 +87,6 @@ class TieredIndex : public PointIndex {
   Status CheckInvariants() const override;
   RegionSummary LeafRegionSummary() const override;
 
-  void ResetIoStats() override;
   IoStats GetIoStats() const override;
   void SimulateBufferPool(size_t capacity) override;
   void UseBufferPool(size_t capacity) override;

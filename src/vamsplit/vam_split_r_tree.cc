@@ -1,13 +1,12 @@
 #include "src/vamsplit/vam_split_r_tree.h"
 
 #include <algorithm>
-#include <cmath>
-#include <queue>
 #include <numeric>
 
 #include "src/common/check.h"
 #include "src/debug/structural_auditor.h"
 #include "src/geometry/kernel.h"
+#include "src/index/traversal.h"
 #include "src/storage/image_io.h"
 
 namespace srtree {
@@ -325,135 +324,48 @@ PageId VamSplitRTree::Build(const std::vector<Point>& points,
 // Search
 // --------------------------------------------------------------------------
 
-std::vector<Neighbor> VamSplitRTree::KnnDfsImpl(PointView query, int k,
-                                     IoStatsDelta* io) const {
-  CHECK_EQ(static_cast<int>(query.size()), options_.dim);
-  KnnCandidates candidates(k);
-  KernelScratch scratch;
-  if (size_ > 0) {
-    SearchKnn(root_id_, root_level_, query, candidates, scratch, io);
+// The VAMSplit R-tree's bound policy for the shared traversals
+// (src/index/traversal.h): squared rect MINDIST.
+struct VamSplitRTree::SearchBound {
+  static constexpr BoundSpace kSpace = BoundSpace::kSquared;
+  const VamSplitRTree& tree;
+
+  TraversalRoot root() const {
+    if (tree.size_ == 0) return {};
+    return {tree.root_id_, tree.root_level_};
   }
-  return candidates.TakeSorted();
-}
 
-void VamSplitRTree::SearchKnn(PageId id, int level, PointView query,
-                   KnnCandidates& cand, KernelScratch& scratch,
-                   IoStatsDelta* io) const {
-  Node node = ReadNode(id, level, io);
-  if (node.is_leaf()) {
-    // SoA leaf scan with partial-distance pruning against the bound at
-    // block start (conservative: the bound only shrinks as we offer).
-    const double bound_sq = cand.PruneDistanceSquared();
-    const std::vector<double>& d2 = BatchSquaredL2(
-        scratch, query, node.points.size(),
-        [&](size_t i) { return PointView(node.points[i].point); }, bound_sq);
-    for (size_t i = 0; i < node.points.size(); ++i) {
-      if (d2[i] <= bound_sq) cand.OfferSquared(d2[i], node.points[i].oid);
-    }
-    return;
-  }
-  const std::vector<double>& m2 = BatchRectMinDistSq(
-      scratch, query, node.children.size(),
-      [&](size_t i) -> const Rect& { return node.children[i].rect; });
-  // Copy out of the scratch before recursing — the callee reuses it.
-  std::vector<std::pair<double, size_t>> order(node.children.size());
-  for (size_t i = 0; i < node.children.size(); ++i) order[i] = {m2[i], i};
-  std::sort(order.begin(), order.end());
-  for (const auto& [mindist_sq, i] : order) {
-    if (mindist_sq > cand.PruneDistanceSquared()) break;
-    SearchKnn(node.children[i].child, level - 1, query, cand, scratch, io);
-  }
-}
-
-
-std::vector<Neighbor> VamSplitRTree::KnnBestFirstImpl(PointView query, int k,
-                                           IoStatsDelta* io) const {
-  CHECK_EQ(static_cast<int>(query.size()), options_.dim);
-  KnnCandidates candidates(k);
-  if (size_ == 0) return candidates.TakeSorted();
-
-  // Global best-first traversal: always expand the pending subtree with the
-  // smallest MINDIST. Stops once that bound exceeds the k-th candidate.
-  struct Pending {
-    double mindist_sq;
-    PageId id;
-    int level;
-    bool operator>(const Pending& other) const {
-      return mindist_sq > other.mindist_sq;
-    }
-  };
-  std::priority_queue<Pending, std::vector<Pending>, std::greater<Pending>>
-      frontier;
-  KernelScratch scratch;
-  frontier.push(Pending{0.0, root_id_, root_level_});
-  while (!frontier.empty()) {
-    const Pending next = frontier.top();
-    frontier.pop();
-    if (next.mindist_sq > candidates.PruneDistanceSquared()) break;
-    Node node = ReadNode(next.id, next.level, io);
+  template <typename Offer, typename Child>
+  void Expand(PageId id, int level, PointView query, double leaf_bound_sq,
+              KernelScratch& scratch, IoStatsDelta* io, Offer&& offer,
+              Child&& child) const {
+    const Node node = tree.ReadNode(id, level, io);
     if (node.is_leaf()) {
-      const double bound_sq = candidates.PruneDistanceSquared();
-      const std::vector<double>& d2 = BatchSquaredL2(
-          scratch, query, node.points.size(),
-          [&](size_t i) { return PointView(node.points[i].point); }, bound_sq);
-      for (size_t i = 0; i < node.points.size(); ++i) {
-        if (d2[i] <= bound_sq) {
-          candidates.OfferSquared(d2[i], node.points[i].oid);
-        }
-      }
-      continue;
+      ScanLeafEntries(node.points, query, leaf_bound_sq, scratch, offer);
+      return;
     }
     const std::vector<double>& m2 = BatchRectMinDistSq(
         scratch, query, node.children.size(),
         [&](size_t i) -> const Rect& { return node.children[i].rect; });
     for (size_t i = 0; i < node.children.size(); ++i) {
-      if (m2[i] <= candidates.PruneDistanceSquared()) {
-        frontier.push(Pending{m2[i], node.children[i].child, node.level - 1});
-      }
+      child(m2[i], node.children[i].child);
     }
   }
-  return candidates.TakeSorted();
+};
+
+std::vector<Neighbor> VamSplitRTree::KnnDfsImpl(PointView query, int k,
+                                                IoStatsDelta* io) const {
+  return TraverseKnnDfs(SearchBound{*this}, query, k, io);
+}
+
+std::vector<Neighbor> VamSplitRTree::KnnBestFirstImpl(PointView query, int k,
+                                                      IoStatsDelta* io) const {
+  return TraverseKnnBestFirst(SearchBound{*this}, query, k, io);
 }
 
 std::vector<Neighbor> VamSplitRTree::RangeImpl(PointView query, double radius,
-                                    IoStatsDelta* io) const {
-  CHECK_EQ(static_cast<int>(query.size()), options_.dim);
-  std::vector<Neighbor> result;
-  KernelScratch scratch;
-  if (size_ > 0) {
-    SearchRange(root_id_, root_level_, query, radius, result, scratch, io);
-  }
-  std::sort(result.begin(), result.end());  // canonical (distance, oid)
-  return result;
-}
-
-void VamSplitRTree::SearchRange(PageId id, int level, PointView query,
-                     double radius, std::vector<Neighbor>& out,
-                     KernelScratch& scratch, IoStatsDelta* io) const {
-  Node node = ReadNode(id, level, io);
-  const double radius_sq = radius * radius;
-  if (node.is_leaf()) {
-    const std::vector<double>& d2 = BatchSquaredL2(
-        scratch, query, node.points.size(),
-        [&](size_t i) { return PointView(node.points[i].point); }, radius_sq);
-    for (size_t i = 0; i < node.points.size(); ++i) {
-      if (d2[i] <= radius_sq) {
-        out.push_back(Neighbor{std::sqrt(d2[i]), node.points[i].oid});
-      }
-    }
-    return;
-  }
-  const std::vector<double>& m2 = BatchRectMinDistSq(
-      scratch, query, node.children.size(),
-      [&](size_t i) -> const Rect& { return node.children[i].rect; });
-  // Copy out of the scratch before recursing — the callee reuses it.
-  std::vector<PageId> hits;
-  for (size_t i = 0; i < node.children.size(); ++i) {
-    if (m2[i] <= radius_sq) hits.push_back(node.children[i].child);
-  }
-  for (const PageId child : hits) {
-    SearchRange(child, level - 1, query, radius, out, scratch, io);
-  }
+                                               IoStatsDelta* io) const {
+  return TraverseRange(SearchBound{*this}, query, radius, io);
 }
 
 // --------------------------------------------------------------------------

@@ -46,7 +46,7 @@ where available, a real clang AST:
 
   C5  Epoch/snapshot lifetime (C2 generalized from pins to epochs): no
       pointer, reference, or snapshot *view* derived from a
-      PageFile::Snapshot / SRTreeSnapshot / IndexSnapshot / VersionState
+      PageFile::Snapshot / PinnedSnapshot / IndexSnapshot / VersionState
       or from an EpochGuard-protected object may outlive the guard or
       snapshot scope it was acquired under — returned, stored into a
       member, or captured by a lambda that is not invoked on the spot.
@@ -166,7 +166,7 @@ C5_ALLOWED_FILES = {
 # dies; "owners" (smart pointers to a snapshot object whose destructor
 # releases the guard) may be shared/moved freely.
 C5_GUARD_TYPES = ("EpochGuard",)
-C5_VIEW_TYPES = ("SRTreeSnapshot", "IndexSnapshot", "VersionState",
+C5_VIEW_TYPES = ("PinnedSnapshot", "IndexSnapshot", "VersionState",
                  "Snapshot")
 C5_OWNER_MARKERS = ("unique_ptr", "shared_ptr")
 # Calls that hand out a raw page pointer. A snapshot's ReadInPlace points
@@ -737,7 +737,7 @@ def check_c2(rel: str, tokens: list[Token],
 # Tracked kinds:
 #   guard  an EpochGuard object; must not be captured by an escaping lambda
 #   view   a non-owning snapshot value/reference (PageFile::Snapshot,
-#          SRTreeSnapshot&, a raw IndexSnapshot*...) — dies with the guard
+#          PinnedSnapshot&, a raw IndexSnapshot*...) — dies with the guard
 #   owner  unique_ptr/shared_ptr<...Snapshot...> — owns its guard, may move
 #   ptr    a raw pointer laundered out of an owner via .get() / &view, or
 #          a raw page pointer bound from snap.ReadInPlace(...) or
