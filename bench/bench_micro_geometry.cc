@@ -166,7 +166,8 @@ int Run(const BenchOptions& options) {
     const PageId id = file.Allocate();
     std::vector<char> buf(kDefaultPageSize, 'x');
     const double ns = NsPerCall([&] {
-      file.Write(id, buf.data());
+      file.StageWrite(id, buf.data());
+      file.Commit({});
       file.Read(id, buf.data(), 0);
       g_sink = g_sink + static_cast<double>(buf[0]);
     });

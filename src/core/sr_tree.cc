@@ -10,7 +10,6 @@
 #include "src/common/check.h"
 #include "src/debug/structural_auditor.h"
 #include "src/geometry/kernel.h"
-#include "src/index/pinned_snapshot.h"
 #include "src/index/soa_page.h"
 #include "src/index/traversal.h"
 #include "src/storage/image_io.h"
@@ -68,14 +67,14 @@ size_t SRTree::NodeCapacityFor(const Options& options) {
 }
 
 SRTree::SRTree(const Options& options)
-    : options_(Validated(options)),
+    : PagedIndex(options.page_size),
+      options_(Validated(options)),
       leaf_cap_(LeafCapacityFor(options_)),
       node_cap_(NodeCapacityFor(options_)),
       leaf_min_(std::max<size_t>(
           1, static_cast<size_t>(options_.min_utilization * leaf_cap_))),
       node_min_(std::max<size_t>(
-          1, static_cast<size_t>(options_.min_utilization * node_cap_))),
-      file_(options_.page_size) {
+          1, static_cast<size_t>(options_.min_utilization * node_cap_))) {
   CHECK_GE(leaf_cap_, 2u);
   CHECK_GE(node_cap_, 2u);
 
@@ -307,7 +306,7 @@ void SRTree::WriteNode(const Node& node) {
 }
 
 void SRTree::CommitState() {
-  file_.Commit({root_id_, static_cast<uint64_t>(root_level_), size_, 0});
+  CommitRoot(root_id_, root_level_, size_);
 }
 
 // --------------------------------------------------------------------------
@@ -378,9 +377,7 @@ PointView SRTree::EntryCentroid(const Node& node, size_t i) const {
 // Insertion
 // --------------------------------------------------------------------------
 
-Status SRTree::Insert(PointView point, uint32_t oid) {
-  RETURN_IF_ERROR(ValidatePoint(point, options_.dim));
-  MutexLock lock(writer_mu_);
+Status SRTree::InsertLocked(PointView point, uint32_t oid) {
   reinserted_nodes_.clear();
   std::deque<Pending> pending;
   Pending item;
@@ -620,9 +617,7 @@ void SRTree::GrowRoot(Node& left, Node& right) {
 // Deletion
 // --------------------------------------------------------------------------
 
-Status SRTree::Delete(PointView point, uint32_t oid) {
-  RETURN_IF_ERROR(ValidatePoint(point, options_.dim));
-  MutexLock lock(writer_mu_);
+Status SRTree::DeleteLocked(PointView point, uint32_t oid) {
   std::vector<PageId> ids;
   std::vector<int> idx;
   Point center;
@@ -760,16 +755,13 @@ struct SRTree::SearchBound {
   const SRTree& tree;
   const PageFile::Snapshot& snap;
 
-  TraversalRoot root() const {
-    if (snap.meta(2) == 0) return {};
-    return {static_cast<PageId>(snap.meta(0)), static_cast<int>(snap.meta(1))};
-  }
+  TraversalRoot root() const { return CommittedRoot(snap); }
 
   template <typename Offer, typename Child>
   void Expand(PageId id, int level, PointView query, double leaf_bound_sq,
               KernelScratch& scratch, IoStatsDelta* io, Offer&& offer,
               Child&& child) const {
-    const QueryPage page = ReadQueryPage(tree.pool_.get(), snap, id, level, io);
+    const QueryPage page = tree.ReadQueryPage(snap, id, level, io);
     DCHECK_EQ(SoaPageLevel(page.data), level);
     if (level == 0) {
       const SoaLeafView leaf = ParseSoaLeaf(page.data, tree.options_.dim);
@@ -784,55 +776,11 @@ struct SRTree::SearchBound {
   }
 };
 
-// Each live entry point pins the committed version for the duration of one
-// query: the guard announces an epoch, the snapshot captures the version,
-// and every page the traversal reads comes from that version — a writer
-// committing mid-query changes nothing the traversal can see. The *Snapshot
-// forms serve PinnedSnapshot, which runs many queries against one version.
-
-std::vector<Neighbor> SRTree::KnnDfsImpl(PointView query, int k,
-                                         IoStatsDelta* io) const {
-  const EpochGuard guard(file_.epochs());
-  return KnnDfsSnapshot(file_.AcquireSnapshot(guard), query, k, io);
-}
-
-std::vector<Neighbor> SRTree::KnnBestFirstImpl(PointView query, int k,
-                                               IoStatsDelta* io) const {
-  const EpochGuard guard(file_.epochs());
-  return KnnBestFirstSnapshot(file_.AcquireSnapshot(guard), query, k, io);
-}
-
-std::vector<Neighbor> SRTree::RangeImpl(PointView query, double radius,
-                                        IoStatsDelta* io) const {
-  const EpochGuard guard(file_.epochs());
-  return RangeSnapshot(file_.AcquireSnapshot(guard), query, radius, io);
-}
-
-std::vector<Neighbor> SRTree::KnnDfsSnapshot(const PageFile::Snapshot& snap,
-                                             PointView query, int k,
+std::vector<Neighbor> SRTree::SearchSnapshot(const PageFile::Snapshot& snap,
+                                             PointView query,
+                                             const QuerySpec& spec,
                                              IoStatsDelta* io) const {
-  return TraverseKnnDfs(SearchBound{*this, snap}, query, k, io);
-}
-
-std::vector<Neighbor> SRTree::KnnBestFirstSnapshot(
-    const PageFile::Snapshot& snap, PointView query, int k,
-    IoStatsDelta* io) const {
-  return TraverseKnnBestFirst(SearchBound{*this, snap}, query, k, io);
-}
-
-std::vector<Neighbor> SRTree::RangeSnapshot(const PageFile::Snapshot& snap,
-                                            PointView query, double radius,
-                                            IoStatsDelta* io) const {
-  return TraverseRange(SearchBound{*this, snap}, query, radius, io);
-}
-
-std::unique_ptr<IndexSnapshot> SRTree::AcquireSnapshot() const {
-  return std::make_unique<PinnedSnapshot<SRTree>>(this, file_);
-}
-
-size_t SRTree::size() const {
-  const EpochGuard guard(file_.epochs());
-  return static_cast<size_t>(file_.AcquireSnapshot(guard).meta(2));
+  return Traverse(SearchBound{*this, snap}, query, spec, io);
 }
 
 // --------------------------------------------------------------------------

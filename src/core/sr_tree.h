@@ -15,16 +15,12 @@
 // SS-tree's and two thirds of the R*-tree's — the Section 5.3 trade-off the
 // experiments quantify.
 //
-// Concurrency (single writer / many readers, snapshot isolation): unlike
-// the other structures in this library, the SR-tree serves queries while it
-// mutates. Insert/Delete run under writer_mu_, stage every page update
-// through PageFile::StageWrite (copy-on-write), and finish by committing a
-// new page-table version whose metadata words carry (root id, root level,
-// size). Every query — Search() or a pinned IndexSnapshot — reads one
-// committed version under an EpochGuard, so it observes an atomic tree
-// state: either entirely before or entirely after any concurrent commit,
-// never a half-applied mutation. Retired versions are reclaimed by the
-// epoch scheme (src/storage/epoch.h). Structural accessors that walk
+// Concurrency (single writer / snapshot-isolated readers, the contract of
+// every paged index, src/index/paged_index.h): Insert/Delete run under
+// writer_mu_, stage every page update through PageFile::StageWrite
+// (copy-on-write), and finish by committing a new page-table version whose
+// metadata words carry (root id, root level, size). Every query reads one
+// committed version under an EpochGuard. Structural accessors that walk
 // working state (GetTreeStats, VisitNodes, Save, ...) take writer_mu_ and
 // therefore exclude the writer, not queries.
 //
@@ -59,15 +55,11 @@
 #include "src/geometry/kernel.h"
 #include "src/geometry/rect.h"
 #include "src/geometry/sphere.h"
-#include "src/index/pinned_snapshot.h"
-#include "src/index/point_index.h"
-#include "src/storage/buffer_pool.h"
-#include "src/storage/epoch.h"
-#include "src/storage/page_file.h"
+#include "src/index/paged_index.h"
 
 namespace srtree {
 
-class SRTree : public PointIndex {
+class SRTree : public PagedIndex {
  public:
   struct Options {
     int dim = 2;
@@ -103,21 +95,7 @@ class SRTree : public PointIndex {
   static StatusOr<std::unique_ptr<SRTree>> Open(const std::string& path);
 
   int dim() const override { return options_.dim; }
-  // Size of the most recently committed version (safe against the writer:
-  // reads the committed metadata, not working state).
-  size_t size() const override;
   std::string name() const override { return "SR-tree"; }
-
-  Status Insert(PointView point, uint32_t oid) override
-      EXCLUDES(writer_mu_);
-  Status Delete(PointView point, uint32_t oid) override
-      EXCLUDES(writer_mu_);
-
-  // Pins the current committed version: queries against the returned
-  // snapshot are unaffected by concurrent Insert/Delete commits, and
-  // version() reports the pinned PageFile version.
-  [[nodiscard]] std::unique_ptr<IndexSnapshot> AcquireSnapshot()
-      const override;
 
   // Enumerates every stored (point, oid) pair (the tiered-index compaction
   // feed); walks working state under writer_mu_, excluding the writer.
@@ -139,17 +117,6 @@ class SRTree : public PointIndex {
     return maintenance_;
   }
 
-  // Forwarder to the page file's counters.
-  IoStats GetIoStats() const override { return file_.GetIoStats(); }
-
-  void SimulateBufferPool(size_t capacity) override {
-    file_.SimulateCache(capacity);
-  }
-  void UseBufferPool(size_t capacity) override {
-    pool_ = capacity > 0 ? std::make_unique<BufferPool>(&file_, capacity)
-                         : nullptr;
-  }
-
   size_t leaf_capacity() const override { return leaf_cap_; }
   size_t node_capacity() const override { return node_cap_; }
   int height() const EXCLUDES(writer_mu_) {
@@ -157,27 +124,18 @@ class SRTree : public PointIndex {
     return root_level_ + 1;
   }
 
-  // The reclamation domain backing this tree's snapshots; tests assert its
-  // retired_count() drains to zero once readers quiesce.
-  EpochManager& epochs_for_test() const { return file_.epochs(); }
-  EpochManager* epoch_domain_for_test() const override {
-    return &file_.epochs();
-  }
+  // Reads every page in place from the pinned version (ReadQueryPage).
+  std::vector<Neighbor> SearchSnapshot(const PageFile::Snapshot& snap,
+                                       PointView query, const QuerySpec& spec,
+                                       IoStatsDelta* io) const override;
 
  protected:
-  // Each acquires its own epoch guard + snapshot: a plain Search() against
-  // the live index pins the committed version for exactly one query.
-  std::vector<Neighbor> KnnDfsImpl(PointView query, int k,
-                                   IoStatsDelta* io) const override;
-  std::vector<Neighbor> KnnBestFirstImpl(PointView query, int k,
-                                         IoStatsDelta* io) const override;
-  std::vector<Neighbor> RangeImpl(PointView query, double radius,
-                                  IoStatsDelta* io) const override;
+  Status InsertLocked(PointView point, uint32_t oid) override
+      REQUIRES(writer_mu_);
+  Status DeleteLocked(PointView point, uint32_t oid) override
+      REQUIRES(writer_mu_);
 
  private:
-  // Snapshot objects traverse the pinned version through the *Snapshot
-  // methods below.
-  friend class PinnedSnapshot<SRTree>;
   // Test-only backdoor (tests/structural_auditor_test.cc): lets the
   // auditor's negative tests corrupt pages directly to prove each violation
   // class is detected and located.
@@ -277,20 +235,9 @@ class SRTree : public PointIndex {
       REQUIRES(writer_mu_);
   void ShrinkRoot() REQUIRES(writer_mu_);
 
-  // --- search (const + re-entrant; all traversal state is per query and
-  //     every page is read in place from the pinned committed version) ---
-  // The bound policy the shared traversals (src/index/traversal.h) run
-  // with; defined in the .cc.
+  // --- search: the bound policy the shared traversals
+  //     (src/index/traversal.h) run with; defined in the .cc ---
   struct SearchBound;
-  std::vector<Neighbor> KnnDfsSnapshot(const PageFile::Snapshot& snap,
-                                       PointView query, int k,
-                                       IoStatsDelta* io) const;
-  std::vector<Neighbor> KnnBestFirstSnapshot(const PageFile::Snapshot& snap,
-                                             PointView query, int k,
-                                             IoStatsDelta* io) const;
-  std::vector<Neighbor> RangeSnapshot(const PageFile::Snapshot& snap,
-                                      PointView query, double radius,
-                                      IoStatsDelta* io) const;
 
   // --- validation / stats (walk working state; callers hold writer_mu_) ---
   void VisitSubtree(const Node& node, std::vector<int>& path,
@@ -314,18 +261,9 @@ class SRTree : public PointIndex {
   const size_t leaf_min_;
   const size_t node_min_;
 
-  mutable PageFile file_;
-  // Optional warm cache on the query path (UseBufferPool); frames are keyed
-  // by (page id, buffer stamp), so copy-on-write makes stale hits
-  // impossible and the writer never invalidates. Swapping the pool itself
-  // is still not thread-safe against in-flight queries.
-  std::unique_ptr<BufferPool> pool_ UNGUARDED_OK(
-      "swapped only by UseBufferPool, excluded vs in-flight queries");
-
-  // writer_mu_ serializes mutations and guards the working tree metadata.
-  // Queries never take it: they read the committed copies of these values
-  // from the pinned version's metadata words.
-  mutable Mutex writer_mu_;
+  // The base's writer_mu_ guards the working tree metadata. Queries never
+  // take it: they read the committed copies of these values from the
+  // pinned version's metadata words.
   PageId root_id_ GUARDED_BY(writer_mu_);
   int root_level_ GUARDED_BY(writer_mu_) = 0;
   size_t size_ GUARDED_BY(writer_mu_) = 0;

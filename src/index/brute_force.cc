@@ -62,8 +62,42 @@ void BruteForceIndex::ChargeScan(IoStatsDelta* io) const {
 // feed the same kernel exactly.
 constexpr size_t kScanBlock = 256;
 
-std::vector<Neighbor> BruteForceIndex::KnnDfsImpl(PointView query, int k,
+namespace {
+
+// The scan's read view: the live contents themselves, version 0. Its
+// mutations require external exclusion from its queries, so there is no
+// version to pin.
+class LiveScanView final : public IndexSnapshot {
+ public:
+  explicit LiveScanView(const BruteForceIndex* index) : index_(index) {}
+
+  [[nodiscard]] QueryResult Search(PointView query,
+                                   const QuerySpec& spec) const override {
+    return index_->Search(query, spec);
+  }
+  uint64_t version() const override { return 0; }
+  size_t size() const override { return index_->size(); }
+
+ private:
+  const BruteForceIndex* index_;
+};
+
+}  // namespace
+
+std::unique_ptr<IndexSnapshot> BruteForceIndex::AcquireSnapshot() const {
+  return std::make_unique<LiveScanView>(this);
+}
+
+std::vector<Neighbor> BruteForceIndex::SearchImpl(PointView query,
+                                                  const QuerySpec& spec,
                                                   IoStatsDelta* io) const {
+  // A scan has no traversal order: both k-NN kinds run the same scan.
+  return spec.kind == QueryKind::kRange ? ScanRange(query, spec.radius, io)
+                                        : ScanKnn(query, spec.k, io);
+}
+
+std::vector<Neighbor> BruteForceIndex::ScanKnn(PointView query, int k,
+                                               IoStatsDelta* io) const {
   ChargeScan(io);
   KnnCandidates candidates(k);
   KernelScratch scratch;
@@ -80,7 +114,7 @@ std::vector<Neighbor> BruteForceIndex::KnnDfsImpl(PointView query, int k,
   return candidates.TakeSorted();
 }
 
-std::vector<Neighbor> BruteForceIndex::RangeImpl(PointView query,
+std::vector<Neighbor> BruteForceIndex::ScanRange(PointView query,
                                                  double radius,
                                                  IoStatsDelta* io) const {
   ChargeScan(io);

@@ -8,6 +8,7 @@
 #ifndef SRTREE_INDEX_BRUTE_FORCE_H_
 #define SRTREE_INDEX_BRUTE_FORCE_H_
 
+#include <memory>
 #include <vector>
 
 #include "src/base/mutex.h"
@@ -47,24 +48,27 @@ class BruteForceIndex : public PointIndex {
     return stats_;
   }
 
+  // The scan is the test oracle and has no page file: its view is the live
+  // contents with version 0, valid only while no mutation runs.
+  [[nodiscard]] std::unique_ptr<IndexSnapshot> AcquireSnapshot()
+      const override;
+
  protected:
-  std::vector<Neighbor> KnnDfsImpl(PointView query, int k,
+  std::vector<Neighbor> SearchImpl(PointView query, const QuerySpec& spec,
                                    IoStatsDelta* io) const override;
-  std::vector<Neighbor> KnnBestFirstImpl(PointView query, int k,
-                                         IoStatsDelta* io) const override {
-    return KnnDfsImpl(query, k, io);  // a scan has no traversal order
-  }
-  std::vector<Neighbor> RangeImpl(PointView query, double radius,
-                                  IoStatsDelta* io) const override;
 
  private:
+  std::vector<Neighbor> ScanKnn(PointView query, int k,
+                                IoStatsDelta* io) const;
+  std::vector<Neighbor> ScanRange(PointView query, double radius,
+                                  IoStatsDelta* io) const;
   void ChargeScan(IoStatsDelta* io) const EXCLUDES(stats_mu_);
 
   const Options options_;
   std::vector<Point> points_ UNGUARDED_OK(
-      "frozen-tree contract: mutations require external exclusion");
+      "oracle scan: mutations require external exclusion from queries");
   std::vector<uint32_t> oids_ UNGUARDED_OK(
-      "frozen-tree contract: mutations require external exclusion");
+      "oracle scan: mutations require external exclusion from queries");
   // Queries are const yet charge simulated scan reads, so the global
   // counters are mutable and locked; per-query deltas need no lock.
   mutable Mutex stats_mu_;

@@ -1,0 +1,142 @@
+// PagedIndex: the storage plumbing every paged tree shares — the SR-tree,
+// the static tier and the SS, R*, K-D-B, VAMSplit R, X and TV baselines.
+//
+// A paged tree keeps its nodes in one copy-on-write PageFile and follows its
+// one contract (src/storage/page_file.h): a single writer, serialized by
+// writer_mu_, reads its working pages through PageFile::ReadInPlace, stages
+// every page update through PageFile::StageWrite, and ends each successful
+// mutation (and the constructor, BulkLoad and Open) with exactly one commit
+// whose metadata words carry (root id, root level, size). Queries read one
+// pinned committed version under an EpochGuard, so they are
+// snapshot-isolated from the writer: a query sees the tree entirely before
+// or entirely after any concurrent commit.
+//
+// This base owns the page file, the optional BufferPool and the writer lock,
+// and implements what the trees share: the Insert/Delete shell (validate,
+// lock, run the tree's hook), the committed size(), AcquireSnapshot(), the
+// live Search() path (both pin a version and hand it to the tree's one
+// search hook, SearchSnapshot()), and the I/O, pool and epoch forwarders.
+// Structural accessors that walk working state (GetTreeStats, VisitNodes,
+// Save, ...) belong to the writer's side.
+
+#ifndef SRTREE_INDEX_PAGED_INDEX_H_
+#define SRTREE_INDEX_PAGED_INDEX_H_
+
+#include <cstddef>
+#include <memory>
+#include <optional>
+#include <vector>
+
+#include "src/base/mutex.h"
+#include "src/base/thread_annotations.h"
+#include "src/index/point_index.h"
+#include "src/index/traversal.h"
+#include "src/storage/buffer_pool.h"
+#include "src/storage/epoch.h"
+#include "src/storage/page_file.h"
+
+namespace srtree {
+
+// One page a query reads from a pinned snapshot: a pinned BufferPool frame
+// when a pool is attached, else the snapshot's own immutable buffer (zero
+// copy). Either way the read is counted once, in the file's counters and
+// in `io`. `data` is valid while this handle and the snapshot's EpochGuard
+// both live.
+struct QueryPage {
+  std::optional<BufferPool::PageGuard> pin;
+  const char* data = nullptr;
+};
+
+class PagedIndex : public PointIndex {
+ public:
+  // The mutation shell: rejects a point no query could reach
+  // (ValidatePoint), then runs the tree's hook under writer_mu_.
+  Status Insert(PointView point, uint32_t oid) final EXCLUDES(writer_mu_);
+  Status Delete(PointView point, uint32_t oid) final EXCLUDES(writer_mu_);
+
+  // Size of the most recently committed version (safe against the writer).
+  size_t size() const override;
+
+  // Pins the current committed version: queries against the returned
+  // snapshot are unaffected by concurrent commits, and version() reports
+  // the pinned PageFile version.
+  [[nodiscard]] std::unique_ptr<IndexSnapshot> AcquireSnapshot()
+      const override;
+
+  IoStats GetIoStats() const override { return file_.GetIoStats(); }
+  void SimulateBufferPool(size_t capacity) override {
+    file_.SimulateCache(capacity);
+  }
+  void UseBufferPool(size_t capacity) override;
+  EpochManager* epoch_domain_for_test() const override {
+    return &file_.epochs();
+  }
+
+  // The snapshot machinery a composing index (TieredIndex) pins reads
+  // through; tests assert epochs().retired_count() drains to zero.
+  EpochManager& epochs() const { return file_.epochs(); }
+  PageFile::Snapshot AcquirePageSnapshot(const EpochGuard& guard) const {
+    return file_.AcquireSnapshot(guard);
+  }
+
+  // The tree's search: runs one validated query (see RunValidatedSearch)
+  // against `snap`, a version of this index's page file pinned by the
+  // caller, reading every page through ReadQueryPage.
+  virtual std::vector<Neighbor> SearchSnapshot(const PageFile::Snapshot& snap,
+                                               PointView query,
+                                               const QuerySpec& spec,
+                                               IoStatsDelta* io) const = 0;
+
+ protected:
+  explicit PagedIndex(size_t page_size) : file_(page_size) {}
+
+  // A live Search() pins the committed version for exactly one query.
+  std::vector<Neighbor> SearchImpl(PointView query, const QuerySpec& spec,
+                                   IoStatsDelta* io) const final;
+
+  // The trees' mutations, called with a validated point. One that changes
+  // the tree ends with exactly one CommitRoot(); one that fails changes
+  // nothing and commits nothing, so version() advances only on success.
+  virtual Status InsertLocked(PointView point, uint32_t oid)
+      REQUIRES(writer_mu_) = 0;
+  virtual Status DeleteLocked(PointView point, uint32_t oid)
+      REQUIRES(writer_mu_) = 0;
+
+  // Publishes the working state as the next committed version.
+  void CommitRoot(PageId root_id, int root_level, size_t size)
+      REQUIRES(writer_mu_) {
+    file_.Commit({root_id, static_cast<uint64_t>(root_level), size, 0});
+  }
+
+  // Publishes a tree built outside the mutation shell — a constructor's
+  // empty tree, Open(), a BulkLoad() — taking writer_mu_ for the commit.
+  void PublishBuilt(PageId root_id, int root_level, size_t size)
+      EXCLUDES(writer_mu_) {
+    MutexLock lock(writer_mu_);
+    CommitRoot(root_id, root_level, size);
+  }
+
+  // Where traversals of `snap` start: its committed root, or empty when the
+  // version holds no points.
+  static TraversalRoot CommittedRoot(const PageFile::Snapshot& snap);
+
+  // A query's read of page `id` from `snap`: through the attached pool, or
+  // in place.
+  QueryPage ReadQueryPage(const PageFile::Snapshot& snap, PageId id,
+                          int level, IoStatsDelta* io) const;
+
+  mutable PageFile file_;
+  // Serializes the writer: every Insert/Delete runs its hook under it.
+  mutable Mutex writer_mu_;
+
+ private:
+  // Optional warm cache on the query path (UseBufferPool). Frames are keyed
+  // by (page id, buffer stamp), so copy-on-write makes stale hits
+  // impossible and the writer never invalidates.
+  std::unique_ptr<BufferPool> pool_ UNGUARDED_OK(
+      "swapped only by UseBufferPool, excluded vs in-flight queries");
+};
+
+}  // namespace srtree
+
+#endif  // SRTREE_INDEX_PAGED_INDEX_H_

@@ -22,26 +22,15 @@ QueryResult RunValidatedSearch(const SearchDispatch& dispatch, int dim,
     result.elapsed_seconds = timer.ElapsedSeconds();
     return result;
   }
-  switch (spec.kind) {
-    case QueryKind::kKnn:
-    case QueryKind::kKnnBestFirst:
-      if (spec.k <= 0) {
-        result.status = Status::InvalidArgument("k must be >= 1");
-        break;
-      }
-      result.neighbors =
-          (spec.kind == QueryKind::kKnn)
-              ? dispatch.KnnDfsImpl(query, spec.k, &result.io)
-              : dispatch.KnnBestFirstImpl(query, spec.k, &result.io);
-      break;
-    case QueryKind::kRange:
-      if (!(spec.radius >= 0.0) || std::isinf(spec.radius)) {
-        result.status =
-            Status::InvalidArgument("radius must be finite and >= 0");
-        break;
-      }
-      result.neighbors = dispatch.RangeImpl(query, spec.radius, &result.io);
-      break;
+  if (spec.kind == QueryKind::kRange) {
+    if (!(spec.radius >= 0.0) || std::isinf(spec.radius)) {
+      result.status = Status::InvalidArgument("radius must be finite and >= 0");
+    }
+  } else if (spec.k <= 0) {
+    result.status = Status::InvalidArgument("k must be >= 1");
+  }
+  if (result.status.ok()) {
+    result.neighbors = dispatch.SearchImpl(query, spec, &result.io);
   }
   result.elapsed_seconds = timer.ElapsedSeconds();
   return result;
@@ -50,19 +39,6 @@ QueryResult RunValidatedSearch(const SearchDispatch& dispatch, int dim,
 QueryResult PointIndex::Search(PointView query, const QuerySpec& spec) const {
   return RunValidatedSearch(*this, dim(), query, spec);
 }
-
-std::unique_ptr<IndexSnapshot> PointIndex::AcquireSnapshot() const {
-  return std::make_unique<IndexSnapshot>(this);
-}
-
-QueryResult IndexSnapshot::Search(PointView query,
-                                  const QuerySpec& spec) const {
-  // Frozen-tree pass-through: with no concurrent writer (that structure's
-  // contract), the live index IS the pinned view.
-  return index_->Search(query, spec);
-}
-
-size_t IndexSnapshot::size() const { return index_->size(); }
 
 Status ValidatePoint(PointView point, int dim) {
   if (static_cast<int>(point.size()) != dim) {

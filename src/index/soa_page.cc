@@ -72,16 +72,4 @@ const std::vector<double>& SrEntryMinDists(const SoaInnerView& inner,
   return scratch.dist2;
 }
 
-QueryPage ReadQueryPage(BufferPool* pool, const PageFile::Snapshot& snap,
-                        PageId id, int level, IoStatsDelta* io) {
-  QueryPage page;
-  if (pool != nullptr) {
-    page.pin.emplace(pool->PinSnapshot(snap, id, level, io));
-    page.data = page.pin->data();
-  } else {
-    page.data = snap.ReadInPlace(id, level, io);
-  }
-  return page;
-}
-
 }  // namespace srtree

@@ -25,19 +25,17 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "src/geometry/kernel.h"
 #include "src/geometry/point.h"
-#include "src/storage/buffer_pool.h"
-#include "src/storage/page_file.h"
 
 namespace srtree {
 
 inline constexpr size_t kSoaPageHeaderBytes = 8;
 
-// Views alias the page bytes: valid only while the page is (see QueryPage).
+// Views alias the page bytes: valid only while the page is (see QueryPage
+// in src/index/paged_index.h).
 struct SoaLeafView {
   size_t count = 0;
   SoaBlock points;  // dim-major coordinates
@@ -115,19 +113,6 @@ void ScanSoaLeaf(const SoaLeafView& leaf, PointView query, double bound_sq,
     if (d2[i] <= bound_sq) offer(d2[i], i);
   }
 }
-
-// One page a query reads from a pinned snapshot: a pinned BufferPool frame
-// when a pool is attached, else the snapshot's own immutable buffer (zero
-// copy). Either way the read is counted once, in the file's counters and
-// in `io`. `data` is valid while this handle and the snapshot's EpochGuard
-// both live.
-struct QueryPage {
-  std::optional<BufferPool::PageGuard> pin;
-  const char* data = nullptr;
-};
-
-QueryPage ReadQueryPage(BufferPool* pool, const PageFile::Snapshot& snap,
-                        PageId id, int level, IoStatsDelta* io);
 
 }  // namespace srtree
 

@@ -218,6 +218,21 @@ std::vector<Neighbor> TraverseRange(const Policy& policy, PointView query,
   return result;
 }
 
+// The traversal `spec` names (already validated by RunValidatedSearch).
+template <typename Policy>
+std::vector<Neighbor> Traverse(const Policy& policy, PointView query,
+                               const QuerySpec& spec, IoStatsDelta* io) {
+  switch (spec.kind) {
+    case QueryKind::kKnn:
+      return TraverseKnnDfs(policy, query, spec.k, io);
+    case QueryKind::kKnnBestFirst:
+      return TraverseKnnBestFirst(policy, query, spec.k, io);
+    case QueryKind::kRange:
+      break;
+  }
+  return TraverseRange(policy, query, spec.radius, io);
+}
+
 }  // namespace srtree
 
 #endif  // SRTREE_INDEX_TRAVERSAL_H_

@@ -20,7 +20,8 @@ bool SamePoint(PointView a, PointView b) {
 
 }  // namespace
 
-KdbTree::KdbTree(const Options& options) : options_(options), file_(options.page_size) {
+KdbTree::KdbTree(const Options& options)
+    : PagedIndex(options.page_size), options_(options) {
   CHECK_GT(options_.dim, 0);
   CHECK_LT(options_.domain_lo, options_.domain_hi);
 
@@ -38,6 +39,7 @@ KdbTree::KdbTree(const Options& options) : options_(options), file_(options.page
   root.level = 0;
   WriteNode(root);
   root_id_ = root.id;
+  PublishBuilt(root_id_, root_level_, size_);  // the empty tree
 }
 
 Rect KdbTree::Domain() const {
@@ -124,6 +126,7 @@ StatusOr<std::unique_ptr<KdbTree>> KdbTree::Open(const std::string& path) {
   tree->root_level_ = header.root_level;
   tree->size_ = header.size;
   tree->maintenance_ = MaintenanceStats{};
+  tree->PublishBuilt(tree->root_id_, tree->root_level_, tree->size_);
   RETURN_IF_ERROR(tree->CheckInvariants());
   return tree;
 }
@@ -152,6 +155,8 @@ void KdbTree::SerializeNode(const Node& node, char* buf) const {
       w.PutU32(e.child);
     }
   }
+  // The rest of the page is zero (StageWrite hands back a dirty buffer).
+  w.Skip(w.remaining());
 }
 
 KdbTree::Node KdbTree::DeserializeNode(const char* buf, PageId id) const {
@@ -184,14 +189,10 @@ KdbTree::Node KdbTree::DeserializeNode(const char* buf, PageId id) const {
   return node;
 }
 
-KdbTree::Node KdbTree::ReadNode(PageId id, int level, IoStatsDelta* io) const {
-  std::vector<char> buf(options_.page_size);
-  if (pool_ != nullptr) {
-    pool_->Read(id, buf.data(), level, io);
-  } else {
-    file_.Read(id, buf.data(), level, io);
-  }
-  Node node = DeserializeNode(buf.data(), id);
+KdbTree::Node KdbTree::ReadNode(PageId id, int level) const {
+  // In place and counted; the buffer pool caches committed pages only.
+  const char* page = file_.ReadInPlace(id, level);
+  Node node = DeserializeNode(page, id);
   DCHECK_EQ(node.level, level);
   return node;
 }
@@ -201,22 +202,26 @@ KdbTree::Node KdbTree::PeekNode(PageId id) const {
 }
 
 void KdbTree::WriteNode(const Node& node) {
-  std::vector<char> buf(options_.page_size);
-  SerializeNode(node, buf.data());
-  if (pool_ != nullptr) pool_->Discard(node.id);  // invalidate stale frame
-  file_.Write(node.id, buf.data());  // srlint: allow(R6) frozen-tree write path (no snapshot readers)
+  // Copy-on-write staging keeps snapshots on the committed buffer.
+  SerializeNode(node, file_.StageWrite(node.id));
 }
 
 // --------------------------------------------------------------------------
 // Insertion & splitting
 // --------------------------------------------------------------------------
 
-Status KdbTree::Insert(PointView point, uint32_t oid) {
-  RETURN_IF_ERROR(ValidatePoint(point, options_.dim));
+Status KdbTree::InsertLocked(PointView point, uint32_t oid) {
   if (!Domain().Contains(point)) {
     return Status::InvalidArgument("point outside the indexed domain");
   }
 
+  InsertPoint(point, oid);
+  ++size_;
+  CommitRoot(root_id_, root_level_, size_);
+  return Status::OK();
+}
+
+void KdbTree::InsertPoint(PointView point, uint32_t oid) {
   // Descend to the point page responsible for `point`. Regions on one level
   // partition the domain, so exactly one child's interior (or boundary)
   // contains the point; the first containing child wins on shared faces.
@@ -239,11 +244,10 @@ Status KdbTree::Insert(PointView point, uint32_t oid) {
     cur = ReadNode(child, child_level);
   }
   cur.points.push_back(LeafEntry{Point(point.begin(), point.end()), oid});
-  ++size_;
 
   if (cur.points.size() <= leaf_cap_) {
     WriteNode(cur);
-    return Status::OK();
+    return;
   }
 
   // Split the overflowing page; replace the parent's entry with the new
@@ -260,7 +264,7 @@ Status KdbTree::Insert(PointView point, uint32_t oid) {
                            new_entries.end());
     if (parent.children.size() <= node_cap_) {
       WriteNode(parent);
-      return Status::OK();
+      return;
     }
     region = (i > 0) ? path[i - 1].children[idx[i - 1]].region : Domain();
     new_entries.clear();
@@ -279,7 +283,7 @@ Status KdbTree::Insert(PointView point, uint32_t oid) {
       WriteNode(root);
       root_id_ = root.id;
       root_level_ = root.level;
-      return Status::OK();
+      return;
     }
     new_entries.clear();
     SplitToEntries(std::move(root), Domain(), new_entries);
@@ -460,13 +464,14 @@ Rect KdbTree::ClipLo(const Rect& region, int dim, double value) {
 // Deletion
 // --------------------------------------------------------------------------
 
-Status KdbTree::Delete(PointView point, uint32_t oid) {
-  RETURN_IF_ERROR(ValidatePoint(point, options_.dim));
-  if (!DeleteFrom(root_id_, root_level_, point, oid)) {
-    return Status::NotFound("point not present");
+Status KdbTree::DeleteLocked(PointView point, uint32_t oid) {
+  // DeleteFrom stages the leaf only when it finds the point.
+  if (DeleteFrom(root_id_, root_level_, point, oid)) {
+    --size_;
+    CommitRoot(root_id_, root_level_, size_);
+    return Status::OK();
   }
-  --size_;
-  return Status::OK();
+  return Status::NotFound("point not present");
 }
 
 bool KdbTree::DeleteFrom(PageId id, int level, PointView point, uint32_t oid) {
@@ -501,17 +506,17 @@ bool KdbTree::DeleteFrom(PageId id, int level, PointView point, uint32_t oid) {
 struct KdbTree::SearchBound {
   static constexpr BoundSpace kSpace = BoundSpace::kSquared;
   const KdbTree& tree;
+  const PageFile::Snapshot& snap;
 
-  TraversalRoot root() const {
-    if (tree.size_ == 0) return {};
-    return {tree.root_id_, tree.root_level_};
-  }
+  TraversalRoot root() const { return CommittedRoot(snap); }
 
   template <typename Offer, typename Child>
   void Expand(PageId id, int level, PointView query, double leaf_bound_sq,
               KernelScratch& scratch, IoStatsDelta* io, Offer&& offer,
               Child&& child) const {
-    const Node node = tree.ReadNode(id, level, io);
+    const Node node =
+        tree.DeserializeNode(tree.ReadQueryPage(snap, id, level, io).data, id);
+    DCHECK_EQ(node.level, level);
     if (node.is_leaf()) {
       ScanLeafEntries(node.points, query, leaf_bound_sq, scratch, offer);
       return;
@@ -525,19 +530,10 @@ struct KdbTree::SearchBound {
   }
 };
 
-std::vector<Neighbor> KdbTree::KnnDfsImpl(PointView query, int k,
-                                          IoStatsDelta* io) const {
-  return TraverseKnnDfs(SearchBound{*this}, query, k, io);
-}
-
-std::vector<Neighbor> KdbTree::KnnBestFirstImpl(PointView query, int k,
-                                                IoStatsDelta* io) const {
-  return TraverseKnnBestFirst(SearchBound{*this}, query, k, io);
-}
-
-std::vector<Neighbor> KdbTree::RangeImpl(PointView query, double radius,
-                                         IoStatsDelta* io) const {
-  return TraverseRange(SearchBound{*this}, query, radius, io);
+std::vector<Neighbor> KdbTree::SearchSnapshot(
+    const PageFile::Snapshot& snap, PointView query, const QuerySpec& spec,
+    IoStatsDelta* io) const {
+  return Traverse(SearchBound{*this, snap}, query, spec, io);
 }
 
 // --------------------------------------------------------------------------

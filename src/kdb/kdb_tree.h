@@ -15,13 +15,11 @@
 #include <vector>
 
 #include "src/geometry/rect.h"
-#include "src/index/point_index.h"
-#include "src/storage/buffer_pool.h"
-#include "src/storage/page_file.h"
+#include "src/index/paged_index.h"
 
 namespace srtree {
 
-class KdbTree : public PointIndex {
+class KdbTree : public PagedIndex {
  public:
   struct Options {
     int dim = 2;
@@ -43,15 +41,7 @@ class KdbTree : public PointIndex {
   static StatusOr<std::unique_ptr<KdbTree>> Open(const std::string& path);
 
   int dim() const override { return options_.dim; }
-  size_t size() const override { return size_; }
   std::string name() const override { return "K-D-B-tree"; }
-
-  Status Insert(PointView point, uint32_t oid) override;
-
-  // Removes the point. Underfull pages are left in place (the joining
-  // reorganization of Robinson's paper is not needed by any experiment);
-  // the partition invariant is preserved.
-  Status Delete(PointView point, uint32_t oid) override;
 
   TreeStats GetTreeStats() const override;
   Status CheckInvariants() const override;
@@ -67,28 +57,22 @@ class KdbTree : public PointIndex {
     return maintenance_;
   }
 
-  // Forwarder to the page file's counters.
-  IoStats GetIoStats() const override { return file_.GetIoStats(); }
-
-  void SimulateBufferPool(size_t capacity) override {
-    file_.SimulateCache(capacity);
-  }
-  void UseBufferPool(size_t capacity) override {
-    pool_ = capacity > 0 ? std::make_unique<BufferPool>(&file_, capacity)
-                         : nullptr;
-  }
-
   size_t leaf_capacity() const override { return leaf_cap_; }
   size_t node_capacity() const override { return node_cap_; }
   int height() const { return root_level_ + 1; }
 
+  std::vector<Neighbor> SearchSnapshot(const PageFile::Snapshot& snap,
+                                       PointView query, const QuerySpec& spec,
+                                       IoStatsDelta* io) const override;
+
  protected:
-  std::vector<Neighbor> KnnDfsImpl(PointView query, int k,
-                                   IoStatsDelta* io) const override;
-  std::vector<Neighbor> KnnBestFirstImpl(PointView query, int k,
-                                         IoStatsDelta* io) const override;
-  std::vector<Neighbor> RangeImpl(PointView query, double radius,
-                                  IoStatsDelta* io) const override;
+  Status InsertLocked(PointView point, uint32_t oid) override
+      REQUIRES(writer_mu_);
+  // Removes the point. Underfull pages are left in place (the joining
+  // reorganization of Robinson's paper is not needed by any experiment);
+  // the partition invariant is preserved.
+  Status DeleteLocked(PointView point, uint32_t oid) override
+      REQUIRES(writer_mu_);
 
  private:
   struct LeafEntry {
@@ -112,8 +96,7 @@ class KdbTree : public PointIndex {
   };
 
   // --- page I/O ---
-  Node ReadNode(PageId id, int level,
-                IoStatsDelta* io = nullptr) const;
+  Node ReadNode(PageId id, int level) const;  // writer side, counted
   Node PeekNode(PageId id) const;
   void WriteNode(const Node& node);
   void SerializeNode(const Node& node, char* buf) const;
@@ -124,6 +107,10 @@ class KdbTree : public PointIndex {
   }
 
   Rect Domain() const;
+
+  // Descends to the point page responsible for `point` and stores it,
+  // splitting pages as needed (Insert's body, before the commit).
+  void InsertPoint(PointView point, uint32_t oid);
 
   // --- split machinery ---
   // Splits an over-full node (recursively if a half still overflows) and
@@ -160,10 +147,6 @@ class KdbTree : public PointIndex {
   size_t leaf_cap_;
   size_t node_cap_;
 
-  mutable PageFile file_;
-  // Optional warm cache on the query path (UseBufferPool); WriteNode
-  // invalidates its frames so single-writer mutation stays coherent.
-  std::unique_ptr<BufferPool> pool_;
   PageId root_id_;
   int root_level_ = 0;
   size_t size_ = 0;

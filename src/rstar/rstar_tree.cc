@@ -18,7 +18,8 @@ constexpr size_t kHeaderBytes = 8;
 
 }  // namespace
 
-RStarTree::RStarTree(const Options& options) : options_(options), file_(options.page_size) {
+RStarTree::RStarTree(const Options& options)
+    : PagedIndex(options.page_size), options_(options) {
   CHECK_GT(options_.dim, 0);
   CHECK_GT(options_.page_size, kHeaderBytes);
   CHECK_GT(options_.min_utilization, 0.0);
@@ -44,6 +45,7 @@ RStarTree::RStarTree(const Options& options) : options_(options), file_(options.
   root.level = 0;
   WriteNode(root);
   root_id_ = root.id;
+  PublishBuilt(root_id_, root_level_, size_);  // the empty tree
 }
 
 // --------------------------------------------------------------------------
@@ -126,6 +128,7 @@ StatusOr<std::unique_ptr<RStarTree>> RStarTree::Open(const std::string& path) {
   tree->root_level_ = header.root_level;
   tree->size_ = header.size;
   tree->maintenance_ = MaintenanceStats{};
+  tree->PublishBuilt(tree->root_id_, tree->root_level_, tree->size_);
   RETURN_IF_ERROR(tree->CheckInvariants());
   return tree;
 }
@@ -154,6 +157,8 @@ void RStarTree::SerializeNode(const Node& node, char* buf) const {
       w.PutU32(e.child);
     }
   }
+  // The rest of the page is zero (StageWrite hands back a dirty buffer).
+  w.Skip(w.remaining());
 }
 
 RStarTree::Node RStarTree::DeserializeNode(const char* buf, PageId id) const {
@@ -186,14 +191,10 @@ RStarTree::Node RStarTree::DeserializeNode(const char* buf, PageId id) const {
   return node;
 }
 
-RStarTree::Node RStarTree::ReadNode(PageId id, int level, IoStatsDelta* io) const {
-  std::vector<char> buf(options_.page_size);
-  if (pool_ != nullptr) {
-    pool_->Read(id, buf.data(), level, io);
-  } else {
-    file_.Read(id, buf.data(), level, io);
-  }
-  Node node = DeserializeNode(buf.data(), id);
+RStarTree::Node RStarTree::ReadNode(PageId id, int level) const {
+  // In place and counted; the buffer pool caches committed pages only.
+  const char* page = file_.ReadInPlace(id, level);
+  Node node = DeserializeNode(page, id);
   DCHECK_EQ(node.level, level);
   return node;
 }
@@ -203,10 +204,8 @@ RStarTree::Node RStarTree::PeekNode(PageId id) const {
 }
 
 void RStarTree::WriteNode(const Node& node) {
-  std::vector<char> buf(options_.page_size);
-  SerializeNode(node, buf.data());
-  if (pool_ != nullptr) pool_->Discard(node.id);  // invalidate stale frame
-  file_.Write(node.id, buf.data());  // srlint: allow(R6) frozen-tree write path (no snapshot readers)
+  // Copy-on-write staging keeps snapshots on the committed buffer.
+  SerializeNode(node, file_.StageWrite(node.id));
 }
 
 // --------------------------------------------------------------------------
@@ -232,8 +231,7 @@ Rect RStarTree::NodeBoundingRect(const Node& node) const {
 // Insertion
 // --------------------------------------------------------------------------
 
-Status RStarTree::Insert(PointView point, uint32_t oid) {
-  RETURN_IF_ERROR(ValidatePoint(point, options_.dim));
+Status RStarTree::InsertLocked(PointView point, uint32_t oid) {
   reinserted_levels_.clear();
   std::deque<Pending> pending;
   Pending item;
@@ -242,6 +240,7 @@ Status RStarTree::Insert(PointView point, uint32_t oid) {
   pending.push_back(std::move(item));
   ProcessPending(pending);
   ++size_;
+  CommitRoot(root_id_, root_level_, size_);
   return Status::OK();
 }
 
@@ -536,8 +535,7 @@ void RStarTree::GrowRoot(Node& left, Node& right) {
 // Deletion
 // --------------------------------------------------------------------------
 
-Status RStarTree::Delete(PointView point, uint32_t oid) {
-  RETURN_IF_ERROR(ValidatePoint(point, options_.dim));
+Status RStarTree::DeleteLocked(PointView point, uint32_t oid) {
   std::vector<Node> path;
   std::vector<int> idx;
   Node root = ReadNode(root_id_, root_level_);
@@ -559,6 +557,7 @@ Status RStarTree::Delete(PointView point, uint32_t oid) {
   CondenseTree(path, idx);
   ShrinkRoot();
   --size_;
+  CommitRoot(root_id_, root_level_, size_);
   return Status::OK();
 }
 
@@ -653,17 +652,17 @@ void RStarTree::ShrinkRoot() {
 struct RStarTree::SearchBound {
   static constexpr BoundSpace kSpace = BoundSpace::kSquared;
   const RStarTree& tree;
+  const PageFile::Snapshot& snap;
 
-  TraversalRoot root() const {
-    if (tree.size_ == 0) return {};
-    return {tree.root_id_, tree.root_level_};
-  }
+  TraversalRoot root() const { return CommittedRoot(snap); }
 
   template <typename Offer, typename Child>
   void Expand(PageId id, int level, PointView query, double leaf_bound_sq,
               KernelScratch& scratch, IoStatsDelta* io, Offer&& offer,
               Child&& child) const {
-    const Node node = tree.ReadNode(id, level, io);
+    const Node node =
+        tree.DeserializeNode(tree.ReadQueryPage(snap, id, level, io).data, id);
+    DCHECK_EQ(node.level, level);
     if (node.is_leaf()) {
       ScanLeafEntries(node.points, query, leaf_bound_sq, scratch, offer);
       return;
@@ -677,19 +676,10 @@ struct RStarTree::SearchBound {
   }
 };
 
-std::vector<Neighbor> RStarTree::KnnDfsImpl(PointView query, int k,
-                                            IoStatsDelta* io) const {
-  return TraverseKnnDfs(SearchBound{*this}, query, k, io);
-}
-
-std::vector<Neighbor> RStarTree::KnnBestFirstImpl(PointView query, int k,
-                                                  IoStatsDelta* io) const {
-  return TraverseKnnBestFirst(SearchBound{*this}, query, k, io);
-}
-
-std::vector<Neighbor> RStarTree::RangeImpl(PointView query, double radius,
-                                           IoStatsDelta* io) const {
-  return TraverseRange(SearchBound{*this}, query, radius, io);
+std::vector<Neighbor> RStarTree::SearchSnapshot(
+    const PageFile::Snapshot& snap, PointView query, const QuerySpec& spec,
+    IoStatsDelta* io) const {
+  return Traverse(SearchBound{*this, snap}, query, spec, io);
 }
 
 // --------------------------------------------------------------------------

@@ -23,7 +23,8 @@ constexpr double kEps = 1e-9;
 
 }  // namespace
 
-SSTree::SSTree(const Options& options) : options_(options), file_(options.page_size) {
+SSTree::SSTree(const Options& options)
+    : PagedIndex(options.page_size), options_(options) {
   CHECK_GT(options_.dim, 0);
   CHECK_GT(options_.min_utilization, 0.0);
   CHECK_LE(options_.min_utilization, 0.5);
@@ -50,6 +51,7 @@ SSTree::SSTree(const Options& options) : options_(options), file_(options.page_s
   root.level = 0;
   WriteNode(root);
   root_id_ = root.id;
+  PublishBuilt(root_id_, root_level_, size_);  // the empty tree
 }
 
 // --------------------------------------------------------------------------
@@ -133,6 +135,7 @@ StatusOr<std::unique_ptr<SSTree>> SSTree::Open(const std::string& path) {
   tree->root_level_ = header.root_level;
   tree->size_ = header.size;
   tree->maintenance_ = MaintenanceStats{};
+  tree->PublishBuilt(tree->root_id_, tree->root_level_, tree->size_);
   RETURN_IF_ERROR(tree->CheckInvariants());
   return tree;
 }
@@ -162,6 +165,8 @@ void SSTree::SerializeNode(const Node& node, char* buf) const {
       w.PutU32(e.child);
     }
   }
+  // The rest of the page is zero (StageWrite hands back a dirty buffer).
+  w.Skip(w.remaining());
 }
 
 SSTree::Node SSTree::DeserializeNode(const char* buf, PageId id) const {
@@ -195,14 +200,10 @@ SSTree::Node SSTree::DeserializeNode(const char* buf, PageId id) const {
   return node;
 }
 
-SSTree::Node SSTree::ReadNode(PageId id, int level, IoStatsDelta* io) const {
-  std::vector<char> buf(options_.page_size);
-  if (pool_ != nullptr) {
-    pool_->Read(id, buf.data(), level, io);
-  } else {
-    file_.Read(id, buf.data(), level, io);
-  }
-  Node node = DeserializeNode(buf.data(), id);
+SSTree::Node SSTree::ReadNode(PageId id, int level) const {
+  // In place and counted; the buffer pool caches committed pages only.
+  const char* page = file_.ReadInPlace(id, level);
+  Node node = DeserializeNode(page, id);
   DCHECK_EQ(node.level, level);
   return node;
 }
@@ -212,10 +213,8 @@ SSTree::Node SSTree::PeekNode(PageId id) const {
 }
 
 void SSTree::WriteNode(const Node& node) {
-  std::vector<char> buf(options_.page_size);
-  SerializeNode(node, buf.data());
-  if (pool_ != nullptr) pool_->Discard(node.id);  // invalidate stale frame
-  file_.Write(node.id, buf.data());  // srlint: allow(R6) frozen-tree write path (no snapshot readers)
+  // Copy-on-write staging keeps snapshots on the committed buffer.
+  SerializeNode(node, file_.StageWrite(node.id));
 }
 
 // --------------------------------------------------------------------------
@@ -274,8 +273,7 @@ PointView SSTree::EntryCentroid(const Node& node, size_t i) const {
 // Insertion
 // --------------------------------------------------------------------------
 
-Status SSTree::Insert(PointView point, uint32_t oid) {
-  RETURN_IF_ERROR(ValidatePoint(point, options_.dim));
+Status SSTree::InsertLocked(PointView point, uint32_t oid) {
   reinserted_nodes_.clear();
   std::deque<Pending> pending;
   Pending item;
@@ -284,6 +282,7 @@ Status SSTree::Insert(PointView point, uint32_t oid) {
   pending.push_back(std::move(item));
   ProcessPending(pending);
   ++size_;
+  CommitRoot(root_id_, root_level_, size_);
   return Status::OK();
 }
 
@@ -511,8 +510,7 @@ void SSTree::GrowRoot(Node& left, Node& right) {
 // Deletion
 // --------------------------------------------------------------------------
 
-Status SSTree::Delete(PointView point, uint32_t oid) {
-  RETURN_IF_ERROR(ValidatePoint(point, options_.dim));
+Status SSTree::DeleteLocked(PointView point, uint32_t oid) {
   std::vector<Node> path;
   std::vector<int> idx;
   Node root = ReadNode(root_id_, root_level_);
@@ -534,6 +532,7 @@ Status SSTree::Delete(PointView point, uint32_t oid) {
   CondenseTree(path, idx);
   ShrinkRoot();
   --size_;
+  CommitRoot(root_id_, root_level_, size_);
   return Status::OK();
 }
 
@@ -630,17 +629,17 @@ void SSTree::ShrinkRoot() {
 struct SSTree::SearchBound {
   static constexpr BoundSpace kSpace = BoundSpace::kDistance;
   const SSTree& tree;
+  const PageFile::Snapshot& snap;
 
-  TraversalRoot root() const {
-    if (tree.size_ == 0) return {};
-    return {tree.root_id_, tree.root_level_};
-  }
+  TraversalRoot root() const { return CommittedRoot(snap); }
 
   template <typename Offer, typename Child>
   void Expand(PageId id, int level, PointView query, double leaf_bound_sq,
               KernelScratch& scratch, IoStatsDelta* io, Offer&& offer,
               Child&& child) const {
-    const Node node = tree.ReadNode(id, level, io);
+    const Node node =
+        tree.DeserializeNode(tree.ReadQueryPage(snap, id, level, io).data, id);
+    DCHECK_EQ(node.level, level);
     if (node.is_leaf()) {
       ScanLeafEntries(node.points, query, leaf_bound_sq, scratch, offer);
       return;
@@ -654,19 +653,10 @@ struct SSTree::SearchBound {
   }
 };
 
-std::vector<Neighbor> SSTree::KnnDfsImpl(PointView query, int k,
-                                         IoStatsDelta* io) const {
-  return TraverseKnnDfs(SearchBound{*this}, query, k, io);
-}
-
-std::vector<Neighbor> SSTree::KnnBestFirstImpl(PointView query, int k,
-                                               IoStatsDelta* io) const {
-  return TraverseKnnBestFirst(SearchBound{*this}, query, k, io);
-}
-
-std::vector<Neighbor> SSTree::RangeImpl(PointView query, double radius,
-                                        IoStatsDelta* io) const {
-  return TraverseRange(SearchBound{*this}, query, radius, io);
+std::vector<Neighbor> SSTree::SearchSnapshot(
+    const PageFile::Snapshot& snap, PointView query, const QuerySpec& spec,
+    IoStatsDelta* io) const {
+  return Traverse(SearchBound{*this, snap}, query, spec, io);
 }
 
 // --------------------------------------------------------------------------

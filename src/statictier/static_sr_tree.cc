@@ -8,7 +8,6 @@
 
 #include "src/common/check.h"
 #include "src/debug/structural_auditor.h"
-#include "src/index/pinned_snapshot.h"
 #include "src/index/traversal.h"
 #include "src/storage/image_io.h"
 
@@ -32,7 +31,7 @@ size_t InnerEntryBytes(int dim) {
 }  // namespace
 
 StaticSRTree::StaticSRTree(const Options& options)
-    : options_(options), file_(options.page_size) {
+    : PagedIndex(options.page_size), options_(options) {
   CHECK_GT(options_.dim, 0);
   leaf_cap_ = (options_.page_size - kHeaderBytes) / LeafEntryBytes(options_.dim);
   node_cap_ = (options_.page_size - kHeaderBytes) / InnerEntryBytes(options_.dim);
@@ -40,7 +39,7 @@ StaticSRTree::StaticSRTree(const Options& options)
   CHECK_GE(node_cap_, 2u);
   // Publish the empty tree so a snapshot acquired before BulkLoad sees
   // coherent metadata (root = invalid, size = 0).
-  CommitState();
+  PublishBuilt(root_id_, root_level_, size_);
 }
 
 // --------------------------------------------------------------------------
@@ -119,7 +118,7 @@ Status StaticSRTree::LoadPages(std::istream& in, PageId root_id,
     root_id_ = kInvalidPageId;
     root_level_ = 0;
     size_ = 0;
-    CommitState();
+    PublishBuilt(root_id_, root_level_, size_);
     return Status::OK();
   }
   if (!file_.is_live(root_id)) {
@@ -129,7 +128,7 @@ Status StaticSRTree::LoadPages(std::istream& in, PageId root_id,
   root_level_ = root_level;
   size_ = size;
   RETURN_IF_ERROR(ValidateStructure());
-  CommitState();
+  PublishBuilt(root_id_, root_level_, size_);
   return CheckInvariants();
 }
 
@@ -185,12 +184,12 @@ Status StaticSRTree::ValidateStructure() const {
 // Construction
 // --------------------------------------------------------------------------
 
-Status StaticSRTree::Insert(PointView, uint32_t) {
+Status StaticSRTree::InsertLocked(PointView, uint32_t) {
   return Status::Unimplemented(
       "Static SR-tree is immutable; mutate through a TieredIndex");
 }
 
-Status StaticSRTree::Delete(PointView, uint32_t) {
+Status StaticSRTree::DeleteLocked(PointView, uint32_t) {
   return Status::Unimplemented(
       "Static SR-tree is immutable; mutate through a TieredIndex");
 }
@@ -400,7 +399,7 @@ Status StaticSRTree::BulkLoad(const std::vector<Point>& points,
   root_id_ = pool[root_index].page;
   root_level_ = height;
   size_ = points.size();
-  CommitState();
+  PublishBuilt(root_id_, root_level_, size_);
   return Status::OK();
 }
 
@@ -485,16 +484,13 @@ struct StaticSRTree::SearchBound {
   const TombstoneSet* tombstones;
 
   // An unbuilt tree's root id is kInvalidPageId, which is empty() too.
-  TraversalRoot root() const {
-    if (snap.meta(2) == 0) return {};
-    return {static_cast<PageId>(snap.meta(0)), static_cast<int>(snap.meta(1))};
-  }
+  TraversalRoot root() const { return CommittedRoot(snap); }
 
   template <typename Offer, typename Child>
   void Expand(PageId id, int level, PointView query, double leaf_bound_sq,
               KernelScratch& scratch, IoStatsDelta* io, Offer&& offer,
               Child&& child) const {
-    const QueryPage page = ReadQueryPage(tree.pool_.get(), snap, id, level, io);
+    const QueryPage page = tree.ReadQueryPage(snap, id, level, io);
     const int dim = tree.options_.dim;
     if (level == 0) {
       const SoaLeafView leaf = ParseSoaLeaf(page.data, dim);
@@ -519,48 +515,10 @@ struct StaticSRTree::SearchBound {
   }
 };
 
-std::vector<Neighbor> StaticSRTree::KnnDfsSnapshot(
-    const PageFile::Snapshot& snap, PointView query, int k, IoStatsDelta* io,
-    const TombstoneSet* tombstones) const {
-  return TraverseKnnDfs(SearchBound{*this, snap, tombstones}, query, k, io);
-}
-
-std::vector<Neighbor> StaticSRTree::KnnBestFirstSnapshot(
-    const PageFile::Snapshot& snap, PointView query, int k, IoStatsDelta* io,
-    const TombstoneSet* tombstones) const {
-  return TraverseKnnBestFirst(SearchBound{*this, snap, tombstones}, query, k,
-                              io);
-}
-
-std::vector<Neighbor> StaticSRTree::RangeSnapshot(
-    const PageFile::Snapshot& snap, PointView query, double radius,
+std::vector<Neighbor> StaticSRTree::SearchSnapshot(
+    const PageFile::Snapshot& snap, PointView query, const QuerySpec& spec,
     IoStatsDelta* io, const TombstoneSet* tombstones) const {
-  return TraverseRange(SearchBound{*this, snap, tombstones}, query, radius,
-                       io);
-}
-
-std::vector<Neighbor> StaticSRTree::KnnDfsImpl(PointView query, int k,
-                                               IoStatsDelta* io) const {
-  const EpochGuard guard(file_.epochs());
-  return KnnDfsSnapshot(file_.AcquireSnapshot(guard), query, k, io);
-}
-
-std::vector<Neighbor> StaticSRTree::KnnBestFirstImpl(PointView query, int k,
-                                                     IoStatsDelta* io) const {
-  const EpochGuard guard(file_.epochs());
-  return KnnBestFirstSnapshot(file_.AcquireSnapshot(guard), query, k, io);
-}
-
-std::vector<Neighbor> StaticSRTree::RangeImpl(PointView query, double radius,
-                                              IoStatsDelta* io) const {
-  const EpochGuard guard(file_.epochs());
-  return RangeSnapshot(file_.AcquireSnapshot(guard), query, radius, io);
-}
-
-// The tree is immutable, so this is mostly about giving composing indexes
-// (and the engine) the same snapshot surface the dynamic SR-tree has.
-std::unique_ptr<IndexSnapshot> StaticSRTree::AcquireSnapshot() const {
-  return std::make_unique<PinnedSnapshot<StaticSRTree>>(this, file_);
+  return Traverse(SearchBound{*this, snap, tombstones}, query, spec, io);
 }
 
 // --------------------------------------------------------------------------

@@ -42,10 +42,8 @@
 #include <vector>
 
 #include "src/geometry/kernel.h"
-#include "src/index/point_index.h"
+#include "src/index/paged_index.h"
 #include "src/index/soa_page.h"
-#include "src/storage/buffer_pool.h"
-#include "src/storage/page_file.h"
 
 namespace srtree {
 
@@ -53,7 +51,7 @@ namespace srtree {
 // TieredIndex, consulted by the static leaf scans.
 using TombstoneSet = std::set<std::pair<Point, uint32_t>>;
 
-class StaticSRTree : public PointIndex {
+class StaticSRTree : public PagedIndex {
  public:
   struct Options {
     int dim = 2;
@@ -78,13 +76,11 @@ class StaticSRTree : public PointIndex {
                    uint64_t size);
 
   int dim() const override { return options_.dim; }
-  size_t size() const override { return size_; }
   std::string name() const override { return "Static SR-tree"; }
   const Options& options() const { return options_; }
 
-  // Static tier: the only way to populate it is BulkLoad.
-  Status Insert(PointView point, uint32_t oid) override;
-  Status Delete(PointView point, uint32_t oid) override;
+  // Static tier: the only way to populate it is BulkLoad (Insert and
+  // Delete return Unimplemented).
   Status BulkLoad(const std::vector<Point>& points,
                   const std::vector<uint32_t>& oids) override;
 
@@ -102,58 +98,32 @@ class StaticSRTree : public PointIndex {
   AuditSpec GetAuditSpec() const override;
   RegionSummary LeafRegionSummary() const override;
 
-  IoStats GetIoStats() const override { return file_.GetIoStats(); }
-
-  void SimulateBufferPool(size_t capacity) override {
-    file_.SimulateCache(capacity);
-  }
-  void UseBufferPool(size_t capacity) override {
-    pool_ = capacity > 0 ? std::make_unique<BufferPool>(&file_, capacity)
-                         : nullptr;
-  }
-
   size_t leaf_capacity() const override { return leaf_cap_; }
   size_t node_capacity() const override { return node_cap_; }
   int height() const { return size_ == 0 ? 0 : root_level_ + 1; }
   PageId root_id() const { return root_id_; }
   int root_level() const { return root_level_; }
 
-  // The snapshot machinery a composing index (TieredIndex) pins reads
-  // through. The tree is immutable once built, but routing reads through a
-  // committed version keeps the swap-under-readers story uniform with the
-  // dynamic SR-tree.
-  EpochManager& epoch_domain() const { return file_.epochs(); }
-  PageFile::Snapshot AcquirePageSnapshot(const EpochGuard& guard) const {
-    return file_.AcquireSnapshot(guard);
+  // The search over a pinned version (the TieredIndex pins the static
+  // tier's through epochs()/AcquirePageSnapshot and merges). The tree is
+  // immutable once built, but routing reads through a committed version
+  // lets a TieredIndex swap a compacted tree in under its readers.
+  // `tombstones` masks matching pairs during the leaf scans.
+  std::vector<Neighbor> SearchSnapshot(const PageFile::Snapshot& snap,
+                                       PointView query, const QuerySpec& spec,
+                                       IoStatsDelta* io,
+                                       const TombstoneSet* tombstones) const;
+  std::vector<Neighbor> SearchSnapshot(const PageFile::Snapshot& snap,
+                                       PointView query, const QuerySpec& spec,
+                                       IoStatsDelta* io) const override {
+    return SearchSnapshot(snap, query, spec, io, /*tombstones=*/nullptr);
   }
-
-  [[nodiscard]] std::unique_ptr<IndexSnapshot> AcquireSnapshot()
-      const override;
-
-  EpochManager* epoch_domain_for_test() const override {
-    return &file_.epochs();
-  }
-
-  // Snapshot-pinned search entry points (used by this tree's own dispatch,
-  // its PinnedSnapshot and the TieredIndex's merged searches). `tombstones`
-  // (optional) masks matching pairs during the leaf scans.
-  std::vector<Neighbor> KnnDfsSnapshot(
-      const PageFile::Snapshot& snap, PointView query, int k, IoStatsDelta* io,
-      const TombstoneSet* tombstones = nullptr) const;
-  std::vector<Neighbor> KnnBestFirstSnapshot(
-      const PageFile::Snapshot& snap, PointView query, int k, IoStatsDelta* io,
-      const TombstoneSet* tombstones = nullptr) const;
-  std::vector<Neighbor> RangeSnapshot(
-      const PageFile::Snapshot& snap, PointView query, double radius,
-      IoStatsDelta* io, const TombstoneSet* tombstones = nullptr) const;
 
  protected:
-  std::vector<Neighbor> KnnDfsImpl(PointView query, int k,
-                                   IoStatsDelta* io) const override;
-  std::vector<Neighbor> KnnBestFirstImpl(PointView query, int k,
-                                         IoStatsDelta* io) const override;
-  std::vector<Neighbor> RangeImpl(PointView query, double radius,
-                                  IoStatsDelta* io) const override;
+  Status InsertLocked(PointView point, uint32_t oid) override
+      REQUIRES(writer_mu_);
+  Status DeleteLocked(PointView point, uint32_t oid) override
+      REQUIRES(writer_mu_);
 
  private:
   // ---- page views (src/index/soa_page.h) ----------------------------------
@@ -180,10 +150,6 @@ class StaticSRTree : public PointIndex {
   void SerializeTree(const std::vector<Point>& points,
                      const std::vector<uint32_t>& oids,
                      std::vector<BuildNode>& pool, size_t root_index);
-
-  void CommitState() {
-    file_.Commit({root_id_, static_cast<uint64_t>(root_level_), size_, 0});
-  }
 
   // BFS over the page image checking header sanity (levels, counts, child
   // liveness) so the audit/stats walks cannot crash on a forged image.
@@ -212,8 +178,6 @@ class StaticSRTree : public PointIndex {
   size_t leaf_cap_;
   size_t node_cap_;
 
-  mutable PageFile file_;
-  std::unique_ptr<BufferPool> pool_;
   PageId root_id_ = kInvalidPageId;
   int root_level_ = 0;
   size_t size_ = 0;

@@ -275,14 +275,13 @@ TieredIndex::CapturedView TieredIndex::CaptureState() const {
 class TieredSnapshot : public IndexSnapshot, public SearchDispatch {
  public:
   TieredSnapshot(const TieredIndex* index, TieredIndex::CapturedView view)
-      : IndexSnapshot(index),
-        dim_(index->dim()),
+      : dim_(index->dim()),
         state_(std::move(view.state)),
         static_tree_(state_->static_tier),
         tombstones_(state_->tombstones),
         version_(state_->version),
         size_(state_->size),
-        guard_(static_tree_->epoch_domain()),
+        guard_(static_tree_->epochs()),
         snap_(static_tree_->AcquirePageSnapshot(guard_)),
         delta_snap_(std::move(view.delta_snap)) {}
 
@@ -294,50 +293,28 @@ class TieredSnapshot : public IndexSnapshot, public SearchDispatch {
   uint64_t version() const override { return version_; }
   size_t size() const override { return size_; }
 
-  std::vector<Neighbor> KnnDfsImpl(PointView query, int k,
+  // Runs `spec` on both tiers and merges. For k-NN, the true top-k of the
+  // union is a subset of the union of per-tier top-k lists, so the
+  // canonical merge-then-truncate is exact; a range merges everything.
+  std::vector<Neighbor> SearchImpl(PointView query, const QuerySpec& spec,
                                    IoStatsDelta* io) const override {
-    return MergedKnn(query, k, io, QuerySpec::Knn(k),
-                     static_tree_->KnnDfsSnapshot(snap_, query, k, io,
-                                                  tombstones_.get()));
-  }
-  std::vector<Neighbor> KnnBestFirstImpl(PointView query, int k,
-                                         IoStatsDelta* io) const override {
-    return MergedKnn(query, k, io, QuerySpec::KnnBestFirst(k),
-                     static_tree_->KnnBestFirstSnapshot(snap_, query, k, io,
-                                                        tombstones_.get()));
-  }
-  std::vector<Neighbor> RangeImpl(PointView query, double radius,
-                                  IoStatsDelta* io) const override {
-    std::vector<Neighbor> merged = static_tree_->RangeSnapshot(
-        snap_, query, radius, io, tombstones_.get());
-    QueryResult delta_result =
-        delta_snap_->Search(query, QuerySpec::Range(radius));
-    io->MergeFrom(delta_result.io);
-    merged.insert(merged.end(), delta_result.neighbors.begin(),
-                  delta_result.neighbors.end());
-    std::sort(merged.begin(), merged.end());  // canonical (distance, oid)
-    return merged;
-  }
-
- private:
-  // Merges the static tier's top-k with the delta's top-k: the true top-k
-  // of the union is a subset of the union of per-tier top-k lists, so the
-  // canonical merge-then-truncate is exact.
-  std::vector<Neighbor> MergedKnn(PointView query, int k, IoStatsDelta* io,
-                                  const QuerySpec& delta_spec,
-                                  std::vector<Neighbor> from_static) const {
-    QueryResult delta_result = delta_snap_->Search(query, delta_spec);
+    const std::vector<Neighbor> from_static = static_tree_->SearchSnapshot(
+        snap_, query, spec, io, tombstones_.get());
+    QueryResult delta_result = delta_snap_->Search(query, spec);
     io->MergeFrom(delta_result.io);
     std::vector<Neighbor> merged;
     merged.reserve(from_static.size() + delta_result.neighbors.size());
     std::merge(from_static.begin(), from_static.end(),
                delta_result.neighbors.begin(), delta_result.neighbors.end(),
                std::back_inserter(merged));
-    if (merged.size() > static_cast<size_t>(k)) {
-      merged.resize(static_cast<size_t>(k));
+    if (spec.kind != QueryKind::kRange &&
+        merged.size() > static_cast<size_t>(spec.k)) {
+      merged.resize(static_cast<size_t>(spec.k));
     }
     return merged;
   }
+
+ private:
 
   int dim_;
   std::shared_ptr<const TieredIndex::TierState> state_;
@@ -354,19 +331,10 @@ std::unique_ptr<IndexSnapshot> TieredIndex::AcquireSnapshot() const {
   return std::make_unique<TieredSnapshot>(this, CaptureState());
 }
 
-std::vector<Neighbor> TieredIndex::KnnDfsImpl(PointView query, int k,
+std::vector<Neighbor> TieredIndex::SearchImpl(PointView query,
+                                              const QuerySpec& spec,
                                               IoStatsDelta* io) const {
-  return TieredSnapshot(this, CaptureState()).KnnDfsImpl(query, k, io);
-}
-
-std::vector<Neighbor> TieredIndex::KnnBestFirstImpl(PointView query, int k,
-                                                    IoStatsDelta* io) const {
-  return TieredSnapshot(this, CaptureState()).KnnBestFirstImpl(query, k, io);
-}
-
-std::vector<Neighbor> TieredIndex::RangeImpl(PointView query, double radius,
-                                             IoStatsDelta* io) const {
-  return TieredSnapshot(this, CaptureState()).RangeImpl(query, radius, io);
+  return TieredSnapshot(this, CaptureState()).SearchImpl(query, spec, io);
 }
 
 // --------------------------------------------------------------------------

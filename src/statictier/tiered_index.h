@@ -104,12 +104,8 @@ class TieredIndex : public PointIndex {
   size_t tombstone_count_for_test() const;
 
  protected:
-  std::vector<Neighbor> KnnDfsImpl(PointView query, int k,
+  std::vector<Neighbor> SearchImpl(PointView query, const QuerySpec& spec,
                                    IoStatsDelta* io) const override;
-  std::vector<Neighbor> KnnBestFirstImpl(PointView query, int k,
-                                         IoStatsDelta* io) const override;
-  std::vector<Neighbor> RangeImpl(PointView query, double radius,
-                                  IoStatsDelta* io) const override;
 
  private:
   friend class TieredSnapshot;

@@ -1,30 +1,22 @@
-// A sharded LRU buffer pool over a PageFile.
+// A sharded LRU buffer pool over a PageFile's committed versions.
 //
 // The paper's measurements assume uncached reads, so the index structures
-// talk to PageFile directly by default. BufferPool exists for the serving
-// path (src/engine/): reads served from the pool do not count as disk
-// reads; dirty pages are written back on eviction.
+// read their pinned snapshots directly by default. BufferPool exists for the
+// serving path (src/engine/): a query page read served from the pool does
+// not count as a disk read.
+//
+// Frames are keyed by (page id, buffer stamp) and filled through
+// PageFile::Snapshot reads. Copy-on-write gives a rewritten page a fresh
+// stamp, so a (page id, stamp) pair names immutable bytes: a stale hit is
+// impossible by construction, the writer never invalidates anything, and
+// retired versions' frames simply age out of the LRU. The pool never writes.
 //
 // Concurrency: frames are partitioned into shards (page id modulo shard
 // count), each with its own mutex, LRU list, and frame map, so concurrent
-// readers contend only when they touch the same shard. A frame being copied
-// out is *pinned* first — eviction skips pinned frames — which lets the
-// copy run outside the shard lock without another thread tearing the frame
-// under it. Read()/Pin() are safe from any number of threads. Write() and
-// Discard() are single-writer among themselves (like the PageFile
-// underneath) but safe against concurrent Pin()/Read() of the same page:
-// instead of mutating or freeing a pinned frame they detach it to a
-// "zombie" side list, where in-flight pins keep reading the superseded
-// bytes; the last unpin frees it. FlushAll() still requires full external
-// exclusion.
-//
-// Snapshot reads: frames are keyed by (page id, buffer stamp). Legacy
-// direct reads use stamp 0 and are invalidated by Write()/Discard() as
-// before. PinSnapshot() caches a PageFile::Snapshot's pages
-// under the snapshot's own stamps — copy-on-write gives a changed page a
-// fresh stamp, so a stale hit is impossible by construction and retired
-// versions need no invalidation protocol at all: their frames simply age
-// out of the LRU.
+// readers contend only when they touch the same shard. A frame being read is
+// *pinned* first — eviction skips pinned frames — which lets the caller read
+// it outside the shard lock without another thread evicting it underneath.
+// PinSnapshot() is safe from any number of threads.
 
 #ifndef SRTREE_STORAGE_BUFFER_POOL_H_
 #define SRTREE_STORAGE_BUFFER_POOL_H_
@@ -50,8 +42,6 @@ class BufferPool {
 
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
-
-  ~BufferPool();
 
   // The pin protocol as a capability: a thread holding a pin may read the
   // frame's bytes without the shard lock, because eviction skips pinned
@@ -80,10 +70,9 @@ class BufferPool {
 
     BufferPool* pool_ = nullptr;
     size_t shard_ = 0;
-    // The pinned Frame (opaque here to keep Frame private). Held by address
-    // — stable across LRU splices and zombie detachment — so Unpin releases
-    // exactly the frame that was pinned, even after the (id, stamp) key has
-    // been superseded in the map.
+    // The pinned Frame (opaque here to keep Frame private), held by address
+    // — stable across LRU splices — so Unpin releases exactly the frame that
+    // was pinned.
     void* frame_ = nullptr;
     const char* data_ = nullptr;
   };
@@ -94,9 +83,6 @@ class BufferPool {
   // Non-movable by design; a pin that needs to change hands uses PageGuard.
   class SCOPED_CAPABILITY ScopedPin {
    public:
-    ScopedPin(BufferPool& pool, PageId id, int level = -1,
-              IoStatsDelta* delta = nullptr) ACQUIRE_SHARED(pool.pin_cap_)
-        : guard_(pool.Pin(id, level, delta)) {}
     ScopedPin(BufferPool& pool, const PageFile::Snapshot& snap, PageId id,
               int level = -1, IoStatsDelta* delta = nullptr)
         ACQUIRE_SHARED(pool.pin_cap_)
@@ -112,44 +98,18 @@ class BufferPool {
     PageGuard guard_;
   };
 
-  // Pins the page in its shard, fetching it from the file on a miss (which
-  // counts one disk read in the file's stats and in `delta`). A hit costs
-  // no disk read.
+  // Pins the page *as of the given snapshot*, fetching through
+  // Snapshot::Read on a miss (which counts one disk read in the file's
+  // stats and in `delta`; a hit costs no disk read). The frame is keyed by
+  // the snapshot's buffer stamp for the page, so versions never alias: a
+  // page rewritten since the snapshot lives in the pool under a different
+  // stamp. The snapshot (and its EpochGuard) must outlive the returned
+  // guard.
   // [[nodiscard]]: a discarded guard unpins immediately, silently turning
   // the caller's "pinned" pointer reads into use-after-evict races.
-  [[nodiscard]] PageGuard Pin(PageId id, int level = -1,
-                              IoStatsDelta* delta = nullptr);
-
-  // Pins the page *as of the given snapshot*, fetching through
-  // Snapshot::Read on a miss. The frame is keyed by the snapshot's buffer
-  // stamp for the page, so versions never alias: a page rewritten since the
-  // snapshot lives in the pool under a different stamp. The snapshot (and
-  // its EpochGuard) must outlive the returned guard.
   [[nodiscard]] PageGuard PinSnapshot(const PageFile::Snapshot& snap,
                                       PageId id, int level = -1,
                                       IoStatsDelta* delta = nullptr);
-
-  // Reads through the pool: Pin() + copy into `out` (page_size bytes).
-  // Safe to call concurrently with other Read()/Pin() calls.
-  void Read(PageId id, char* out, int level = -1,
-            IoStatsDelta* delta = nullptr);
-
-  // Writes into the pool; the page is flushed to the file on eviction or
-  // FlushAll(), so back-to-back updates of a hot node cost one disk write.
-  // Safe against concurrent Pin()/Read() of the same page: a pinned frame
-  // is detached (in-flight pins keep the old bytes) and a fresh frame takes
-  // the key.
-  void Write(PageId id, const char* data);
-
-  // Drops the page's direct-read frame from the pool without writeback;
-  // pair with PageFile::Free when a node is deleted, or call before a
-  // direct PageFile::Write to invalidate the stale frame. A pinned frame is
-  // detached rather than freed (its dirty contents are dropped either way).
-  // Snapshot-stamped frames are untouched — they can never go stale.
-  void Discard(PageId id);
-
-  // Writes every dirty frame back to the file.
-  void FlushAll();
 
   uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
   uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
@@ -157,9 +117,8 @@ class BufferPool {
   size_t shard_count() const { return shards_.size(); }
 
  private:
-  // Frames are keyed by (page id, buffer stamp). Stamp 0 is the legacy
-  // direct-read namespace (invalidated by Write/Discard); nonzero stamps
-  // come from PageFile snapshots and name immutable bytes.
+  // Frames are keyed by (page id, buffer stamp): the stamp comes from a
+  // PageFile snapshot, so the key names immutable bytes.
   struct FrameKey {
     PageId id = 0;
     uint64_t stamp = 0;
@@ -181,42 +140,29 @@ class BufferPool {
   struct Frame {
     FrameKey key;
     std::unique_ptr<char[]> data;
-    bool dirty = false;
     int pins = 0;
-    // A zombie has been superseded (Write) or dropped (Discard) while
-    // pinned: it lives on the shard's zombie list, unreachable from the
-    // frame map, until its last pin releases it.
-    bool zombie = false;
   };
 
-  // std::list keeps Frame addresses stable across LRU/zombie splices, which
-  // is what allows a PageGuard to hold Frame and data pointers without the
+  // std::list keeps Frame addresses stable across LRU splices, which is
+  // what allows a PageGuard to hold Frame and data pointers without the
   // lock.
   using LruList = std::list<Frame>;
 
   // Capability map: shard.mu guards the shard's LRU order, its frame map,
-  // its zombie list, and (through them) every Frame's dirty/pins/zombie
-  // fields. Frame *bytes* are readable without the lock only under a pin.
+  // and (through them) every Frame's pin count. Frame *bytes* are readable
+  // without the lock only under a pin.
   struct Shard {
     explicit Shard(size_t capacity_in) : capacity(capacity_in) {}
     Mutex mu;
     LruList lru GUARDED_BY(mu);  // front = most recently used
     std::unordered_map<FrameKey, LruList::iterator, FrameKeyHash> frames
         GUARDED_BY(mu);
-    LruList zombies GUARDED_BY(mu);  // superseded frames with live pins
     const size_t capacity;
   };
-
-  Shard& ShardFor(PageId id) { return *shards_[id % shards_.size()]; }
 
   Frame& Touch(Shard& shard, LruList::iterator it) REQUIRES(shard.mu);
   Frame& InsertFrame(Shard& shard, FrameKey key) REQUIRES(shard.mu);
   void EvictIfFull(Shard& shard) REQUIRES(shard.mu);
-  void WriteBack(Shard& shard, Frame& frame) REQUIRES(shard.mu);
-  // Moves the frame at `it` (must be in shard.lru and mapped) onto the
-  // zombie list; its pins keep the old bytes readable until the last one
-  // releases.
-  void DetachFrame(Shard& shard, LruList::iterator it) REQUIRES(shard.mu);
 
   void Unpin(size_t shard_index, void* frame);
 

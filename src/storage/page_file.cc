@@ -194,8 +194,6 @@ const char* PageFile::ReadInPlace(PageId id, int level,
 
 void PageFile::Read(PageId id, char* out, int level,
                     IoStatsDelta* delta) const {
-  // Page bytes are stable while queries run (writers are excluded by
-  // contract), so the copy itself needs no lock.
   std::memcpy(out, ReadInPlace(id, level, delta), page_size_);
 }
 
@@ -221,18 +219,6 @@ bool PageFile::TouchCache(PageId id) const {
     cache_lru_.pop_back();
   }
   return false;
-}
-
-void PageFile::Write(PageId id, const char* data) {
-  CHECK(IsLive(id));
-  // A page the published version can see must go through StageWrite: an
-  // in-place write here would mutate bytes a live snapshot is reading.
-  // Legacy frozen-tree indexes never Commit() past the initial empty
-  // version, so none of their pages is ever shared and this never fires
-  // for them.
-  CHECK(!SharedWithCommitted(id));
-  std::memcpy(pages_[id].get(), data, page_size_);
-  LocalShard().writes.fetch_add(1, std::memory_order_relaxed);
 }
 
 char* PageFile::StageWrite(PageId id) {
@@ -590,10 +576,9 @@ Status PageFile::LoadFrom(std::istream& in) {
   // Commit-protocol interaction: the old buffers are moved into the
   // pending-retire batch, NOT destroyed — a concurrent snapshot keeps
   // reading the pre-load version until the caller's next Commit() retires
-  // it. The new contents are deliberately left unpublished
-  // and unshared: a committing caller (SRTree::Open) follows up with a
-  // Commit() carrying its real metadata, while legacy frozen-tree callers
-  // never commit and keep mutating the fresh buffers through Write().
+  // it. The new contents are deliberately left unpublished and unshared:
+  // every index's Open() follows up with a Commit() carrying its real
+  // metadata.
   for (auto& page : pages_) {
     if (page != nullptr) pending_retire_.push_back(std::move(page));
   }

@@ -1,38 +1,32 @@
 // PageFile: a simulated disk of fixed-size blocks.
 //
 // This is the substrate every index structure is built on. It behaves like a
-// 1997 raw-device file: pages are allocated/freed by id, and every Read()/
-// Write() is counted as one disk access (no caching — the paper's numbers
-// assume cold reads per query). An optional BufferPool (buffer_pool.h) can
-// be layered on top when caching behavior is wanted.
+// 1997 raw-device file: pages are allocated/freed by id, and every page read
+// and every StageWrite() is counted as one disk access (no caching — the
+// paper's numbers assume cold reads per query). An optional BufferPool
+// (buffer_pool.h) can cache snapshot reads when caching behavior is wanted.
 //
 // Storage is in memory; the simulation is about *counting* block transfers
 // and enforcing that each node physically fits one block, not about actual
 // persistence.
 //
-// Thread safety — two coexisting contracts:
-//
-//   * Legacy (frozen-tree) contract: Read() is safe from any number of
-//     threads at once. All mutating operations — Allocate/Free/Write/
-//     SimulateCache/Load* — require external exclusion against every other
-//     call. The six non-SR trees still run under this contract.
-//
-//   * Commit protocol (single writer / many readers): the writer mutates
-//     *working state* through StageWrite(), which hands back the page's
-//     working buffer — a fresh one when a published version can see the
-//     current buffer (copy-on-write), else the current buffer itself — and
-//     atomically publishes the result with Commit(). A published version's
-//     page table is an array of fixed-size chunks shared with the versions
-//     before and after it: Commit() copies only the chunks the writer
-//     touched since the last commit and reuses every other chunk pointer
-//     (path copying), so its cost tracks the pages changed, not the pages
-//     live. Readers pin an immutable published version via
-//     AcquireSnapshot() under an EpochGuard and read through the returned
-//     Snapshot; retired versions, superseded chunks and displaced page
-//     buffers are reclaimed by the epoch scheme (src/storage/epoch.h) once
-//     no reader can reach them. Snapshot::ReadInPlace/Read are safe against
-//     a concurrently staging and committing writer; the writer itself must
-//     still be a single thread.
+// Thread safety — one contract, single writer / snapshot-isolated readers:
+// the writer (one thread at a time) mutates *working state* through
+// Allocate/Free/StageWrite, where StageWrite() hands back the page's working
+// buffer — a fresh one when a published version can see the current buffer
+// (copy-on-write), else the current buffer itself — and atomically publishes
+// the result with Commit(). A published version's page table is an array of
+// fixed-size chunks shared with the versions before and after it: Commit()
+// copies only the chunks the writer touched since the last commit and
+// reuses every other chunk pointer (path copying), so its cost tracks the
+// pages changed, not the pages live. Readers pin an immutable published
+// version via AcquireSnapshot() under an EpochGuard and read through the
+// returned Snapshot; retired versions, superseded chunks and displaced page
+// buffers are reclaimed by the epoch scheme (src/storage/epoch.h) once no
+// reader can reach them. Snapshot reads are safe against the concurrently
+// staging and committing writer. Everything that touches working state —
+// the writer-side Read/ReadInPlace/PeekPage, SimulateCache, Save/Load* —
+// belongs to the writer's side and must not race it.
 //
 // Accounting takes no lock: every read and write lands in a per-thread,
 // cache-line-padded shard of relaxed atomic counters, and GetIoStats()
@@ -84,11 +78,12 @@ class PageFile {
   // the Commit() that created it, plus its metadata words. Light value type
   // (two pointers); valid only while the EpochGuard passed to
   // AcquireSnapshot() is alive. Reads perform the same I/O accounting as
-  // PageFile::Read and are safe against the concurrently mutating writer.
+  // PageFile::ReadInPlace and are safe against the concurrently mutating
+  // writer.
   class Snapshot {
    public:
     // Zero-copy read: returns the version's own page buffer (page_size
-    // bytes) and counts one disk read (see PageFile::Read for `level` /
+    // bytes) and counts one disk read (see PageFile::ReadInPlace for `level` /
     // `delta`). Copy-on-write never mutates a published buffer, so the bytes
     // are immutable and stay valid exactly as long as the EpochGuard the
     // snapshot was acquired under — the pointer must not outlive it
@@ -141,18 +136,9 @@ class PageFile {
   const char* ReadInPlace(PageId id, int level = -1,
                           IoStatsDelta* delta = nullptr) const;
 
-  // ReadInPlace plus a copy into `out` (page_size bytes). Safe to call
-  // concurrently under the legacy contract.
+  // ReadInPlace plus a copy into `out` (page_size bytes).
   void Read(PageId id, char* out, int level = -1,
             IoStatsDelta* delta = nullptr) const;
-
-  // Copies `data` (page_size bytes) into the page in place and counts one
-  // write. LEGACY frozen-tree path only: writing a page a committed version
-  // can see would corrupt live snapshots, so this CHECKs that the page is
-  // not shared with the published version. Indexes that commit (the
-  // SR-tree) must use StageWrite(); srlint rule R6 enforces this outside
-  // src/storage/.
-  void Write(PageId id, const char* data);
 
   // --- commit protocol (single writer) -----------------------------------
 
@@ -167,7 +153,7 @@ class PageFile {
   [[nodiscard]] char* StageWrite(PageId id);
 
   // StageWrite(id) followed by a copy of `data` (page_size bytes), for
-  // callers holding a complete page image (perfbench's storage probe).
+  // callers holding a complete page image (storage probes and tests).
   void StageWrite(PageId id, const char* data);
 
   // Atomically publishes the current working state (live pages + buffers +
@@ -194,7 +180,7 @@ class PageFile {
   // drains to zero.
   EpochManager& epochs() const { return epochs_; }
 
-  // Enables a simulated LRU cache of `capacity` pages: subsequent Read()s
+  // Enables a simulated LRU cache of `capacity` pages: subsequent reads
   // still count in IoStats::reads, but IoStats::cache_misses only counts
   // reads the cache would not have served. Capacity 0 disables the
   // simulation. Used by the buffer-pool extension bench; the data path is
@@ -224,6 +210,9 @@ class PageFile {
   //   * LoadFrom is all-or-nothing: the image is staged into fresh state
   //     and swapped in only after every checksum and count validates. On
   //     any failure this PageFile — possibly a live index — is untouched.
+  //     On success the loaded pages are working state: readers keep the
+  //     previously published version until the caller's next Commit(),
+  //     which is how every index's Open() publishes what it loaded.
   //   * v1 (pre-checksum) images are no longer readable: their one-release
   //     compatibility window has closed, and LoadFrom rejects them with an
   //     explicit "re-save with v2" Corruption.

@@ -21,13 +21,11 @@
 #include <vector>
 
 #include "src/geometry/rect.h"
-#include "src/index/point_index.h"
-#include "src/storage/buffer_pool.h"
-#include "src/storage/page_file.h"
+#include "src/index/paged_index.h"
 
 namespace srtree {
 
-class TvRTree : public PointIndex {
+class TvRTree : public PagedIndex {
  public:
   struct Options {
     int dim = 2;          // full dimensionality of the stored vectors
@@ -51,11 +49,8 @@ class TvRTree : public PointIndex {
 
   int dim() const override { return options_.dim; }
   int active_dims() const { return active_dims_; }
-  size_t size() const override { return size_; }
   std::string name() const override { return "TV-tree"; }
 
-  Status Insert(PointView point, uint32_t oid) override;
-  Status Delete(PointView point, uint32_t oid) override;
 
   TreeStats GetTreeStats() const override;
   Status CheckInvariants() const override;
@@ -70,28 +65,19 @@ class TvRTree : public PointIndex {
     return maintenance_;
   }
 
-  // Forwarder to the page file's counters.
-  IoStats GetIoStats() const override { return file_.GetIoStats(); }
-
-  void SimulateBufferPool(size_t capacity) override {
-    file_.SimulateCache(capacity);
-  }
-  void UseBufferPool(size_t capacity) override {
-    pool_ = capacity > 0 ? std::make_unique<BufferPool>(&file_, capacity)
-                         : nullptr;
-  }
-
   size_t leaf_capacity() const override { return leaf_cap_; }
   size_t node_capacity() const override { return node_cap_; }
   int height() const { return root_level_ + 1; }
 
+  std::vector<Neighbor> SearchSnapshot(const PageFile::Snapshot& snap,
+                                       PointView query, const QuerySpec& spec,
+                                       IoStatsDelta* io) const override;
+
  protected:
-  std::vector<Neighbor> KnnDfsImpl(PointView query, int k,
-                                   IoStatsDelta* io) const override;
-  std::vector<Neighbor> KnnBestFirstImpl(PointView query, int k,
-                                         IoStatsDelta* io) const override;
-  std::vector<Neighbor> RangeImpl(PointView query, double radius,
-                                  IoStatsDelta* io) const override;
+  Status InsertLocked(PointView point, uint32_t oid) override
+      REQUIRES(writer_mu_);
+  Status DeleteLocked(PointView point, uint32_t oid) override
+      REQUIRES(writer_mu_);
 
  private:
   struct LeafEntry {
@@ -126,8 +112,7 @@ class TvRTree : public PointIndex {
   }
 
   // --- page I/O ---
-  Node ReadNode(PageId id, int level,
-                IoStatsDelta* io = nullptr) const;
+  Node ReadNode(PageId id, int level) const;  // writer side, counted
   Node PeekNode(PageId id) const;
   void WriteNode(const Node& node);
   void SerializeNode(const Node& node, char* buf) const;
@@ -179,10 +164,6 @@ class TvRTree : public PointIndex {
   size_t leaf_min_;
   size_t node_min_;
 
-  mutable PageFile file_;
-  // Optional warm cache on the query path (UseBufferPool); WriteNode
-  // invalidates its frames so single-writer mutation stays coherent.
-  std::unique_ptr<BufferPool> pool_;
   PageId root_id_;
   int root_level_ = 0;
   size_t size_ = 0;

@@ -38,7 +38,7 @@ double OverlapRatio(const Rect& a, const Rect& b) {
 }  // namespace
 
 XTree::XTree(const Options& options)
-    : options_(options), file_(options.page_size) {
+    : PagedIndex(options.page_size), options_(options) {
   CHECK_GT(options_.dim, 0);
   CHECK_GT(options_.min_utilization, 0.0);
   CHECK_LE(options_.min_utilization, 0.5);
@@ -64,6 +64,7 @@ XTree::XTree(const Options& options)
   root.level = 0;
   WriteNode(root);
   root_id_ = root.id;
+  PublishBuilt(root_id_, root_level_, size_);  // the empty tree
 }
 
 size_t XTree::MinEntries(const Node& node) const {
@@ -154,6 +155,7 @@ StatusOr<std::unique_ptr<XTree>> XTree::Open(const std::string& path) {
   tree->root_level_ = header.root_level;
   tree->size_ = header.size;
   tree->maintenance_ = MaintenanceStats{};
+  tree->PublishBuilt(tree->root_id_, tree->root_level_, tree->size_);
   tree->overlap_free_splits_ = 0;
   tree->supernode_extensions_ = 0;
   RETURN_IF_ERROR(tree->CheckInvariants());
@@ -164,68 +166,57 @@ StatusOr<std::unique_ptr<XTree>> XTree::Open(const std::string& path) {
 // Page I/O — supernodes are chains of pages
 // --------------------------------------------------------------------------
 
-XTree::Node XTree::LoadNode(PageId id, bool count_reads, int level,
-                            IoStatsDelta* io) const {
-  Node node;
-  node.id = id;
+PageId XTree::DecodePage(const char* raw, PageId page, Node& node) const {
   const size_t dim = static_cast<size_t>(options_.dim);
-  std::vector<char> buf(options_.page_size);
-  PageId cur = id;
-  bool first = true;
-  while (cur != kInvalidPageId) {
-    const char* raw;
-    if (count_reads) {
-      // Every page of a supernode chain is a counted read.
-      if (pool_ != nullptr) {
-        pool_->Read(cur, buf.data(), level, io);
-      } else {
-        file_.Read(cur, buf.data(), level, io);
-      }
-      raw = buf.data();
-    } else {
-      raw = file_.PeekPage(cur);
+  PageReader r(raw, options_.page_size);
+  node.level = r.GetU8();
+  r.GetU8();
+  const size_t count = r.GetU16();
+  const PageId next = r.GetU32();
+  if (node.level == 0) {
+    for (size_t i = 0; i < count; ++i) {
+      LeafEntry e;
+      e.point.resize(dim);
+      r.GetDoubles(e.point);
+      e.oid = r.GetU32();
+      r.Skip(options_.leaf_data_size);
+      node.points.push_back(std::move(e));
     }
-    PageReader r(raw, options_.page_size);
-    node.level = r.GetU8();
-    r.GetU8();
-    const size_t count = r.GetU16();
-    const PageId next = r.GetU32();
-    if (node.level == 0) {
-      for (size_t i = 0; i < count; ++i) {
-        LeafEntry e;
-        e.point.resize(dim);
-        r.GetDoubles(e.point);
-        e.oid = r.GetU32();
-        r.Skip(options_.leaf_data_size);
-        node.points.push_back(std::move(e));
-      }
-    } else {
-      for (size_t i = 0; i < count; ++i) {
-        Point lo(dim), hi(dim);
-        r.GetDoubles(lo);
-        r.GetDoubles(hi);
-        NodeEntry e;
-        e.rect = Rect(std::move(lo), std::move(hi));
-        e.child = r.GetU32();
-        node.children.push_back(std::move(e));
-      }
+  } else {
+    for (size_t i = 0; i < count; ++i) {
+      Point lo(dim), hi(dim);
+      r.GetDoubles(lo);
+      r.GetDoubles(hi);
+      NodeEntry e;
+      e.rect = Rect(std::move(lo), std::move(hi));
+      e.child = r.GetU32();
+      node.children.push_back(std::move(e));
     }
-    if (!first) node.extra_pages.push_back(cur);
-    first = false;
-    cur = next;
   }
+  if (page != node.id) node.extra_pages.push_back(page);
   node.num_pages = 1 + node.extra_pages.size();
-  return node;
+  return next;
 }
 
-XTree::Node XTree::ReadNode(PageId id, int level, IoStatsDelta* io) const {
-  Node node = LoadNode(id, /*count_reads=*/true, level, io);
+XTree::Node XTree::ReadNode(PageId id, int level) const {
+  // Every page of a supernode chain is a counted read, in place; the buffer
+  // pool caches committed pages only.
+  Node node;
+  node.id = id;
+  for (PageId page = id; page != kInvalidPageId;) {
+    page = DecodePage(file_.ReadInPlace(page, level), page, node);
+  }
   DCHECK_EQ(node.level, level);
   return node;
 }
 
 XTree::Node XTree::PeekNode(PageId id) const {
-  return LoadNode(id, /*count_reads=*/false, -1, nullptr);
+  Node node;
+  node.id = id;
+  for (PageId page = id; page != kInvalidPageId;) {
+    page = DecodePage(file_.PeekPage(page), page, node);
+  }
+  return node;
 }
 
 void XTree::WriteNode(Node& node) {
@@ -242,13 +233,14 @@ void XTree::WriteNode(Node& node) {
     node.extra_pages.pop_back();
   }
 
-  std::vector<char> buf(options_.page_size);
   const size_t total = node.count();
   for (size_t page = 0; page < node.num_pages; ++page) {
     const size_t begin = page * per_page;
     const size_t end = std::min(total, begin + per_page);
     const size_t count = begin < end ? end - begin : 0;
-    PageWriter w(buf.data(), options_.page_size);
+    const PageId page_id = page == 0 ? node.id : node.extra_pages[page - 1];
+    // Copy-on-write staging keeps snapshots on the committed buffer.
+    PageWriter w(file_.StageWrite(page_id), options_.page_size);
     w.PutU8(static_cast<uint8_t>(node.level));
     w.PutU8(0);
     w.PutU16(static_cast<uint16_t>(count));
@@ -267,9 +259,8 @@ void XTree::WriteNode(Node& node) {
         w.PutU32(node.children[i].child);
       }
     }
-    const PageId page_id = page == 0 ? node.id : node.extra_pages[page - 1];
-    if (pool_ != nullptr) pool_->Discard(page_id);  // invalidate stale frame
-    file_.Write(page_id, buf.data());  // srlint: allow(R6) frozen-tree write path (no snapshot readers)
+    // The rest of the page is zero (StageWrite hands back a dirty buffer).
+    w.Skip(w.remaining());
   }
 }
 
@@ -301,10 +292,10 @@ Rect XTree::NodeBoundingRect(const Node& node) const {
 // Insertion
 // --------------------------------------------------------------------------
 
-Status XTree::Insert(PointView point, uint32_t oid) {
-  RETURN_IF_ERROR(ValidatePoint(point, options_.dim));
+Status XTree::InsertLocked(PointView point, uint32_t oid) {
   InsertLeafEntry(LeafEntry{Point(point.begin(), point.end()), oid});
   ++size_;
+  CommitRoot(root_id_, root_level_, size_);
   return Status::OK();
 }
 
@@ -608,8 +599,7 @@ void XTree::GrowRoot(Node& left, Node& right) {
 // Deletion
 // --------------------------------------------------------------------------
 
-Status XTree::Delete(PointView point, uint32_t oid) {
-  RETURN_IF_ERROR(ValidatePoint(point, options_.dim));
+Status XTree::DeleteLocked(PointView point, uint32_t oid) {
   std::vector<Node> path;
   std::vector<int> idx;
   Node root = ReadNode(root_id_, root_level_);
@@ -631,6 +621,7 @@ Status XTree::Delete(PointView point, uint32_t oid) {
   CondenseTree(path, idx);
   ShrinkRoot();
   --size_;
+  CommitRoot(root_id_, root_level_, size_);
   return Status::OK();
 }
 
@@ -738,17 +729,21 @@ void XTree::ShrinkRoot() {
 struct XTree::SearchBound {
   static constexpr BoundSpace kSpace = BoundSpace::kSquared;
   const XTree& tree;
+  const PageFile::Snapshot& snap;
 
-  TraversalRoot root() const {
-    if (tree.size_ == 0) return {};
-    return {tree.root_id_, tree.root_level_};
-  }
+  TraversalRoot root() const { return CommittedRoot(snap); }
 
   template <typename Offer, typename Child>
   void Expand(PageId id, int level, PointView query, double leaf_bound_sq,
               KernelScratch& scratch, IoStatsDelta* io, Offer&& offer,
               Child&& child) const {
-    const Node node = tree.ReadNode(id, level, io);
+    Node node;
+    node.id = id;
+    for (PageId page = id; page != kInvalidPageId;) {
+      page = tree.DecodePage(tree.ReadQueryPage(snap, page, level, io).data,
+                             page, node);
+    }
+    DCHECK_EQ(node.level, level);
     if (node.is_leaf()) {
       ScanLeafEntries(node.points, query, leaf_bound_sq, scratch, offer);
       return;
@@ -762,19 +757,10 @@ struct XTree::SearchBound {
   }
 };
 
-std::vector<Neighbor> XTree::KnnDfsImpl(PointView query, int k,
-                                        IoStatsDelta* io) const {
-  return TraverseKnnDfs(SearchBound{*this}, query, k, io);
-}
-
-std::vector<Neighbor> XTree::KnnBestFirstImpl(PointView query, int k,
-                                              IoStatsDelta* io) const {
-  return TraverseKnnBestFirst(SearchBound{*this}, query, k, io);
-}
-
-std::vector<Neighbor> XTree::RangeImpl(PointView query, double radius,
-                                       IoStatsDelta* io) const {
-  return TraverseRange(SearchBound{*this}, query, radius, io);
+std::vector<Neighbor> XTree::SearchSnapshot(
+    const PageFile::Snapshot& snap, PointView query, const QuerySpec& spec,
+    IoStatsDelta* io) const {
+  return Traverse(SearchBound{*this, snap}, query, spec, io);
 }
 
 // --------------------------------------------------------------------------

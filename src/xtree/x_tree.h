@@ -22,13 +22,11 @@
 #include <vector>
 
 #include "src/geometry/rect.h"
-#include "src/index/point_index.h"
-#include "src/storage/buffer_pool.h"
-#include "src/storage/page_file.h"
+#include "src/index/paged_index.h"
 
 namespace srtree {
 
-class XTree : public PointIndex {
+class XTree : public PagedIndex {
  public:
   struct Options {
     int dim = 2;
@@ -55,11 +53,8 @@ class XTree : public PointIndex {
   static StatusOr<std::unique_ptr<XTree>> Open(const std::string& path);
 
   int dim() const override { return options_.dim; }
-  size_t size() const override { return size_; }
   std::string name() const override { return "X-tree"; }
 
-  Status Insert(PointView point, uint32_t oid) override;
-  Status Delete(PointView point, uint32_t oid) override;
 
   TreeStats GetTreeStats() const override;
   Status CheckInvariants() const override;
@@ -69,17 +64,6 @@ class XTree : public PointIndex {
 
   MaintenanceStats GetMaintenanceStats() const override {
     return maintenance_;
-  }
-
-  // Forwarder to the page file's counters.
-  IoStats GetIoStats() const override { return file_.GetIoStats(); }
-
-  void SimulateBufferPool(size_t capacity) override {
-    file_.SimulateCache(capacity);
-  }
-  void UseBufferPool(size_t capacity) override {
-    pool_ = capacity > 0 ? std::make_unique<BufferPool>(&file_, capacity)
-                         : nullptr;
   }
 
   size_t leaf_capacity() const override { return leaf_cap_; }
@@ -97,13 +81,15 @@ class XTree : public PointIndex {
   uint64_t overlap_free_splits() const { return overlap_free_splits_; }
   uint64_t supernode_extensions() const { return supernode_extensions_; }
 
+  std::vector<Neighbor> SearchSnapshot(const PageFile::Snapshot& snap,
+                                       PointView query, const QuerySpec& spec,
+                                       IoStatsDelta* io) const override;
+
  protected:
-  std::vector<Neighbor> KnnDfsImpl(PointView query, int k,
-                                   IoStatsDelta* io) const override;
-  std::vector<Neighbor> KnnBestFirstImpl(PointView query, int k,
-                                         IoStatsDelta* io) const override;
-  std::vector<Neighbor> RangeImpl(PointView query, double radius,
-                                  IoStatsDelta* io) const override;
+  Status InsertLocked(PointView point, uint32_t oid) override
+      REQUIRES(writer_mu_);
+  Status DeleteLocked(PointView point, uint32_t oid) override
+      REQUIRES(writer_mu_);
 
  private:
   struct LeafEntry {
@@ -132,11 +118,11 @@ class XTree : public PointIndex {
   };
 
   // --- page I/O (chained pages for supernodes) ---
-  Node ReadNode(PageId id, int level,
-                IoStatsDelta* io = nullptr) const;
+  Node ReadNode(PageId id, int level) const;  // writer side, counted
   Node PeekNode(PageId id) const;
-  Node LoadNode(PageId id, bool count_reads, int level,
-                IoStatsDelta* io) const;
+  // Appends the entries of chain page `page` of `node` (its bytes at `raw`)
+  // and returns the next page of the chain (kInvalidPageId at the end).
+  PageId DecodePage(const char* raw, PageId page, Node& node) const;
   void WriteNode(Node& node);
 
   size_t Capacity(const Node& node) const {
@@ -195,10 +181,6 @@ class XTree : public PointIndex {
   size_t leaf_min_;
   size_t node_min_;
 
-  mutable PageFile file_;
-  // Optional warm cache on the query path (UseBufferPool); WriteNode
-  // invalidates its frames so single-writer mutation stays coherent.
-  std::unique_ptr<BufferPool> pool_;
   PageId root_id_;
   int root_level_ = 0;
   size_t size_ = 0;

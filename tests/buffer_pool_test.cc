@@ -10,154 +10,134 @@
 namespace srtree {
 namespace {
 
+// Allocates `count` pages of `file`, fills page i with the byte 'a' + i and
+// commits them, so snapshots can see them.
+std::vector<PageId> CommitFilledPages(PageFile& file, int count) {
+  std::vector<PageId> ids;
+  for (int i = 0; i < count; ++i) {
+    const PageId id = file.Allocate();
+    std::memset(file.StageWrite(id), 'a' + i, file.page_size());
+    ids.push_back(id);
+  }
+  file.Commit({});
+  return ids;
+}
+
+// Pins page `id` as of `snap` and releases it.
+void Touch(BufferPool& pool, const PageFile::Snapshot& snap, PageId id) {
+  const BufferPool::PageGuard pin = pool.PinSnapshot(snap, id);
+}
+
 TEST(BufferPoolTest, HitsAvoidDiskReads) {
   PageFile file(64);
-  const PageId a = file.Allocate();
-  std::vector<char> data(64, 'a');
-  file.Write(a, data.data());
+  const PageId a = CommitFilledPages(file, 1)[0];
   file.ResetStats();
 
   BufferPool pool(&file, 4);
-  std::vector<char> out(64);
-  pool.Read(a, out.data());
-  pool.Read(a, out.data());
-  pool.Read(a, out.data());
+  const EpochGuard guard(file.epochs());
+  const PageFile::Snapshot snap = file.AcquireSnapshot(guard);
+  for (int i = 0; i < 3; ++i) {
+    const BufferPool::PageGuard pin = pool.PinSnapshot(snap, a);
+    EXPECT_EQ(pin.data()[0], 'a');
+  }
   EXPECT_EQ(file.GetIoStats().reads, 1u);  // only the first miss hit the disk
   EXPECT_EQ(pool.hits(), 2u);
   EXPECT_EQ(pool.misses(), 1u);
 }
 
-TEST(BufferPoolTest, EvictionWritesBackDirtyPages) {
-  PageFile file(64);
-  const PageId a = file.Allocate();
-  const PageId b = file.Allocate();
-  const PageId c = file.Allocate();
-  file.ResetStats();
-
-  BufferPool pool(&file, 2);
-  std::vector<char> data(64, 'x');
-  pool.Write(a, data.data());
-  EXPECT_EQ(file.GetIoStats().writes, 0u);  // buffered, not yet on disk
-
-  std::vector<char> out(64);
-  pool.Read(b, out.data());
-  pool.Read(c, out.data());  // evicts a (LRU), forcing the writeback
-  EXPECT_EQ(file.GetIoStats().writes, 1u);
-
-  std::vector<char> check(64);
-  file.Read(a, check.data());
-  EXPECT_EQ(std::memcmp(check.data(), data.data(), 64), 0);
-}
-
-TEST(BufferPoolTest, WriteCoalescing) {
-  PageFile file(64);
-  const PageId a = file.Allocate();
-  file.ResetStats();
-
-  {
-    BufferPool pool(&file, 2);
-    std::vector<char> data(64, 'y');
-    for (int i = 0; i < 10; ++i) pool.Write(a, data.data());
-  }  // destructor flushes
-  EXPECT_EQ(file.GetIoStats().writes, 1u);
-}
-
-TEST(BufferPoolTest, DiscardDropsWithoutWriteback) {
-  PageFile file(64);
-  const PageId a = file.Allocate();
-  file.ResetStats();
-
-  BufferPool pool(&file, 2);
-  std::vector<char> data(64, 'z');
-  pool.Write(a, data.data());
-  pool.Discard(a);
-  pool.FlushAll();
-  EXPECT_EQ(file.GetIoStats().writes, 0u);
-}
-
 TEST(BufferPoolTest, ReadsStayCorrectAcrossEvictions) {
   PageFile file(16);
-  std::vector<PageId> ids;
-  for (int i = 0; i < 8; ++i) {
-    const PageId id = file.Allocate();
-    std::vector<char> data(16, static_cast<char>('a' + i));
-    file.Write(id, data.data());
-    ids.push_back(id);
-  }
+  const std::vector<PageId> ids = CommitFilledPages(file, 8);
   BufferPool pool(&file, 3);
-  std::vector<char> out(16);
+  const EpochGuard guard(file.epochs());
+  const PageFile::Snapshot snap = file.AcquireSnapshot(guard);
   for (int round = 0; round < 3; ++round) {
     for (int i = 0; i < 8; ++i) {
-      pool.Read(ids[i], out.data());
-      EXPECT_EQ(out[0], static_cast<char>('a' + i));
+      const BufferPool::PageGuard pin = pool.PinSnapshot(snap, ids[i]);
+      EXPECT_EQ(pin.data()[0], static_cast<char>('a' + i));
     }
   }
+  // Cycling 8 pages through 3 frames in LRU order never hits.
+  EXPECT_EQ(pool.hits(), 0u);
+  EXPECT_EQ(pool.misses(), 24u);
 }
 
-// The zombie protocol, single-threaded: a Write() to a pinned page detaches
-// the pinned frame (the holder keeps reading the pre-write bytes until it
-// unpins) and installs the new bytes for every subsequent reader.
-TEST(BufferPoolTest, WriteToPinnedFrameKeepsOldBytesUntilUnpin) {
+// Eviction takes the least recently used frame: touching `a` before the
+// pool fills keeps it resident while `b` is evicted.
+TEST(BufferPoolTest, EvictsLeastRecentlyUsed) {
   PageFile file(64);
-  const PageId a = file.Allocate();
-  std::vector<char> old_bytes(64, 'o');
-  file.Write(a, old_bytes.data());
-
-  BufferPool pool(&file, 4);
-  {
-    BufferPool::PageGuard guard = pool.Pin(a);
-    EXPECT_EQ(guard.data()[0], 'o');
-
-    std::vector<char> new_bytes(64, 'n');
-    pool.Write(a, new_bytes.data());
-
-    // The pin still sees the bytes it pinned — no torn or switched view.
-    EXPECT_EQ(std::memcmp(guard.data(), old_bytes.data(), 64), 0);
-
-    // A fresh pin sees the new bytes immediately.
-    BufferPool::PageGuard fresh = pool.Pin(a);
-    EXPECT_EQ(std::memcmp(fresh.data(), new_bytes.data(), 64), 0);
-  }
-  // The detached frame was superseded, so only the new bytes reach disk.
-  pool.FlushAll();
-  std::vector<char> check(64);
-  file.Read(a, check.data());
-  EXPECT_EQ(check[0], 'n');
+  const std::vector<PageId> ids = CommitFilledPages(file, 3);
+  BufferPool pool(&file, 2, /*shards=*/1);
+  const EpochGuard guard(file.epochs());
+  const PageFile::Snapshot snap = file.AcquireSnapshot(guard);
+  Touch(pool, snap, ids[0]);
+  Touch(pool, snap, ids[1]);
+  Touch(pool, snap, ids[0]);  // a is now the most recently used
+  Touch(pool, snap, ids[2]);  // evicts b
+  EXPECT_EQ(pool.misses(), 3u);
+  Touch(pool, snap, ids[0]);
+  EXPECT_EQ(pool.hits(), 2u);
+  Touch(pool, snap, ids[1]);
+  EXPECT_EQ(pool.misses(), 4u);
 }
 
-TEST(BufferPoolTest, DiscardLeavesPinnedFrameReadable) {
+// Eviction skips pinned frames: with every frame pinned, the shard grows
+// instead of tearing a frame out from under its holder.
+TEST(BufferPoolTest, PinnedFramesSurviveEvictionPressure) {
   PageFile file(64);
-  const PageId a = file.Allocate();
-  std::vector<char> on_disk(64, 'd');
-  file.Write(a, on_disk.data());
-
-  BufferPool pool(&file, 4);
-  std::vector<char> staged(64, 's');
-  pool.Write(a, staged.data());
-  {
-    BufferPool::PageGuard guard = pool.Pin(a);
-    pool.Discard(a);
-    // The pinned (now zombie) frame keeps its bytes; the staged write is
-    // dropped, never written back.
-    EXPECT_EQ(std::memcmp(guard.data(), staged.data(), 64), 0);
+  const std::vector<PageId> ids = CommitFilledPages(file, 4);
+  BufferPool pool(&file, 2, /*shards=*/1);
+  const EpochGuard guard(file.epochs());
+  const PageFile::Snapshot snap = file.AcquireSnapshot(guard);
+  const BufferPool::PageGuard pin_a = pool.PinSnapshot(snap, ids[0]);
+  const BufferPool::PageGuard pin_b = pool.PinSnapshot(snap, ids[1]);
+  for (int i = 2; i < 4; ++i) {
+    const BufferPool::PageGuard pin = pool.PinSnapshot(snap, ids[i]);
+    EXPECT_EQ(pin.data()[0], static_cast<char>('a' + i));
   }
-  pool.FlushAll();
-  std::vector<char> check(64);
-  file.Read(a, check.data());
-  EXPECT_EQ(check[0], 'd');
+  EXPECT_EQ(pin_a.data()[0], 'a');
+  EXPECT_EQ(pin_b.data()[0], 'b');
+  // Both pinned frames are still cached.
+  const BufferPool::PageGuard again = pool.PinSnapshot(snap, ids[0]);
+  EXPECT_EQ(pool.hits(), 1u);
 }
 
-// Concurrent Pin/Read of a page that a writer keeps re-Writing: every pin
-// must observe one complete write (a uniform byte pattern), never a torn
-// mix. Run under TSan by the CI sanitizer job.
-TEST(BufferPoolTest, ConcurrentPinAndWriteInvalidateIsUntorn) {
+// A page rewritten and committed gets a fresh stamp, so the pool caches
+// each version under its own key: an old snapshot keeps hitting the old
+// bytes, a new one misses once and then hits the new bytes.
+TEST(BufferPoolTest, VersionsNeverAlias) {
+  PageFile file(64);
+  const PageId a = CommitFilledPages(file, 1)[0];
+  BufferPool pool(&file, 4, /*shards=*/1);
+  const EpochGuard guard(file.epochs());
+  const PageFile::Snapshot old_snap = file.AcquireSnapshot(guard);
+  { const BufferPool::PageGuard pin = pool.PinSnapshot(old_snap, a); }
+
+  std::memset(file.StageWrite(a), 'n', file.page_size());
+  file.Commit({});
+  const PageFile::Snapshot new_snap = file.AcquireSnapshot(guard);
+  {
+    const BufferPool::PageGuard pin = pool.PinSnapshot(new_snap, a);
+    EXPECT_EQ(pin.data()[0], 'n');
+  }
+  {
+    const BufferPool::PageGuard pin = pool.PinSnapshot(old_snap, a);
+    EXPECT_EQ(pin.data()[0], 'a');
+  }
+  EXPECT_EQ(pool.misses(), 2u);
+  EXPECT_EQ(pool.hits(), 1u);
+}
+
+// Concurrent pins of pages a writer keeps rewriting and committing: every
+// reader pins its own snapshot, and each pinned frame must hold one complete
+// committed version (a uniform byte pattern), never a torn mix. Run under
+// TSan by the CI sanitizer job.
+TEST(BufferPoolTest, ConcurrentPinsOfCommittedVersionsAreUntorn) {
   constexpr size_t kPageSize = 256;
   PageFile file(kPageSize);
-  const PageId a = file.Allocate();
-  std::vector<char> init(kPageSize, static_cast<char>(0));
-  file.Write(a, init.data());
+  const std::vector<PageId> ids = CommitFilledPages(file, 4);
 
-  BufferPool pool(&file, 8);
+  BufferPool pool(&file, 3);
   std::atomic<bool> stop{false};
   std::atomic<int> failures{0};
 
@@ -168,19 +148,15 @@ TEST(BufferPoolTest, ConcurrentPinAndWriteInvalidateIsUntorn) {
     return true;
   };
   const auto reader = [&] {
-    std::vector<char> out(kPageSize);
     while (!stop.load(std::memory_order_relaxed)) {
-      {
-        BufferPool::PageGuard guard = pool.Pin(a);
-        if (!uniform(guard.data(), kPageSize)) {
+      const EpochGuard guard(file.epochs());
+      const PageFile::Snapshot snap = file.AcquireSnapshot(guard);
+      for (const PageId id : ids) {
+        const BufferPool::PageGuard pin = pool.PinSnapshot(snap, id);
+        if (!uniform(pin.data(), kPageSize)) {
           failures.fetch_add(1, std::memory_order_relaxed);
           return;
         }
-      }
-      pool.Read(a, out.data());
-      if (!uniform(out.data(), kPageSize)) {
-        failures.fetch_add(1, std::memory_order_relaxed);
-        return;
       }
     }
   };
@@ -188,11 +164,10 @@ TEST(BufferPoolTest, ConcurrentPinAndWriteInvalidateIsUntorn) {
   std::vector<std::thread> readers;
   for (int t = 0; t < 4; ++t) readers.emplace_back(reader);
 
-  std::vector<char> buf(kPageSize);
   for (int i = 0; i < 4000; ++i) {
-    std::memset(buf.data(), static_cast<char>(i & 0x7f), kPageSize);
-    pool.Write(a, buf.data());
-    if (i % 16 == 15) pool.Discard(a);  // mix in pin-while-discard traffic
+    std::memset(file.StageWrite(ids[static_cast<size_t>(i) % ids.size()]),
+                i & 0x7f, kPageSize);
+    file.Commit({});
   }
   stop.store(true, std::memory_order_relaxed);
   for (std::thread& t : readers) t.join();

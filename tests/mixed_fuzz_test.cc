@@ -12,8 +12,10 @@
 #include "src/benchlib/experiment.h"
 #include "src/core/sr_tree.h"
 #include "src/debug/fuzzer.h"
+#include "src/index/index_factory.h"
 #include "src/statictier/tiered_index.h"
 #include "src/storage/epoch.h"
+#include "tests/test_util.h"
 
 namespace srtree {
 namespace {
@@ -40,9 +42,9 @@ TEST(MixedFuzzTest, ReadersMatchOracleWhileWriterCommits) {
   // Quiesced epilogue: with every reader joined, one reclamation pass must
   // free every retired page version — anything left is a leak in the
   // epoch-based reclamation protocol (and would show up in LSan too).
-  EXPECT_EQ(tree.epochs_for_test().active_readers(), 0u);
-  tree.epochs_for_test().ReclaimExpired();
-  EXPECT_EQ(tree.epochs_for_test().retired_count(), 0u);
+  EXPECT_EQ(tree.epochs().active_readers(), 0u);
+  tree.epochs().ReclaimExpired();
+  EXPECT_EQ(tree.epochs().retired_count(), 0u);
 }
 
 // The pooled read path under the same schedule: snapshot-stamped frames in
@@ -60,8 +62,8 @@ TEST(MixedFuzzTest, BufferPooledReadersMatchOracleWhileWriterCommits) {
   const Status status = debug::RunMixedReadWriteFuzz(tree, options);
   EXPECT_TRUE(status.ok()) << status.ToString();
 
-  tree.epochs_for_test().ReclaimExpired();
-  EXPECT_EQ(tree.epochs_for_test().retired_count(), 0u);
+  tree.epochs().ReclaimExpired();
+  EXPECT_EQ(tree.epochs().retired_count(), 0u);
 }
 
 // The tiered index under the same schedule, with the writer additionally
@@ -89,14 +91,71 @@ TEST(MixedFuzzTest, TieredReadersSurviveCompactionUnderneath) {
   EXPECT_LE(index.delta_size_for_test(), 150u);
 }
 
-// The frozen-tree structures advertise no snapshot isolation (version 0);
-// the mixed fuzzer must refuse them rather than report vacuous success.
-TEST(MixedFuzzTest, RejectsIndexesWithoutSnapshotIsolation) {
+// The same schedule over every other dynamic tree: all paged trees share
+// the SR-tree's commit protocol (src/index/paged_index.h), so their readers
+// are snapshot-isolated from the writer too.
+IndexConfig SmallTreeConfig() {
   IndexConfig config;
   config.dim = 6;
   config.page_size = 1024;
   config.leaf_data_size = 0;
-  auto index = MakeIndex(IndexType::kSSTree, config);
+  return config;
+}
+
+// Quiesced epilogue: once every reader has joined, one reclamation pass
+// must free every retired page version.
+void ExpectRetiredDrains(const PointIndex& index) {
+  EpochManager* epochs = index.epoch_domain_for_test();
+  ASSERT_NE(epochs, nullptr);
+  EXPECT_EQ(epochs->active_readers(), 0u);
+  epochs->ReclaimExpired();
+  EXPECT_EQ(epochs->retired_count(), 0u);
+}
+
+class MixedFuzzTreeTest : public ::testing::TestWithParam<IndexType> {};
+
+TEST_P(MixedFuzzTreeTest, ReadersMatchOracleWhileWriterCommits) {
+  auto index = MakeIndex(GetParam(), SmallTreeConfig());
+
+  debug::MixedFuzzOptions options;
+  options.seed = 20261015;
+  options.initial_points = 600;
+  options.num_mutations = 600;
+  options.num_reader_threads = 4;
+  const Status status = debug::RunMixedReadWriteFuzz(*index, options);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  ExpectRetiredDrains(*index);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DynamicBaselines, MixedFuzzTreeTest,
+    ::testing::Values(IndexType::kSSTree, IndexType::kRStarTree,
+                      IndexType::kKdbTree, IndexType::kXTree,
+                      IndexType::kTvTree),
+    [](const ::testing::TestParamInfo<IndexType>& info) {
+      return testing::TypeToken(info.param);
+    });
+
+// A baseline tree's pooled read path under the same schedule.
+TEST(MixedFuzzTest, BufferPooledRStarReadersMatchOracle) {
+  auto index = MakeIndex(IndexType::kRStarTree, SmallTreeConfig());
+
+  debug::MixedFuzzOptions options;
+  options.seed = 20261016;
+  options.initial_points = 600;
+  options.num_mutations = 600;
+  options.num_reader_threads = 4;
+  options.buffer_pool_pages = 64;
+  const Status status = debug::RunMixedReadWriteFuzz(*index, options);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  ExpectRetiredDrains(*index);
+}
+
+// The brute-force scan, the oracle with no page file, is the one structure
+// without snapshot isolation (version 0); the mixed fuzzer must refuse it
+// rather than report vacuous success.
+TEST(MixedFuzzTest, RejectsIndexesWithoutSnapshotIsolation) {
+  auto index = MakeIndex(IndexType::kScan, SmallTreeConfig());
 
   debug::MixedFuzzOptions options;
   options.initial_points = 50;

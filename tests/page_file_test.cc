@@ -81,12 +81,19 @@ TEST(PageFileTest, AllocateReadWrite) {
   PageFile file(256);
   const PageId id = file.Allocate();
   std::vector<char> data(256, 'a');
-  file.Write(id, data.data());
+  file.StageWrite(id, data.data());
+  file.Commit({});
 
   std::vector<char> out(256);
   file.Read(id, out.data());
   EXPECT_EQ(std::memcmp(out.data(), data.data(), 256), 0);
-  EXPECT_EQ(file.GetIoStats().reads, 1u);
+  {
+    const EpochGuard guard(file.epochs());
+    std::vector<char> committed(256);
+    file.AcquireSnapshot(guard).Read(id, committed.data());
+    EXPECT_EQ(std::memcmp(committed.data(), data.data(), 256), 0);
+  }
+  EXPECT_EQ(file.GetIoStats().reads, 2u);
   EXPECT_EQ(file.GetIoStats().writes, 1u);
 }
 
@@ -135,7 +142,7 @@ TEST(PageFileTest, StatsReset) {
   const PageId a = file.Allocate();
   std::vector<char> buf(64);
   file.Read(a, buf.data(), 0);
-  file.Write(a, buf.data());
+  file.StageWrite(a, buf.data());
   file.ResetStats();
   const IoStats stats = file.GetIoStats();
   EXPECT_EQ(stats.reads, 0u);

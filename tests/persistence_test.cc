@@ -36,9 +36,10 @@ TEST(PageFilePersistenceTest, RoundTrip) {
   const PageId c = file.Allocate();
   file.Free(b);
   std::vector<char> data(64, 'q');
-  file.Write(a, data.data());
+  file.StageWrite(a, data.data());
   std::vector<char> data2(64, 'z');
-  file.Write(c, data2.data());
+  file.StageWrite(c, data2.data());
+  file.Commit({});
 
   const std::string path = TempPath("pagefile.img");
   ASSERT_TRUE(file.Save(path).ok());
@@ -146,8 +147,9 @@ TEST(PageFilePersistenceTest, FailedLoadLeavesPriorContentsUntouched) {
   const PageId a = file.Allocate();
   const PageId b = file.Allocate();
   std::vector<char> da(64, 'a'), db(64, 'b');
-  file.Write(a, da.data());
-  file.Write(b, db.data());
+  file.StageWrite(a, da.data());
+  file.StageWrite(b, db.data());
+  file.Commit({});
   const std::string before_a(file.PeekPage(a), 64);
   const std::string before_b(file.PeekPage(b), 64);
 
@@ -202,9 +204,11 @@ TEST(PageFilePersistenceTest, TornSpliceOfTwoValidImagesRejected) {
   PageFile newer(64), older(64);
   std::vector<char> dn(64, 'n'), dold(64, 'o');
   for (int i = 0; i < 4; ++i) {
-    newer.Write(newer.Allocate(), dn.data());
-    older.Write(older.Allocate(), dold.data());
+    newer.StageWrite(newer.Allocate(), dn.data());
+    older.StageWrite(older.Allocate(), dold.data());
   }
+  newer.Commit({});
+  older.Commit({});
   std::ostringstream bn(std::ios::binary), bo(std::ios::binary);
   ASSERT_TRUE(newer.SaveTo(bn).ok());
   ASSERT_TRUE(older.SaveTo(bo).ok());
@@ -236,7 +240,8 @@ TEST(PageFilePersistenceTest, V1ImageIsRejectedWithClearError) {
   PageFile target(64);
   const PageId keep = target.Allocate();
   std::vector<char> data(64, 'k');
-  target.Write(keep, data.data());
+  target.StageWrite(keep, data.data());
+  target.Commit({});
 
   std::istringstream in(std::move(buf).str(), std::ios::binary);
   const Status status = target.LoadFrom(in);

@@ -204,18 +204,19 @@ TEST(StaticSRTreeTest, TombstoneFilterMasksPointsInSnapshotSearches) {
     ASSERT_TRUE(oracle.Delete(data.point(i), static_cast<uint32_t>(i)).ok());
   }
 
-  const EpochGuard guard(tree.epoch_domain());
+  const EpochGuard guard(tree.epochs());
   const PageFile::Snapshot snap = tree.AcquirePageSnapshot(guard);
   for (const Point& q : SampleQueriesFromDataset(data, 15, /*seed=*/41)) {
-    ExpectSameNeighbors(tree.KnnDfsSnapshot(snap, q, 10, nullptr, &tombstones),
-                        oracle.Search(q, QuerySpec::Knn(10)).neighbors);
     ExpectSameNeighbors(
-        tree.KnnBestFirstSnapshot(snap, q, 10, nullptr, &tombstones),
+        tree.SearchSnapshot(snap, q, QuerySpec::Knn(10), nullptr, &tombstones),
         oracle.Search(q, QuerySpec::Knn(10)).neighbors);
+    ExpectSameNeighbors(tree.SearchSnapshot(snap, q, QuerySpec::KnnBestFirst(10),
+                                            nullptr, &tombstones),
+                        oracle.Search(q, QuerySpec::Knn(10)).neighbors);
     const double radius =
         oracle.Search(q, QuerySpec::Knn(5)).neighbors.back().distance;
-    ExpectSameNeighbors(
-        tree.RangeSnapshot(snap, q, radius, nullptr, &tombstones),
+    ExpectSameNeighbors(tree.SearchSnapshot(snap, q, QuerySpec::Range(radius),
+                                            nullptr, &tombstones),
         oracle.Search(q, QuerySpec::Range(radius)).neighbors);
   }
 }

@@ -1,5 +1,7 @@
 #include "src/vamsplit/vam_split_r_tree.h"
 
+#include <memory>
+
 #include <gtest/gtest.h>
 
 #include "src/workload/uniform.h"
@@ -32,6 +34,25 @@ TEST(VamSplitRTreeTest, BulkLoadTwiceFails) {
   ASSERT_TRUE(tree.BulkLoad(data.ToPoints(), data.SequentialOids()).ok());
   EXPECT_EQ(tree.BulkLoad(data.ToPoints(), data.SequentialOids()).code(),
             StatusCode::kFailedPrecondition);
+}
+
+// BulkLoad publishes the whole build as one committed version: a snapshot
+// pinned before it still sees the empty tree.
+TEST(VamSplitRTreeTest, BulkLoadCommitsExactlyOnce) {
+  VamSplitRTree::Options options;
+  options.dim = 2;
+  VamSplitRTree tree(options);
+  const std::unique_ptr<IndexSnapshot> before = tree.AcquireSnapshot();
+  const Dataset data = MakeUniformDataset(500, 2, /*seed=*/67);
+  ASSERT_TRUE(tree.BulkLoad(data.ToPoints(), data.SequentialOids()).ok());
+  const std::unique_ptr<IndexSnapshot> after = tree.AcquireSnapshot();
+  EXPECT_EQ(after->version(), before->version() + 1);
+  EXPECT_EQ(after->size(), 500u);
+  EXPECT_EQ(before->size(), 0u);
+  EXPECT_TRUE(
+      before->Search(data.point(0), QuerySpec::Knn(5)).neighbors.empty());
+  EXPECT_EQ(after->Search(data.point(0), QuerySpec::Knn(5)).neighbors.size(),
+            5u);
 }
 
 TEST(VamSplitRTreeTest, UsesMinimumNumberOfLeaves) {
