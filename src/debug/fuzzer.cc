@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <string>
 #include <thread>
 #include <utility>
@@ -23,6 +24,9 @@ namespace {
 // index and the oracle, so in practice they agree bitwise; the tolerance
 // only guards against benign summation-order differences.
 constexpr double kDistEps = 1e-9;
+
+// MutationFuzzer::Run probes non-finite input every this many mutations.
+constexpr uint64_t kNonFiniteProbeEvery = 16;
 
 std::string FormatNeighbors(const std::vector<Neighbor>& n, size_t limit = 8) {
   std::string s = "[";
@@ -626,8 +630,38 @@ Status MutationFuzzer::Run(std::unique_ptr<PointIndex>& index,
     if (!st.ok()) return fail("oracle bulk load failed: " + st.ToString());
   }
 
+  // A separate generator keeps the regular schedule identical to a run
+  // without probes.
+  Xoshiro256 probe_rng(options_.seed ^ 0x6e6f6e2d66696e69ull);
+  const auto probe_non_finite = [&]() {
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    constexpr double kBad[] = {std::numeric_limits<double>::quiet_NaN(), kInf,
+                               -kInf};
+    Point p(static_cast<size_t>(dim));
+    for (double& c : p) {
+      c = probe_rng.Uniform(options_.coord_lo, options_.coord_hi);
+    }
+    p[probe_rng.NextBounded(p.size())] = kBad[probe_rng.NextBounded(3)];
+    const uint32_t oid = next_oid + 2'000'000;
+    const size_t size_before = index->size();
+    const uint64_t version_before = index->AcquireSnapshot()->version();
+    const Status inserted = index->Insert(p, oid);
+    const Status deleted = index->Delete(p, oid);
+    if (!inserted.IsInvalidArgument() || !deleted.IsInvalidArgument()) {
+      return fail("non-finite point: insert said " + inserted.ToString() +
+                  ", delete said " + deleted.ToString());
+    }
+    if (index->size() != size_before ||
+        index->AcquireSnapshot()->version() != version_before) {
+      return fail("a rejected non-finite mutation changed the index");
+    }
+    ++stats_.non_finite_rejects;
+    return Status::OK();
+  };
+
   const auto one_mutation = [&]() {
     ++op;
+    if (op % kNonFiniteProbeEvery == 0) RETURN_IF_ERROR(probe_non_finite());
     const bool do_delete =
         !live.empty() && rng.NextDouble() < options_.delete_fraction;
     if (do_delete) {
@@ -709,6 +743,7 @@ Status MutationFuzzer::Run(std::unique_ptr<PointIndex>& index,
 
   if (options_.num_mutations == 0) {
     for (size_t b = 0; b < options_.query_only_batches; ++b) {
+      RETURN_IF_ERROR(probe_non_finite());
       RETURN_IF_ERROR(end_batch());
     }
   } else {

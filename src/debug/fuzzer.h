@@ -68,12 +68,15 @@ struct FuzzStats {
   uint64_t audits = 0;
   uint64_t reopens = 0;
   uint64_t compacts = 0;
+  // Insert+Delete pairs of a point with a NaN or infinite coordinate, each
+  // rejected with InvalidArgument (see MutationFuzzer::Run).
+  uint64_t non_finite_rejects = 0;
 };
 
 // Concurrent read-path fuzz: bulk-loads `index` (which must be empty) and a
 // brute-force oracle with the same seeded points, then runs `num_threads`
 // reader threads, each issuing a seeded mix of kNN (depth-first and
-// best-first) and range queries through Search() against the frozen tree.
+// best-first) and range queries through Search() with no writer running.
 // Every result is cross-checked against the oracle, and at the end the sum
 // of the per-query IoStatsDelta values is checked against the index's global
 // GetIoStats() movement (the accounting-parity contract). Run it under TSan
@@ -146,7 +149,10 @@ class MutationFuzzer {
   // Runs the schedule against `index` (replaced in place by the reopen
   // hook). OK when the run completes with no divergence from the oracle
   // and no audit violations; otherwise a Corruption status naming the
-  // seed, operation number, and first failure.
+  // seed, operation number, and first failure. Every 16th mutation, and
+  // once per query-only batch, the run also tries to insert and delete a
+  // point with a NaN or infinite coordinate: both must return
+  // InvalidArgument and leave size() and the committed version unchanged.
   Status Run(std::unique_ptr<PointIndex>& index,
              const ReopenFn& reopen = nullptr);
 

@@ -13,10 +13,10 @@
 // Snapshot isolation: RunBatch acquires ONE IndexSnapshot for the whole
 // batch and every worker queries through it, so all results are evaluated
 // against the same pinned version — byte-identical to a sequential loop
-// over that snapshot even while a writer commits mid-batch (SR-tree; for
-// the frozen-tree structures the snapshot is a pass-through and the old
-// no-mutation contract still applies). The engine itself never mutates the
-// index, and RunBatch serializes callers.
+// over that snapshot even while the index's single writer commits
+// mid-batch (every paged index; only the brute-force scan, which has no
+// versions, needs its mutations kept out of a running batch). The engine
+// itself never mutates the index, and RunBatch serializes callers.
 
 #ifndef SRTREE_ENGINE_QUERY_ENGINE_H_
 #define SRTREE_ENGINE_QUERY_ENGINE_H_

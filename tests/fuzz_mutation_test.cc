@@ -133,5 +133,49 @@ INSTANTIATE_TEST_SUITE_P(
                       FuzzParam{IndexType::kTvTree, 404}),
     ParamName);
 
+// The run's non-finite probes, over all ten index types: each Insert and
+// Delete of a point with a NaN or infinite coordinate must come back
+// InvalidArgument with the index unchanged, and the oracle cross-checks
+// and audits around them must stay clean. Static structures see the probes
+// in their query-only batches.
+class MutationFuzzNonFiniteTest : public ::testing::TestWithParam<IndexType> {
+};
+
+TEST_P(MutationFuzzNonFiniteTest, ProbesRejectedWithoutSideEffects) {
+  constexpr int kDim = 4;
+  std::unique_ptr<PointIndex> index = MakeSmallPageIndex(GetParam(), kDim);
+
+  debug::FuzzOptions options;
+  options.seed = 505;
+  options.batch_size = 100;
+  options.knn_queries_per_batch = 4;
+  options.range_queries_per_batch = 4;
+  const bool is_static = GetParam() == IndexType::kVamSplitRTree ||
+                         GetParam() == IndexType::kStaticSRTree;
+  if (is_static) {
+    options.num_mutations = 0;
+    options.initial_points = 400;
+    options.query_only_batches = 3;
+  } else {
+    options.num_mutations = 400;
+  }
+
+  debug::MutationFuzzer fuzzer(options);
+  const Status status = fuzzer.Run(index);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(fuzzer.stats().non_finite_rejects, is_static ? 3u : 25u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllIndexTypes, MutationFuzzNonFiniteTest,
+    ::testing::Values(IndexType::kSRTree, IndexType::kSSTree,
+                      IndexType::kRStarTree, IndexType::kKdbTree,
+                      IndexType::kVamSplitRTree, IndexType::kXTree,
+                      IndexType::kTvTree, IndexType::kScan,
+                      IndexType::kStaticSRTree, IndexType::kTieredSRTree),
+    [](const ::testing::TestParamInfo<IndexType>& info) {
+      return TypeToken(info.param);
+    });
+
 }  // namespace
 }  // namespace srtree

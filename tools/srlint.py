@@ -28,13 +28,8 @@ tools/lint.py checks file *shape* (guards, include style); srlint checks
       storage::AtomicWriteFile / IndexImageFile / ReadFileToString so every
       byte on disk is covered by the durability contract — a raw stream
       silently opts out of checksums, atomic rename, and fault injection.
-  R6  direct page writes: no PageFile Write() member calls (receivers named
-      *file*) under src/ outside src/storage/, where the copy-on-write
-      commit protocol lives. Snapshot-isolated structures stage mutations
-      with StageWrite() and publish them with Commit(); a direct Write()
-      mutates a page in place, tearing any committed version that still
-      references its buffer. The frozen-tree structures (no snapshot
-      readers) waive their writer line explicitly.
+  (R6, direct PageFile writes, is retired: PageFile has no in-place Write()
+  any more, so the compiler rejects what it flagged.)
   R7  kernel bypass: no free SquaredDistance()/Distance() calls in the
       tree directories. Those wrappers are deprecated scalar shims; tree
       code computes distances through GetDistanceKernel() — the batched
@@ -56,7 +51,7 @@ tools/lint.py checks file *shape* (guards, include style); srlint checks
 A finding on one line can be waived in place with a comment naming the rule
 and a reason, e.g.
 
-    file_.Write(id, buf);  // srlint: allow(R6) frozen-tree write path
+    std::lock_guard<std::mutex> lock(mu);  // srlint: allow(R2) vendored API
 
 Discovery is git-based (tracked files under the first-party dirs) and
 compile_commands-aware: entries from <build>/compile_commands.json are
@@ -222,12 +217,6 @@ R4_TEST_RE = re.compile(r"^\s*(TEST|TEST_F|TEST_P|TYPED_TEST)\s*\(")
 R5_STREAM_RE = re.compile(r"\bstd\s*::\s*(ifstream|ofstream|fstream)\b")
 R5_ALLOWED_DIRS = ("src/storage/", "src/workload/")
 
-# Member Write() calls on a receiver whose name contains "file" — the
-# PageFile idiom throughout the codebase (file_, file, image_file, ...).
-# StageWrite()/WriteBack() and non-file receivers do not match.
-R6_WRITE_RE = re.compile(r"\b\w*[Ff]ile\w*\s*(?:\.|->)\s*Write\s*\(")
-R6_ALLOWED_DIRS = ("src/storage/",)
-
 # Free-function calls (qualified or not): the lookbehind rejects member
 # access (., ->) and longer identifiers, so sphere.MinDist(),
 # cand.PruneDistance() and kernel_detail::ScalarSquaredL2() never match,
@@ -366,20 +355,6 @@ def check_r9(rel: str, lines: list[str]):
                 f"src/index/traversal.h with a bound policy")
 
 
-def check_r6(rel: str, lines: list[str]):
-    if not rel.startswith("src/") or rel.startswith(R6_ALLOWED_DIRS):
-        return
-    for lineno, line in enumerate(lines, start=1):
-        m = R6_WRITE_RE.search(line)
-        if m:
-            yield Finding(
-                rel, lineno, "R6",
-                "direct PageFile Write() outside src/storage/; stage "
-                "mutations with StageWrite() and publish with Commit() so "
-                "committed snapshots stay immutable (frozen-tree writers "
-                "carry an explicit waiver)")
-
-
 # --------------------------------------------------------------------------
 # Discovery and driver.
 
@@ -458,7 +433,7 @@ def lint_files(root: pathlib.Path, files: list[str]) -> list[Finding]:
         for f in (*check_r1(rel, code_lines), *check_r2(rel, code_lines),
                   *check_r3(rel, code_lines, raw_lines),
                   *check_r4(rel, code_lines, registered),
-                  *check_r5(rel, code_lines), *check_r6(rel, code_lines),
+                  *check_r5(rel, code_lines),
                   *check_r7(rel, code_lines),
                   *check_r8(rel, code_lines, raw_lines),
                   *check_r9(rel, code_lines)):
@@ -510,7 +485,7 @@ def run_self_test() -> int:
         ok = False
         print(f"self-test: SPURIOUS finding {rule} at {rel}:{lineno}")
     rules_seen = {rule for _, _, rule in want}
-    for rule in ("R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9"):
+    for rule in ("R1", "R2", "R3", "R4", "R5", "R7", "R8", "R9"):
         if rule not in rules_seen:
             ok = False
             print(f"self-test: fixture tree seeds no {rule} violation")
