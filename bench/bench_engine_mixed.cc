@@ -11,7 +11,9 @@
 // and once with a concurrent writer thread looping over an insert/delete
 // schedule for the duration of the batch loop. Queries per second is batch
 // size times rounds over wall time; mutations/s is the writer's committed
-// throughput over the same wall clock.
+// throughput over the same wall clock. The last column sums
+// BatchStats::steals over the rounds: the queries workers ran beyond an
+// even share of each batch.
 
 #include <atomic>
 #include <thread>
@@ -54,7 +56,7 @@ int Run(const BenchOptions& options) {
                   std::to_string(n) + ", D=" + std::to_string(dim) +
                   ", batch=" + std::to_string(batch.size()) + ")",
               {"workers", "writer", "queries/s", "mutations/s",
-               "reads/query", "stolen chunks"});
+               "reads/query", "queries over even share"});
 
   for (const int workers : {1, 2, 4, 8}) {
     for (const bool with_writer : {false, true}) {

@@ -2,13 +2,16 @@
 // QueryEngine as the worker count scales, with and without a shared sharded
 // buffer pool. The paper's figures are single-threaded and uncached by
 // design; this bench measures what the same SR-tree read path delivers when
-// a batch of queries is spread over a work-stealing worker pool.
+// a batch of queries is spread over a worker pool that claims queries one
+// at a time from a shared cursor.
 //
 // Method: build one SR-tree over a 16-d uniform data set, then run the same
 // query batch through engines with 1/2/4/8 workers. Queries per second is
 // batch size over wall time; per-query reads come from the summed
 // IoStatsDelta values, so the pooled rows also show how many reads the
-// buffer pool absorbed.
+// buffer pool absorbed. The last column is BatchStats::steals: the queries
+// workers ran beyond an even share of the batch, i.e. the imbalance the
+// cursor absorbed.
 
 #include "bench/bench_util.h"
 #include "src/engine/query_engine.h"
@@ -39,7 +42,7 @@ int Run(const BenchOptions& options) {
                   std::to_string(n) + ", D=" + std::to_string(dim) +
                   ", batch=" + std::to_string(batch.size()) + ")",
               {"workers", "buffer pool", "queries/s", "speedup vs 1 worker",
-               "reads/query", "stolen chunks"});
+               "reads/query", "queries over even share"});
 
   for (const size_t pool_pages : {size_t{0}, size_t{512}}) {
     double base_qps = 0.0;

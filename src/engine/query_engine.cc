@@ -8,9 +8,14 @@
 
 namespace srtree {
 
+namespace {
+
+constexpr uint64_t kIndexMask = 0xffffffffu;
+
+}  // namespace
+
 EngineOptions QueryEngine::Sanitized(EngineOptions options) {
   options.num_workers = std::max(1, options.num_workers);
-  options.steal_grain = std::max<size_t>(1, options.steal_grain);
   return options;
 }
 
@@ -21,13 +26,9 @@ QueryEngine::QueryEngine(std::unique_ptr<PointIndex> index,
   if (options_.buffer_pool_pages > 0) {
     index_->UseBufferPool(options_.buffer_pool_pages);
   }
-  queues_.reserve(options_.num_workers);
-  for (int i = 0; i < options_.num_workers; ++i) {
-    queues_.push_back(std::make_unique<WorkerQueue>());
-  }
   workers_.reserve(options_.num_workers);
   for (int i = 0; i < options_.num_workers; ++i) {
-    workers_.emplace_back(&QueryEngine::WorkerLoop, this, i);
+    workers_.emplace_back(&QueryEngine::WorkerLoop, this);
   }
 }
 
@@ -44,48 +45,37 @@ std::vector<QueryResult> QueryEngine::RunBatch(
     std::span<const Query> queries) {
   MutexLock batch_lock(batch_mu_);
   CHECK(index_ != nullptr);  // ReleaseIndex() ends the engine's service life
+  // The cursor's index half is 32 bits wide.
+  CHECK_LE(queries.size(), kIndexMask);
 
   const WallTimer timer;
   std::vector<QueryResult> results(queries.size());
-  size_t total_chunks = 0;
   if (!queries.empty()) {
-    // One pinned view for the whole batch: every chunk — owned or stolen,
-    // on any worker — queries the same committed version, so the results
-    // are byte-identical to a sequential loop over this snapshot even if a
+    // One pinned view for the whole batch: every query, on any worker,
+    // runs against the same committed version, so the results are
+    // byte-identical to a sequential loop over this snapshot even if a
     // writer commits while the batch drains. Shared ownership: workers copy
-    // the handle under mu_, so the view stays alive for every chunk even on
+    // the handle under mu_, so the view stays alive for every query even on
     // schedules where a worker is still draining after RunBatch resets the
     // published copy below.
     const std::shared_ptr<const IndexSnapshot> snapshot =
         index_->AcquireSnapshot();
-    // Deal contiguous chunks round-robin across the worker deques.
-    const size_t grain = options_.steal_grain;
     {
       MutexLock lock(mu_);
       ++epoch_;
       batch_queries_ = queries;
       batch_results_ = &results;
       batch_snapshot_ = snapshot;
+      remaining_ = queries.size();
       steals_ = 0;
-      int next_worker = 0;
-      for (size_t begin = 0; begin < queries.size(); begin += grain) {
-        const size_t end = std::min(queries.size(), begin + grain);
-        WorkerQueue& q = *queues_[next_worker];
-        {
-          MutexLock qlock(q.mu);
-          q.chunks.push_back(Chunk{begin, end, next_worker, epoch_});
-        }
-        next_worker = (next_worker + 1) % static_cast<int>(queues_.size());
-        ++total_chunks;
-      }
-      chunks_remaining_ = total_chunks;
+      cursor_.store(epoch_ << 32);  // (epoch tag, index 0)
     }
     work_cv_.NotifyAll();
     {
       // Explicit wait loop (not a predicate lambda) so the analysis sees
-      // the guarded read of chunks_remaining_ under mu_.
+      // the guarded read of remaining_ under mu_.
       MutexLock lock(mu_);
-      while (chunks_remaining_ != 0) done_cv_.Wait(mu_);
+      while (remaining_ != 0) done_cv_.Wait(mu_);
       batch_results_ = nullptr;
       batch_queries_ = {};
       batch_snapshot_ = nullptr;
@@ -94,7 +84,6 @@ std::vector<QueryResult> QueryEngine::RunBatch(
 
   BatchStats stats;
   stats.queries = queries.size();
-  stats.chunks = total_chunks;
   stats.wall_seconds = timer.ElapsedSeconds();
   {
     MutexLock lock(mu_);
@@ -121,16 +110,17 @@ std::unique_ptr<PointIndex> QueryEngine::ReleaseIndex() {
   return std::move(index_);
 }
 
-void QueryEngine::WorkerLoop(int worker_id) {
+void QueryEngine::WorkerLoop() {
+  const size_t num_workers = static_cast<size_t>(options_.num_workers);
   uint64_t seen_epoch = 0;
   while (true) {
-    // The batch state is snapshotted under mu_ so RunChunk below can index
-    // into it without the lock. The snapshot is only valid for chunks of
-    // epoch `seen_epoch`: once the last such chunk is done, RunBatch may
-    // return and the caller may dispatch the next batch while this worker
-    // is still in its drain loop. PopLocal/StealFrom therefore filter by
-    // epoch — a newer chunk bounces the worker back to the wait loop to
-    // re-snapshot before executing it.
+    // The batch state is snapshotted under mu_ so the claim loop below can
+    // index into it without the lock. The snapshot is only valid for
+    // queries of epoch `seen_epoch`: once every such query is done,
+    // RunBatch may return and the caller may dispatch the next batch while
+    // this worker is still in its claim loop. Claim() therefore checks the
+    // cursor's epoch half, and a newer batch bounces the worker back here
+    // to re-snapshot before it runs anything.
     std::span<const Query> queries;
     std::vector<QueryResult>* results = nullptr;
     std::shared_ptr<const IndexSnapshot> snapshot;
@@ -145,60 +135,44 @@ void QueryEngine::WorkerLoop(int worker_id) {
       results = batch_results_;
       snapshot = batch_snapshot_;
     }
-    // Drain: own deque first, then steal. When both are dry *for this
-    // epoch* the batch has no work left for this worker (chunks in flight
-    // elsewhere finish on their executors; newer-epoch chunks are picked up
-    // after re-snapshotting), so it returns to the wait loop.
-    Chunk chunk;
-    while (PopLocal(worker_id, seen_epoch, chunk) ||
-           StealFrom(worker_id, seen_epoch, chunk)) {
-      RunChunk(chunk, queries, *snapshot, *results);
-      size_t remaining;
-      {
-        MutexLock lock(mu_);
-        CHECK_GT(chunks_remaining_, 0u);
-        remaining = --chunks_remaining_;
-        if (chunk.owner != worker_id) ++steals_;
-      }
-      if (remaining == 0) done_cv_.NotifyAll();
+    // A worker that wakes after the batch already completed finds it reset
+    // to empty, claims nothing and goes back to waiting.
+    const uint32_t epoch_tag = static_cast<uint32_t>(seen_epoch);
+    size_t claimed = 0;
+    size_t i = 0;
+    while (Claim(epoch_tag, queries.size(), i)) {
+      const Query& q = queries[i];
+      (*results)[i] = snapshot->Search(q.point, q.spec);
+      ++claimed;
     }
+    if (claimed == 0) continue;
+    // Report once per batch. Until this worker's share is subtracted the
+    // batch cannot complete, so remaining_ and steals_ still belong to the
+    // batch of `seen_epoch`.
+    const size_t even_share =
+        (queries.size() + num_workers - 1) / num_workers;
+    bool done;
+    {
+      MutexLock lock(mu_);
+      CHECK_LE(claimed, remaining_);
+      remaining_ -= claimed;
+      if (claimed > even_share) steals_ += claimed - even_share;
+      done = remaining_ == 0;
+    }
+    if (done) done_cv_.NotifyAll();
   }
 }
 
-bool QueryEngine::PopLocal(int worker_id, uint64_t epoch, Chunk& out) {
-  WorkerQueue& q = *queues_[worker_id];
-  MutexLock lock(q.mu);
-  // A mismatched chunk belongs to a batch dispatched after the snapshot
-  // this worker is executing against; leave it queued and report "dry" so
-  // the caller re-snapshots first. Queues never mix epochs (RunBatch only
-  // deals after the previous batch fully drained), so checking the front
-  // suffices.
-  if (q.chunks.empty() || q.chunks.front().epoch != epoch) return false;
-  out = q.chunks.front();
-  q.chunks.pop_front();
-  return true;
-}
-
-bool QueryEngine::StealFrom(int worker_id, uint64_t epoch, Chunk& out) {
-  const int n = static_cast<int>(queues_.size());
-  for (int step = 1; step < n; ++step) {
-    WorkerQueue& victim = *queues_[(worker_id + step) % n];
-    MutexLock lock(victim.mu);
-    if (!victim.chunks.empty() && victim.chunks.back().epoch == epoch) {
-      out = victim.chunks.back();
-      victim.chunks.pop_back();
+bool QueryEngine::Claim(uint32_t epoch_tag, size_t batch_size,
+                        size_t& index) {
+  uint64_t cursor = cursor_.load();
+  while (true) {
+    const uint64_t next = cursor & kIndexMask;
+    if (cursor >> 32 != epoch_tag || next >= batch_size) return false;
+    if (cursor_.compare_exchange_weak(cursor, cursor + 1)) {
+      index = next;
       return true;
     }
-  }
-  return false;
-}
-
-void QueryEngine::RunChunk(const Chunk& chunk, std::span<const Query> queries,
-                           const IndexSnapshot& snapshot,
-                           std::vector<QueryResult>& results) {
-  for (size_t i = chunk.begin; i < chunk.end; ++i) {
-    const Query& q = queries[i];
-    results[i] = snapshot.Search(q.point, q.spec);
   }
 }
 

@@ -2,13 +2,12 @@
 //
 // A QueryEngine owns a PointIndex plus a fixed pool of worker threads, and
 // executes batches of queries through the thread-safe snapshot read path.
-// Scheduling is work-stealing: a batch is cut into contiguous chunks of
-// `steal_grain` queries, dealt round-robin to per-worker deques; an owner
-// pops from the front of its own deque and a thief steals from the back of
-// a victim's, so contention concentrates on opposite ends. Results are
-// written by query position, which makes RunBatch deterministic: the output
-// is byte-identical to a sequential loop no matter how chunks are scheduled
-// or stolen.
+// Scheduling is one shared cursor per batch: every worker claims the next
+// unclaimed query index with a compare-exchange until the batch runs out,
+// so no worker idles while another still has queued work, whatever the
+// per-query cost. Results are written by query position, which makes
+// RunBatch deterministic: the output is byte-identical to a sequential loop
+// no matter which worker ran which query.
 //
 // Snapshot isolation: RunBatch acquires ONE IndexSnapshot for the whole
 // batch and every worker queries through it, so all results are evaluated
@@ -21,8 +20,9 @@
 #ifndef SRTREE_ENGINE_QUERY_ENGINE_H_
 #define SRTREE_ENGINE_QUERY_ENGINE_H_
 
+#include <atomic>
 #include <cstddef>
-#include <deque>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <thread>
@@ -50,16 +50,16 @@ struct EngineOptions {
   // When > 0, attaches a sharded BufferPool of this many pages to the index
   // for the engine's lifetime (detached again by ReleaseIndex()).
   size_t buffer_pool_pages = 0;
-  // Queries per scheduling chunk. Small grains steal better under skewed
-  // per-query cost; large grains amortize deque locking.
-  size_t steal_grain = 16;
 };
 
 // Aggregate accounting for the most recent RunBatch() call.
 struct BatchStats {
   size_t queries = 0;
-  size_t chunks = 0;
-  size_t steals = 0;         // chunks executed by a non-owner worker
+  // Load imbalance the cursor absorbed: the queries each worker ran beyond
+  // an even share ceil(queries / num_workers), summed over workers. Zero
+  // with one worker or a perfectly even split; it grows when some workers
+  // take the cheap queries while others are held up by expensive ones.
+  size_t steals = 0;
   double wall_seconds = 0.0; // whole-batch wall time on the calling thread
   IoStatsDelta io;           // sum of the per-query deltas
 };
@@ -91,44 +91,14 @@ class QueryEngine {
   std::unique_ptr<PointIndex> ReleaseIndex() EXCLUDES(batch_mu_);
 
  private:
-  // Contiguous range [begin, end) of query indices, tagged with the worker
-  // deque it was dealt to (so executed-by-thief chunks can be counted) and
-  // the epoch that dispatched it. The epoch tag is the cross-batch safety
-  // net: a worker only pops chunks whose epoch matches the batch state it
-  // snapshotted, so a chunk dealt by the *next* RunBatch can never run
-  // against the previous batch's (by then destroyed) results vector.
-  struct Chunk {
-    size_t begin = 0;
-    size_t end = 0;
-    int owner = 0;
-    uint64_t epoch = 0;
-  };
+  void WorkerLoop();
+  // Claims the next query index of the batch tagged `epoch_tag`, or returns
+  // false once that batch has no unclaimed query left (or the cursor has
+  // moved on to a later batch).
+  bool Claim(uint32_t epoch_tag, size_t batch_size, size_t& index);
 
-  struct WorkerQueue {
-    Mutex mu;
-    std::deque<Chunk> chunks GUARDED_BY(mu);
-  };
-
-  void WorkerLoop(int worker_id);
-  // Owner end: pop the front of our own deque. Only pops chunks dispatched
-  // for `epoch`; a newer chunk is left in place for the worker to pick up
-  // after it re-snapshots the batch state.
-  bool PopLocal(int worker_id, uint64_t epoch, Chunk& out);
-  // Thief end: scan the other deques, stealing from the back. Same epoch
-  // filter as PopLocal.
-  bool StealFrom(int worker_id, uint64_t epoch, Chunk& out);
-  // Executes one chunk against snapshots of the batch state: the worker
-  // copies `batch_queries_`/`batch_results_`/`batch_snapshot_` out under
-  // mu_ when it observes the new epoch, so the per-query loop runs without
-  // touching guarded members (and without the lock). The snapshots are only
-  // ever applied to chunks carrying the same epoch tag (enforced by
-  // PopLocal/StealFrom).
-  void RunChunk(const Chunk& chunk, std::span<const Query> queries,
-                const IndexSnapshot& snapshot,
-                std::vector<QueryResult>& results);
-
-  // EngineOptions with num_workers and steal_grain clamped to >= 1, so
-  // options_ can be initialized (and stay) const.
+  // EngineOptions with num_workers clamped to >= 1, so options_ can be
+  // initialized (and stay) const.
   static EngineOptions Sanitized(EngineOptions options);
 
   // Written in the constructor and by ReleaseIndex() only; workers read it
@@ -139,14 +109,13 @@ class QueryEngine {
       "written by ctor and batch_mu_-serialized ReleaseIndex only");
   const EngineOptions options_;
 
-  std::vector<std::unique_ptr<WorkerQueue>> queues_;
   std::vector<std::thread> workers_ UNGUARDED_OK(
       "spawned in the constructor, joined in the destructor");
 
   // Capability map: batch_mu_ serializes RunBatch/ReleaseIndex callers and
   // guards no data; mu_ guards the epoch/progress fields below, which are
-  // valid between dispatch and completion of one epoch; each WorkerQueue's
-  // mu guards its deque; stats_mu_ guards last_stats_.
+  // valid between dispatch and completion of one epoch; stats_mu_ guards
+  // last_stats_. The claim cursor is lock-free.
   Mutex batch_mu_;
   Mutex mu_;
   CondVar work_cv_;  // workers wait here between batches
@@ -155,14 +124,26 @@ class QueryEngine {
   bool shutdown_ GUARDED_BY(mu_) = false;
   std::span<const Query> batch_queries_ GUARDED_BY(mu_);
   std::vector<QueryResult>* batch_results_ GUARDED_BY(mu_) = nullptr;
-  // The one pinned view every chunk of the current batch queries. Shared
-  // ownership (not a raw pointer borrowed from the RunBatch frame): each
-  // worker copies the handle under mu_, so the snapshot provably outlives
-  // every chunk no matter how the drain interleaves — srcheck rule C5
+  // The one pinned view every query of the current batch runs against.
+  // Shared ownership (not a raw pointer borrowed from the RunBatch frame):
+  // each worker copies the handle under mu_, so the snapshot provably outlives
+  // every query no matter how the drain interleaves — srcheck rule C5
   // rejects the borrowed-pointer shape.
   std::shared_ptr<const IndexSnapshot> batch_snapshot_ GUARDED_BY(mu_);
-  size_t chunks_remaining_ GUARDED_BY(mu_) = 0;
+  // Queries not yet reported done; each worker subtracts the count it
+  // claimed once per batch, and the one that reaches zero wakes RunBatch.
+  size_t remaining_ GUARDED_BY(mu_) = 0;
   size_t steals_ GUARDED_BY(mu_) = 0;
+
+  // The claim cursor: (low 32 bits of epoch_) << 32 | next query index.
+  // RunBatch resets it under mu_ when it dispatches a batch; workers then
+  // advance it by compare-exchange, and only while its epoch half matches
+  // the batch they snapshotted. A worker still draining batch N therefore
+  // cannot claim (and write a result for) a query of batch N+1 through its
+  // stale batch state; it has to re-snapshot under mu_ first. A blind
+  // fetch_add would give no such guarantee. (The tag repeats only after
+  // 2^32 batches, which no straggler between two claims can outlast.)
+  std::atomic<uint64_t> cursor_{0};
 
   mutable Mutex stats_mu_;
   BatchStats last_stats_ GUARDED_BY(stats_mu_);

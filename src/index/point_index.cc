@@ -1,6 +1,7 @@
 #include "src/index/point_index.h"
 
 #include <cmath>
+#include <limits>
 
 #include "src/common/timer.h"
 
@@ -40,12 +41,24 @@ QueryResult PointIndex::Search(PointView query, const QuerySpec& spec) const {
   return RunValidatedSearch(*this, dim(), query, spec);
 }
 
+double MaxCoordinateMagnitude(int dim) {
+  return std::sqrt(std::numeric_limits<double>::max() / 2 / dim) / 2;
+}
+
 Status ValidatePoint(PointView point, int dim) {
   if (static_cast<int>(point.size()) != dim) {
     return Status::InvalidArgument("point dimensionality mismatch");
   }
   if (!AllFinite(point)) {
     return Status::InvalidArgument("point has a non-finite coordinate");
+  }
+  const double limit = MaxCoordinateMagnitude(dim);
+  for (const double x : point) {
+    if (std::fabs(x) > limit) {
+      return Status::InvalidArgument(
+          "point coordinate magnitude exceeds the numeric domain, where "
+          "squared distances could overflow");
+    }
   }
   return Status::OK();
 }

@@ -55,11 +55,20 @@ class SearchDispatch {
                                              int dim, PointView query,
                                              const QuerySpec& spec);
 
+// The numeric domain of a stored coordinate at dimensionality `dim`: the
+// largest magnitude m with D·(2m)² <= DBL_MAX / 2. D·(2m)² bounds every
+// squared distance between two stored points; the factor-two headroom
+// absorbs the rounding of any summation order, since at the bare threshold
+// a D-term kernel sum still overflows for some D (3, 9, 11, ...).
+[[nodiscard]] double MaxCoordinateMagnitude(int dim);
+
 // The boundary checks every mutation shares, so a point no query could
 // reach is never stored: InvalidArgument when `point` does not have `dim`
-// coordinates or has a non-finite one (NaN compares false against every
-// bound). ValidateBulkLoad also requires one oid per point, and checks
-// every point before a BulkLoad stores any.
+// coordinates, has a non-finite one (NaN compares false against every
+// bound), or has one beyond MaxCoordinateMagnitude(dim), where squared
+// distances could overflow to inf and stop ranking. ValidateBulkLoad also
+// requires one oid per point, and checks every point before a BulkLoad
+// stores any.
 [[nodiscard]] Status ValidatePoint(PointView point, int dim);
 [[nodiscard]] Status ValidateBulkLoad(const std::vector<Point>& points,
                                       const std::vector<uint32_t>& oids,

@@ -1,10 +1,14 @@
-// Non-finite input is rejected at the API boundary.
+// Non-finite and out-of-domain input is rejected at the API boundary.
 //
 // Regressions: a query with a NaN coordinate used to return OK with zero
 // neighbors (every MINDIST comparison against NaN is false, so the
 // traversal pruned everything), and an Insert of a NaN point (SR, SS and
 // R* trees alike) was counted by size() but could never be found again.
+// Finite points at ~1e154 (D=8) were stored, and SR and SS then disagreed
+// with the scan on a quarter of the queries because squared distances
+// overflowed to inf.
 
+#include <cmath>
 #include <limits>
 #include <memory>
 #include <string>
@@ -38,6 +42,18 @@ std::vector<Point> NonFinitePoints() {
   for (const double bad : {kNaN, kInf, -kInf}) {
     Point p(kDim, 0.5);
     p[1] = bad;
+    points.push_back(p);
+  }
+  return points;
+}
+
+// Finite points just outside the numeric domain, in either sign.
+std::vector<Point> OutOfDomainPoints() {
+  const double beyond = std::nextafter(MaxCoordinateMagnitude(kDim), kInf);
+  std::vector<Point> points;
+  for (const double bad : {beyond, -beyond, 1e300}) {
+    Point p(kDim, 0.5);
+    p[2] = bad;
     points.push_back(p);
   }
   return points;
@@ -82,19 +98,19 @@ bool TakesPointMutations(IndexType type) {
          type != IndexType::kStaticSRTree;
 }
 
-class NonFiniteMutationTest : public ::testing::TestWithParam<IndexType> {};
-
-TEST_P(NonFiniteMutationTest, InsertAndDeleteRejectedWithoutSideEffects) {
-  auto index = testing::MakeSmallPageIndex(GetParam(), kDim);
+// Insert and Delete of each bad point fail without touching the index.
+void ExpectPointMutationsRejected(IndexType type,
+                                  const std::vector<Point>& bad_points) {
+  auto index = testing::MakeSmallPageIndex(type, kDim);
   const Dataset data = MakeUniformDataset(200, kDim, /*seed=*/41);
   ASSERT_TRUE(index->BulkLoad(data.ToPoints(), data.SequentialOids()).ok());
   const uint64_t version = index->AcquireSnapshot()->version();
-  for (const Point& p : NonFinitePoints()) {
+  for (const Point& p : bad_points) {
     const Status inserted = index->Insert(p, 9000);
     const Status deleted = index->Delete(p, 9000);
     EXPECT_FALSE(inserted.ok());
     EXPECT_FALSE(deleted.ok());
-    if (TakesPointMutations(GetParam())) {
+    if (TakesPointMutations(type)) {
       EXPECT_TRUE(inserted.IsInvalidArgument()) << inserted.ToString();
       EXPECT_TRUE(deleted.IsInvalidArgument()) << deleted.ToString();
     }
@@ -109,10 +125,11 @@ TEST_P(NonFiniteMutationTest, InsertAndDeleteRejectedWithoutSideEffects) {
 
 // BulkLoad validates every point before storing any: one bad point leaves
 // the index empty and still loadable.
-TEST_P(NonFiniteMutationTest, BulkLoadRejectedBeforeStoringAnything) {
+void ExpectBulkLoadRejected(IndexType type,
+                           const std::vector<Point>& bad_points) {
   const Dataset data = MakeUniformDataset(150, kDim, /*seed=*/43);
-  for (const Point& bad : NonFinitePoints()) {
-    auto index = testing::MakeSmallPageIndex(GetParam(), kDim);
+  for (const Point& bad : bad_points) {
+    auto index = testing::MakeSmallPageIndex(type, kDim);
     std::vector<Point> points = data.ToPoints();
     points[points.size() / 2] = bad;
     const Status status = index->BulkLoad(points, data.SequentialOids());
@@ -126,11 +143,72 @@ TEST_P(NonFiniteMutationTest, BulkLoadRejectedBeforeStoringAnything) {
   }
 }
 
+class NonFiniteMutationTest : public ::testing::TestWithParam<IndexType> {};
+
+TEST_P(NonFiniteMutationTest, InsertAndDeleteRejectedWithoutSideEffects) {
+  ExpectPointMutationsRejected(GetParam(), NonFinitePoints());
+}
+
+TEST_P(NonFiniteMutationTest, BulkLoadRejectedBeforeStoringAnything) {
+  ExpectBulkLoadRejected(GetParam(), NonFinitePoints());
+}
+
 INSTANTIATE_TEST_SUITE_P(AllIndexes, NonFiniteMutationTest,
                          ::testing::ValuesIn(AllIndexTypes()),
                          [](const ::testing::TestParamInfo<IndexType>& info) {
                            return testing::TypeToken(info.param);
                          });
+
+class OutOfDomainMutationTest
+    : public ::testing::TestWithParam<IndexType> {};
+
+TEST_P(OutOfDomainMutationTest, InsertAndDeleteRejectedWithoutSideEffects) {
+  ExpectPointMutationsRejected(GetParam(), OutOfDomainPoints());
+}
+
+TEST_P(OutOfDomainMutationTest, BulkLoadRejectedBeforeStoringAnything) {
+  ExpectBulkLoadRejected(GetParam(), OutOfDomainPoints());
+}
+
+INSTANTIATE_TEST_SUITE_P(AllIndexes, OutOfDomainMutationTest,
+                         ::testing::ValuesIn(AllIndexTypes()),
+                         [](const ::testing::TestParamInfo<IndexType>& info) {
+                           return testing::TypeToken(info.param);
+                         });
+
+// The domain boundary itself: the limit is accepted in either sign, the
+// next double beyond it is not, and the promise behind the limit holds —
+// two stored points at opposite corners of the domain, the farthest pair
+// it admits, still rank by a finite distance in the scan and the SR-tree.
+TEST(NumericDomainTest, ValidatePointBoundary) {
+  for (const int dim : {1, 3, 8, 16, 64}) {
+    SCOPED_TRACE(::testing::Message() << "dim " << dim);
+    const double limit = MaxCoordinateMagnitude(dim);
+    ASSERT_TRUE(std::isfinite(limit));
+    EXPECT_TRUE(std::isfinite(dim * (2 * limit) * (2 * limit)));
+    const double beyond = std::nextafter(limit, kInf);
+    for (const double sign : {1.0, -1.0}) {
+      Point p(dim, 0.0);
+      p[dim - 1] = sign * limit;
+      EXPECT_TRUE(ValidatePoint(p, dim).ok());
+      p[dim - 1] = sign * beyond;
+      EXPECT_TRUE(ValidatePoint(p, dim).IsInvalidArgument());
+    }
+
+    for (const IndexType type : {IndexType::kScan, IndexType::kSRTree}) {
+      auto index = MakeIndex(type, IndexConfig{.dim = dim});
+      const Point high(dim, limit);
+      const Point low(dim, -limit);
+      ASSERT_TRUE(index->Insert(high, 1).ok());
+      ASSERT_TRUE(index->Insert(low, 2).ok());
+      const QueryResult result = index->Search(high, QuerySpec::Knn(2));
+      ASSERT_TRUE(result.status.ok());
+      ASSERT_EQ(result.neighbors.size(), 2u);
+      EXPECT_EQ(result.neighbors[1].oid, 2u);
+      EXPECT_TRUE(std::isfinite(result.neighbors[1].distance));
+    }
+  }
+}
 
 }  // namespace
 }  // namespace srtree

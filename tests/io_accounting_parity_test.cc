@@ -68,7 +68,6 @@ class IoAccountingParityTest : public ::testing::TestWithParam<IndexType> {
 TEST_P(IoAccountingParityTest, FourWorkerBatchDeltasSumToGlobalCounters) {
   EngineOptions options;
   options.num_workers = 4;
-  options.steal_grain = 4;
   QueryEngine engine(BuildIndex(), options);
   const std::vector<Query> batch = MakeBatch();
 

@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -62,7 +65,7 @@ TEST(QueryEngineEdgeTest, EmptyBatchCompletesAndCountsZero) {
   const std::vector<QueryResult> results = engine.RunBatch({});
   EXPECT_TRUE(results.empty());
   EXPECT_EQ(engine.last_batch_stats().queries, 0u);
-  EXPECT_EQ(engine.last_batch_stats().chunks, 0u);
+  EXPECT_EQ(engine.last_batch_stats().steals, 0u);
 
   // The pool must stay healthy: an empty batch followed by a real one.
   const std::vector<Query> queries = {
@@ -75,7 +78,6 @@ TEST(QueryEngineEdgeTest, EmptyBatchCompletesAndCountsZero) {
 TEST(QueryEngineEdgeTest, MoreWorkersThanQueries) {
   EngineOptions options;
   options.num_workers = 8;
-  options.steal_grain = 1;  // every query is its own chunk
   QueryEngine engine(BuildSmallIndex(200), options);
 
   std::vector<Query> queries;
@@ -118,27 +120,34 @@ TEST(QueryEngineEdgeTest, DestructionWithIdlePool) {
 }
 
 TEST(QueryEngineEdgeTest, BackToBackBatchesNeverCrossEpochs) {
-  // Regression test for a cross-epoch use-after-free: a worker that drains
-  // the last chunk of batch N used to loop straight back into PopLocal/
-  // StealFrom, and if the caller had already dispatched batch N+1 it could
-  // execute an N+1 chunk against the stale results pointer snapshotted for
-  // N — a write through a destroyed vector. Chunks are now epoch-tagged and
-  // a worker refuses chunks from an epoch it did not snapshot. Tiny batches
-  // with single-query chunks maximize the dispatch-while-draining window; a
+  // Regression test for a cross-epoch use-after-free: a worker that has
+  // snapshotted batch N's state but not yet claimed anything can lose the
+  // race to the others; they finish N, the caller dispatches batch N+1,
+  // and the late worker's first claim then lands in N+1 while it still
+  // holds N's queries and results pointer — a write through a destroyed
+  // vector. The epoch tag lives in the claim cursor: a worker only claims
+  // while the cursor's epoch half matches the batch it snapshotted, and
+  // otherwise re-snapshots first. Tiny batches on many workers maximize
+  // the window, and alternating two batches of different sizes and points
+  // makes a crossed claim visible: it answers the wrong query into the
+  // wrong (or a freed) vector and leaves this batch's slot empty. A
   // regression can surface under TSan as a data race / heap-use-after-free,
   // or in any build as a wrong or missing result.
   EngineOptions options;
   options.num_workers = 8;
-  options.steal_grain = 1;
   QueryEngine engine(BuildSmallIndex(200), options);
 
-  std::vector<Query> queries;
-  for (const Point& q : SampleUniformQueries(kDim, 5, /*seed=*/229)) {
-    queries.push_back({q, QuerySpec::Knn(4)});
+  std::vector<Query> batches[2];
+  std::vector<QueryResult> want[2];
+  for (int b = 0; b < 2; ++b) {
+    for (const Point& q :
+         SampleUniformQueries(kDim, b == 0 ? 5 : 2, /*seed=*/229 + b)) {
+      batches[b].push_back({q, QuerySpec::Knn(4)});
+    }
+    want[b] = RunSequential(engine.index(), batches[b]);
   }
-  const std::vector<QueryResult> want = RunSequential(engine.index(), queries);
   for (int round = 0; round < 500; ++round) {
-    ExpectSameAnswers(engine.RunBatch(queries), want);
+    ExpectSameAnswers(engine.RunBatch(batches[round % 2]), want[round % 2]);
   }
 }
 
@@ -151,6 +160,68 @@ TEST(QueryEngineEdgeTest, ReleaseIndexAfterEmptyBatch) {
   ASSERT_NE(index, nullptr);
   EXPECT_EQ(index->size(), 100u);
 }
+
+// Every batch shape the cursor can meet — empty, smaller than the pool,
+// one past a power of two, many times the pool — on pool sizes from one
+// worker to more than the container's cores. Every seventh query asks for
+// the whole dataset, so per-query cost is skewed and the workers that draw
+// the expensive ones fall behind. Each case must match the sequential loop
+// byte for byte, and the index's own read counter must move by exactly the
+// sequential reads: a query run twice (or skipped) would show there.
+class QueryEngineSweepTest
+    : public ::testing::TestWithParam<std::tuple<int, size_t>> {};
+
+TEST_P(QueryEngineSweepTest, SkewedBatchMatchesSequentialAndRunsEachOnce) {
+  constexpr size_t kPoints = 200;
+  const auto [workers, batch_size] = GetParam();
+  EngineOptions options;
+  options.num_workers = workers;
+  QueryEngine engine(BuildSmallIndex(kPoints), options);
+
+  std::vector<Query> queries;
+  const std::vector<Point> points =
+      SampleUniformQueries(kDim, batch_size, /*seed=*/233);
+  for (size_t i = 0; i < points.size(); ++i) {
+    queries.push_back(
+        {points[i], QuerySpec::Knn(i % 7 == 3 ? kPoints : 1)});
+  }
+  const std::vector<QueryResult> want = RunSequential(engine.index(), queries);
+  uint64_t want_reads = 0;
+  for (const QueryResult& r : want) want_reads += r.io.reads;
+
+  const uint64_t before = engine.index().GetIoStats().reads;
+  const std::vector<QueryResult> got = engine.RunBatch(queries);
+  const uint64_t after = engine.index().GetIoStats().reads;
+
+  ExpectSameAnswers(got, want);
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].io.reads, want[i].io.reads) << "query " << i;
+  }
+  const BatchStats stats = engine.last_batch_stats();
+  EXPECT_EQ(stats.queries, batch_size);
+  EXPECT_EQ(stats.io.reads, want_reads);
+  EXPECT_EQ(after - before, want_reads);
+  // steals counts queries beyond an even share, so a lone worker has none
+  // and no worker can exceed the whole batch.
+  const size_t even_share = (batch_size + workers - 1) / workers;
+  EXPECT_LE(stats.steals, batch_size - even_share);
+  if (workers == 1) {
+    EXPECT_EQ(stats.steals, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    WorkersByBatch, QueryEngineSweepTest,
+    ::testing::Combine(::testing::Values(1, 2, 3, 4, 8),
+                       ::testing::Values<size_t>(0, 1, 2, 3, 5, 64, 65,
+                                                 200)),
+    [](const ::testing::TestParamInfo<std::tuple<int, size_t>>& info) {
+      std::string name = "W";
+      name += std::to_string(std::get<0>(info.param));
+      name += "_N";
+      name += std::to_string(std::get<1>(info.param));
+      return name;
+    });
 
 }  // namespace
 }  // namespace srtree

@@ -208,7 +208,6 @@ TEST_F(QueryEngineTest, EightWorkersMatchSequentialByteForByte) {
 
   EngineOptions options;
   options.num_workers = 8;
-  options.steal_grain = 4;  // small grain => many chunks => real stealing
   QueryEngine engine(std::move(index), options);
   const std::vector<QueryResult> results = engine.RunBatch(batch);
 
@@ -220,7 +219,9 @@ TEST_F(QueryEngineTest, EightWorkersMatchSequentialByteForByte) {
 
   const BatchStats stats = engine.last_batch_stats();
   EXPECT_EQ(stats.queries, batch.size());
-  EXPECT_GT(stats.chunks, 0u);
+  // No worker can run more than the whole batch, so the imbalance beyond
+  // an even share is at most what the other seven workers' shares hold.
+  EXPECT_LE(stats.steals, batch.size() - (batch.size() + 7) / 8);
   EXPECT_GT(stats.io.reads, 0u);
 }
 
@@ -287,8 +288,7 @@ TEST_F(QueryEngineTest, RunBatchPinsOneSnapshotAcrossWriterCommits) {
   PointIndex* const raw = owned.get();  // the SR-tree's single writer handle
 
   EngineOptions options;
-  options.num_workers = 4;
-  options.steal_grain = 2;  // many chunks => commits land between chunks
+  options.num_workers = 4;  // per-query claims => commits land in between
   QueryEngine engine(std::move(owned), options);
 
   const std::vector<Query> probe = MakeBatch(1);
