@@ -1,15 +1,13 @@
 // Extension (beyond the paper): batch k-NN throughput of the concurrent
-// QueryEngine as the worker count scales, with and without a shared sharded
-// buffer pool. The paper's figures are single-threaded and uncached by
-// design; this bench measures what the same SR-tree read path delivers when
-// a batch of queries is spread over a worker pool that claims queries one
-// at a time from a shared cursor.
+// QueryEngine as the worker count scales. The paper's figures are
+// single-threaded and uncached by design; this bench measures what the same
+// SR-tree read path delivers when a batch of queries is spread over a
+// worker pool that claims queries one at a time from a shared cursor.
 //
 // Method: build one SR-tree over a 16-d uniform data set, then run the same
 // query batch through engines with 1/2/4/8 workers. Queries per second is
 // batch size over wall time; per-query reads come from the summed
-// IoStatsDelta values, so the pooled rows also show how many reads the
-// buffer pool absorbed. The last column is BatchStats::steals: the queries
+// IoStatsDelta values. The last column is BatchStats::steals: the queries
 // workers ran beyond an even share of the batch, i.e. the imbalance the
 // cursor absorbed.
 
@@ -41,32 +39,27 @@ int Run(const BenchOptions& options) {
   Table table("Batch k-NN throughput vs workers (SR-tree, uniform, n=" +
                   std::to_string(n) + ", D=" + std::to_string(dim) +
                   ", batch=" + std::to_string(batch.size()) + ")",
-              {"workers", "buffer pool", "queries/s", "speedup vs 1 worker",
-               "reads/query", "queries over even share"});
+              {"workers", "queries/s", "speedup vs 1 worker", "reads/query",
+               "queries over even share"});
 
-  for (const size_t pool_pages : {size_t{0}, size_t{512}}) {
-    double base_qps = 0.0;
-    for (const int workers : {1, 2, 4, 8}) {
-      EngineOptions engine_options;
-      engine_options.num_workers = workers;
-      engine_options.buffer_pool_pages = pool_pages;
-      QueryEngine engine(std::move(index), engine_options);
-      (void)engine.RunBatch(batch);  // warm-up (and pool fill) pass
-      const std::vector<QueryResult> results = engine.RunBatch(batch);
-      const BatchStats stats = engine.last_batch_stats();
-      index = engine.ReleaseIndex();
+  double base_qps = 0.0;
+  for (const int workers : {1, 2, 4, 8}) {
+    EngineOptions engine_options;
+    engine_options.num_workers = workers;
+    QueryEngine engine(std::move(index), engine_options);
+    (void)engine.RunBatch(batch);  // warm-up pass
+    const std::vector<QueryResult> results = engine.RunBatch(batch);
+    const BatchStats stats = engine.last_batch_stats();
+    index = engine.ReleaseIndex();
 
-      for (const QueryResult& r : results) CHECK(r.status.ok());
-      const double qps =
-          static_cast<double>(batch.size()) / stats.wall_seconds;
-      if (workers == 1) base_qps = qps;
-      table.AddRow({std::to_string(workers),
-                    pool_pages == 0 ? "none" : std::to_string(pool_pages),
-                    FormatNum(qps), FormatNum(qps / base_qps),
-                    FormatNum(static_cast<double>(stats.io.reads) /
-                              static_cast<double>(batch.size())),
-                    std::to_string(stats.steals)});
-    }
+    for (const QueryResult& r : results) CHECK(r.status.ok());
+    const double qps = static_cast<double>(batch.size()) / stats.wall_seconds;
+    if (workers == 1) base_qps = qps;
+    table.AddRow({std::to_string(workers), FormatNum(qps),
+                  FormatNum(qps / base_qps),
+                  FormatNum(static_cast<double>(stats.io.reads) /
+                            static_cast<double>(batch.size())),
+                  std::to_string(stats.steals)});
   }
   table.Print();
   return bench::EmitJsonReport(options, {table});

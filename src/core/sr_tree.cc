@@ -286,9 +286,7 @@ SRTree::Node SRTree::DeserializeNode(const char* buf, PageId id) const {
 }
 
 void SRTree::ReadNode(PageId id, int level, Node& node) const {
-  // The writer reads its own working pages: in place, counted like any disk
-  // read, and never through the buffer pool, whose frames only cache
-  // committed (page id, stamp) pairs for queries.
+  // The writer reads its working pages in place, counted like any disk read.
   DecodeNode(file_.ReadInPlace(id, level), id, node);
   DCHECK_EQ(node.level, level);
 }
@@ -300,8 +298,7 @@ SRTree::Node SRTree::PeekNode(PageId id) const {
 void SRTree::WriteNode(const Node& node) {
   // Serialized straight into the staged buffer, which SerializeNode fills
   // completely. Copy-on-write staging keeps snapshots on the committed
-  // buffer, and the buffer pool needs no invalidation: its frames are keyed
-  // by stamp, and staging a shared page moves this id to a fresh one.
+  // buffer: staging a shared page moves this id to a fresh one.
   SerializeNode(node, file_.StageWrite(node.id));
 }
 
@@ -748,7 +745,7 @@ void SRTree::ShrinkRoot() {
 
 // The SR-tree's bound policy for the shared traversals
 // (src/index/traversal.h) over one pinned version: every page is read in
-// place (ReadQueryPage) and bounded by the Section 4.4 MINDIST,
+// place (snap.ReadInPlace) and bounded by the Section 4.4 MINDIST,
 // max(sphere, rect), in distance space (SrEntryMinDists).
 struct SRTree::SearchBound {
   static constexpr BoundSpace kSpace = BoundSpace::kDistance;
@@ -761,15 +758,15 @@ struct SRTree::SearchBound {
   void Expand(PageId id, int level, PointView query, double leaf_bound_sq,
               KernelScratch& scratch, IoStatsDelta* io, Offer&& offer,
               Child&& child) const {
-    const QueryPage page = tree.ReadQueryPage(snap, id, level, io);
-    DCHECK_EQ(SoaPageLevel(page.data), level);
+    const char* page = snap.ReadInPlace(id, level, io);
+    DCHECK_EQ(SoaPageLevel(page), level);
     if (level == 0) {
-      const SoaLeafView leaf = ParseSoaLeaf(page.data, tree.options_.dim);
+      const SoaLeafView leaf = ParseSoaLeaf(page, tree.options_.dim);
       ScanSoaLeaf(leaf, query, leaf_bound_sq, scratch,
                   [&](double d2, size_t i) { offer(d2, leaf.oids[i]); });
       return;
     }
-    const SoaInnerView inner = ParseSoaInner(page.data, tree.options_.dim);
+    const SoaInnerView inner = ParseSoaInner(page, tree.options_.dim);
     const std::vector<double>& md = SrEntryMinDists(
         inner, query, tree.options_.use_rect_in_mindist, scratch);
     for (size_t i = 0; i < inner.count; ++i) child(md[i], inner.tail[i]);

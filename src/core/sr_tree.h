@@ -34,11 +34,10 @@
 // The writer decodes its working pages in place into reused Node storage
 // (ReadNode) and serializes nodes straight into the buffer StageWrite
 // hands back (WriteNode). A query never decodes: it overlays SoaBlock views
-// on the pinned version's own page buffer (PageFile::Snapshot::ReadInPlace,
-// or a pinned BufferPool frame) and feeds them to the distance kernels —
-// no lock, no copy, no per-entry decode, no allocation per page read. The
-// image header records the layout; Open() rejects images in the retired
-// row-major layout.
+// on the pinned version's own page buffer (PageFile::Snapshot::ReadInPlace)
+// and feeds them to the distance kernels — no lock, no copy, no per-entry
+// decode, no allocation per page read. The image header records the layout;
+// Open() rejects images in the retired row-major layout.
 
 #ifndef SRTREE_CORE_SR_TREE_H_
 #define SRTREE_CORE_SR_TREE_H_
@@ -124,7 +123,7 @@ class SRTree : public PagedIndex {
     return root_level_ + 1;
   }
 
-  // Reads every page in place from the pinned version (ReadQueryPage).
+  // Reads every page in place from the pinned version (snap.ReadInPlace).
   std::vector<Neighbor> SearchSnapshot(const PageFile::Snapshot& snap,
                                        PointView query, const QuerySpec& spec,
                                        IoStatsDelta* io) const override;
@@ -171,9 +170,8 @@ class SRTree : public PagedIndex {
   // --- page I/O ---
   // ReadNode/PeekNode/WriteNode operate on *working state* and belong to
   // the writer (or a locked structural accessor). The query path never
-  // builds a Node: it reads committed pages in place through ReadQueryPage
-  // (src/index/soa_page.h) — via the attached BufferPool keyed by (page id,
-  // stamp) when one is present, else straight from the snapshot.
+  // builds a Node: it overlays SoaBlock views (src/index/soa_page.h) on
+  // committed pages read in place from the snapshot (snap.ReadInPlace).
   //
   // ReadNode decodes the working page in place (PageFile::ReadInPlace,
   // counted as one read) into `node`, reusing its storage; WriteNode

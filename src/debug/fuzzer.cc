@@ -74,9 +74,6 @@ Status RunConcurrentQueryFuzz(PointIndex& index,
   BruteForceIndex oracle(oracle_options);
   RETURN_IF_ERROR(oracle.BulkLoad(points, oids));
 
-  if (options.buffer_pool_pages > 0) {
-    index.UseBufferPool(options.buffer_pool_pages);
-  }
   const IoStats before = index.GetIoStats();
 
   // Pre-generate every thread's schedule so the run is deterministic no
@@ -166,7 +163,6 @@ Status RunConcurrentQueryFuzz(PointIndex& index,
   for (std::thread& t : threads) t.join();
 
   const IoStats after = index.GetIoStats();
-  if (options.buffer_pool_pages > 0) index.UseBufferPool(0);
 
   const auto fail = [&](const std::string& what) {
     return Status::Corruption("concurrent-fuzz[" + index.name() +
@@ -271,10 +267,6 @@ Status RunMixedReadWriteFuzz(PointIndex& index,
       }
       ops.push_back(std::move(mop));
     }
-  }
-
-  if (options.buffer_pool_pages > 0) {
-    index.UseBufferPool(options.buffer_pool_pages);
   }
 
   Mutex fail_mu;
@@ -430,8 +422,6 @@ Status RunMixedReadWriteFuzz(PointIndex& index,
   }
   threads.emplace_back(writer);
   for (std::thread& t : threads) t.join();
-
-  if (options.buffer_pool_pages > 0) index.UseBufferPool(0);
 
   const auto fail = [&](const std::string& what) {
     return Status::Corruption("mixed-fuzz[" + index.name() +

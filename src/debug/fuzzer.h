@@ -89,9 +89,6 @@ struct ConcurrentFuzzOptions {
   int max_k = 12;
   double coord_lo = 0.0;
   double coord_hi = 1.0;
-  // When > 0, attaches a sharded BufferPool for the query phase so the
-  // pooled read path gets the same concurrent coverage.
-  size_t buffer_pool_pages = 0;
 };
 
 Status RunConcurrentQueryFuzz(PointIndex& index,
@@ -123,9 +120,6 @@ struct MixedFuzzOptions {
   double delete_fraction = 0.35;
   double coord_lo = 0.0;
   double coord_hi = 1.0;
-  // When > 0, attaches a sharded BufferPool for the run so the pooled
-  // snapshot read path gets the same concurrent coverage.
-  size_t buffer_pool_pages = 0;
   // When > 0, the writer thread calls PointIndex::Compact() after every N
   // committed mutations, while readers hold live snapshots. Compact() must
   // NOT advance the committed version (it changes representation, not

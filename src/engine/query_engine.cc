@@ -23,9 +23,6 @@ QueryEngine::QueryEngine(std::unique_ptr<PointIndex> index,
                          const EngineOptions& options)
     : index_(std::move(index)), options_(Sanitized(options)) {
   CHECK(index_ != nullptr);
-  if (options_.buffer_pool_pages > 0) {
-    index_->UseBufferPool(options_.buffer_pool_pages);
-  }
   workers_.reserve(options_.num_workers);
   for (int i = 0; i < options_.num_workers; ++i) {
     workers_.emplace_back(&QueryEngine::WorkerLoop, this);
@@ -104,9 +101,6 @@ BatchStats QueryEngine::last_batch_stats() const {
 
 std::unique_ptr<PointIndex> QueryEngine::ReleaseIndex() {
   MutexLock batch_lock(batch_mu_);
-  if (index_ != nullptr && options_.buffer_pool_pages > 0) {
-    index_->UseBufferPool(0);
-  }
   return std::move(index_);
 }
 

@@ -47,9 +47,6 @@ struct EngineOptions {
   // Worker threads in the pool; clamped to >= 1. Hardware concurrency is a
   // reasonable default for throughput benches.
   int num_workers = 1;
-  // When > 0, attaches a sharded BufferPool of this many pages to the index
-  // for the engine's lifetime (detached again by ReleaseIndex()).
-  size_t buffer_pool_pages = 0;
 };
 
 // Aggregate accounting for the most recent RunBatch() call.
@@ -86,8 +83,8 @@ class QueryEngine {
   // Accounting for the last completed batch (call after RunBatch returns).
   BatchStats last_batch_stats() const EXCLUDES(stats_mu_);
 
-  // Detaches the buffer pool and hands the index back; the engine accepts
-  // no further batches. Lets one built tree move between engine configs.
+  // Hands the index back; the engine accepts no further batches. Lets one
+  // built tree move between engine configs.
   std::unique_ptr<PointIndex> ReleaseIndex() EXCLUDES(batch_mu_);
 
  private:

@@ -56,11 +56,6 @@ std::unique_ptr<IndexSnapshot> PagedIndex::AcquireSnapshot() const {
   return std::make_unique<PinnedSnapshot>(this);
 }
 
-void PagedIndex::UseBufferPool(size_t capacity) {
-  pool_ = capacity > 0 ? std::make_unique<BufferPool>(&file_, capacity)
-                       : nullptr;
-}
-
 std::vector<Neighbor> PagedIndex::SearchImpl(PointView query,
                                              const QuerySpec& spec,
                                              IoStatsDelta* io) const {
@@ -74,18 +69,6 @@ std::vector<Neighbor> PagedIndex::SearchImpl(PointView query,
 TraversalRoot PagedIndex::CommittedRoot(const PageFile::Snapshot& snap) {
   if (snap.meta(2) == 0) return {};
   return {static_cast<PageId>(snap.meta(0)), static_cast<int>(snap.meta(1))};
-}
-
-QueryPage PagedIndex::ReadQueryPage(const PageFile::Snapshot& snap, PageId id,
-                                    int level, IoStatsDelta* io) const {
-  QueryPage page;
-  if (pool_ != nullptr) {
-    page.pin.emplace(pool_->PinSnapshot(snap, id, level, io));
-    page.data = page.pin->data();
-  } else {
-    page.data = snap.ReadInPlace(id, level, io);
-  }
-  return page;
 }
 
 }  // namespace srtree

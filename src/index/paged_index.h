@@ -11,11 +11,17 @@
 // snapshot-isolated from the writer: a query sees the tree entirely before
 // or entirely after any concurrent commit.
 //
-// This base owns the page file, the optional BufferPool and the writer lock,
-// and implements what the trees share: the Insert/Delete shell (validate,
-// lock, run the tree's hook), the committed size(), AcquireSnapshot(), the
-// live Search() path (both pin a version and hand it to the tree's one
-// search hook, SearchSnapshot()), and the I/O, pool and epoch forwarders.
+// A query has one page-read path: Snapshot::ReadInPlace, a pointer into the
+// pinned version's immutable buffer, valid while the query's EpochGuard
+// lives — no lock, copy or decode, and every read counted once. The one
+// cache model is the simulated LRU (SimulateBufferPool, which forwards to
+// PageFile::SimulateCache); it changes only what is counted.
+//
+// This base owns the page file and the writer lock, and implements what the
+// trees share: the Insert/Delete shell (validate, lock, run the tree's
+// hook), the committed size(), AcquireSnapshot(), the live Search() path
+// (both pin a version and hand it to the tree's one search hook,
+// SearchSnapshot()), and the I/O, cache-simulation and epoch forwarders.
 // Structural accessors that walk working state (GetTreeStats, VisitNodes,
 // Save, ...) belong to the writer's side.
 
@@ -24,28 +30,16 @@
 
 #include <cstddef>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "src/base/mutex.h"
 #include "src/base/thread_annotations.h"
 #include "src/index/point_index.h"
 #include "src/index/traversal.h"
-#include "src/storage/buffer_pool.h"
 #include "src/storage/epoch.h"
 #include "src/storage/page_file.h"
 
 namespace srtree {
-
-// One page a query reads from a pinned snapshot: a pinned BufferPool frame
-// when a pool is attached, else the snapshot's own immutable buffer (zero
-// copy). Either way the read is counted once, in the file's counters and
-// in `io`. `data` is valid while this handle and the snapshot's EpochGuard
-// both live.
-struct QueryPage {
-  std::optional<BufferPool::PageGuard> pin;
-  const char* data = nullptr;
-};
 
 class PagedIndex : public PointIndex {
  public:
@@ -67,7 +61,6 @@ class PagedIndex : public PointIndex {
   void SimulateBufferPool(size_t capacity) override {
     file_.SimulateCache(capacity);
   }
-  void UseBufferPool(size_t capacity) override;
   EpochManager* epoch_domain_for_test() const override {
     return &file_.epochs();
   }
@@ -81,7 +74,7 @@ class PagedIndex : public PointIndex {
 
   // The tree's search: runs one validated query (see RunValidatedSearch)
   // against `snap`, a version of this index's page file pinned by the
-  // caller, reading every page through ReadQueryPage.
+  // caller, reading every page in place (snap.ReadInPlace).
   virtual std::vector<Neighbor> SearchSnapshot(const PageFile::Snapshot& snap,
                                                PointView query,
                                                const QuerySpec& spec,
@@ -120,21 +113,9 @@ class PagedIndex : public PointIndex {
   // version holds no points.
   static TraversalRoot CommittedRoot(const PageFile::Snapshot& snap);
 
-  // A query's read of page `id` from `snap`: through the attached pool, or
-  // in place.
-  QueryPage ReadQueryPage(const PageFile::Snapshot& snap, PageId id,
-                          int level, IoStatsDelta* io) const;
-
   mutable PageFile file_;
   // Serializes the writer: every Insert/Delete runs its hook under it.
   mutable Mutex writer_mu_;
-
- private:
-  // Optional warm cache on the query path (UseBufferPool). Frames are keyed
-  // by (page id, buffer stamp), so copy-on-write makes stale hits
-  // impossible and the writer never invalidates.
-  std::unique_ptr<BufferPool> pool_ UNGUARDED_OK(
-      "swapped only by UseBufferPool, excluded vs in-flight queries");
 };
 
 }  // namespace srtree

@@ -235,7 +235,9 @@ class PointIndex : private SearchDispatch {
   virtual IoStats GetIoStats() const = 0;
 
   // Enables LRU-cache simulation on the underlying page file (see
-  // PageFile::SimulateCache). No-op for structures without one.
+  // PageFile::SimulateCache), the one cache model: queries still read every
+  // page in place, and only the cache-miss count changes. No-op for
+  // structures without a page file.
   virtual void SimulateBufferPool(size_t capacity) { (void)capacity; }
 
   // Test hook: the epoch-reclamation domain behind this structure's
@@ -244,13 +246,6 @@ class PointIndex : private SearchDispatch {
   // once every reader has quiesced — the leak check epoch reclamation owes
   // its callers.
   virtual EpochManager* epoch_domain_for_test() const { return nullptr; }
-
-  // Routes the query read path through a real sharded BufferPool of
-  // `capacity` pages over the structure's page file (0 detaches it). Pool
-  // hits cost no disk read, so the paper's uncached figures require the
-  // default detached state. No-op for structures without pages. Not
-  // thread-safe against in-flight queries.
-  virtual void UseBufferPool(size_t capacity) { (void)capacity; }
 
  protected:
   // Traversal hook behind Search(), inherited from SearchDispatch (see its

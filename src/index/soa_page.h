@@ -34,8 +34,9 @@ namespace srtree {
 
 inline constexpr size_t kSoaPageHeaderBytes = 8;
 
-// Views alias the page bytes: valid only while the page is (see QueryPage
-// in src/index/paged_index.h).
+// Views alias the page bytes: valid only while the page is — for a query,
+// while its EpochGuard pins the snapshot the page was read from
+// (src/index/paged_index.h).
 struct SoaLeafView {
   size_t count = 0;
   SoaBlock points;  // dim-major coordinates

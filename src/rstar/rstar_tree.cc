@@ -192,7 +192,7 @@ RStarTree::Node RStarTree::DeserializeNode(const char* buf, PageId id) const {
 }
 
 RStarTree::Node RStarTree::ReadNode(PageId id, int level) const {
-  // In place and counted; the buffer pool caches committed pages only.
+  // The writer's working page, read in place and counted once.
   const char* page = file_.ReadInPlace(id, level);
   Node node = DeserializeNode(page, id);
   DCHECK_EQ(node.level, level);
@@ -485,7 +485,9 @@ RStarTree::Node RStarTree::SplitNode(Node& node) {
       const size_t split = m + k;
       const double overlap = prefix[split].OverlapVolume(suffix[split]);
       const double area = prefix[split].Volume() + suffix[split].Volume();
-      if (overlap < best_overlap ||
+      // Once volumes overflow, every overlap and area can be inf; the
+      // first candidate seeds the choice so one always exists.
+      if (best_order.empty() || overlap < best_overlap ||
           (overlap == best_overlap && area < best_area)) {
         best_overlap = overlap;
         best_area = area;
@@ -660,8 +662,8 @@ struct RStarTree::SearchBound {
   void Expand(PageId id, int level, PointView query, double leaf_bound_sq,
               KernelScratch& scratch, IoStatsDelta* io, Offer&& offer,
               Child&& child) const {
-    const Node node =
-        tree.DeserializeNode(tree.ReadQueryPage(snap, id, level, io).data, id);
+    const char* page = snap.ReadInPlace(id, level, io);
+    const Node node = tree.DeserializeNode(page, id);
     DCHECK_EQ(node.level, level);
     if (node.is_leaf()) {
       ScanLeafEntries(node.points, query, leaf_bound_sq, scratch, offer);

@@ -201,7 +201,7 @@ SSTree::Node SSTree::DeserializeNode(const char* buf, PageId id) const {
 }
 
 SSTree::Node SSTree::ReadNode(PageId id, int level) const {
-  // In place and counted; the buffer pool caches committed pages only.
+  // The writer's working page, read in place and counted once.
   const char* page = file_.ReadInPlace(id, level);
   Node node = DeserializeNode(page, id);
   DCHECK_EQ(node.level, level);
@@ -637,8 +637,8 @@ struct SSTree::SearchBound {
   void Expand(PageId id, int level, PointView query, double leaf_bound_sq,
               KernelScratch& scratch, IoStatsDelta* io, Offer&& offer,
               Child&& child) const {
-    const Node node =
-        tree.DeserializeNode(tree.ReadQueryPage(snap, id, level, io).data, id);
+    const char* page = snap.ReadInPlace(id, level, io);
+    const Node node = tree.DeserializeNode(page, id);
     DCHECK_EQ(node.level, level);
     if (node.is_leaf()) {
       ScanLeafEntries(node.points, query, leaf_bound_sq, scratch, offer);

@@ -474,7 +474,7 @@ bool StaticSRTree::Contains(PointView point, uint32_t oid) const {
 
 // The static tier's bound policy for the shared traversals
 // (src/index/traversal.h) over one pinned version: pages are read in place
-// (ReadQueryPage) and bounded by the SR MINDIST, max(sphere, rect), in
+// (snap.ReadInPlace) and bounded by the SR MINDIST, max(sphere, rect), in
 // distance space; the leaf scan skips tombstoned entries, so a masked point
 // can never displace a live one from a k-NN result.
 struct StaticSRTree::SearchBound {
@@ -490,10 +490,10 @@ struct StaticSRTree::SearchBound {
   void Expand(PageId id, int level, PointView query, double leaf_bound_sq,
               KernelScratch& scratch, IoStatsDelta* io, Offer&& offer,
               Child&& child) const {
-    const QueryPage page = tree.ReadQueryPage(snap, id, level, io);
+    const char* page = snap.ReadInPlace(id, level, io);
     const int dim = tree.options_.dim;
     if (level == 0) {
-      const SoaLeafView leaf = ParseSoaLeaf(page.data, dim);
+      const SoaLeafView leaf = ParseSoaLeaf(page, dim);
       const bool masked = tombstones != nullptr && !tombstones->empty();
       Point gather;
       ScanSoaLeaf(leaf, query, leaf_bound_sq, scratch,
@@ -506,7 +506,7 @@ struct StaticSRTree::SearchBound {
                   });
       return;
     }
-    const SoaInnerView inner = ParseSoaInner(page.data, dim);
+    const SoaInnerView inner = ParseSoaInner(page, dim);
     const std::vector<double>& md =
         SrEntryMinDists(inner, query, /*use_rect=*/true, scratch);
     for (size_t i = 0; i < inner.count; ++i) {

@@ -16,8 +16,7 @@
 //     / rect-hi / weight blocks. A query overlays SoaBlock views on the raw
 //     page bytes and feeds them straight to the DistanceKernel batch API —
 //     zero per-entry deserialization on the search path;
-//   * reads are zero-copy through PageFile::Snapshot::ReadInPlace (or a
-//     BufferPool::PinSnapshot frame when a pool is attached), the same
+//   * reads are zero-copy through PageFile::Snapshot::ReadInPlace, the same
 //     commit-protocol machinery the dynamic SR-tree uses, so a TieredIndex
 //     can swap a freshly compacted tree in while concurrent snapshot
 //     readers keep traversing the old one.
@@ -170,8 +169,8 @@ class StaticSRTree : public PagedIndex {
 
   // ---- search -------------------------------------------------------------
   // The bound policy the shared traversals (src/index/traversal.h) run
-  // with; every page read is zero-copy: a pinned pool frame or the
-  // snapshot's own buffer (ReadQueryPage). Defined in the .cc.
+  // with; every page read is zero-copy from the snapshot's own buffer
+  // (snap.ReadInPlace). Defined in the .cc.
   struct SearchBound;
 
   Options options_;

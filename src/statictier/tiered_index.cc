@@ -415,13 +415,6 @@ void TieredIndex::SimulateBufferPool(size_t capacity) {
   cur->delta->SimulateBufferPool(capacity);
 }
 
-void TieredIndex::UseBufferPool(size_t capacity) {
-  MutexLock lock(writer_mu_);
-  const std::shared_ptr<const TierState> cur = LoadState();
-  cur->static_tier->UseBufferPool(capacity);
-  cur->delta->UseBufferPool(capacity);
-}
-
 size_t TieredIndex::leaf_capacity() const {
   return LoadState()->static_tier->leaf_capacity();
 }

@@ -89,7 +89,6 @@ class TieredIndex : public PointIndex {
 
   IoStats GetIoStats() const override;
   void SimulateBufferPool(size_t capacity) override;
-  void UseBufferPool(size_t capacity) override;
 
   size_t leaf_capacity() const override;
   size_t node_capacity() const override;

@@ -7,15 +7,15 @@
 namespace srtree {
 
 BufferPool::BufferPool(PageFile* file, size_t capacity, size_t shards)
-    : file_(file), capacity_(capacity) {
+    : file_(file) {
   CHECK(file_ != nullptr);
-  CHECK_GE(capacity_, 1u);
-  const size_t shard_count = std::max<size_t>(1, std::min(shards, capacity_));
+  CHECK_GE(capacity, 1u);
+  const size_t shard_count = std::max<size_t>(1, std::min(shards, capacity));
   shards_.reserve(shard_count);
   for (size_t i = 0; i < shard_count; ++i) {
     // Distribute the capacity; the first shards absorb the remainder.
     shards_.push_back(std::make_unique<Shard>(
-        capacity_ / shard_count + (i < capacity_ % shard_count ? 1 : 0)));
+        capacity / shard_count + (i < capacity % shard_count ? 1 : 0)));
   }
 }
 
@@ -48,8 +48,7 @@ BufferPool::Frame& BufferPool::InsertFrame(Shard& shard, FrameKey key) {
 }
 
 BufferPool::PageGuard BufferPool::PinSnapshot(const PageFile::Snapshot& snap,
-                                              PageId id, int level,
-                                              IoStatsDelta* delta) {
+                                              PageId id) {
   const size_t shard_index = id % shards_.size();
   Shard& shard = *shards_[shard_index];
   const FrameKey key{id, snap.page_stamp(id)};
@@ -63,7 +62,7 @@ BufferPool::PageGuard BufferPool::PinSnapshot(const PageFile::Snapshot& snap,
   }
   misses_.fetch_add(1, std::memory_order_relaxed);
   Frame& frame = InsertFrame(shard, key);
-  snap.Read(id, frame.data.get(), level, delta);
+  snap.Read(id, frame.data.get());
   ++frame.pins;
   return PageGuard(this, shard_index, &frame, frame.data.get());
 }

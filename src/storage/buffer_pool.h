@@ -1,9 +1,10 @@
 // A sharded LRU buffer pool over a PageFile's committed versions.
 //
-// The paper's measurements assume uncached reads, so the index structures
-// read their pinned snapshots directly by default. BufferPool exists for the
-// serving path (src/engine/): a query page read served from the pool does
-// not count as a disk read.
+// A leaf: no index or engine path reaches it. Queries read their pinned
+// snapshots in place (PageFile::Snapshot::ReadInPlace), and the one cache
+// model is the simulated LRU (PageFile::SimulateCache). The pool stays as a
+// measured alternative — the storage probes time a pinned hit against an
+// in-place read — with its own unit tests; srlint R10 keeps it a leaf.
 //
 // Frames are keyed by (page id, buffer stamp) and filled through
 // PageFile::Snapshot reads. Copy-on-write gives a rewritten page a fresh
@@ -43,16 +44,9 @@ class BufferPool {
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
 
-  // The pin protocol as a capability: a thread holding a pin may read the
-  // frame's bytes without the shard lock, because eviction skips pinned
-  // frames. PinCapability is the (zero-state) capability the analysis
-  // tracks; ScopedPin below is its scoped holder.
-  class CAPABILITY("pin") PinCapability {};
-
   // A pinned view of one cached page. While the guard lives, the frame
-  // cannot be evicted, so data() stays valid and untorn. Move-only; unpins
-  // on destruction. The move machinery is outside what the static analysis
-  // can follow — ScopedPin is the annotated, analysis-checked wrapper.
+  // cannot be evicted, so data() stays valid and untorn and may be read
+  // without the shard lock. Move-only; unpins on destruction.
   class PageGuard {
    public:
     PageGuard(PageGuard&& other) noexcept;
@@ -77,30 +71,9 @@ class BufferPool {
     const char* data_ = nullptr;
   };
 
-  // Scoped-capability form of the pin/unpin protocol: construction pins the
-  // page (shared — any number of concurrent pins), destruction unpins.
-  // -Wthread-safety verifies every ScopedPin is released on every path.
-  // Non-movable by design; a pin that needs to change hands uses PageGuard.
-  class SCOPED_CAPABILITY ScopedPin {
-   public:
-    ScopedPin(BufferPool& pool, const PageFile::Snapshot& snap, PageId id,
-              int level = -1, IoStatsDelta* delta = nullptr)
-        ACQUIRE_SHARED(pool.pin_cap_)
-        : guard_(pool.PinSnapshot(snap, id, level, delta)) {}
-    ~ScopedPin() RELEASE() {}
-
-    ScopedPin(const ScopedPin&) = delete;
-    ScopedPin& operator=(const ScopedPin&) = delete;
-
-    const char* data() const { return guard_.data(); }
-
-   private:
-    PageGuard guard_;
-  };
-
   // Pins the page *as of the given snapshot*, fetching through
   // Snapshot::Read on a miss (which counts one disk read in the file's
-  // stats and in `delta`; a hit costs no disk read). The frame is keyed by
+  // stats; a hit costs no disk read). The frame is keyed by
   // the snapshot's buffer stamp for the page, so versions never alias: a
   // page rewritten since the snapshot lives in the pool under a different
   // stamp. The snapshot (and its EpochGuard) must outlive the returned
@@ -108,13 +81,10 @@ class BufferPool {
   // [[nodiscard]]: a discarded guard unpins immediately, silently turning
   // the caller's "pinned" pointer reads into use-after-evict races.
   [[nodiscard]] PageGuard PinSnapshot(const PageFile::Snapshot& snap,
-                                      PageId id, int level = -1,
-                                      IoStatsDelta* delta = nullptr);
+                                      PageId id);
 
   uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
   uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
-  size_t capacity() const { return capacity_; }
-  size_t shard_count() const { return shards_.size(); }
 
  private:
   // Frames are keyed by (page id, buffer stamp): the stamp comes from a
@@ -167,9 +137,7 @@ class BufferPool {
   void Unpin(size_t shard_index, void* frame);
 
   PageFile* file_;
-  size_t capacity_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  PinCapability pin_cap_;  // carrier for the ScopedPin annotations
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
 };

@@ -3,8 +3,9 @@
 // This is the substrate every index structure is built on. It behaves like a
 // 1997 raw-device file: pages are allocated/freed by id, and every page read
 // and every StageWrite() is counted as one disk access (no caching — the
-// paper's numbers assume cold reads per query). An optional BufferPool
-// (buffer_pool.h) can cache snapshot reads when caching behavior is wanted.
+// paper's numbers assume cold reads per query). Queries read in place from
+// a pinned Snapshot; the one cache model is SimulateCache(), an LRU that
+// only changes which reads are counted.
 //
 // Storage is in memory; the simulation is about *counting* block transfers
 // and enforcing that each node physically fits one block, not about actual

@@ -329,8 +329,8 @@ struct VamSplitRTree::SearchBound {
   void Expand(PageId id, int level, PointView query, double leaf_bound_sq,
               KernelScratch& scratch, IoStatsDelta* io, Offer&& offer,
               Child&& child) const {
-    const Node node =
-        tree.DeserializeNode(tree.ReadQueryPage(snap, id, level, io).data, id);
+    const char* page = snap.ReadInPlace(id, level, io);
+    const Node node = tree.DeserializeNode(page, id);
     DCHECK_EQ(node.level, level);
     if (node.is_leaf()) {
       ScanLeafEntries(node.points, query, leaf_bound_sq, scratch, offer);

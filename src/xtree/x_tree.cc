@@ -199,8 +199,8 @@ PageId XTree::DecodePage(const char* raw, PageId page, Node& node) const {
 }
 
 XTree::Node XTree::ReadNode(PageId id, int level) const {
-  // Every page of a supernode chain is a counted read, in place; the buffer
-  // pool caches committed pages only.
+  // Every page of a supernode chain is a counted in-place read of the
+  // writer's working state.
   Node node;
   node.id = id;
   for (PageId page = id; page != kInvalidPageId;) {
@@ -500,6 +500,7 @@ double XTree::TopologicalSplit(const Node& node, std::vector<size_t>& order,
   double best_overlap = std::numeric_limits<double>::infinity();
   double best_area = std::numeric_limits<double>::infinity();
   double best_ratio = 0.0;
+  order.clear();
   for (const bool by_upper : {false, true}) {
     const std::vector<size_t> ord = sorted_order(best_axis, by_upper);
     auto [prefix, suffix] = group_bounds(ord);
@@ -507,7 +508,9 @@ double XTree::TopologicalSplit(const Node& node, std::vector<size_t>& order,
       const size_t s = m + k;
       const double overlap = prefix[s].OverlapVolume(suffix[s]);
       const double area = prefix[s].Volume() + suffix[s].Volume();
-      if (overlap < best_overlap ||
+      // Once volumes overflow, every overlap and area can be inf; the
+      // first candidate seeds the choice so one always exists.
+      if (order.empty() || overlap < best_overlap ||
           (overlap == best_overlap && area < best_area)) {
         best_overlap = overlap;
         best_area = area;
@@ -740,8 +743,7 @@ struct XTree::SearchBound {
     Node node;
     node.id = id;
     for (PageId page = id; page != kInvalidPageId;) {
-      page = tree.DecodePage(tree.ReadQueryPage(snap, page, level, io).data,
-                             page, node);
+      page = tree.DecodePage(snap.ReadInPlace(page, level, io), page, node);
     }
     DCHECK_EQ(node.level, level);
     if (node.is_leaf()) {

@@ -6,12 +6,15 @@
 // R* trees alike) was counted by size() but could never be found again.
 // Finite points at ~1e154 (D=8) were stored, and SR and SS then disagreed
 // with the scan on a quarter of the queries because squared distances
-// overflowed to inf.
+// overflowed to inf. Points inside the domain but large enough that region
+// volumes overflow (~1e19 at D=16) crashed the R*, X and TV splits, whose
+// overlap comparisons were all false on inf and so chose no distribution.
 
 #include <cmath>
 #include <limits>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -209,6 +212,87 @@ TEST(NumericDomainTest, ValidatePointBoundary) {
     }
   }
 }
+
+// Every accepted magnitude builds a searchable tree. Each type takes a
+// thousand uniform points in [-m, m]^D on small pages, so splits run at
+// three or more levels. The point-mutation trees take them one Insert at a
+// time; a point one rejects (K-D-B's fixed domain) must fail with
+// InvalidArgument and leave size() unchanged. Every k-NN query must then
+// match the scan over the accepted points. The magnitude parameter is a
+// decimal exponent, or kMaxMagnitude for MaxCoordinateMagnitude(D).
+constexpr int kMaxMagnitude = -1;
+
+using MagnitudeParam = std::tuple<IndexType, int, int>;
+
+class ExtremeMagnitudeTest : public ::testing::TestWithParam<MagnitudeParam> {
+};
+
+TEST_P(ExtremeMagnitudeTest, AcceptedPointsMatchScan) {
+  const auto [type, dim, exponent] = GetParam();
+  const double magnitude = exponent == kMaxMagnitude
+                               ? MaxCoordinateMagnitude(dim)
+                               : std::pow(10.0, exponent);
+  const auto scaled = [&](const Dataset& data) {
+    std::vector<Point> points = data.ToPoints();
+    for (Point& p : points) {
+      for (double& c : p) c = (2.0 * c - 1.0) * magnitude;
+    }
+    return points;
+  };
+  const std::vector<Point> points =
+      scaled(MakeUniformDataset(1000, dim, /*seed=*/51));
+
+  auto index = testing::MakeSmallPageIndex(type, dim);
+  auto oracle = MakeIndex(IndexType::kScan, IndexConfig{.dim = dim});
+  if (TakesPointMutations(type)) {
+    for (uint32_t oid = 0; oid < points.size(); ++oid) {
+      const size_t before = index->size();
+      const Status status = index->Insert(points[oid], oid);
+      if (status.ok()) {
+        ASSERT_TRUE(oracle->Insert(points[oid], oid).ok());
+      } else {
+        EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+        EXPECT_EQ(index->size(), before);
+      }
+    }
+  } else {
+    std::vector<uint32_t> oids(points.size());
+    for (uint32_t oid = 0; oid < oids.size(); ++oid) oids[oid] = oid;
+    ASSERT_TRUE(index->BulkLoad(points, oids).ok());
+    ASSERT_TRUE(oracle->BulkLoad(points, oids).ok());
+  }
+  ASSERT_EQ(index->size(), oracle->size());
+  EXPECT_TRUE(index->CheckInvariants().ok());
+
+  for (const Point& q : scaled(MakeUniformDataset(20, dim, /*seed=*/53))) {
+    for (const QuerySpec& spec : {QuerySpec::Knn(10),
+                                  QuerySpec::KnnBestFirst(10)}) {
+      const QueryResult got = index->Search(q, spec);
+      const QueryResult want = oracle->Search(q, spec);
+      ASSERT_TRUE(got.status.ok()) << got.status.ToString();
+      ASSERT_EQ(got.neighbors.size(), want.neighbors.size());
+      for (size_t r = 0; r < want.neighbors.size(); ++r) {
+        EXPECT_EQ(got.neighbors[r].oid, want.neighbors[r].oid) << "rank " << r;
+        EXPECT_DOUBLE_EQ(got.neighbors[r].distance, want.neighbors[r].distance)
+            << "rank " << r;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllIndexes, ExtremeMagnitudeTest,
+    ::testing::Combine(::testing::ValuesIn(AllIndexTypes()),
+                       ::testing::Values(8, 16),
+                       ::testing::Values(0, 10, 18, 19, 40, 100, 150,
+                                         kMaxMagnitude)),
+    [](const ::testing::TestParamInfo<MagnitudeParam>& info) {
+      const int exponent = std::get<2>(info.param);
+      return testing::TypeToken(std::get<0>(info.param)) + "_D" +
+             std::to_string(std::get<1>(info.param)) + "_" +
+             (exponent == kMaxMagnitude ? std::string("Max")
+                                        : "1e" + std::to_string(exponent));
+    });
 
 }  // namespace
 }  // namespace srtree

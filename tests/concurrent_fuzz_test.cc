@@ -46,24 +46,5 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-// The pooled read path under the same schedule: concurrent Pin/Read against
-// the sharded BufferPool, still oracle-exact and parity-clean.
-TEST(ConcurrentFuzzBufferPoolTest, SRTreeWithSharedPool) {
-  IndexConfig config;
-  config.dim = 6;
-  config.page_size = 1024;
-  config.leaf_data_size = 0;
-  auto index = MakeIndex(IndexType::kSRTree, config);
-
-  debug::ConcurrentFuzzOptions options;
-  options.seed = 20260807;
-  options.num_points = 1200;
-  options.num_threads = 4;
-  options.queries_per_thread = 36;
-  options.buffer_pool_pages = 64;
-  const Status status = debug::RunConcurrentQueryFuzz(*index, options);
-  EXPECT_TRUE(status.ok()) << status.ToString();
-}
-
 }  // namespace
 }  // namespace srtree

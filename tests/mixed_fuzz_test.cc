@@ -47,25 +47,6 @@ TEST(MixedFuzzTest, ReadersMatchOracleWhileWriterCommits) {
   EXPECT_EQ(tree.epochs().retired_count(), 0u);
 }
 
-// The pooled read path under the same schedule: snapshot-stamped frames in
-// the sharded BufferPool must serve each pinned version's bytes even while
-// the writer commits fresh page versions.
-TEST(MixedFuzzTest, BufferPooledReadersMatchOracleWhileWriterCommits) {
-  SRTree tree(SmallTreeOptions());
-
-  debug::MixedFuzzOptions options;
-  options.seed = 20260809;
-  options.initial_points = 1000;
-  options.num_mutations = 1000;
-  options.num_reader_threads = 4;
-  options.buffer_pool_pages = 64;
-  const Status status = debug::RunMixedReadWriteFuzz(tree, options);
-  EXPECT_TRUE(status.ok()) << status.ToString();
-
-  tree.epochs().ReclaimExpired();
-  EXPECT_EQ(tree.epochs().retired_count(), 0u);
-}
-
 // The tiered index under the same schedule, with the writer additionally
 // calling Compact() every 150 committed mutations while readers hold live
 // snapshots. Compact() swaps the whole static tier out from under them; the
@@ -135,21 +116,6 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<IndexType>& info) {
       return testing::TypeToken(info.param);
     });
-
-// A baseline tree's pooled read path under the same schedule.
-TEST(MixedFuzzTest, BufferPooledRStarReadersMatchOracle) {
-  auto index = MakeIndex(IndexType::kRStarTree, SmallTreeConfig());
-
-  debug::MixedFuzzOptions options;
-  options.seed = 20261016;
-  options.initial_points = 600;
-  options.num_mutations = 600;
-  options.num_reader_threads = 4;
-  options.buffer_pool_pages = 64;
-  const Status status = debug::RunMixedReadWriteFuzz(*index, options);
-  EXPECT_TRUE(status.ok()) << status.ToString();
-  ExpectRetiredDrains(*index);
-}
 
 // The brute-force scan, the oracle with no page file, is the one structure
 // without snapshot isolation (version 0); the mixed fuzzer must refuse it

@@ -8,7 +8,7 @@
 //   * per-query IoStatsDelta / elapsed-time fields and the accounting-parity
 //     contract against the legacy global counters;
 //   * RunBatch() determinism: 8 workers return byte-identical neighbors to a
-//     sequential loop, with and without a shared buffer pool;
+//     sequential loop;
 //   * snapshot pinning: one batch observes one committed version even while
 //     a writer commits mutations mid-batch (SR-tree).
 
@@ -223,44 +223,6 @@ TEST_F(QueryEngineTest, EightWorkersMatchSequentialByteForByte) {
   // an even share is at most what the other seven workers' shares hold.
   EXPECT_LE(stats.steals, batch.size() - (batch.size() + 7) / 8);
   EXPECT_GT(stats.io.reads, 0u);
-}
-
-TEST_F(QueryEngineTest, BufferPoolKeepsResultsAndCutsReads) {
-  auto index = BuildTree(1200);
-  const std::vector<Query> batch = MakeBatch(120);
-
-  std::vector<std::vector<Neighbor>> uncached;
-  uint64_t uncached_reads = 0;
-  for (const Query& q : batch) {
-    const QueryResult r = index->Search(q.point, q.spec);
-    uncached.push_back(r.neighbors);
-    uncached_reads += r.io.reads;
-  }
-
-  EngineOptions options;
-  options.num_workers = 4;
-  options.buffer_pool_pages = 256;
-  QueryEngine engine(std::move(index), options);
-  (void)engine.RunBatch(batch);  // warm the pool
-  const std::vector<QueryResult> results = engine.RunBatch(batch);
-
-  uint64_t pooled_reads = 0;
-  for (size_t i = 0; i < results.size(); ++i) {
-    EXPECT_EQ(results[i].neighbors, uncached[i]) << "query " << i;
-    pooled_reads += results[i].io.reads;
-  }
-  // Pool hits never reach the page file, so they are charged to no one.
-  EXPECT_LT(pooled_reads, uncached_reads);
-
-  // ReleaseIndex detaches the pool: the uncached read path is restored for
-  // the paper benches.
-  index = engine.ReleaseIndex();
-  ASSERT_NE(index, nullptr);
-  uint64_t detached_reads = 0;
-  for (const Query& q : batch) {
-    detached_reads += index->Search(q.point, q.spec).io.reads;
-  }
-  EXPECT_EQ(detached_reads, uncached_reads);
 }
 
 TEST_F(QueryEngineTest, EmptyAndTinyBatches) {

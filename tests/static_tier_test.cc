@@ -1,8 +1,8 @@
 // StaticSRTree: the immutable read-optimized tier. These tests cover the
 // full round trip (BulkLoad → Save → factory OpenIndex → auditor-clean,
 // query-exact), oracle exactness of all three query kinds against brute
-// force (plain and buffer-pooled), the tombstone filter on the snapshot
-// search entry points, and the immutability contract.
+// force, the tombstone filter on the snapshot search entry points, and the
+// immutability contract.
 
 #include <memory>
 #include <set>
@@ -90,23 +90,6 @@ TEST(StaticSRTreeTest, AllQueryKindsMatchBruteForce) {
   // Best-first is I/O-optimal for the SR MINDIST bound: over the workload it
   // cannot read more pages than the depth-first traversal.
   EXPECT_LE(bf_reads, dfs_reads);
-}
-
-TEST(StaticSRTreeTest, BufferPooledQueriesMatchUnpooled) {
-  constexpr int kDim = 4;
-  StaticSRTree tree(SmallOptions(kDim));
-  BruteForceIndex::Options bf;
-  bf.dim = kDim;
-  BruteForceIndex oracle(bf);
-  const Dataset data = MakeUniformDataset(2000, kDim, /*seed=*/17);
-  LoadBoth(tree, oracle, data);
-
-  tree.UseBufferPool(32);
-  for (const Point& q : SampleQueriesFromDataset(data, 15, /*seed=*/19)) {
-    ExpectSameNeighbors(tree.Search(q, QuerySpec::Knn(12)).neighbors,
-                        oracle.Search(q, QuerySpec::Knn(12)).neighbors);
-  }
-  tree.UseBufferPool(0);
 }
 
 TEST(StaticSRTreeTest, SaveOpenRoundTripThroughFactory) {
@@ -245,25 +228,14 @@ TEST(StaticSRTreeTest, QueryOnlyFuzzStaysOracleExactAndAudited) {
   EXPECT_EQ(fuzzer.stats().knn_queries, 250u);
 }
 
-// The concurrent read-path fuzz (plus the pooled variant) over the static
-// tier: many reader threads, oracle-exact results, io-accounting parity.
+// The concurrent read-path fuzz over the static tier: many reader threads,
+// oracle-exact results, io-accounting parity.
 TEST(StaticSRTreeTest, ConcurrentQueryFuzz) {
   StaticSRTree tree(SmallOptions(5));
   debug::ConcurrentFuzzOptions options;
   options.seed = 616;
   options.num_points = 1500;
   options.num_threads = 4;
-  const Status status = debug::RunConcurrentQueryFuzz(tree, options);
-  EXPECT_TRUE(status.ok()) << status.ToString();
-}
-
-TEST(StaticSRTreeTest, ConcurrentQueryFuzzBufferPooled) {
-  StaticSRTree tree(SmallOptions(5));
-  debug::ConcurrentFuzzOptions options;
-  options.seed = 717;
-  options.num_points = 1200;
-  options.num_threads = 4;
-  options.buffer_pool_pages = 48;
   const Status status = debug::RunConcurrentQueryFuzz(tree, options);
   EXPECT_TRUE(status.ok()) << status.ToString();
 }

@@ -18,14 +18,13 @@ where available, a real clang AST:
         * naked discards in code the build does not compile (fixtures,
           dead-configured sources).
 
-  C2  Pin lifetime: no raw pointer derived from a BufferPool::PageGuard /
-      BufferPool::ScopedPin (i.e. from its data()) may escape the pin's
-      scope — returned, stored into a member, or captured by a lambda that
-      is not invoked on the spot. Once the guard dies the frame is
-      evictable and the pointer is a use-after-evict race. Moving the
-      *guard itself* (which transfers the pin) is allowed; only the
-      implementation of the pin protocol (src/storage/buffer_pool.{h,cc})
-      is exempt.
+  C2  Pin lifetime: no raw pointer derived from a BufferPool::PageGuard
+      (i.e. from its data()) may escape the pin's scope — returned, stored
+      into a member, or captured by a lambda that is not invoked on the
+      spot. Once the guard dies the frame is evictable and the pointer is
+      a use-after-evict race. Moving the *guard itself* (which transfers
+      the pin) is allowed; only the implementation of the pin protocol
+      (src/storage/buffer_pool.{h,cc}) is exempt.
 
   C3  Narrowing-free serialization: src/storage/ compiles with
       -Wconversion -Wsign-conversion promoted to errors (scoped in
@@ -147,7 +146,7 @@ EXPECT_RE = re.compile(r"srcheck-expect\((C[1-8])\)")
 
 # C2: the pin protocol's own implementation hands guards and frame
 # pointers around by construction; everything outside goes through the
-# public ScopedPin/PageGuard surface.
+# public PageGuard surface.
 C2_ALLOWED_FILES = {
     "src/storage/buffer_pool.h",
     "src/storage/buffer_pool.cc",
@@ -204,7 +203,7 @@ C4_STATIC_WAIVERS: dict[str, str] = {
     # (empty — keep it that way)
 }
 
-PIN_TYPES = ("PageGuard", "ScopedPin")
+PIN_TYPES = ("PageGuard",)
 
 STATEMENT_KEYWORDS = {
     "return", "if", "for", "while", "switch", "case", "do", "else", "goto",
@@ -588,7 +587,7 @@ def check_c2(rel: str, tokens: list[Token],
             depth -= 1
             tracked = [t for t in tracked if t.depth <= depth]
         elif tok.text in PIN_TYPES:
-            # `ScopedPin pin(...)` / `PageGuard g = ...` declarations; skip
+            # `PageGuard pin(...)` / `PageGuard g = ...` declarations; skip
             # function declarations returning a guard.
             j = i + 1
             while j < n and tokens[j].text in ("&", "&&", "*"):

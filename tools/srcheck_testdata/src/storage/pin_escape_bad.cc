@@ -13,12 +13,6 @@ class PageGuard {
   const char* data() const;
 };
 
-class ScopedPin {
- public:
-  ScopedPin(Pool& pool, int id);
-  const char* data() const;
-};
-
 class Pool {
  public:
   PageGuard Acquire(int id);

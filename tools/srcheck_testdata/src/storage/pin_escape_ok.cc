@@ -10,12 +10,6 @@ class PageGuard {
   const char* data() const;
 };
 
-class ScopedPin {
- public:
-  ScopedPin(Pool& pool, int id);
-  const char* data() const;
-};
-
 class Pool {
  public:
   PageGuard Acquire(int id);
@@ -37,7 +31,7 @@ unsigned CountPrefix(Pool& pool) {
 // Lambda reads through the pin but is invoked immediately, so it cannot
 // outlive the guard.
 unsigned CountNonZero(Pool& pool) {
-  ScopedPin pin(pool, 5);
+  PageGuard pin = pool.Acquire(5);
   unsigned count = 0;
   [&]() {
     const char* bytes = pin.data();

@@ -47,6 +47,12 @@ tools/lint.py checks file *shape* (guards, include style); srlint checks
       templated over each tree's bound policy) and src/index/knn.h (the
       candidate heap). A per-tree copy of a search loop lets the trees'
       read counts drift apart, which breaks the paper's comparison.
+  R10 one cache model: nothing includes src/storage/buffer_pool.h except
+      the pool itself (src/storage/buffer_pool.{h,cc}) and tests/. Queries
+      read pages in place from the pinned snapshot and caching is only
+      simulated (PageFile::SimulateCache); a pool include under src/,
+      bench/, tools/ or examples/ would put a second cache model back on a
+      read path.
 
 A finding on one line can be waived in place with a comment naming the rule
 and a reason, e.g.
@@ -78,8 +84,9 @@ from typing import NamedTuple
 FIRST_PARTY_DIRS = ("src", "tests", "bench", "tools", "examples")
 SOURCE_SUFFIXES = (".h", ".hpp", ".cc", ".cpp")
 
-WAIVER_RE = re.compile(r"srlint:\s*allow\((R[1-9])\)")
-EXPECT_RE = re.compile(r"srlint-expect\((R[1-9])\)")  # self-test fixtures
+WAIVER_RE = re.compile(r"srlint:\s*allow\((R[1-9][0-9]?)\)")
+# Self-test fixtures mark each finding they seed with srlint-expect(Rn).
+EXPECT_RE = re.compile(r"srlint-expect\((R[1-9][0-9]?)\)")
 
 
 class Finding(NamedTuple):
@@ -238,6 +245,10 @@ R9_DEFINE_RE = re.compile(
     r"(?:^|[^\w.>])(?!return\b)[A-Za-z_][\w:<>]*[\s*&]+"
     r"(?:\w+::)*(Search(?:Knn|Range)\w*)\s*\(")
 
+R10_POOL_HEADER = "src/storage/buffer_pool.h"
+R10_ALLOWED_FILES = {"src/storage/buffer_pool.h", "src/storage/buffer_pool.cc"}
+R10_ALLOWED_DIRS = ("tests/",)
+
 
 def check_r1(rel: str, lines: list[str]):
     if rel in R1_ALLOWED_FILES:
@@ -355,6 +366,21 @@ def check_r9(rel: str, lines: list[str]):
                 f"src/index/traversal.h with a bound policy")
 
 
+def check_r10(rel: str, lines: list[str], raw_lines: list[str]):
+    if rel in R10_ALLOWED_FILES or rel.startswith(R10_ALLOWED_DIRS):
+        return
+    for lineno, (line, raw) in enumerate(zip(lines, raw_lines), start=1):
+        if not re.match(r"^\s*#\s*include\b", line):
+            continue
+        m = R3_INCLUDE_RE.match(raw)
+        if m and m.group(1) == R10_POOL_HEADER:
+            yield Finding(
+                rel, lineno, "R10",
+                f'include of "{R10_POOL_HEADER}"; queries read pages in '
+                f"place (Snapshot::ReadInPlace) and the one cache model is "
+                f"PageFile::SimulateCache")
+
+
 # --------------------------------------------------------------------------
 # Discovery and driver.
 
@@ -436,7 +462,8 @@ def lint_files(root: pathlib.Path, files: list[str]) -> list[Finding]:
                   *check_r5(rel, code_lines),
                   *check_r7(rel, code_lines),
                   *check_r8(rel, code_lines, raw_lines),
-                  *check_r9(rel, code_lines)):
+                  *check_r9(rel, code_lines),
+                  *check_r10(rel, code_lines, raw_lines)):
             if f.rule not in waived.get(f.lineno, set()):
                 findings.append(f)
     return sorted(findings)
@@ -485,7 +512,7 @@ def run_self_test() -> int:
         ok = False
         print(f"self-test: SPURIOUS finding {rule} at {rel}:{lineno}")
     rules_seen = {rule for _, _, rule in want}
-    for rule in ("R1", "R2", "R3", "R4", "R5", "R7", "R8", "R9"):
+    for rule in ("R1", "R2", "R3", "R4", "R5", "R7", "R8", "R9", "R10"):
         if rule not in rules_seen:
             ok = False
             print(f"self-test: fixture tree seeds no {rule} violation")
