@@ -6,7 +6,7 @@
 // SR-tree on the paper's workloads.
 
 #include "bench/bench_util.h"
-#include "src/tvtree/tv_r_tree.h"
+#include "src/rstar/rstar_tree.h"
 
 namespace srtree {
 namespace {

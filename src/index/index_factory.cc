@@ -11,7 +11,6 @@
 #include "src/statictier/tiered_index.h"
 #include "src/rstar/rstar_tree.h"
 #include "src/sstree/ss_tree.h"
-#include "src/tvtree/tv_r_tree.h"
 #include "src/vamsplit/vam_split_r_tree.h"
 #include "src/xtree/x_tree.h"
 

@@ -215,13 +215,13 @@ Status KdbTree::InsertLocked(PointView point, uint32_t oid) {
     return Status::InvalidArgument("point outside the indexed domain");
   }
 
-  InsertPoint(point, oid);
+  RETURN_IF_ERROR(InsertPoint(point, oid));
   ++size_;
   CommitRoot(root_id_, root_level_, size_);
   return Status::OK();
 }
 
-void KdbTree::InsertPoint(PointView point, uint32_t oid) {
+Status KdbTree::InsertPoint(PointView point, uint32_t oid) {
   // Descend to the point page responsible for `point`. Regions on one level
   // partition the domain, so exactly one child's interior (or boundary)
   // contains the point; the first containing child wins on shared faces.
@@ -243,11 +243,23 @@ void KdbTree::InsertPoint(PointView point, uint32_t oid) {
     idx.push_back(chosen);
     cur = ReadNode(child, child_level);
   }
+  // No plane separates identical points, so a point page can never hold
+  // more copies of one point than it has slots. Refuse before staging.
+  const auto copies = std::count_if(
+      cur.points.begin(), cur.points.end(), [&](const LeafEntry& e) {
+        return std::equal(point.begin(), point.end(), e.point.begin(),
+                          e.point.end());
+      });
+  if (static_cast<size_t>(copies) >= leaf_cap_) {
+    return Status::FailedPrecondition(
+        "a K-D-B point page holds at most leaf_capacity() copies of one "
+        "point");
+  }
   cur.points.push_back(LeafEntry{Point(point.begin(), point.end()), oid});
 
   if (cur.points.size() <= leaf_cap_) {
     WriteNode(cur);
-    return;
+    return Status::OK();
   }
 
   // Split the overflowing page; replace the parent's entry with the new
@@ -264,7 +276,7 @@ void KdbTree::InsertPoint(PointView point, uint32_t oid) {
                            new_entries.end());
     if (parent.children.size() <= node_cap_) {
       WriteNode(parent);
-      return;
+      return Status::OK();
     }
     region = (i > 0) ? path[i - 1].children[idx[i - 1]].region : Domain();
     new_entries.clear();
@@ -283,7 +295,7 @@ void KdbTree::InsertPoint(PointView point, uint32_t oid) {
       WriteNode(root);
       root_id_ = root.id;
       root_level_ = root.level;
-      return;
+      return Status::OK();
     }
     new_entries.clear();
     SplitToEntries(std::move(root), Domain(), new_entries);
@@ -348,7 +360,7 @@ void KdbTree::ChoosePlane(const Node& node, const Rect& region, int& dim,
         best_dim = d;
       }
     }
-    CHECK(best_dim >= 0);  // more duplicates than a point page can hold
+    CHECK(best_dim >= 0);  // InsertPoint caps copies of one point
     std::vector<double> coords(node.points.size());
     for (size_t i = 0; i < node.points.size(); ++i) {
       coords[i] = node.points[i].point[best_dim];

@@ -109,8 +109,10 @@ class KdbTree : public PagedIndex {
   Rect Domain() const;
 
   // Descends to the point page responsible for `point` and stores it,
-  // splitting pages as needed (Insert's body, before the commit).
-  void InsertPoint(PointView point, uint32_t oid);
+  // splitting pages as needed (Insert's body, before the commit). Fails,
+  // staging nothing, if the page would hold more than leaf_cap_ copies of
+  // `point`.
+  Status InsertPoint(PointView point, uint32_t oid);
 
   // --- split machinery ---
   // Splits an over-full node (recursively if a half still overflows) and

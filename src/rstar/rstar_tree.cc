@@ -26,11 +26,17 @@ RStarTree::RStarTree(const Options& options)
   CHECK_LE(options_.min_utilization, 0.5);
   CHECK_GT(options_.reinsert_fraction, 0.0);
   CHECK_LT(options_.reinsert_fraction, 1.0);
+  active_dims_ =
+      options_.active_dims > 0 ? options_.active_dims : options_.dim;
+  CHECK_LE(active_dims_, options_.dim);
 
   const size_t dim = static_cast<size_t>(options_.dim);
+  const size_t active = static_cast<size_t>(active_dims_);
   const size_t leaf_entry =
       dim * sizeof(double) + sizeof(uint32_t) + options_.leaf_data_size;
-  const size_t node_entry = 2 * dim * sizeof(double) + sizeof(uint32_t);
+  // Directory rectangles live in the active subspace: fewer active
+  // dimensions buy fanout (the TV-tree's advantage).
+  const size_t node_entry = 2 * active * sizeof(double) + sizeof(uint32_t);
   leaf_cap_ = (options_.page_size - kHeaderBytes) / leaf_entry;
   node_cap_ = (options_.page_size - kHeaderBytes) / node_entry;
   CHECK_GE(leaf_cap_, 2u);
@@ -56,9 +62,11 @@ namespace {
 
 // v2 header record embedded in the SRIX container (src/storage/image_io.h);
 // the container carries the magic, tag, and a CRC32C over these bytes.
+// active_dims is the resolved count; 0 (what R* images written before the
+// field existed hold in that slot) reopens with the type's default.
 struct RStarImageHeader {
   int32_t dim;
-  uint32_t pad0;
+  int32_t active_dims;
   uint64_t page_size;
   uint64_t leaf_data_size;
   double min_utilization;
@@ -73,14 +81,17 @@ struct RStarImageHeader {
 // negated-range form also rejects NaN utilization/fraction values.
 bool PlausibleOptions(const RStarTree::Options& o) {
   if (o.dim <= 0 || o.dim > (1 << 16)) return false;
+  if (o.active_dims < 0 || o.active_dims > o.dim) return false;
   if (!(o.min_utilization > 0.0 && o.min_utilization <= 0.5)) return false;
   if (!(o.reinsert_fraction > 0.0 && o.reinsert_fraction < 1.0)) return false;
   if (o.page_size <= kHeaderBytes || o.page_size > (1u << 28)) return false;
   if (o.leaf_data_size > o.page_size) return false;
   const size_t dim = static_cast<size_t>(o.dim);
+  const size_t active = static_cast<size_t>(o.active_dims);
   const size_t leaf_entry =
       dim * sizeof(double) + sizeof(uint32_t) + o.leaf_data_size;
-  const size_t node_entry = 2 * dim * sizeof(double) + sizeof(uint32_t);
+  const size_t node_entry =
+      2 * (active > 0 ? active : dim) * sizeof(double) + sizeof(uint32_t);
   return (o.page_size - kHeaderBytes) / leaf_entry >= 2 &&
          (o.page_size - kHeaderBytes) / node_entry >= 2;
 }
@@ -90,6 +101,7 @@ bool PlausibleOptions(const RStarTree::Options& o) {
 Status RStarTree::Save(const std::string& path) const {
   RStarImageHeader header = {};
   header.dim = options_.dim;
+  header.active_dims = active_dims_;
   header.page_size = options_.page_size;
   header.leaf_data_size = options_.leaf_data_size;
   header.min_utilization = options_.min_utilization;
@@ -99,18 +111,20 @@ Status RStarTree::Save(const std::string& path) const {
   header.size = size_;
   return AtomicWriteFile(path, [&](std::ostream& out) {
     RETURN_IF_ERROR(
-        WriteIndexImageTo(out, kImageTag, &header, sizeof(header)));
+        WriteIndexImageTo(out, image_tag(), &header, sizeof(header)));
     return file_.SaveTo(out);
   });
 }
 
-StatusOr<std::unique_ptr<RStarTree>> RStarTree::Open(const std::string& path) {
+template <typename Tree>
+StatusOr<std::unique_ptr<Tree>> RStarTree::OpenImage(const std::string& path) {
   RStarImageHeader header = {};
   IndexImageFile image;
-  RETURN_IF_ERROR(image.Open(path, kImageTag, &header, sizeof(header)));
+  RETURN_IF_ERROR(image.Open(path, Tree::kImageTag, &header, sizeof(header)));
 
   Options options;
   options.dim = header.dim;
+  options.active_dims = header.active_dims;
   options.page_size = header.page_size;
   options.leaf_data_size = header.leaf_data_size;
   options.min_utilization = header.min_utilization;
@@ -119,7 +133,7 @@ StatusOr<std::unique_ptr<RStarTree>> RStarTree::Open(const std::string& path) {
       header.root_level > 64) {
     return Status::Corruption("implausible R*-tree header");
   }
-  auto tree = std::make_unique<RStarTree>(options);
+  auto tree = std::make_unique<Tree>(options);
   RETURN_IF_ERROR(tree->file_.LoadFrom(image.stream()));
   if (!tree->file_.is_live(header.root_id)) {
     return Status::Corruption("R*-tree root page is not live in the image");
@@ -131,6 +145,14 @@ StatusOr<std::unique_ptr<RStarTree>> RStarTree::Open(const std::string& path) {
   tree->PublishBuilt(tree->root_id_, tree->root_level_, tree->size_);
   RETURN_IF_ERROR(tree->CheckInvariants());
   return tree;
+}
+
+StatusOr<std::unique_ptr<RStarTree>> RStarTree::Open(const std::string& path) {
+  return OpenImage<RStarTree>(path);
+}
+
+StatusOr<std::unique_ptr<TvRTree>> TvRTree::Open(const std::string& path) {
+  return OpenImage<TvRTree>(path);
 }
 
 // --------------------------------------------------------------------------
@@ -170,6 +192,7 @@ RStarTree::Node RStarTree::DeserializeNode(const char* buf, PageId id) const {
   const size_t count = r.GetU16();
   r.GetU32();
   const size_t dim = static_cast<size_t>(options_.dim);
+  const size_t active = static_cast<size_t>(active_dims_);
   if (node.level == 0) {
     node.points.resize(count);
     for (LeafEntry& e : node.points) {
@@ -181,7 +204,7 @@ RStarTree::Node RStarTree::DeserializeNode(const char* buf, PageId id) const {
   } else {
     node.children.resize(count);
     for (NodeEntry& e : node.children) {
-      Point lo(dim), hi(dim);
+      Point lo(active), hi(active);
       r.GetDoubles(lo);
       r.GetDoubles(hi);
       e.rect = Rect(std::move(lo), std::move(hi));
@@ -212,15 +235,15 @@ void RStarTree::WriteNode(const Node& node) {
 // Region helpers
 // --------------------------------------------------------------------------
 
-Rect RStarTree::EntryRect(const Node& node, size_t i) {
-  return node.is_leaf() ? Rect::FromPoint(node.points[i].point)
+Rect RStarTree::EntryRect(const Node& node, size_t i) const {
+  return node.is_leaf() ? Rect::FromPoint(ActiveView(node.points[i].point))
                         : node.children[i].rect;
 }
 
 Rect RStarTree::NodeBoundingRect(const Node& node) const {
-  Rect bound = Rect::Empty(options_.dim);
+  Rect bound = Rect::Empty(active_dims_);
   if (node.is_leaf()) {
-    for (const LeafEntry& e : node.points) bound.Expand(e.point);
+    for (const LeafEntry& e : node.points) bound.Expand(ActiveView(e.point));
   } else {
     for (const NodeEntry& e : node.children) bound.Expand(e.rect);
   }
@@ -254,8 +277,9 @@ void RStarTree::ProcessPending(std::deque<Pending>& pending) {
 
 void RStarTree::InsertPending(const Pending& item,
                               std::deque<Pending>& pending) {
-  const Rect entry_rect = item.level == 0 ? Rect::FromPoint(item.leaf.point)
-                                          : item.node.rect;
+  const Rect entry_rect = item.level == 0
+                              ? Rect::FromPoint(ActiveView(item.leaf.point))
+                              : item.node.rect;
   CHECK_LE(item.level, root_level_);
 
   std::vector<Node> path;
@@ -424,8 +448,9 @@ RStarTree::Node RStarTree::SplitNode(Node& node) {
 
   const size_t num_dist = total - 2 * m + 1;
 
-  // Phase 1 (ChooseSplitAxis): pick the axis minimizing the summed margins
-  // over all distributions of both sortings (by lower and by upper bound).
+  // Phase 1 (ChooseSplitAxis): pick the active axis minimizing the summed
+  // margins over all distributions of both sortings (by lower and by upper
+  // bound).
   // Phase 2 (ChooseSplitIndex): on that axis, pick the distribution with
   // minimal overlap, ties by minimal total area.
   auto evaluate_axis = [&](int axis, bool by_upper,
@@ -441,8 +466,8 @@ RStarTree::Node RStarTree::SplitNode(Node& node) {
 
   auto group_bounds = [&](const std::vector<size_t>& order) {
     // prefix[i] = bound of order[0..i); suffix[i] = bound of order[i..).
-    std::vector<Rect> prefix(total + 1, Rect::Empty(options_.dim));
-    std::vector<Rect> suffix(total + 1, Rect::Empty(options_.dim));
+    std::vector<Rect> prefix(total + 1, Rect::Empty(active_dims_));
+    std::vector<Rect> suffix(total + 1, Rect::Empty(active_dims_));
     for (size_t i = 0; i < total; ++i) {
       prefix[i + 1] = prefix[i];
       prefix[i + 1].Expand(rects[order[i]]);
@@ -456,7 +481,7 @@ RStarTree::Node RStarTree::SplitNode(Node& node) {
 
   int best_axis = 0;
   double best_margin_sum = std::numeric_limits<double>::infinity();
-  for (int axis = 0; axis < options_.dim; ++axis) {
+  for (int axis = 0; axis < active_dims_; ++axis) {
     double margin_sum = 0.0;
     for (const bool by_upper : {false, true}) {
       std::vector<size_t> order;
@@ -577,7 +602,7 @@ bool RStarTree::FindLeafPath(const Node& node, PointView point, uint32_t oid,
     return false;
   }
   for (size_t i = 0; i < node.children.size(); ++i) {
-    if (!node.children[i].rect.Contains(point)) continue;
+    if (!node.children[i].rect.Contains(ActiveView(point))) continue;
     idx.push_back(static_cast<int>(i));
     Node child = ReadNode(node.children[i].child, node.level - 1);
     if (FindLeafPath(child, point, oid, path, idx)) return true;
@@ -650,7 +675,8 @@ void RStarTree::ShrinkRoot() {
 // --------------------------------------------------------------------------
 
 // The R*-tree's bound policy for the shared traversals
-// (src/index/traversal.h): squared rect MINDIST.
+// (src/index/traversal.h): squared rect MINDIST on the active dimensions.
+// It lower-bounds the full distance, so pruning stays exact.
 struct RStarTree::SearchBound {
   static constexpr BoundSpace kSpace = BoundSpace::kSquared;
   const RStarTree& tree;
@@ -670,7 +696,7 @@ struct RStarTree::SearchBound {
       return;
     }
     const std::vector<double>& m2 = BatchRectMinDistSq(
-        scratch, query, node.children.size(),
+        scratch, tree.ActiveView(query), node.children.size(),
         [&](size_t i) -> const Rect& { return node.children[i].rect; });
     for (size_t i = 0; i < node.children.size(); ++i) {
       child(m2[i], node.children[i].child);
@@ -743,8 +769,12 @@ void RStarTree::VisitSubtree(const Node& node, std::vector<int>& path,
     view.entries.push_back(EntryView{&e.rect, /*sphere=*/nullptr,
                                      /*weight=*/0, /*has_weight=*/false});
   }
+  // Regions live in the active subspace, so the leaf points are presented
+  // projected onto it (matching GetAuditSpec().dim).
   view.points.reserve(node.points.size());
-  for (const LeafEntry& e : node.points) view.points.push_back(e.point);
+  for (const LeafEntry& e : node.points) {
+    view.points.push_back(ActiveView(e.point));
+  }
   visitor(path, view);
   for (size_t i = 0; i < node.children.size(); ++i) {
     path.push_back(static_cast<int>(i));
@@ -755,7 +785,7 @@ void RStarTree::VisitSubtree(const Node& node, std::vector<int>& path,
 
 AuditSpec RStarTree::GetAuditSpec() const {
   AuditSpec spec;
-  spec.dim = options_.dim;
+  spec.dim = active_dims_;  // rects span the active subspace only
   spec.rect_semantics = RectSemantics::kExactMbr;
   spec.internal_root_min2 = true;
   return spec;

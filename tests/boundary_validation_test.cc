@@ -9,12 +9,15 @@
 // overflowed to inf. Points inside the domain but large enough that region
 // volumes overflow (~1e19 at D=16) crashed the R*, X and TV splits, whose
 // overlap comparisons were all false on inf and so chose no distribution.
+// More copies of one point than a K-D-B page holds aborted the process, as
+// no split plane separates identical points.
 
 #include <cmath>
 #include <limits>
 #include <memory>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -293,6 +296,100 @@ INSTANTIATE_TEST_SUITE_P(
              (exponent == kMaxMagnitude ? std::string("Max")
                                         : "1e" + std::to_string(exponent));
     });
+
+// Repeated points and shared oids. Every type takes 3 x leaf_capacity()
+// copies of one point (distinct oids), then uniform points whose oids
+// repeat, including exact repeats of a (point, oid) entry; the mutable
+// types then delete some of each. No plane separates identical points, so
+// K-D-B refuses a copy its point page cannot hold with FailedPrecondition
+// and leaves size() unchanged; every other type takes them all. k-NN
+// answers must match the scan over the accepted entries either way.
+class DuplicatePointTest : public ::testing::TestWithParam<IndexType> {};
+
+TEST_P(DuplicatePointTest, RepeatedPointsAndOidsMatchScan) {
+  constexpr int kDupDim = 8;
+  const IndexType type = GetParam();
+  auto index = testing::MakeSmallPageIndex(type, kDupDim);
+  auto oracle = MakeIndex(IndexType::kScan, IndexConfig{.dim = kDupDim});
+  const size_t cap = index->leaf_capacity();
+  const Point repeated(kDupDim, 0.5);
+
+  std::vector<std::pair<Point, uint32_t>> entries;
+  for (uint32_t oid = 0; oid < 3 * cap; ++oid) {
+    entries.emplace_back(repeated, oid);
+  }
+  const std::vector<Point> uniform =
+      MakeUniformDataset(300, kDupDim, /*seed=*/61).ToPoints();
+  for (size_t i = 0; i < uniform.size(); ++i) {
+    entries.emplace_back(uniform[i], static_cast<uint32_t>(i % 5));
+  }
+  entries.emplace_back(repeated, 0);      // an exact (point, oid) repeat
+  entries.emplace_back(entries[3 * cap]);  // and one of a uniform point
+
+  std::vector<std::pair<Point, uint32_t>> accepted;
+  if (TakesPointMutations(type)) {
+    for (const auto& [point, oid] : entries) {
+      const size_t before = index->size();
+      const Status status = index->Insert(point, oid);
+      if (!status.ok()) {
+        // Only K-D-B refuses, and only copies its point page cannot hold.
+        EXPECT_EQ(type, IndexType::kKdbTree);
+        EXPECT_EQ(point, repeated);
+        EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition)
+            << status.ToString();
+        EXPECT_EQ(index->size(), before);
+        continue;
+      }
+      accepted.emplace_back(point, oid);
+      ASSERT_TRUE(oracle->Insert(point, oid).ok());
+    }
+    // K-D-B's one point page takes exactly `cap` copies; the rest take all.
+    const size_t first_uniform =
+        type == IndexType::kKdbTree ? cap : 3 * cap;
+    ASSERT_GT(accepted.size(), first_uniform);
+    EXPECT_EQ(accepted[first_uniform].first, uniform[0]);
+    // Delete every third accepted entry, copies and shared oids alike.
+    for (size_t i = 0; i < accepted.size(); i += 3) {
+      ASSERT_TRUE(index->Delete(accepted[i].first, accepted[i].second).ok());
+      ASSERT_TRUE(oracle->Delete(accepted[i].first, accepted[i].second).ok());
+    }
+  } else {
+    std::vector<Point> points;
+    std::vector<uint32_t> oids;
+    for (const auto& [point, oid] : entries) {
+      points.push_back(point);
+      oids.push_back(oid);
+    }
+    ASSERT_TRUE(index->BulkLoad(points, oids).ok());
+    ASSERT_TRUE(oracle->BulkLoad(points, oids).ok());
+  }
+  ASSERT_EQ(index->size(), oracle->size());
+  EXPECT_TRUE(index->CheckInvariants().ok());
+
+  std::vector<Point> queries = MakeUniformDataset(10, kDupDim, 63).ToPoints();
+  queries.push_back(repeated);
+  for (const Point& q : queries) {
+    for (const QuerySpec& spec :
+         {QuerySpec::Knn(10), QuerySpec::KnnBestFirst(10),
+          QuerySpec::Knn(static_cast<int>(3 * cap + 10))}) {
+      const QueryResult got = index->Search(q, spec);
+      const QueryResult want = oracle->Search(q, spec);
+      ASSERT_TRUE(got.status.ok()) << got.status.ToString();
+      ASSERT_EQ(got.neighbors.size(), want.neighbors.size());
+      for (size_t r = 0; r < want.neighbors.size(); ++r) {
+        EXPECT_EQ(got.neighbors[r].oid, want.neighbors[r].oid) << "rank " << r;
+        EXPECT_EQ(got.neighbors[r].distance, want.neighbors[r].distance)
+            << "rank " << r;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllIndexes, DuplicatePointTest,
+                         ::testing::ValuesIn(AllIndexTypes()),
+                         [](const ::testing::TestParamInfo<IndexType>& info) {
+                           return testing::TypeToken(info.param);
+                         });
 
 }  // namespace
 }  // namespace srtree

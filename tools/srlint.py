@@ -213,7 +213,6 @@ R3_TREE_DIRS = (
     "src/kdb/",
     "src/rstar/",
     "src/sstree/",
-    "src/tvtree/",
     "src/vamsplit/",
     "src/xtree/",
 )
