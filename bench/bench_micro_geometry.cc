@@ -1,7 +1,8 @@
 // Micro-benchmarks for the DistanceKernel batched primitives — ns per
 // element for every implementation compiled in and supported by this CPU
 // (scalar / AVX2 / AVX-512), across the dimensionalities the paper's
-// experiments span — plus the storage primitives on the node hot path.
+// experiments span and at the D = 16 SR-tree's page sizes — plus the storage
+// primitives on the node hot path.
 //
 // `--json` writes the same tables as a machine-readable report; the checked
 // in baseline lives at bench/snapshots/BENCH_micro_geometry.json.
@@ -84,11 +85,30 @@ struct KernelOpCase {
   std::function<void(const DistanceKernel&, KernelFixture&)> run;
 };
 
+// One table row: ns per element of `op` on `fixture` for every
+// implementation, "n/a" where it is not available.
+std::vector<std::string> KernelRow(const KernelOpCase& op,
+                                   KernelFixture& fixture, size_t count,
+                                   std::vector<std::string> row) {
+  for (const KernelImpl impl :
+       {KernelImpl::kScalar, KernelImpl::kAvx2, KernelImpl::kAvx512}) {
+    const DistanceKernel* kernel = GetDistanceKernelFor(impl);
+    if (kernel == nullptr) {
+      row.emplace_back("n/a");
+      continue;
+    }
+    const double ns = NsPerCall([&] {
+      op.run(*kernel, fixture);
+      g_sink = g_sink + fixture.out[0] + fixture.out[count - 1];
+    });
+    row.push_back(FormatNum(ns / static_cast<double>(count)));
+  }
+  return row;
+}
+
 int Run(const BenchOptions& options) {
   constexpr size_t kCount = 256;
   const std::vector<int> dims = {2, 16, 64, 256};
-  const std::vector<KernelImpl> all_impls = {
-      KernelImpl::kScalar, KernelImpl::kAvx2, KernelImpl::kAvx512};
 
   const std::vector<KernelOpCase> ops = {
       {"squared_l2",
@@ -121,23 +141,29 @@ int Run(const BenchOptions& options) {
     for (const int dim : dims) {
       KernelFixture fixture =
           MakeFixture(dim, kCount, options.seed + static_cast<uint64_t>(dim));
-      std::vector<std::string> row = {op.name, std::to_string(dim)};
-      for (const KernelImpl impl : all_impls) {
-        const DistanceKernel* kernel = GetDistanceKernelFor(impl);
-        if (kernel == nullptr) {
-          row.emplace_back("n/a");
-          continue;
-        }
-        const double ns = NsPerCall([&] {
-          op.run(*kernel, fixture);
-          g_sink = g_sink + fixture.out[0] + fixture.out[kCount - 1];
-        });
-        row.push_back(FormatNum(ns / static_cast<double>(kCount)));
-      }
-      kernel_table.AddRow(std::move(row));
+      kernel_table.AddRow(
+          KernelRow(op, fixture, kCount, {op.name, std::to_string(dim)}));
     }
   }
   kernel_table.Print();
+
+  // The blocks a D = 16 SR-tree query really runs on: a full leaf (12
+  // entries) and a full inner node (20), the Table 1 fanouts. Neither is a
+  // multiple of the SIMD width, so these rows show the partial last vector
+  // that block=256 hides.
+  constexpr int kPageDim = 16;
+  Table page_table(
+      "micro geometry: kernel ns per element, page-sized blocks (dim=16)",
+      {"op", "count", "scalar", "avx2", "avx512"});
+  for (const KernelOpCase& op : ops) {
+    for (const size_t count : {size_t{12}, size_t{20}}) {
+      KernelFixture fixture =
+          MakeFixture(kPageDim, count, options.seed + count);
+      page_table.AddRow(
+          KernelRow(op, fixture, count, {op.name, std::to_string(count)}));
+    }
+  }
+  page_table.Print();
 
   Table storage_table("micro geometry: storage ns per op", {"op", "ns"});
   {
@@ -175,7 +201,7 @@ int Run(const BenchOptions& options) {
   }
   storage_table.Print();
 
-  return EmitJsonReport(options, {kernel_table, storage_table});
+  return EmitJsonReport(options, {kernel_table, page_table, storage_table});
 }
 
 }  // namespace

@@ -12,6 +12,10 @@
 //    scalar / AVX2 / AVX-512 results are BIT-IDENTICAL — there is no
 //    cross-implementation tolerance to manage, and the fuzz oracles stay
 //    exact under SRTREE_FORCE_SCALAR_KERNEL differential runs.
+//  * The SIMD implementations run the last, partial vector of a block (a
+//    count that is not a lane multiple, as on every page) as one more
+//    masked vector iteration, not a scalar loop; its active lanes do the
+//    same rounded operations, so bit-identity holds at every count.
 //  * The bounded form implements incremental partial-distance pruning: when
 //    the running sum for an element exceeds bound_sq, accumulation may stop
 //    early. out[i] is exact whenever out[i] <= bound_sq; otherwise only the

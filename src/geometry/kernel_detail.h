@@ -7,9 +7,10 @@
 // rounded operations — which is what makes scalar and SIMD kernels
 // bit-identical (see docs/ANALYSIS.md "Distance kernel & dispatch").
 //
-// Shared by: kernel.cc / kernel_avx2.cc / kernel_avx512.cc (bulk ops and
-// block tails), rect.cc / sphere.cc (the geometry methods delegate here so
-// there is a single source of truth), and the deprecated point.h wrappers.
+// Shared by: kernel.cc (the scalar bulk ops), kernel_avx2.cc /
+// kernel_avx512.cc (the bounded-check chunk), rect.cc / sphere.cc (the
+// geometry methods delegate here so there is a single source of truth), and
+// the deprecated point.h wrappers.
 
 #ifndef SRTREE_GEOMETRY_KERNEL_DETAIL_H_
 #define SRTREE_GEOMETRY_KERNEL_DETAIL_H_
@@ -65,31 +66,6 @@ inline double ScalarSphereMinDist(const double* q, const double* center,
 inline double ScalarSphereMaxDist(const double* q, const double* center,
                                   size_t dim, double radius) {
   return std::sqrt(ScalarSquaredL2(q, center, dim)) + radius;
-}
-
-// Strided variants for the tail elements of an SoA block (coordinate d of
-// the element at elem[d * stride]): same accumulation order as above.
-
-inline double ScalarSquaredL2Strided(const double* q, const double* elem,
-                                     size_t stride, size_t dim) {
-  double sum = 0.0;
-  for (size_t d = 0; d < dim; ++d) {
-    const double diff = elem[d * stride] - q[d];
-    sum += diff * diff;
-  }
-  return sum;
-}
-
-inline double ScalarMinDistSqRectStrided(const double* q, const double* lo,
-                                         const double* hi, size_t stride,
-                                         size_t dim) {
-  double sum = 0.0;
-  for (size_t d = 0; d < dim; ++d) {
-    const double diff =
-        std::max(std::max(lo[d * stride] - q[d], q[d] - hi[d * stride]), 0.0);
-    sum += diff * diff;
-  }
-  return sum;
 }
 
 // How many leading dimensions are accumulated between early-exit checks of

@@ -7,29 +7,29 @@
 
 namespace srtree {
 
+namespace {
+
+Status ValidateSpec(const QuerySpec& spec) {
+  if (spec.kind == QueryKind::kRange) {
+    if (!(spec.radius >= 0.0) || std::isinf(spec.radius)) {
+      return Status::InvalidArgument("radius must be finite and >= 0");
+    }
+  } else if (spec.k <= 0) {
+    return Status::InvalidArgument("k must be >= 1");
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 QueryResult RunValidatedSearch(const SearchDispatch& dispatch, int dim,
                                PointView query, const QuerySpec& spec) {
   QueryResult result;
   const WallTimer timer;
-  if (static_cast<int>(query.size()) != dim) {
-    result.status = Status::InvalidArgument(
-        "query dimensionality does not match the index");
-    result.elapsed_seconds = timer.ElapsedSeconds();
-    return result;
-  }
-  if (!AllFinite(query)) {
-    result.status =
-        Status::InvalidArgument("query has a non-finite coordinate");
-    result.elapsed_seconds = timer.ElapsedSeconds();
-    return result;
-  }
-  if (spec.kind == QueryKind::kRange) {
-    if (!(spec.radius >= 0.0) || std::isinf(spec.radius)) {
-      result.status = Status::InvalidArgument("radius must be finite and >= 0");
-    }
-  } else if (spec.k <= 0) {
-    result.status = Status::InvalidArgument("k must be >= 1");
-  }
+  // A query obeys the domain rule of a stored point: beyond it, distances
+  // to stored points overflow to inf and stop ranking them.
+  result.status = ValidatePoint(query, dim);
+  if (result.status.ok()) result.status = ValidateSpec(spec);
   if (result.status.ok()) {
     result.neighbors = dispatch.SearchImpl(query, spec, &result.io);
   }

@@ -46,8 +46,9 @@ class SearchDispatch {
 };
 
 // The single validation + dispatch + timing shell behind every Search():
-// checks the spec (k >= 1 for the k-NN kinds, radius finite and >= 0 for
-// range, query dimensionality == `dim`, every query coordinate finite),
+// checks the query as ValidatePoint checks a stored point (dimensionality
+// == `dim`, every coordinate finite and within MaxCoordinateMagnitude) and
+// the spec (k >= 1 for the k-NN kinds, radius finite and >= 0 for range),
 // returns InvalidArgument with an empty neighbor list when malformed (no
 // traversal runs), and otherwise routes to the SearchDispatch hook,
 // stamping elapsed time either way.

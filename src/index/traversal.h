@@ -10,6 +10,10 @@
 //     static constexpr BoundSpace kSpace = ...;
 //     // Where the traversal starts; empty() for an empty index (no read).
 //     TraversalRoot root() const;
+//     // A cache hint that page `id` will be expanded soon (one line:
+//     // snap.Prefetch(id)). It counts no read, so it cannot change the
+//     // paper's reads per query.
+//     void Prefetch(PageId id) const;
 //     // Reads page `id` at `level` once, recording the read into `io`.
 //     // A leaf calls offer(d2, oid) for every entry whose squared distance
 //     // d2 from `query` is <= leaf_bound_sq; an inner node calls
@@ -97,9 +101,18 @@ double PruneBound(const KnnCandidates& cand) {
 // visited in (bound, entry index) order.
 using Ordered = std::tuple<double, size_t, PageId>;
 
+// How many children ahead of the one being descended into the DFS
+// prefetches. Most of a k-NN's pages are leaves under a level-1 node, read
+// one after another, so one sibling ahead covers a leaf's cache misses
+// while the current leaf is scanned; two ahead measured no better (docs/
+// ANALYSIS.md "Next-child prefetch").
+inline constexpr size_t kPrefetchAhead = 1;
+
 // Depth-first visit of page `id`. `order` is one stack shared by the whole
 // query: each node appends its children, sorts and walks its own slice,
 // and truncates back, so a query allocates it once rather than per node.
+// Before descending into child j it prefetches child j + kPrefetchAhead,
+// unless that child's bound already fails the pruning test.
 template <typename Policy>
 void KnnDfsVisit(const Policy& policy, PageId id, int level, PointView query,
                  KnnCandidates& cand, std::vector<Ordered>& order,
@@ -113,11 +126,19 @@ void KnnDfsVisit(const Policy& policy, PageId id, int level, PointView query,
       });
   const size_t end = order.size();
   std::sort(order.begin() + begin, order.begin() + end);
+  for (size_t j = begin; j < std::min(begin + kPrefetchAhead, end); ++j) {
+    policy.Prefetch(std::get<2>(order[j]));
+  }
   for (size_t j = begin; j < end; ++j) {
     // By value: the recursion grows `order` and may reallocate it.
     const double bound = std::get<0>(order[j]);
     const PageId child = std::get<2>(order[j]);
-    if (bound > PruneBound<Policy::kSpace>(cand)) break;
+    const double prune = PruneBound<Policy::kSpace>(cand);
+    if (bound > prune) break;
+    const size_t ahead = j + kPrefetchAhead;
+    if (ahead < end && std::get<0>(order[ahead]) <= prune) {
+      policy.Prefetch(std::get<2>(order[ahead]));
+    }
     KnnDfsVisit(policy, child, level - 1, query, cand, order, scratch, io);
   }
   order.resize(begin);

@@ -485,6 +485,7 @@ struct StaticSRTree::SearchBound {
 
   // An unbuilt tree's root id is kInvalidPageId, which is empty() too.
   TraversalRoot root() const { return CommittedRoot(snap); }
+  void Prefetch(PageId id) const { snap.Prefetch(id); }
 
   template <typename Offer, typename Child>
   void Expand(PageId id, int level, PointView query, double leaf_bound_sq,

@@ -49,6 +49,9 @@ constexpr uint32_t kPageFileFooterMagic = 0x45505253;  // "SRPE"
 constexpr uint32_t kPageFileVersion = 2;
 constexpr uint32_t kRetiredPageFileVersion = 1;
 
+// The stride of Snapshot::Prefetch: one x86-64 cache line.
+constexpr size_t kCacheLineBytes = 64;
+
 // Bytes remaining between the stream position and EOF, or -1 when the
 // stream is not seekable.
 int64_t RemainingBytes(std::istream& in) {
@@ -333,6 +336,15 @@ const char* PageFile::Snapshot::ReadInPlace(PageId id, int level,
 void PageFile::Snapshot::Read(PageId id, char* out, int level,
                               IoStatsDelta* delta) const {
   std::memcpy(out, ReadInPlace(id, level, delta), file_->page_size_);
+}
+
+void PageFile::Snapshot::Prefetch(PageId id) const {
+  const PageRef* ref = FindRef(static_cast<const VersionState*>(state_), id);
+  if (ref == nullptr || ref->data == nullptr) return;
+  const size_t bytes = std::min(kPrefetchBytes, file_->page_size_);
+  for (size_t offset = 0; offset < bytes; offset += kCacheLineBytes) {
+    __builtin_prefetch(ref->data + offset);
+  }
 }
 
 uint64_t PageFile::Snapshot::version() const {

@@ -96,6 +96,12 @@ class PageFile {
     void Read(PageId id, char* out, int level = -1,
               IoStatsDelta* delta = nullptr) const;
 
+    // Asks the CPU to start loading the first kPrefetchBytes of page `id`
+    // into cache, so a ReadInPlace of it shortly after finds them there.
+    // A hint only: it counts no read (neither in GetIoStats() nor in any
+    // delta), and does nothing when `id` is not live in this version.
+    void Prefetch(PageId id) const;
+
     // Monotonic version number (the constructor publishes version 1; every
     // Commit() increments it by exactly one).
     uint64_t version() const;
@@ -248,6 +254,13 @@ class PageFile {
     const char* data = nullptr;
     uint64_t stamp = 0;
   };
+
+  // How much of a page Snapshot::Prefetch asks for: the first 16 cache
+  // lines, which hold an SR-tree page's header and its first coordinate
+  // columns. Chosen by a sweep on the D = 16 uniform k-NN workload (see
+  // docs/ANALYSIS.md "Next-child prefetch"): 256 and 512 bytes and 1,536
+  // and 2,048 bytes all measured slower.
+  static constexpr size_t kPrefetchBytes = 1024;
 
   // Pages per page-table chunk. Commit() rebuilds each chunk the writer
   // touched and copies one pointer per chunk, so a smaller chunk makes the

@@ -735,6 +735,7 @@ struct XTree::SearchBound {
   const PageFile::Snapshot& snap;
 
   TraversalRoot root() const { return CommittedRoot(snap); }
+  void Prefetch(PageId id) const { snap.Prefetch(id); }
 
   template <typename Offer, typename Child>
   void Expand(PageId id, int level, PointView query, double leaf_bound_sq,

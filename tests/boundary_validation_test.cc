@@ -2,7 +2,8 @@
 //
 // Regressions: a query with a NaN coordinate used to return OK with zero
 // neighbors (every MINDIST comparison against NaN is false, so the
-// traversal pruned everything), and an Insert of a NaN point (SR, SS and
+// traversal pruned everything), one beyond the numeric domain returned k
+// neighbors at distance inf, and an Insert of a NaN point (SR, SS and
 // R* trees alike) was counted by size() but could never be found again.
 // Finite points at ~1e154 (D=8) were stored, and SR and SS then disagreed
 // with the scan on a quarter of the queries because squared distances
@@ -71,27 +72,47 @@ void ExpectRejected(const QueryResult& result) {
   EXPECT_EQ(result.io.reads, 0u);  // rejected before any traversal
 }
 
-class NonFiniteQueryTest : public ::testing::TestWithParam<IndexType> {};
-
-TEST_P(NonFiniteQueryTest, RejectedByIndexAndSnapshot) {
-  auto index = testing::MakeSmallPageIndex(GetParam(), kDim);
+// Every bad query is rejected, on the index and on a snapshot of it, for
+// every search kind, before any page is read; a good query still works.
+void ExpectQueriesRejected(IndexType type, const std::vector<Point>& bad) {
+  auto index = testing::MakeSmallPageIndex(type, kDim);
   const Dataset data = MakeUniformDataset(300, kDim, /*seed=*/31);
   ASSERT_TRUE(index->BulkLoad(data.ToPoints(), data.SequentialOids()).ok());
   const std::unique_ptr<IndexSnapshot> snapshot = index->AcquireSnapshot();
-  for (const Point& q : NonFinitePoints()) {
+  for (const Point& q : bad) {
     for (const QuerySpec& spec : {QuerySpec::Knn(5), QuerySpec::KnnBestFirst(5),
                                   QuerySpec::Range(0.5)}) {
       ExpectRejected(index->Search(q, spec));
       ExpectRejected(snapshot->Search(q, spec));
     }
   }
-  // A finite query still works.
   const QueryResult ok = index->Search(Point(kDim, 0.5), QuerySpec::Knn(5));
   EXPECT_TRUE(ok.status.ok());
   EXPECT_EQ(ok.neighbors.size(), 5u);
 }
 
+class NonFiniteQueryTest : public ::testing::TestWithParam<IndexType> {};
+
+TEST_P(NonFiniteQueryTest, RejectedByIndexAndSnapshot) {
+  ExpectQueriesRejected(GetParam(), NonFinitePoints());
+}
+
 INSTANTIATE_TEST_SUITE_P(AllIndexes, NonFiniteQueryTest,
+                         ::testing::ValuesIn(AllIndexTypes()),
+                         [](const ::testing::TestParamInfo<IndexType>& info) {
+                           return testing::TypeToken(info.param);
+                         });
+
+// A finite query beyond the domain of stored points used to run, and every
+// distance from it overflowed to inf: k "neighbors" at distance inf, tied
+// and ranked by oid alone.
+class OutOfDomainQueryTest : public ::testing::TestWithParam<IndexType> {};
+
+TEST_P(OutOfDomainQueryTest, RejectedByIndexAndSnapshot) {
+  ExpectQueriesRejected(GetParam(), OutOfDomainPoints());
+}
+
+INSTANTIATE_TEST_SUITE_P(AllIndexes, OutOfDomainQueryTest,
                          ::testing::ValuesIn(AllIndexTypes()),
                          [](const ::testing::TestParamInfo<IndexType>& info) {
                            return testing::TypeToken(info.param);

@@ -13,6 +13,9 @@
 //     whenever the true distance is within the bound, and the predicate
 //     out[i] > bound_sq always agrees with the exact distance — on every
 //     implementation, for every bound.
+//  Layers 2 and 3 sweep every block size from 0 to 17, so each SIMD
+//  implementation runs every partial-vector (masked tail) length, and check
+//  that no op writes past the block's last output.
 //  4. End to end: toggling partial-distance pruning leaves the results of
 //     every index type's kNN / best-first / range search unchanged.
 
@@ -30,6 +33,7 @@
 
 #include "src/common/random.h"
 #include "src/geometry/kernel.h"
+#include "src/geometry/kernel_detail.h"
 #include "src/geometry/point.h"
 #include "src/index/index_factory.h"
 
@@ -41,6 +45,18 @@ namespace {
 const int kDims[] = {1,  2,  3,  4,  5,  7,  8,  9,  15, 16, 17,
                      31, 32, 33, 48, 63, 64, 65, 100, 128, 256};
 constexpr size_t kCount = 37;  // not a lane multiple: exercises tails
+// Every block size up to two AVX-512 vectors plus one element, which covers
+// each masked tail length of both SIMD widths, and kCount.
+std::vector<size_t> SweptCounts() {
+  std::vector<size_t> counts;
+  for (size_t n = 0; n <= 17; ++n) counts.push_back(n);
+  counts.push_back(kCount);
+  return counts;
+}
+
+// Output slots past the block's end, which no op may write.
+constexpr size_t kGuardSlots = 8;
+constexpr double kGuardValue = -12345.0;
 
 enum class InputClass { kRandom, kSubnormal, kLargeMagnitude, kDuplicate };
 
@@ -138,14 +154,15 @@ struct Blocks {
   std::vector<Point> aos_lo, aos_hi;  // AoS copies for the references
 };
 
-Blocks MakeBlocks(InputClass c, int dim, uint64_t seed) {
+Blocks MakeBlocks(InputClass c, int dim, uint64_t seed,
+                  size_t count = kCount) {
   Xoshiro256 rng(seed);
   Blocks b;
   b.query = MakePoint(c, dim, rng);
-  b.points.Reset(dim, kCount);
-  b.highs.Reset(dim, kCount);
-  b.radii.resize(kCount);
-  for (size_t i = 0; i < kCount; ++i) {
+  b.points.Reset(dim, count);
+  b.highs.Reset(dim, count);
+  b.radii.resize(count);
+  for (size_t i = 0; i < count; ++i) {
     Point lo = MakePoint(c, dim, rng);
     Point hi = lo;
     for (int d = 0; d < dim; ++d) {
@@ -216,39 +233,81 @@ TEST(KernelDifferentialTest, MatchesLongDoubleReference) {
   }
 }
 
+// A fresh output buffer: `count` slots followed by kGuardSlots guards.
+std::vector<double> GuardedOut(size_t count) {
+  return std::vector<double>(count + kGuardSlots, kGuardValue);
+}
+
+void ExpectGuardsIntact(const std::vector<double>& out, size_t count,
+                        const std::string& label) {
+  for (size_t i = count; i < out.size(); ++i) {
+    EXPECT_EQ(out[i], kGuardValue) << label << " wrote past the block, i=" << i;
+  }
+}
+
 TEST(KernelDifferentialTest, SimdBitIdenticalToScalar) {
   const DistanceKernel* scalar = GetDistanceKernelFor(KernelImpl::kScalar);
   ASSERT_NE(scalar, nullptr);
-  for (const InputClass c : kInputClasses) {
-    for (const int dim : kDims) {
-      const Blocks b = MakeBlocks(c, dim, 2000 + static_cast<uint64_t>(dim));
-      std::vector<double> want(kCount), got(kCount);
-      for (const KernelImpl impl : AvailableKernelImpls()) {
-        if (impl == KernelImpl::kScalar) continue;
-        const DistanceKernel* kernel = GetDistanceKernelFor(impl);
-        ASSERT_NE(kernel, nullptr);
-        const std::string label = CaseLabel(c, dim, *kernel);
+  for (const size_t count : SweptCounts()) {
+    for (const InputClass c : kInputClasses) {
+      for (const int dim : kDims) {
+        const Blocks b = MakeBlocks(c, dim, 2000 + static_cast<uint64_t>(dim),
+                                    count);
+        // A bound inside the block's distance range, so the bounded op both
+        // stops early and runs to the end.
+        std::vector<double> exact(count);
+        scalar->SquaredL2ToMany(b.query, b.points.block(), exact.data());
+        const double bound = count == 0 ? 0.0 : exact[count / 2];
+        for (const KernelImpl impl : AvailableKernelImpls()) {
+          if (impl == KernelImpl::kScalar) continue;
+          const DistanceKernel* kernel = GetDistanceKernelFor(impl);
+          ASSERT_NE(kernel, nullptr);
+          const std::string label = CaseLabel(c, dim, *kernel) +
+                                    " count=" + std::to_string(count);
+          std::vector<double> want = GuardedOut(count);
+          std::vector<double> got = GuardedOut(count);
 
-        scalar->SquaredL2ToMany(b.query, b.points.block(), want.data());
-        kernel->SquaredL2ToMany(b.query, b.points.block(), got.data());
-        for (size_t i = 0; i < kCount; ++i) {
-          EXPECT_EQ(want[i], got[i]) << label << " squared_l2 i=" << i;
-        }
+          scalar->SquaredL2ToMany(b.query, b.points.block(), want.data());
+          kernel->SquaredL2ToMany(b.query, b.points.block(), got.data());
+          for (size_t i = 0; i < count; ++i) {
+            EXPECT_EQ(want[i], got[i]) << label << " squared_l2 i=" << i;
+          }
+          ExpectGuardsIntact(got, count, label + " squared_l2");
 
-        scalar->MinDistRectToMany(b.query, b.points.block(), b.highs.block(),
-                                  want.data());
-        kernel->MinDistRectToMany(b.query, b.points.block(), b.highs.block(),
-                                  got.data());
-        for (size_t i = 0; i < kCount; ++i) {
-          EXPECT_EQ(want[i], got[i]) << label << " rect_mindist i=" << i;
-        }
+          // Bounded: bit-identical wherever the scalar result is within the
+          // bound; beyond it both sides only promise the predicate.
+          scalar->SquaredL2ToManyBounded(b.query, b.points.block(), bound,
+                                         want.data());
+          kernel->SquaredL2ToManyBounded(b.query, b.points.block(), bound,
+                                         got.data());
+          for (size_t i = 0; i < count; ++i) {
+            if (want[i] <= bound) {
+              EXPECT_EQ(want[i], got[i])
+                  << label << " squared_l2_bounded i=" << i;
+            } else {
+              EXPECT_GT(got[i], bound)
+                  << label << " squared_l2_bounded i=" << i;
+            }
+          }
+          ExpectGuardsIntact(got, count, label + " squared_l2_bounded");
 
-        scalar->SphereMinDistToMany(b.query, b.points.block(),
-                                    b.radii.data(), want.data());
-        kernel->SphereMinDistToMany(b.query, b.points.block(),
-                                    b.radii.data(), got.data());
-        for (size_t i = 0; i < kCount; ++i) {
-          EXPECT_EQ(want[i], got[i]) << label << " sphere_mindist i=" << i;
+          scalar->MinDistRectToMany(b.query, b.points.block(),
+                                    b.highs.block(), want.data());
+          kernel->MinDistRectToMany(b.query, b.points.block(),
+                                    b.highs.block(), got.data());
+          for (size_t i = 0; i < count; ++i) {
+            EXPECT_EQ(want[i], got[i]) << label << " rect_mindist i=" << i;
+          }
+          ExpectGuardsIntact(got, count, label + " rect_mindist");
+
+          scalar->SphereMinDistToMany(b.query, b.points.block(),
+                                      b.radii.data(), want.data());
+          kernel->SphereMinDistToMany(b.query, b.points.block(),
+                                      b.radii.data(), got.data());
+          for (size_t i = 0; i < count; ++i) {
+            EXPECT_EQ(want[i], got[i]) << label << " sphere_mindist i=" << i;
+          }
+          ExpectGuardsIntact(got, count, label + " sphere_mindist");
         }
       }
     }
@@ -256,41 +315,82 @@ TEST(KernelDifferentialTest, SimdBitIdenticalToScalar) {
 }
 
 TEST(KernelDifferentialTest, BoundedContractHoldsOnEveryImplementation) {
-  for (const InputClass c : kInputClasses) {
-    for (const int dim : kDims) {
-      const Blocks b = MakeBlocks(c, dim, 3000 + static_cast<uint64_t>(dim));
-      // Exact distances, for the contract's right-hand side. Any
-      // implementation works: the unbounded op is bit-identical everywhere.
-      std::vector<double> exact(kCount);
-      GetDistanceKernel().SquaredL2ToMany(b.query, b.points.block(),
-                                          exact.data());
-      // Bounds from strict to permissive, including both extremes and
-      // bounds that land exactly on block distances (ties must stay exact).
-      std::vector<double> bounds = {0.0,
-                                    std::numeric_limits<double>::infinity()};
-      for (size_t i = 0; i < kCount; i += 7) bounds.push_back(exact[i]);
-      for (const KernelImpl impl : AvailableKernelImpls()) {
-        const DistanceKernel* kernel = GetDistanceKernelFor(impl);
-        ASSERT_NE(kernel, nullptr);
-        std::vector<double> out(kCount);
-        for (const double bound : bounds) {
-          kernel->SquaredL2ToManyBounded(b.query, b.points.block(), bound,
-                                         out.data());
-          for (size_t i = 0; i < kCount; ++i) {
-            const std::string label =
-                CaseLabel(c, dim, *kernel) + " bound=" +
-                std::to_string(bound) + " i=" + std::to_string(i);
-            if (exact[i] <= bound) {
-              // The partial sums are monotone, so none can exceed the
-              // bound and the result must be the full exact distance.
-              EXPECT_EQ(out[i], exact[i]) << label;
-            } else {
-              // Beyond the bound only the predicate is promised.
-              EXPECT_GT(out[i], bound) << label;
+  for (const size_t count : SweptCounts()) {
+    for (const InputClass c : kInputClasses) {
+      for (const int dim : kDims) {
+        const Blocks b = MakeBlocks(c, dim, 3000 + static_cast<uint64_t>(dim),
+                                    count);
+        // Exact distances, for the contract's right-hand side. Any
+        // implementation works: the unbounded op is bit-identical
+        // everywhere.
+        std::vector<double> exact(count);
+        GetDistanceKernel().SquaredL2ToMany(b.query, b.points.block(),
+                                            exact.data());
+        // Bounds from strict to permissive, including both extremes and
+        // bounds that land exactly on block distances (ties must stay
+        // exact).
+        std::vector<double> bounds = {0.0,
+                                      std::numeric_limits<double>::infinity()};
+        for (size_t i = 0; i < count; i += 7) bounds.push_back(exact[i]);
+        for (const KernelImpl impl : AvailableKernelImpls()) {
+          const DistanceKernel* kernel = GetDistanceKernelFor(impl);
+          ASSERT_NE(kernel, nullptr);
+          for (const double bound : bounds) {
+            std::vector<double> out = GuardedOut(count);
+            kernel->SquaredL2ToManyBounded(b.query, b.points.block(), bound,
+                                           out.data());
+            const std::string prefix = CaseLabel(c, dim, *kernel) +
+                                       " count=" + std::to_string(count) +
+                                       " bound=" + std::to_string(bound);
+            for (size_t i = 0; i < count; ++i) {
+              const std::string label = prefix + " i=" + std::to_string(i);
+              if (exact[i] <= bound) {
+                // The partial sums are monotone, so none can exceed the
+                // bound and the result must be the full exact distance.
+                EXPECT_EQ(out[i], exact[i]) << label;
+              } else {
+                // Beyond the bound only the predicate is promised.
+                EXPECT_GT(out[i], bound) << label;
+              }
             }
+            ExpectGuardsIntact(out, count, prefix);
           }
         }
       }
+    }
+  }
+}
+
+// When every element of a block exceeds the bound within the first check
+// chunk, every implementation stops after that chunk. The last vector's
+// masked-off lanes (which read 0.0, never above the bound) must not hold
+// its active lanes back, so the tail too returns the one-chunk partial sum.
+TEST(KernelDifferentialTest, BoundedTailStopsWhenOnlyActiveLanesExceed) {
+  constexpr size_t kChunk = kernel_detail::kBoundedCheckChunk;
+  constexpr int kDim = static_cast<int>(2 * kChunk);
+  const Point query(kDim, 0.0);
+  for (size_t count = 1; count <= 17; ++count) {
+    SoaBuffer points;
+    points.Reset(kDim, count);
+    std::vector<double> partial(count);
+    for (size_t i = 0; i < count; ++i) {
+      const double x = 1.0 + 0.25 * static_cast<double>(i);
+      points.SetElement(i, Point(kDim, x));
+      partial[i] = static_cast<double>(kChunk) * (x * x);
+    }
+    const double bound = 8.0;  // below every one-chunk partial sum
+    for (const KernelImpl impl : AvailableKernelImpls()) {
+      const DistanceKernel* kernel = GetDistanceKernelFor(impl);
+      ASSERT_NE(kernel, nullptr);
+      std::vector<double> out = GuardedOut(count);
+      kernel->SquaredL2ToManyBounded(query, points.block(), bound,
+                                     out.data());
+      const std::string label =
+          std::string(kernel->name()) + " count=" + std::to_string(count);
+      for (size_t i = 0; i < count; ++i) {
+        EXPECT_EQ(out[i], partial[i]) << label << " i=" << i;
+      }
+      ExpectGuardsIntact(out, count, label);
     }
   }
 }

@@ -190,6 +190,58 @@ TEST(PageFileTest, SnapshotReadInPlaceCountsLikeRead) {
   EXPECT_EQ(stats.reads_by_level[1], 4u);
 }
 
+// Prefetch is a cache hint, not a read: it moves no counter, leaves a
+// caller's delta alone, does not touch the simulated LRU, and is a no-op
+// for an id the snapshot's version does not hold.
+TEST(PageFileTest, SnapshotPrefetchCountsNoRead) {
+  PageFile file(kDefaultPageSize);
+  const PageId a = file.Allocate();
+  const PageId b = file.Allocate();
+  std::vector<char> data(kDefaultPageSize, 'p');
+  file.StageWrite(a, data.data());
+  file.StageWrite(b, data.data());
+  file.Commit({});
+  file.SimulateCache(1);
+  file.ResetStats();
+
+  const EpochGuard guard(file.epochs());
+  const PageFile::Snapshot before_free = file.AcquireSnapshot(guard);
+  IoStatsDelta delta;
+  before_free.ReadInPlace(a, /*level=*/0, &delta);
+  const IoStatsDelta delta_then = delta;
+  const IoStats stats_then = file.GetIoStats();
+
+  before_free.Prefetch(a);
+  before_free.Prefetch(b);  // not the cached page: still no LRU change
+  EXPECT_EQ(delta, delta_then);
+  const IoStats stats_now = file.GetIoStats();
+  EXPECT_EQ(stats_now.reads, stats_then.reads);
+  EXPECT_EQ(stats_now.cache_misses, stats_then.cache_misses);
+  EXPECT_EQ(stats_now.reads_by_level, stats_then.reads_by_level);
+  // `a` is still the one page in the simulated cache, so this is a hit.
+  IoStatsDelta reread;
+  before_free.ReadInPlace(a, /*level=*/0, &reread);
+  EXPECT_EQ(reread.reads, 1u);
+  EXPECT_EQ(reread.cache_misses, 0u);
+
+  // Freed in a later version: the new snapshot's table has no buffer for
+  // it, and the old snapshot still prefetches its own copy.
+  file.Free(b);
+  file.Commit({});
+  const PageFile::Snapshot after_free = file.AcquireSnapshot(guard);
+  ASSERT_FALSE(after_free.is_live(b));
+  const IoStats stats_before_noops = file.GetIoStats();
+  after_free.Prefetch(b);
+  before_free.Prefetch(b);
+  // Ids past the end of the page table.
+  after_free.Prefetch(1'000'000);
+  after_free.Prefetch(kInvalidPageId);
+  const IoStats stats_after_noops = file.GetIoStats();
+  EXPECT_EQ(stats_after_noops.reads, stats_before_noops.reads);
+  EXPECT_EQ(stats_after_noops.cache_misses, stats_before_noops.cache_misses);
+  file.SimulateCache(0);
+}
+
 // Concurrent readers count into per-thread shards; the summed counters are
 // exact, with no lock on the read path.
 TEST(PageFileTest, ConcurrentSnapshotReadsCountExactly) {
