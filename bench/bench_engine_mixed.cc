@@ -11,9 +11,11 @@
 // and once with a concurrent writer thread looping over an insert/delete
 // schedule for the duration of the batch loop. Queries per second is batch
 // size times rounds over wall time; mutations/s is the writer's committed
-// throughput over the same wall clock. The last column sums
+// throughput over the same wall clock. "queries over even share" sums
 // BatchStats::steals over the rounds: the queries workers ran beyond an
-// even share of each batch.
+// even share of each batch. The last two columns are the tree's page
+// footprint after the row: live pages times the 8 KB logical page, and the
+// bytes those pages hold (each page's stored extent).
 
 #include <atomic>
 #include <thread>
@@ -56,7 +58,8 @@ int Run(const BenchOptions& options) {
                   std::to_string(n) + ", D=" + std::to_string(dim) +
                   ", batch=" + std::to_string(batch.size()) + ")",
               {"workers", "writer", "queries/s", "mutations/s",
-               "reads/query", "queries over even share"});
+               "reads/query", "queries over even share", "logical page MB",
+               "stored page MB"});
 
   for (const int workers : {1, 2, 4, 8}) {
     for (const bool with_writer : {false, true}) {
@@ -107,6 +110,7 @@ int Run(const BenchOptions& options) {
         writer.join();
       }
       index = engine.ReleaseIndex();
+      const PageFootprint pages = index->GetPageFootprint();
 
       const double total_queries =
           static_cast<double>(batch.size()) * rounds;
@@ -119,7 +123,9 @@ int Run(const BenchOptions& options) {
                            wall)
                : "0",
            FormatNum(static_cast<double>(reads) / total_queries),
-           std::to_string(steals)});
+           std::to_string(steals),
+           FormatNum(static_cast<double>(pages.logical_bytes()) / 1e6),
+           FormatNum(static_cast<double>(pages.stored_bytes) / 1e6)});
     }
   }
   table.Print();

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <fstream>
 #include <limits>
 #include <numeric>
@@ -21,6 +20,20 @@ constexpr size_t kHeaderBytes = kSoaPageHeaderBytes;
 
 // Floating-point slack for sphere-containment checks (see ss_tree.cc).
 constexpr double kEps = 1e-9;
+
+// Stored bytes of one leaf entry: the point and its oid. A leaf entry also
+// reserves leaf_data_size bytes of attribute data, which count toward the
+// leaf capacity (Table 1) but are never stored.
+size_t LeafEntryBytes(size_t dim) {
+  return dim * sizeof(double) + sizeof(uint32_t);
+}
+
+// center + radius + rect(lo,hi) + weight + child: the entry is three times
+// the SS-tree's and one and a half times the R*-tree's (Section 5.3).
+size_t InnerEntryBytes(size_t dim) {
+  return dim * sizeof(double) + sizeof(double) + 2 * dim * sizeof(double) +
+         2 * sizeof(uint32_t);
+}
 
 // Element `i` of a dim-major block equals `p`, coordinate for coordinate.
 bool SoaElementEquals(const SoaBlock& block, size_t i, PointView p) {
@@ -52,18 +65,13 @@ SRTree::Options SRTree::Validated(const Options& options) {
 
 size_t SRTree::LeafCapacityFor(const Options& options) {
   const size_t dim = static_cast<size_t>(options.dim);
-  const size_t leaf_entry =
-      dim * sizeof(double) + sizeof(uint32_t) + options.leaf_data_size;
-  return (options.page_size - kHeaderBytes) / leaf_entry;
+  return (options.page_size - kHeaderBytes) /
+         (LeafEntryBytes(dim) + options.leaf_data_size);
 }
 
 size_t SRTree::NodeCapacityFor(const Options& options) {
-  // center + radius + rect(lo,hi) + weight + child: the entry is three times
-  // the SS-tree's and one and a half times the R*-tree's (Section 5.3).
   const size_t dim = static_cast<size_t>(options.dim);
-  const size_t node_entry = dim * sizeof(double) + sizeof(double) +
-                            2 * dim * sizeof(double) + 2 * sizeof(uint32_t);
-  return (options.page_size - kHeaderBytes) / node_entry;
+  return (options.page_size - kHeaderBytes) / InnerEntryBytes(dim);
 }
 
 SRTree::SRTree(const Options& options)
@@ -128,12 +136,9 @@ bool PlausibleOptions(const SRTree::Options& o) {
   if (o.page_size <= kHeaderBytes || o.page_size > (1u << 28)) return false;
   if (o.leaf_data_size > o.page_size) return false;
   const size_t dim = static_cast<size_t>(o.dim);
-  const size_t leaf_entry =
-      dim * sizeof(double) + sizeof(uint32_t) + o.leaf_data_size;
-  const size_t node_entry = dim * sizeof(double) + sizeof(double) +
-                            2 * dim * sizeof(double) + 2 * sizeof(uint32_t);
-  return (o.page_size - kHeaderBytes) / leaf_entry >= 2 &&
-         (o.page_size - kHeaderBytes) / node_entry >= 2;
+  const size_t usable = o.page_size - kHeaderBytes;
+  return usable / (LeafEntryBytes(dim) + o.leaf_data_size) >= 2 &&
+         usable / InnerEntryBytes(dim) >= 2;
 }
 
 }  // namespace
@@ -198,26 +203,86 @@ StatusOr<std::unique_ptr<SRTree>> SRTree::Open(const std::string& path) {
   }
   auto tree = std::make_unique<SRTree>(options);
   RETURN_IF_ERROR(tree->file_.LoadFrom(image.stream()));
-  if (!tree->file_.is_live(header.root_id)) {
-    return Status::Corruption("SR-tree root page is not live in the image");
-  }
   {
-    // LoadFrom leaves the restored contents unpublished; commit them under
-    // the restored metadata so snapshots serve the reopened tree.
+    // LoadFrom leaves the restored contents unpublished; once the page
+    // structure checks out, commit them under the restored metadata so
+    // snapshots serve the reopened tree.
     MutexLock lock(tree->writer_mu_);
     tree->root_id_ = header.root_id;
     tree->root_level_ = header.root_level;
     tree->size_ = header.size;
     tree->maintenance_ = MaintenanceStats{};
+    RETURN_IF_ERROR(tree->ValidateStructure());
     tree->CommitState();
   }
   RETURN_IF_ERROR(tree->CheckInvariants());
   return tree;
 }
 
+Status SRTree::ValidateStructure() const {
+  // Depth-first from the root: every reachable page must be live, carry the
+  // level its parent implies, keep its count within capacity and its
+  // entries within the bytes it stores — so the decoding walks behind
+  // CheckInvariants (PeekNode) never read past a page or chase a wild
+  // child id. A walk longer than the live page count is not a tree.
+  struct Item {
+    PageId id;
+    int level;
+  };
+  std::vector<Item> stack = {{root_id_, root_level_}};
+  uint64_t visited = 0;
+  uint64_t points = 0;
+  while (!stack.empty()) {
+    const Item item = stack.back();
+    stack.pop_back();
+    if (!file_.is_live(item.id)) {
+      return Status::Corruption("SR-tree page " + std::to_string(item.id) +
+                                " is not live in the image");
+    }
+    if (++visited > file_.live_pages()) {
+      return Status::Corruption("SR-tree page structure is not a tree");
+    }
+    const size_t extent = file_.extent(item.id);
+    const char* page = file_.PeekPage(item.id);
+    if (extent < kHeaderBytes || SoaPageLevel(page) != item.level) {
+      return Status::Corruption("SR-tree page " + std::to_string(item.id) +
+                                " does not carry its level");
+    }
+    if (item.level == 0) {
+      const SoaLeafView leaf = ParseSoaLeaf(page, options_.dim);
+      if (leaf.count > leaf_cap_ || NodeBytes(0, leaf.count) > extent) {
+        return Status::Corruption("SR-tree leaf page " +
+                                  std::to_string(item.id) +
+                                  " count exceeds its page");
+      }
+      points += leaf.count;
+      continue;
+    }
+    const SoaInnerView inner = ParseSoaInner(page, options_.dim);
+    if (inner.count > node_cap_ || NodeBytes(item.level, inner.count) > extent) {
+      return Status::Corruption("SR-tree inner page " +
+                                std::to_string(item.id) +
+                                " count exceeds its page");
+    }
+    for (size_t i = 0; i < inner.count; ++i) {
+      stack.push_back({inner.tail[i], item.level - 1});
+    }
+  }
+  if (points != size_) {
+    return Status::Corruption("SR-tree leaf total does not match its size");
+  }
+  return Status::OK();
+}
+
 // --------------------------------------------------------------------------
 // Page I/O
 // --------------------------------------------------------------------------
+
+size_t SRTree::NodeBytes(int level, size_t count) const {
+  const size_t dim = static_cast<size_t>(options_.dim);
+  return kHeaderBytes +
+         count * (level == 0 ? LeafEntryBytes(dim) : InnerEntryBytes(dim));
+}
 
 void SRTree::SerializeNode(const Node& node, char* buf) const {
   const size_t count = node.count();
@@ -247,9 +312,9 @@ void SRTree::SerializeNode(const Node& node, char* buf) const {
     cursor = PutSoaArray<uint32_t>(cursor, count,
                                    [&](size_t i) { return e[i].child; });
   }
-  // The rest of the page, including a leaf's data area, is zero.
-  std::memset(cursor, 0,
-              static_cast<size_t>(buf + options_.page_size - cursor));
+  // The entries end the page's bytes: a leaf's data area is logical only.
+  DCHECK_EQ(static_cast<size_t>(cursor - buf),
+            NodeBytes(node.level, count));
 }
 
 void SRTree::DecodeNode(const char* buf, PageId id, Node& node) const {
@@ -296,10 +361,12 @@ SRTree::Node SRTree::PeekNode(PageId id) const {
 }
 
 void SRTree::WriteNode(const Node& node) {
-  // Serialized straight into the staged buffer, which SerializeNode fills
-  // completely. Copy-on-write staging keeps snapshots on the committed
-  // buffer: staging a shared page moves this id to a fresh one.
-  SerializeNode(node, file_.StageWrite(node.id));
+  // Serialized straight into the staged buffer, sized to exactly the bytes
+  // the node uses, which SerializeNode fills completely. Copy-on-write
+  // staging keeps snapshots on the committed buffer: staging a shared page
+  // moves this id to a fresh one.
+  SerializeNode(node, file_.StageWrite(node.id,
+                                       NodeBytes(node.level, node.count())));
 }
 
 void SRTree::CommitState() {

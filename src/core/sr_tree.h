@@ -28,9 +28,13 @@
 // src/index/soa_page.h), with the same bytes per entry as the paper's
 // row-major entries, so the Table 1 fanouts are unchanged:
 //   leaf:  [header] coords (dim x count doubles) | oids (count u32) |
-//          leaf-data area (count x leaf_data_size bytes, zero)
+//          leaf-data area (count x leaf_data_size bytes, logical only)
 //   inner: [header] centers | radii | rect lo | rect hi | weights (u32) |
 //          child page ids (u32)
+// The leaf-data area counts toward the leaf capacity (LeafCapacityFor), so
+// a leaf still fills its 8 KB page for the paper's accounting, but nothing
+// reads it, so it is never stored: each page's extent (PageFile::StageWrite)
+// ends at its last entry, NodeBytes(level, count) bytes.
 // The writer decodes its working pages in place into reused Node storage
 // (ReadNode) and serializes nodes straight into the buffer StageWrite
 // hands back (WriteNode). A query never decodes: it overlays SoaBlock views
@@ -90,7 +94,10 @@ class SRTree : public PagedIndex {
   // Opens an index previously written by Save(); the options are restored
   // from the file. Only the current v2 image in the SoA page layout is
   // readable — a pre-v2 legacy file or a row-major-layout image fails with
-  // an explicit "re-save" error.
+  // an explicit "re-save" error. Its pages (page-file format v3, or v2 at
+  // full extent) are checked against their headers before anything decodes
+  // them (ValidateStructure): a checksum-valid image that is not a tree its
+  // pages can hold fails with Corruption.
   static StatusOr<std::unique_ptr<SRTree>> Open(const std::string& path);
 
   int dim() const override { return options_.dim; }
@@ -179,9 +186,13 @@ class SRTree : public PagedIndex {
   void ReadNode(PageId id, int level, Node& node) const REQUIRES(writer_mu_);
   Node PeekNode(PageId id) const REQUIRES(writer_mu_);
   void WriteNode(const Node& node) REQUIRES(writer_mu_);
-  // Encodes `node` into the whole page at `buf` (page_size bytes) in the
-  // SoA layout above, and decodes it back. DecodeNode refills `node` in
-  // place, keeping the capacity of its entry vectors and entry points.
+  // Bytes a page of `count` entries at `level` holds: the header and the
+  // entries, without a leaf's data area.
+  size_t NodeBytes(int level, size_t count) const;
+  // Encodes `node` into exactly NodeBytes(node.level, node.count()) bytes
+  // at `buf` in the SoA layout above, and decodes it back. DecodeNode
+  // refills `node` in place, keeping the capacity of its entry vectors and
+  // entry points.
   void SerializeNode(const Node& node, char* buf) const;
   void DecodeNode(const char* buf, PageId id, Node& node) const;
   Node DeserializeNode(const char* buf, PageId id) const;
@@ -238,6 +249,12 @@ class SRTree : public PagedIndex {
   struct SearchBound;
 
   // --- validation / stats (walk working state; callers hold writer_mu_) ---
+  // Open()'s check of a loaded image before anything decodes its pages:
+  // walks from the root, and returns Corruption unless every reachable page
+  // is live, carries its parent's level minus one, holds at most a full
+  // page of entries within its stored extent, and the walk visits no more
+  // pages than are live and finds size_ points.
+  Status ValidateStructure() const REQUIRES(writer_mu_);
   void VisitSubtree(const Node& node, std::vector<int>& path,
                     const NodeVisitor& visitor) const REQUIRES(writer_mu_);
   void CollectStats(const Node& node, TreeStats& stats) const

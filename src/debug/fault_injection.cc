@@ -110,6 +110,51 @@ std::string FlipBit(const std::string& image, size_t bit) {
   return out;
 }
 
+namespace {
+
+uint64_t LoadLe(const std::string& bytes, size_t at, size_t width) {
+  uint64_t v = 0;
+  for (size_t i = 0; i < width; ++i) {
+    v |= static_cast<uint64_t>(static_cast<unsigned char>(bytes[at + i]))
+         << (8 * i);
+  }
+  return v;
+}
+
+}  // namespace
+
+std::vector<size_t> PageRecordOffsets(const std::string& image) {
+  // Container framing: magic, version, 8-byte tag, header size, header
+  // CRC, header. Page-file header: magic, version, page size, page count,
+  // live count, header CRC.
+  constexpr size_t kContainerFraming = 24;
+  constexpr size_t kPageFileHeader = 36;
+  std::vector<size_t> offsets;
+  if (image.size() < kContainerFraming) return offsets;
+  const size_t start = kContainerFraming + LoadLe(image, 16, 4);
+  if (start > image.size() || image.size() - start < kPageFileHeader) {
+    return offsets;
+  }
+  const uint64_t version = LoadLe(image, start + 4, 4);
+  const uint64_t page_size = LoadLe(image, start + 8, 8);
+  const uint64_t page_count = LoadLe(image, start + 16, 8);
+  size_t at = start + kPageFileHeader;
+  for (uint64_t i = 0; i <= page_count && at <= image.size(); ++i) {
+    offsets.push_back(at);  // record i, or the footer once i == page_count
+    if (i == page_count || at == image.size()) break;
+    if (image[at++] == 0) continue;
+    uint64_t extent = page_size;
+    if (version >= 3) {
+      if (image.size() - at < 4) break;
+      extent = LoadLe(image, at, 4);
+      at += 4;
+    }
+    if (extent > image.size() - at || image.size() - at - extent < 4) break;
+    at += extent + 4;
+  }
+  return offsets;
+}
+
 std::string SpliceImages(const std::string& newer, const std::string& older,
                          size_t boundary) {
   const size_t cut = std::min(boundary, newer.size());
@@ -237,11 +282,16 @@ Status RunPersistenceFaultFuzz(IndexType type,
       } else if (kind == FaultKind::kBitFlip) {
         corrupted = FlipBit(image_a, rng.NextBounded(image_a.size() * 8));
       } else {
-        const size_t max_pages =
-            std::min(image_a.size(), image_b.size()) / options.page_size;
+        // A torn overwrite that stops where one of the two images starts a
+        // record. Where both do, every per-record CRC of the result holds
+        // and only the image CRC can tell; elsewhere the older tail resumes
+        // mid-record and its stray bytes are read as framing and extents.
+        std::vector<size_t> cuts = PageRecordOffsets(image_a);
+        const std::vector<size_t> cuts_b = PageRecordOffsets(image_b);
+        cuts.insert(cuts.end(), cuts_b.begin(), cuts_b.end());
+        cuts.push_back(0);
         corrupted = SpliceImages(image_b, image_a,
-                                 rng.NextBounded(max_pages + 1) *
-                                     options.page_size);
+                                 cuts[rng.NextBounded(cuts.size())]);
       }
       RETURN_IF_ERROR(WriteStringToFileForTest(corrupted, target));
       StatusOr<std::unique_ptr<PointIndex>> loaded = OpenIndex(target);

@@ -12,7 +12,7 @@
 //   * The corruption helpers (FlipBit / SpliceImages / prefix truncation)
 //     produce the byte patterns a crashed or lying disk leaves behind in an
 //     already-written image: single-bit rot, an in-place overwrite torn at
-//     a page boundary, a file cut short. Loading such an image must either
+//     a record boundary, a file cut short. Loading such an image must either
 //     fail with Corruption/InvalidArgument or produce a fully valid index —
 //     never a crash, never silently wrong query results.
 //
@@ -25,6 +25,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "src/common/status.h"
 #include "src/index/index_factory.h"
@@ -40,7 +41,7 @@ enum class FaultKind {
   kFailedFlush,   // fsync() of the temp file fails
   kFailedRename,  // rename() over the destination fails
   kTruncate,      // destination cut to a strict prefix
-  kTornWrite,     // overwrite torn at a page boundary: new prefix, old tail
+  kTornWrite,     // overwrite torn at a record boundary: new prefix, old tail
   kBitFlip,       // one bit flipped somewhere in the image
 };
 
@@ -71,6 +72,13 @@ class FaultInjector : public SaveFailpoints {
 
 // Returns `image` with bit `bit` (0-based, < 8 * image.size()) flipped.
 std::string FlipBit(const std::string& image, size_t bit);
+
+// Offsets in an index image (src/storage/image_io.h) at which a page-file
+// record starts: the page-file header's end, each page record and the
+// footer (v2 or v3 records, src/storage/page_file.cc). Parses as far as
+// the bytes are well-formed and returns what it found; empty when `image`
+// is not an index image.
+std::vector<size_t> PageRecordOffsets(const std::string& image);
 
 // The on-disk state of an in-place overwrite of `older` by `newer` torn
 // after `boundary` bytes: newer's prefix, then whatever of older's tail

@@ -35,6 +35,16 @@ class PinnedSnapshot final : public IndexSnapshot, public SearchDispatch {
 
 }  // namespace
 
+Status PagedIndex::LoadFullPages(std::istream& in) {
+  RETURN_IF_ERROR(file_.LoadFrom(in));
+  // Every extent is at most page_size, so the total is full exactly when
+  // every page is.
+  if (file_.stored_bytes() != file_.live_pages() * file_.page_size()) {
+    return Status::Corruption("image holds a page shorter than its block");
+  }
+  return Status::OK();
+}
+
 Status PagedIndex::Insert(PointView point, uint32_t oid) {
   RETURN_IF_ERROR(ValidatePoint(point, dim()));
   MutexLock lock(writer_mu_);

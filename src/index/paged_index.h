@@ -29,6 +29,7 @@
 #define SRTREE_INDEX_PAGED_INDEX_H_
 
 #include <cstddef>
+#include <istream>
 #include <memory>
 #include <vector>
 
@@ -60,6 +61,11 @@ class PagedIndex : public PointIndex {
   IoStats GetIoStats() const override { return file_.GetIoStats(); }
   void SimulateBufferPool(size_t capacity) override {
     file_.SimulateCache(capacity);
+  }
+  // Reads the writer's running totals, so it takes writer_mu_.
+  PageFootprint GetPageFootprint() const override EXCLUDES(writer_mu_) {
+    MutexLock lock(writer_mu_);
+    return {file_.live_pages(), file_.page_size(), file_.stored_bytes()};
   }
   EpochManager* epoch_domain_for_test() const override {
     return &file_.epochs();
@@ -108,6 +114,14 @@ class PagedIndex : public PointIndex {
     MutexLock lock(writer_mu_);
     CommitRoot(root_id, root_level, size);
   }
+
+  // Open()'s load for a tree whose every page fills its block — each one
+  // but the SR-tree, which stages only a node's used bytes. Replaces the
+  // page file's contents with the image (PageFile::LoadFrom), then returns
+  // Corruption when a loaded page is shorter than page_size: such a tree
+  // decodes whole pages, so a checksum-valid image with a short extent
+  // would otherwise send it past the buffer.
+  Status LoadFullPages(std::istream& in);
 
   // Where traversals of `snap` start: its committed root, or empty when the
   // version holds no points.

@@ -122,6 +122,19 @@ struct MaintenanceStats {
   uint64_t forced_splits = 0;  // K-D-B downward forced splits
 };
 
+// The page storage behind an index: its live pages, the logical page size
+// each one counts as (the paper's block, the unit of capacity and of read
+// accounting), and the bytes the pages actually hold — each page's stored
+// extent (src/storage/page_file.h), which a page that does not fill its
+// block keeps below page_size.
+struct PageFootprint {
+  uint64_t pages = 0;
+  uint64_t page_size = 0;
+  uint64_t stored_bytes = 0;
+
+  uint64_t logical_bytes() const { return pages * page_size; }
+};
+
 class PointIndex : private SearchDispatch {
  public:
   virtual ~PointIndex() = default;
@@ -240,6 +253,10 @@ class PointIndex : private SearchDispatch {
   // page in place, and only the cache-miss count changes. No-op for
   // structures without a page file.
   virtual void SimulateBufferPool(size_t capacity) { (void)capacity; }
+
+  // The index's page storage (see PageFootprint); all zero for structures
+  // without a page file. Walks nothing: the page file keeps the totals.
+  virtual PageFootprint GetPageFootprint() const { return {}; }
 
   // Test hook: the epoch-reclamation domain behind this structure's
   // snapshot machinery, or nullptr for the scan, which has none. The mixed

@@ -10,15 +10,17 @@
 // consumes. A query overlays views on the page bytes and hands them to the
 // kernels: no copy, no per-entry decode, no allocation.
 //
-//   leaf:  coords (dim x count doubles) | oids (count u32) | per-structure
-//          tail (the SR-tree's leaf-data area)
+//   leaf:  coords (dim x count doubles) | oids (count u32)
 //   inner: centers (dim x count doubles) | radii (count doubles) |
 //          rect lo | rect hi (dim x count doubles each) | weights (count
 //          u32) | per-structure tail (the SR-tree's child ids)
 //
-// The 8-byte header keeps every double block 8-byte aligned. The header
-// word is the static tier's first child id (its children are contiguous)
-// and unused by the SR-tree.
+// A view reads nothing past its entries, so a page need hold no more than
+// the header and entries: the SR-tree stores exactly that (its leaf-data
+// area counts toward capacity but is never stored), while the static tier
+// stages full pages. The 8-byte header keeps every double block 8-byte
+// aligned. The header word is the static tier's first child id (its
+// children are contiguous) and unused by the SR-tree.
 
 #ifndef SRTREE_INDEX_SOA_PAGE_H_
 #define SRTREE_INDEX_SOA_PAGE_H_

@@ -118,7 +118,7 @@ StatusOr<std::unique_ptr<KdbTree>> KdbTree::Open(const std::string& path) {
     return Status::Corruption("implausible K-D-B-tree header");
   }
   auto tree = std::make_unique<KdbTree>(options);
-  RETURN_IF_ERROR(tree->file_.LoadFrom(image.stream()));
+  RETURN_IF_ERROR(tree->LoadFullPages(image.stream()));
   if (!tree->file_.is_live(header.root_id)) {
     return Status::Corruption("K-D-B-tree root page is not live in the image");
   }

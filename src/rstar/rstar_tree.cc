@@ -134,7 +134,7 @@ StatusOr<std::unique_ptr<Tree>> RStarTree::OpenImage(const std::string& path) {
     return Status::Corruption("implausible R*-tree header");
   }
   auto tree = std::make_unique<Tree>(options);
-  RETURN_IF_ERROR(tree->file_.LoadFrom(image.stream()));
+  RETURN_IF_ERROR(tree->LoadFullPages(image.stream()));
   if (!tree->file_.is_live(header.root_id)) {
     return Status::Corruption("R*-tree root page is not live in the image");
   }

@@ -127,7 +127,7 @@ StatusOr<std::unique_ptr<SSTree>> SSTree::Open(const std::string& path) {
     return Status::Corruption("implausible SS-tree header");
   }
   auto tree = std::make_unique<SSTree>(options);
-  RETURN_IF_ERROR(tree->file_.LoadFrom(image.stream()));
+  RETURN_IF_ERROR(tree->LoadFullPages(image.stream()));
   if (!tree->file_.is_live(header.root_id)) {
     return Status::Corruption("SS-tree root page is not live in the image");
   }

@@ -110,7 +110,7 @@ Status StaticSRTree::LoadPages(std::istream& in, PageId root_id,
   if (root_level < 0 || root_level > 64) {
     return Status::Corruption("implausible static SR-tree root level");
   }
-  RETURN_IF_ERROR(file_.LoadFrom(in));
+  RETURN_IF_ERROR(LoadFullPages(in));
   if (size == 0) {
     if (root_id != kInvalidPageId) {
       return Status::Corruption("empty static SR-tree image names a root");

@@ -408,6 +408,14 @@ IoStats TieredIndex::GetIoStats() const {
   return merged;
 }
 
+PageFootprint TieredIndex::GetPageFootprint() const {
+  const std::shared_ptr<const TierState> cur = LoadState();
+  const PageFootprint tier = cur->static_tier->GetPageFootprint();
+  const PageFootprint delta = cur->delta->GetPageFootprint();
+  return {tier.pages + delta.pages, tier.page_size,
+          tier.stored_bytes + delta.stored_bytes};
+}
+
 void TieredIndex::SimulateBufferPool(size_t capacity) {
   MutexLock lock(writer_mu_);
   const std::shared_ptr<const TierState> cur = LoadState();

@@ -89,6 +89,8 @@ class TieredIndex : public PointIndex {
 
   IoStats GetIoStats() const override;
   void SimulateBufferPool(size_t capacity) override;
+  // Both tiers' pages: the static tier's plus the delta's.
+  PageFootprint GetPageFootprint() const override;
 
   size_t leaf_capacity() const override;
   size_t node_capacity() const override;

@@ -14,19 +14,30 @@ namespace {
 
 // Image header: magic + version guard against loading foreign files.
 //
-// Format v2 (current; all framing little-endian):
-//   [u32 magic "SRPF"] [u32 version = 2] [u64 page_size] [u64 page_count]
+// Format v3 (current; all framing little-endian):
+//   [u32 magic "SRPF"] [u32 version = 3] [u64 page_size] [u64 page_count]
 //   [u64 live_count] [u32 header_crc = crc32c(magic..live_count)]
 //   page_count records: [u8 live (0|1)]
-//                       live pages append [page bytes] [u32 crc32c(page)]
+//                       live pages append [u32 extent] [extent bytes]
+//                       [u32 crc32c(extent word, bytes)]
 //   footer: [u32 "SRPE"] [u64 page_count] [u64 live_count]
 //           [u32 image_crc = crc32c of every preceding image byte EXCEPT
 //            the embedded CRC words (header_crc and the per-page CRCs)]
 //
+// A record stores a page's extent, never its logical tail: the bytes past
+// the extent are zero by definition, so nothing is trimmed or guessed (a
+// trailing zero inside the extent — an oid of 0 in the last slot — is
+// data, and stays). Each extent is checked against page_size and against
+// the bytes left in the stream before anything is allocated for it.
+//
+// Format v2 is v3 without extent words: every live record is [page_size
+// bytes] [u32 crc32c(page)]. LoadFrom still reads it, as full-extent pages.
+//
 // Every byte of the image is covered by a validation rule: the header and
-// each live page by a CRC, the record layout by the exact-size equation
-// (the image must extend to the end of the stream), the counts by the
-// footer echo, and the whole image by the footer's running CRC — so
+// each live page (with its extent) by a CRC, the record layout by the
+// size checks (the image must end exactly at the end of the stream), the
+// counts by the footer echo, and the whole image by the footer's running
+// CRC — so
 // truncation, torn pages, and bit flips all surface as Corruption instead
 // of silently loading garbage geometry. The image CRC is what rules out
 // the one failure per-record checksums cannot see: an overwrite torn at a
@@ -46,8 +57,12 @@ namespace {
 // "re-save with v2" Corruption so old images fail loudly, not as garbage.
 constexpr uint32_t kPageFileMagic = 0x53525046;    // "SRPF"
 constexpr uint32_t kPageFileFooterMagic = 0x45505253;  // "SRPE"
-constexpr uint32_t kPageFileVersion = 2;
+constexpr uint32_t kPageFileVersion = 3;
+constexpr uint32_t kFullPagePageFileVersion = 2;
 constexpr uint32_t kRetiredPageFileVersion = 1;
+
+// Footer: magic, page count, live count, image CRC.
+constexpr uint64_t kFooterBytes = 4 + 8 + 8 + 4;
 
 // The stride of Snapshot::Prefetch: one x86-64 cache line.
 constexpr size_t kCacheLineBytes = 64;
@@ -78,12 +93,12 @@ uint32_t CrcExtendLe64(uint32_t crc, uint64_t v) {
   return Crc32cExtend(crc, b, sizeof(b));
 }
 
-// The v2 header CRC covers the serialized little-endian header fields.
-uint32_t HeaderCrc(uint64_t page_size, uint64_t page_count,
+// The header CRC covers the serialized little-endian header fields.
+uint32_t HeaderCrc(uint32_t version, uint64_t page_size, uint64_t page_count,
                    uint64_t live_count) {
   std::ostringstream buf(std::ios::binary);
   PutLe32(buf, kPageFileMagic);
-  PutLe32(buf, kPageFileVersion);
+  PutLe32(buf, version);
   PutLe64(buf, page_size);
   PutLe64(buf, page_count);
   PutLe64(buf, live_count);
@@ -106,6 +121,8 @@ PageFile::PageFile(size_t page_size)
     : page_size_(page_size),
       shards_(std::make_unique<StatShard[]>(kStatShards)) {
   CHECK_GT(page_size_, 0u);
+  // Extents are stored as u32 (in the page table and in images).
+  CHECK_LE(page_size_, std::numeric_limits<uint32_t>::max());
   // Publish the empty version 1 so AcquireSnapshot never observes null and
   // committed_version() is meaningful from birth.
   Commit({});
@@ -130,20 +147,21 @@ PageId PageFile::Allocate() {
   if (!free_list_.empty()) {
     id = free_list_.back();
     free_list_.pop_back();
-    // A recycled slot may hold no buffer: dead pages restored by LoadFrom
-    // stage none (a forged image must not be able to force one allocation
-    // per claimed page), and Free() detaches buffers the published version
-    // still references. Materialize on reuse.
-    if (pages_[id] == nullptr) pages_[id] = std::make_unique<char[]>(page_size_);
-    std::memset(pages_[id].get(), 0, page_size_);
     live_[id] = true;
     page_stamp_[id] = next_stamp_++;
   } else {
     id = static_cast<PageId>(pages_.size());
-    pages_.push_back(std::make_unique<char[]>(page_size_));
+    pages_.emplace_back();
+    extents_.push_back(0);
     live_.push_back(true);
     page_stamp_.push_back(next_stamp_++);
   }
+  // The page starts empty (extent 0, reading as zeros): its first
+  // StageWrite() sizes the buffer, so no page-sized block is allocated and
+  // zeroed only to be replaced. The zero-length buffer is still a distinct
+  // non-null pointer, which is what marks the page live in a committed
+  // version's table.
+  pages_[id] = std::make_unique<char[]>(0);
   ++live_pages_;
   MarkChunkDirty(id);
   return id;
@@ -151,11 +169,16 @@ PageId PageFile::Allocate() {
 
 void PageFile::Free(PageId id) {
   CHECK(IsLive(id));
-  // The published version's table still points at a shared buffer; hand it
-  // to the next Commit()'s retire batch instead of letting Allocate() zero
-  // it under a live snapshot. The slot is left null for Allocate() to
-  // rematerialize.
-  if (SharedWithCommitted(id)) pending_retire_.push_back(std::move(pages_[id]));
+  // The published version's table may still point at the buffer; then it
+  // goes to the next Commit()'s retire batch instead of being released
+  // under a live snapshot. The slot is left null for Allocate().
+  if (SharedWithCommitted(id)) {
+    pending_retire_.push_back(std::move(pages_[id]));
+  } else {
+    pages_[id].reset();
+  }
+  stored_bytes_ -= extents_[id];
+  extents_[id] = 0;
   live_[id] = false;
   --live_pages_;
   free_list_.push_back(id);
@@ -197,7 +220,15 @@ const char* PageFile::ReadInPlace(PageId id, int level,
 
 void PageFile::Read(PageId id, char* out, int level,
                     IoStatsDelta* delta) const {
-  std::memcpy(out, ReadInPlace(id, level, delta), page_size_);
+  const char* page = ReadInPlace(id, level, delta);  // CHECKs liveness
+  const size_t extent = extents_[id];
+  std::memcpy(out, page, extent);
+  std::memset(out + extent, 0, page_size_ - extent);
+}
+
+size_t PageFile::extent(PageId id) const {
+  CHECK(IsLive(id));
+  return extents_[id];
 }
 
 void PageFile::SimulateCache(size_t capacity) {
@@ -224,20 +255,29 @@ bool PageFile::TouchCache(PageId id) const {
   return false;
 }
 
-char* PageFile::StageWrite(PageId id) {
+char* PageFile::StageWrite(PageId id, size_t extent) {
   CHECK(IsLive(id));
+  CHECK_LE(extent, page_size_);
   if (SharedWithCommitted(id)) {
     // Copy-on-write: the published version keeps the old buffer (retired at
     // the next Commit); the working state moves to a fresh one under a
     // fresh stamp so (id, stamp) keeps naming immutable bytes. The caller
-    // overwrites the whole page, so the fresh buffer is not zeroed.
+    // overwrites the whole extent, so the fresh buffer is not zeroed.
     pending_retire_.push_back(std::move(pages_[id]));
-    pages_[id] = std::make_unique_for_overwrite<char[]>(page_size_);
+    pages_[id] = std::make_unique_for_overwrite<char[]>(extent);
     page_stamp_[id] = next_stamp_++;
     MarkChunkDirty(id);
+  } else if (extent != extents_[id]) {
+    // The buffer was created after the last commit, so no snapshot can see
+    // it, but it holds another extent: replace it by one of exactly
+    // `extent` bytes. Its stamp is already unpublished and its chunk
+    // already dirty (Allocate, copy-on-write or LoadFrom marked both).
+    DCHECK(chunk_dirty_[id / kChunkPages]);
+    pages_[id] = std::make_unique_for_overwrite<char[]>(extent);
   }
-  // Otherwise the buffer was created after the last commit; no snapshot can
-  // see it.
+  // Otherwise the buffer is unpublished and of the right size; reuse it.
+  stored_bytes_ = stored_bytes_ - extents_[id] + extent;
+  extents_[id] = static_cast<uint32_t>(extent);
   LocalShard().writes.fetch_add(1, std::memory_order_relaxed);
   return pages_[id].get();
 }
@@ -270,7 +310,8 @@ void PageFile::Commit(const std::array<uint64_t, kCommitMetaWords>& meta) {
       const size_t end = std::min(begin + kChunkPages, pages_.size());
       for (size_t i = begin; i < end; ++i) {
         if (live_[i]) {
-          chunk->refs[i - begin] = PageRef{pages_[i].get(), page_stamp_[i]};
+          chunk->refs[i - begin] =
+              PageRef{pages_[i].get(), page_stamp_[i], extents_[i]};
         }
       }
       if (chunks_[c] != nullptr) {
@@ -335,13 +376,21 @@ const char* PageFile::Snapshot::ReadInPlace(PageId id, int level,
 
 void PageFile::Snapshot::Read(PageId id, char* out, int level,
                               IoStatsDelta* delta) const {
-  std::memcpy(out, ReadInPlace(id, level, delta), file_->page_size_);
+  const size_t extent = this->extent(id);
+  std::memcpy(out, ReadInPlace(id, level, delta), extent);
+  std::memset(out + extent, 0, file_->page_size_ - extent);
+}
+
+size_t PageFile::Snapshot::extent(PageId id) const {
+  const PageRef* ref = FindRef(static_cast<const VersionState*>(state_), id);
+  CHECK(ref != nullptr && ref->data != nullptr);
+  return ref->extent;
 }
 
 void PageFile::Snapshot::Prefetch(PageId id) const {
   const PageRef* ref = FindRef(static_cast<const VersionState*>(state_), id);
   if (ref == nullptr || ref->data == nullptr) return;
-  const size_t bytes = std::min(kPrefetchBytes, file_->page_size_);
+  const size_t bytes = std::min<size_t>(kPrefetchBytes, ref->extent);
   for (size_t offset = 0; offset < bytes; offset += kCacheLineBytes) {
     __builtin_prefetch(ref->data + offset);
   }
@@ -421,7 +470,8 @@ Status PageFile::SaveTo(std::ostream& out) const {
   PutLe64(out, page_size_);
   PutLe64(out, pages_.size());
   PutLe64(out, live_count);
-  const uint32_t header_crc = HeaderCrc(page_size_, pages_.size(), live_count);
+  const uint32_t header_crc =
+      HeaderCrc(kPageFileVersion, page_size_, pages_.size(), live_count);
   PutLe32(out, header_crc);
   // Running CRC over the image's raw bytes — every byte EXCEPT the embedded
   // CRC words, which by CRC linearity would let valid-record splices cancel
@@ -438,10 +488,14 @@ Status PageFile::SaveTo(std::ostream& out) const {
     out.put(live);
     image_crc = Crc32cExtend(image_crc, &live, 1);
     if (live) {
-      out.write(pages_[i].get(), static_cast<std::streamsize>(page_size_));
-      const uint32_t page_crc = Crc32c(pages_[i].get(), page_size_);
+      const uint32_t extent = extents_[i];
+      PutLe32(out, extent);
+      out.write(pages_[i].get(), static_cast<std::streamsize>(extent));
+      const uint32_t page_crc =
+          Crc32cExtend(CrcExtendLe32(0, extent), pages_[i].get(), extent);
       PutLe32(out, page_crc);
-      image_crc = Crc32cExtend(image_crc, pages_[i].get(), page_size_);
+      image_crc = CrcExtendLe32(image_crc, extent);
+      image_crc = Crc32cExtend(image_crc, pages_[i].get(), extent);
     }
   }
   PutLe32(out, kPageFileFooterMagic);
@@ -460,9 +514,11 @@ Status PageFile::LoadFrom(std::istream& in) {
   // image validates: a corrupt or truncated image must leave this PageFile
   // — possibly a live, healthy index — byte-for-byte untouched.
   std::vector<std::unique_ptr<char[]>> pages;
+  std::vector<uint32_t> extents;
   std::vector<bool> live;
   std::vector<PageId> free_list;
   size_t live_pages = 0;
+  size_t stored_bytes = 0;
 
   uint32_t magic = 0, version = 0;
   if (!GetLe32(in, &magic) || magic != kPageFileMagic) {
@@ -476,9 +532,11 @@ Status PageFile::LoadFrom(std::istream& in) {
         "pre-v2 page-file image is no longer readable; re-save with v2 "
         "using a release that still reads it");
   }
-  if (version != kPageFileVersion) {
+  if (version != kPageFileVersion && version != kFullPagePageFileVersion) {
     return Status::Corruption("unsupported page-file image version");
   }
+  // v2 records carry no extent word: every live page is a full page.
+  const bool has_extents = version == kPageFileVersion;
 
   uint64_t page_size = 0, page_count = 0, live_count = 0;
   uint32_t header_crc = 0;
@@ -486,7 +544,7 @@ Status PageFile::LoadFrom(std::istream& in) {
       !GetLe64(in, &live_count) || !GetLe32(in, &header_crc)) {
     return Status::Corruption("truncated page-file header");
   }
-  if (HeaderCrc(page_size, page_count, live_count) != header_crc) {
+  if (HeaderCrc(version, page_size, page_count, live_count) != header_crc) {
     return Status::Corruption("page-file header checksum mismatch");
   }
   if (live_count > page_count) {
@@ -501,16 +559,19 @@ Status PageFile::LoadFrom(std::istream& in) {
 
   // Validate the claimed page count against the bytes actually present
   // BEFORE building any state from it: a forged multi-terabyte header must
-  // be rejected up front, not discovered one heap block at a time.
-  const int64_t remaining = RemainingBytes(in);
+  // be rejected up front, not discovered one heap block at a time. The
+  // image extends to the end of the stream; a v2 image is sized exactly by
+  // its header, a v3 image lies between every live page empty and every
+  // live page full.
+  int64_t remaining = RemainingBytes(in);
   if (remaining >= 0) {
-    // v2 images are sized exactly by the header; the image extends to the
-    // end of the stream, so any mismatch means truncation or trailing
-    // garbage.
-    constexpr uint64_t kFooterBytes = 4 + 8 + 8 + 4;
-    const uint64_t expected =
-        page_count + live_count * (page_size + 4) + kFooterBytes;
-    if (expected != static_cast<uint64_t>(remaining)) {
+    const uint64_t word = has_extents ? 4 : 0;
+    const uint64_t smallest =
+        page_count + live_count * (word + 4) + kFooterBytes;
+    const uint64_t largest = smallest + live_count * page_size;
+    const uint64_t actual = static_cast<uint64_t>(remaining);
+    if (actual < smallest || actual > largest ||
+        (!has_extents && actual != largest)) {
       return Status::Corruption("page-file image size mismatch");
     }
   }
@@ -519,12 +580,13 @@ Status PageFile::LoadFrom(std::istream& in) {
   // embedded CRC words.
   uint32_t image_crc = 0;
   image_crc = CrcExtendLe32(image_crc, kPageFileMagic);
-  image_crc = CrcExtendLe32(image_crc, kPageFileVersion);
+  image_crc = CrcExtendLe32(image_crc, version);
   image_crc = CrcExtendLe64(image_crc, page_size);
   image_crc = CrcExtendLe64(image_crc, page_count);
   image_crc = CrcExtendLe64(image_crc, live_count);
 
   pages.reserve(page_count);
+  extents.reserve(page_count);
   live.reserve(page_count);
   for (uint64_t i = 0; i < page_count; ++i) {
     const int flag = in.get();
@@ -536,25 +598,49 @@ Status PageFile::LoadFrom(std::istream& in) {
     }
     const char flag_byte = static_cast<char>(flag);
     image_crc = Crc32cExtend(image_crc, &flag_byte, 1);
+    if (remaining >= 0) --remaining;
     if (flag != 0) {
-      auto page = std::make_unique<char[]>(page_size_);
-      in.read(page.get(), static_cast<std::streamsize>(page_size_));
-      if (!in.good()) return Status::Corruption("truncated page contents");
+      uint32_t extent = static_cast<uint32_t>(page_size_);
       uint32_t page_crc = 0;
-      if (!GetLe32(in, &page_crc)) {
+      if (has_extents) {
+        if (!GetLe32(in, &extent)) {
+          return Status::Corruption("truncated page extent");
+        }
+        if (remaining >= 0) remaining -= 4;
+        // Checked before anything is allocated for it: the extent must fit
+        // a page and the bytes left (its CRC and the footer follow it).
+        if (extent > page_size_ ||
+            (remaining >= 0 && static_cast<uint64_t>(extent) + 4 +
+                                       kFooterBytes >
+                                   static_cast<uint64_t>(remaining))) {
+          return Status::Corruption("page-file record extent out of range at "
+                                    "page " + std::to_string(i));
+        }
+        page_crc = CrcExtendLe32(page_crc, extent);
+        image_crc = CrcExtendLe32(image_crc, extent);
+      }
+      auto page = std::make_unique_for_overwrite<char[]>(extent);
+      in.read(page.get(), static_cast<std::streamsize>(extent));
+      if (!in.good()) return Status::Corruption("truncated page contents");
+      uint32_t stored_crc = 0;
+      if (!GetLe32(in, &stored_crc)) {
         return Status::Corruption("truncated page checksum");
       }
-      if (Crc32c(page.get(), page_size_) != page_crc) {
+      if (remaining >= 0) remaining -= static_cast<int64_t>(extent) + 4;
+      if (Crc32cExtend(page_crc, page.get(), extent) != stored_crc) {
         return Status::Corruption("page checksum mismatch at page " +
                                   std::to_string(i));
       }
-      image_crc = Crc32cExtend(image_crc, page.get(), page_size_);
+      image_crc = Crc32cExtend(image_crc, page.get(), extent);
       pages.push_back(std::move(page));
+      extents.push_back(extent);
       live.push_back(true);
       ++live_pages;
+      stored_bytes += extent;
     } else {
       // Dead pages stage no buffer; Allocate() materializes one on reuse.
       pages.push_back(nullptr);
+      extents.push_back(0);
       live.push_back(false);
       free_list.push_back(static_cast<PageId>(i));
     }
@@ -579,6 +665,9 @@ Status PageFile::LoadFrom(std::istream& in) {
     if (live_pages != live_count) {
       return Status::Corruption("page-file live count does not match records");
     }
+    if (in.peek() != std::char_traits<char>::eof()) {
+      return Status::Corruption("page-file image size mismatch");
+    }
   }
 
   // The image is fully validated; swap it in. The simulated-cache LRU and
@@ -595,9 +684,11 @@ Status PageFile::LoadFrom(std::istream& in) {
     if (page != nullptr) pending_retire_.push_back(std::move(page));
   }
   pages_ = std::move(pages);
+  extents_ = std::move(extents);
   live_ = std::move(live);
   free_list_ = std::move(free_list);
   live_pages_ = live_pages;
+  stored_bytes_ = stored_bytes;
   // Fresh stamps mark every page unshared, and every chunk of the new page
   // count is rebuilt by the next Commit(), which also retires the chunks
   // past it when the image is smaller.

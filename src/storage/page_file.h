@@ -11,12 +11,25 @@
 // and enforcing that each node physically fits one block, not about actual
 // persistence.
 //
+// Logical page vs. physical extent: page_size() is the unit of accounting
+// and capacity — a node must fit one page, and reading it costs one read
+// whatever it holds. The bytes kept in memory are each page's *extent*, the
+// prefix its last writer staged (StageWrite(id, extent), extent <=
+// page_size). A writer that fills only part of a block — the SR-tree, whose
+// leaf-data area sets the Table 1 fanouts but is never read — stores only
+// that part; the bytes past the extent are logically zero. The in-place
+// readers (ReadInPlace, PeekPage) hand out the extent itself, so under ASan
+// a reader that strays past what its writer staged is a heap overflow; the
+// copying readers (Read) return the whole logical page, zero-filled past
+// the extent.
+//
 // Thread safety — one contract, single writer / snapshot-isolated readers:
 // the writer (one thread at a time) mutates *working state* through
 // Allocate/Free/StageWrite, where StageWrite() hands back the page's working
 // buffer — a fresh one when a published version can see the current buffer
-// (copy-on-write), else the current buffer itself — and atomically publishes
-// the result with Commit(). A published version's page table is an array of
+// (copy-on-write) or the extent changes, else the current buffer itself —
+// and atomically publishes the result with Commit(). A published version's
+// page table is an array of
 // fixed-size chunks shared with the versions before and after it: Commit()
 // copies only the chunks the writer touched since the last commit and
 // reuses every other chunk pointer (path copying), so its cost tracks the
@@ -83,20 +96,26 @@ class PageFile {
   // writer.
   class Snapshot {
    public:
-    // Zero-copy read: returns the version's own page buffer (page_size
-    // bytes) and counts one disk read (see PageFile::ReadInPlace for `level` /
-    // `delta`). Copy-on-write never mutates a published buffer, so the bytes
+    // Zero-copy read: returns the version's own page buffer, valid for the
+    // page's extent in this version (see extent()), and counts one disk read
+    // (see PageFile::ReadInPlace for `level` / `delta`). Copy-on-write never mutates a published buffer, so the bytes
     // are immutable and stay valid exactly as long as the EpochGuard the
     // snapshot was acquired under — the pointer must not outlive it
     // (srcheck rule C5).
     const char* ReadInPlace(PageId id, int level = -1,
                             IoStatsDelta* delta = nullptr) const;
 
-    // ReadInPlace plus a copy into `out` (page_size bytes).
+    // ReadInPlace plus a copy of the whole logical page into `out`
+    // (page_size bytes): the extent, then zeros.
     void Read(PageId id, char* out, int level = -1,
               IoStatsDelta* delta = nullptr) const;
 
-    // Asks the CPU to start loading the first kPrefetchBytes of page `id`
+    // Bytes page `id` holds in this version (<= page_size). The id must be
+    // live in this version.
+    size_t extent(PageId id) const;
+
+    // Asks the CPU to start loading the first kPrefetchBytes (at most the
+    // extent) of page `id`
     // into cache, so a ReadInPlace of it shortly after finds them there.
     // A hint only: it counts no read (neither in GetIoStats() nor in any
     // delta), and does nothing when `id` is not live in this version.
@@ -127,14 +146,17 @@ class PageFile {
     const void* state_;  // const VersionState*, opaque to keep it private
   };
 
-  // Allocates a zeroed page and returns its id (free pages are recycled).
+  // Allocates a page and returns its id (free pages are recycled). The new
+  // page holds no bytes (extent 0), so it reads as a zeroed page until its
+  // first StageWrite() sizes its buffer.
   PageId Allocate();
 
   // Returns a page to the free list. The id must be live.
   void Free(PageId id);
 
   // Writer-side zero-copy read of the *working* state: returns the page's
-  // current buffer (page_size bytes) and counts one disk read. `level` tags
+  // current buffer, valid for its extent (see extent()), and counts one
+  // disk read. `level` tags
   // the read for the per-level breakdown (0 = leaf, -1 = unknown). When
   // `delta` is non-null the read (and any simulated cache hit) is
   // additionally recorded there, giving the caller a per-query view. The
@@ -143,21 +165,38 @@ class PageFile {
   const char* ReadInPlace(PageId id, int level = -1,
                           IoStatsDelta* delta = nullptr) const;
 
-  // ReadInPlace plus a copy into `out` (page_size bytes).
+  // ReadInPlace plus a copy of the whole logical page into `out`
+  // (page_size bytes): the extent, then zeros.
   void Read(PageId id, char* out, int level = -1,
             IoStatsDelta* delta = nullptr) const;
 
+  // Bytes the working page `id` holds (<= page_size). The id must be live.
+  size_t extent(PageId id) const;
+
+  // Sum of extent() over the live pages: the bytes the working state keeps
+  // in page buffers, against live_pages() * page_size() logical bytes. A
+  // running total, O(1).
+  size_t stored_bytes() const { return stored_bytes_; }
+
   // --- commit protocol (single writer) -----------------------------------
 
-  // Writer-side page update; counts one write and returns the page's
-  // working buffer (page_size bytes), which the caller must overwrite
-  // completely. When the published version can see the current buffer,
-  // the returned one is fresh and NOT zeroed (copy-on-write: the old buffer
-  // is retired at the next Commit() and the page gets a new stamp);
+  // Writer-side page update; counts one write, sets the page's extent to
+  // `extent` (CHECKed <= page_size) and returns its working buffer of
+  // exactly `extent` bytes, which the caller must overwrite completely —
+  // the page's logical bytes past it read as zero. When the published
+  // version can see the current buffer, the returned one is fresh and NOT
+  // zeroed (copy-on-write: the old buffer is retired at the next Commit()
+  // and the page gets a new stamp); when the current buffer is unpublished
+  // but of another extent, it is replaced by a fresh one, also NOT zeroed;
   // otherwise it is the current buffer, which no snapshot can see. The
   // pointer is valid until the next Allocate/Free/StageWrite/Commit/Load*
   // and must not be kept past it (srcheck rule C5).
-  [[nodiscard]] char* StageWrite(PageId id);
+  [[nodiscard]] char* StageWrite(PageId id, size_t extent);
+
+  // The full-page form: StageWrite(id, page_size()).
+  [[nodiscard]] char* StageWrite(PageId id) {
+    return StageWrite(id, page_size_);
+  }
 
   // StageWrite(id) followed by a copy of `data` (page_size bytes), for
   // callers holding a complete page image (storage probes and tests).
@@ -194,9 +233,9 @@ class PageFile {
   // unchanged (contents are always served).
   void SimulateCache(size_t capacity);
 
-  // Direct access to the working page bytes with NO I/O accounting. For
-  // invariant checkers and offline statistics walkers only — never in query
-  // or update paths.
+  // Direct access to the working page bytes (valid for extent(id)) with NO
+  // I/O accounting. For invariant checkers and offline statistics walkers
+  // only — never in query or update paths.
   const char* PeekPage(PageId id) const;
   char* MutablePageForTest(PageId id);
 
@@ -205,12 +244,14 @@ class PageFile {
   // with a previously saved image. I/O counters are not persisted. These
   // are the substrate of the index structures' Save/Open.
   //
-  // Durability contract (format v2, see page_file.cc):
-  //   * SaveTo writes a checksummed image — header CRC32C, per-page
-  //     CRC32C, and a footer echoing the page counts plus a CRC32C over
-  //     the whole image — with fixed little-endian framing. The image must
-  //     be the final section of the stream (LoadFrom validates its exact
-  //     size against EOF).
+  // Durability contract (format v3, see page_file.cc):
+  //   * SaveTo writes a checksummed image — header CRC32C, each live
+  //     page's extent and bytes under a per-page CRC32C, and a footer
+  //     echoing the page counts plus a CRC32C over the whole image — with
+  //     fixed little-endian framing. The image must be the final section
+  //     of the stream (LoadFrom checks that it ends exactly at EOF).
+  //   * LoadFrom also reads v2 images (every page a full page_size
+  //     record); their pages load at full extent.
   //   * Save(path) is atomic: temp file + flush + fsync + rename via
   //     storage::AtomicWriteFile, so the destination always holds either
   //     the previous image or the complete new one.
@@ -249,15 +290,17 @@ class PageFile {
   bool IsLive(PageId id) const;
 
   // One entry of a committed version's page table: the immutable buffer
-  // bytes (nullptr = dead in that version) and the buffer's stamp.
+  // bytes (nullptr = dead in that version), the buffer's stamp and the
+  // number of bytes it holds.
   struct PageRef {
     const char* data = nullptr;
     uint64_t stamp = 0;
+    uint32_t extent = 0;
   };
 
-  // How much of a page Snapshot::Prefetch asks for: the first 16 cache
-  // lines, which hold an SR-tree page's header and its first coordinate
-  // columns. Chosen by a sweep on the D = 16 uniform k-NN workload (see
+  // How much of a page Snapshot::Prefetch asks for (at most its extent):
+  // the first 16 cache lines, which hold an SR-tree page's header and its
+  // first coordinate columns. Chosen by a sweep on the D = 16 uniform k-NN workload (see
   // docs/ANALYSIS.md "Next-child prefetch"): 256 and 512 bytes and 1,536
   // and 2,048 bytes all measured slower.
   static constexpr size_t kPrefetchBytes = 1024;
@@ -344,16 +387,21 @@ class PageFile {
   mutable std::list<PageId> cache_lru_ GUARDED_BY(stats_mu_);
   mutable std::unordered_map<PageId, std::list<PageId>::iterator> cache_index_
       GUARDED_BY(stats_mu_);
-  // Dead pages restored from an image may hold a null buffer until
-  // Allocate() recycles them — that is what bounds a forged header's
+  // A dead page holds a null buffer until Allocate() recycles it — for
+  // pages restored from an image, that is what bounds a forged header's
   // allocation to the bytes actually present in the stream.
   std::vector<std::unique_ptr<char[]>> pages_ UNGUARDED_OK(
+      "single-writer working state; readers go through committed_");
+  // extents_[id]: the bytes pages_[id] holds (0 for a dead page).
+  std::vector<uint32_t> extents_ UNGUARDED_OK(
       "single-writer working state; readers go through committed_");
   std::vector<bool> live_ UNGUARDED_OK(
       "single-writer working state; readers go through committed_");
   std::vector<PageId> free_list_ UNGUARDED_OK(
       "single-writer working state; readers go through committed_");
   size_t live_pages_ UNGUARDED_OK(
+      "single-writer working state; readers go through committed_") = 0;
+  size_t stored_bytes_ UNGUARDED_OK(
       "single-writer working state; readers go through committed_") = 0;
 
   // --- commit-protocol state (owned by the single writer, except

@@ -100,7 +100,7 @@ StatusOr<std::unique_ptr<VamSplitRTree>> VamSplitRTree::Open(
     return Status::Corruption("implausible VAMSplit R-tree header");
   }
   auto tree = std::make_unique<VamSplitRTree>(options);
-  RETURN_IF_ERROR(tree->file_.LoadFrom(image.stream()));
+  RETURN_IF_ERROR(tree->LoadFullPages(image.stream()));
   if (!tree->file_.is_live(header.root_id)) {
     return Status::Corruption(
         "VAMSplit R-tree root page is not live in the image");

@@ -147,7 +147,7 @@ StatusOr<std::unique_ptr<XTree>> XTree::Open(const std::string& path) {
     return Status::Corruption("implausible X-tree header");
   }
   auto tree = std::make_unique<XTree>(options);
-  RETURN_IF_ERROR(tree->file_.LoadFrom(image.stream()));
+  RETURN_IF_ERROR(tree->LoadFullPages(image.stream()));
   if (!tree->file_.is_live(header.root_id)) {
     return Status::Corruption("X-tree root page is not live in the image");
   }

@@ -55,14 +55,37 @@ struct PageView {
   bool operator==(const PageView&) const = default;
 };
 
+// A page's first logical byte (0 when its extent is empty).
+char FirstByte(const PageFile::Snapshot& snap, PageId id) {
+  std::vector<char> page(snap.page_size());
+  snap.Read(id, page.data());
+  return page[0];
+}
+
 std::vector<PageView> Observe(const PageFile::Snapshot& snap, size_t ids) {
   std::vector<PageView> out(ids);
   for (size_t i = 0; i < ids; ++i) {
     const PageId id = static_cast<PageId>(i);
     if (!snap.is_live(id)) continue;
-    out[i] = {true, snap.ReadInPlace(id)[0], snap.page_stamp(id)};
+    out[i] = {true, FirstByte(snap, id), snap.page_stamp(id)};
   }
   return out;
+}
+
+// Stages page `id` at `extent` bytes, byte b holding tag + b.
+void StageExtent(PageFile& file, PageId id, size_t extent, char tag) {
+  char* page = file.StageWrite(id, extent);
+  for (size_t b = 0; b < extent; ++b) page[b] = static_cast<char>(tag + b);
+}
+
+// Expects `page` (page_size bytes) to hold StageExtent(extent, tag)'s bytes
+// and zeros past them.
+void ExpectLogicalPage(const std::vector<char>& page, size_t extent,
+                       char tag) {
+  for (size_t b = 0; b < page.size(); ++b) {
+    ASSERT_EQ(page[b], b < extent ? static_cast<char>(tag + b) : 0)
+        << "byte " << b;
+  }
 }
 
 // A file of `pages` pages spanning several chunks, page i filled with
@@ -522,6 +545,144 @@ TEST(PageFileTest, ReaderRacesWriterCommittingAcrossChunks) {
   EXPECT_EQ(bad_pages.load(), 0u);
   file.epochs().ReclaimExpired();
   EXPECT_EQ(file.epochs().retired_count(), 0u);
+}
+
+// --- logical page vs. stored extent -----------------------------------
+
+TEST(PageFileTest, ReadsZeroFillPastTheExtent) {
+  PageFile file(kSmallPage);
+  const PageId id = file.Allocate();
+  EXPECT_EQ(file.extent(id), 0u);
+  StageExtent(file, id, 20, 'a');
+  EXPECT_EQ(file.extent(id), 20u);
+  file.Commit({});
+
+  std::vector<char> out(kSmallPage, 'z');
+  file.Read(id, out.data());
+  ExpectLogicalPage(out, 20, 'a');
+  const EpochGuard guard(file.epochs());
+  const PageFile::Snapshot snap = file.AcquireSnapshot(guard);
+  EXPECT_EQ(snap.extent(id), 20u);
+  std::vector<char> committed(kSmallPage, 'z');
+  snap.Read(id, committed.data());
+  ExpectLogicalPage(committed, 20, 'a');
+  // An empty extent reads as a zeroed page.
+  StageExtent(file, id, 0, 'b');
+  file.Commit({});
+  std::vector<char> empty(kSmallPage, 'z');
+  file.AcquireSnapshot(guard).Read(id, empty.data());
+  ExpectLogicalPage(empty, 0, 'b');
+}
+
+// A snapshot keeps the extent its version published while the writer
+// shrinks the page, grows it, and reshapes an unpublished buffer.
+TEST(PageFileTest, SnapshotKeepsItsExtentAcrossCopyOnWrite) {
+  PageFile file(kSmallPage);
+  const PageId id = file.Allocate();
+  StageExtent(file, id, 40, 'a');
+  file.Commit({});
+  const EpochGuard guard(file.epochs());
+  const PageFile::Snapshot wide = file.AcquireSnapshot(guard);
+
+  StageExtent(file, id, 10, 'b');   // copy-on-write, shrinking
+  StageExtent(file, id, 30, 'c');   // unpublished buffer, new extent
+  file.Commit({});
+  const PageFile::Snapshot middle = file.AcquireSnapshot(guard);
+  StageExtent(file, id, kSmallPage, 'd');  // copy-on-write, growing
+  file.Commit({});
+  const PageFile::Snapshot full = file.AcquireSnapshot(guard);
+
+  const auto read = [&](const PageFile::Snapshot& snap) {
+    std::vector<char> out(kSmallPage, 'z');
+    snap.Read(id, out.data());
+    return out;
+  };
+  EXPECT_EQ(wide.extent(id), 40u);
+  ExpectLogicalPage(read(wide), 40, 'a');
+  EXPECT_EQ(middle.extent(id), 30u);
+  ExpectLogicalPage(read(middle), 30, 'c');
+  EXPECT_EQ(full.extent(id), kSmallPage);
+  ExpectLogicalPage(read(full), kSmallPage, 'd');
+  EXPECT_EQ(file.stored_bytes(), kSmallPage);
+}
+
+TEST(PageFileTest, AllocateRecyclingAShortPageYieldsAZeroedFullPage) {
+  PageFile file(kSmallPage);
+  const PageId a = file.Allocate();
+  StageExtent(file, a, 12, 'q');
+  file.Free(a);  // unpublished: its buffer is released at once
+  EXPECT_EQ(file.Allocate(), a);
+  EXPECT_EQ(file.extent(a), 0u);
+  std::vector<char> out(kSmallPage, 'z');
+  file.Read(a, out.data());
+  ExpectLogicalPage(out, 0, 'q');
+
+  StageExtent(file, a, 12, 'q');
+  file.Commit({});
+  file.Free(a);  // published: its buffer is retired at the next commit
+  EXPECT_EQ(file.Allocate(), a);
+  file.Commit({});
+  const EpochGuard guard(file.epochs());
+  std::vector<char> committed(kSmallPage, 'z');
+  file.AcquireSnapshot(guard).Read(a, committed.data());
+  ExpectLogicalPage(committed, 0, 'q');
+}
+
+TEST(PageFileTest, StoredBytesTrackLiveExtents) {
+  PageFile file(kSmallPage);
+  const PageId a = file.Allocate();
+  const PageId b = file.Allocate();
+  EXPECT_EQ(file.stored_bytes(), 0u);
+  StageExtent(file, a, 10, 'a');
+  StageExtent(file, b, kSmallPage, 'b');
+  EXPECT_EQ(file.stored_bytes(), 10 + kSmallPage);
+  file.Commit({});
+  StageExtent(file, a, 3, 'c');
+  EXPECT_EQ(file.stored_bytes(), 3 + kSmallPage);
+  file.Free(b);
+  EXPECT_EQ(file.stored_bytes(), 3u);
+
+  // An image round-trip restores the extents and the total.
+  std::stringstream image(std::ios::in | std::ios::out | std::ios::binary);
+  ASSERT_TRUE(file.SaveTo(image).ok());
+  PageFile loaded(kSmallPage);
+  ASSERT_TRUE(loaded.LoadFrom(image).ok());
+  EXPECT_EQ(loaded.stored_bytes(), 3u);
+  EXPECT_EQ(loaded.extent(a), 3u);
+  std::vector<char> out(kSmallPage, 'z');
+  loaded.Read(a, out.data());
+  ExpectLogicalPage(out, 3, 'c');
+}
+
+// The paper's accounting is per page, whatever its extent: one write per
+// StageWrite, one read per read, none per prefetch.
+TEST(PageFileTest, ExtentsDoNotChangeAccounting) {
+  PageFile file(kSmallPage);
+  const PageId id = file.Allocate();
+  StageExtent(file, id, 5, 'a');
+  StageExtent(file, id, 9, 'b');
+  StageExtent(file, id, 9, 'c');
+  (void)file.StageWrite(id);
+  EXPECT_EQ(file.GetIoStats().writes, 4u);
+  StageExtent(file, id, 7, 'd');
+  file.Commit({});
+
+  const EpochGuard guard(file.epochs());
+  const PageFile::Snapshot snap = file.AcquireSnapshot(guard);
+  snap.Prefetch(id);
+  EXPECT_EQ(file.GetIoStats().reads, 0u);
+  std::vector<char> out(kSmallPage);
+  snap.Read(id, out.data());
+  (void)snap.ReadInPlace(id);
+  file.Read(id, out.data());
+  EXPECT_EQ(file.GetIoStats().reads, 3u);
+  EXPECT_EQ(file.GetIoStats().writes, 5u);
+}
+
+TEST(PageFileDeathTest, ExtentPastThePageAborts) {
+  PageFile file(kSmallPage);
+  const PageId id = file.Allocate();
+  EXPECT_DEATH((void)file.StageWrite(id, kSmallPage + 1), "CHECK failed");
 }
 
 TEST(PageFileDeathTest, UseAfterFreeAborts) {

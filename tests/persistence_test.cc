@@ -216,14 +216,17 @@ TEST(PageFilePersistenceTest, TornSpliceOfTwoValidImagesRejected) {
   const std::string image_old = std::move(bo).str();
   ASSERT_EQ(image_new.size(), image_old.size());
 
-  // Same page counts, same sizes: every per-record check passes on both
-  // sides of the cut. Cut inside the record area, past the header.
+  // Same page counts, same extents: every per-record check passes on both
+  // sides of the cut. Cut after the first record — [live][extent][64 page
+  // bytes][crc] — past the 36-byte header.
   const std::string spliced =
-      debug::SpliceImages(image_new, image_old, 36 + 1 + 64 + 4);
+      debug::SpliceImages(image_new, image_old, 36 + 1 + 4 + 64 + 4);
   PageFile target(64);
   std::istringstream in(spliced, std::ios::binary);
   const Status status = target.LoadFrom(in);
   EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+  EXPECT_NE(status.message().find("image checksum"), std::string::npos)
+      << status.ToString();
 }
 
 // The v1 (pre-checksum, host-endian) read path has been removed: a version-1

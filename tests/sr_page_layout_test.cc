@@ -4,9 +4,13 @@
 //     1 and a full page of entries;
 //   * the entry sizes — and so the Table 1 fanouts — are those of the
 //     paper's row-major entries;
+//   * a page stores exactly its header and entries: the leaf-data area is
+//     logical only, so the staged extent ends at the last entry;
 //   * Save -> Open round-trips the new layout, and an image whose header
 //     carries the retired row-major layout byte is rejected with a clear
-//     "re-save" error instead of being misread.
+//     "re-save" error instead of being misread;
+//   * Open rejects, with Corruption, a checksum-valid image whose page
+//     headers or child ids do not describe a tree its pages can hold.
 
 #include <cstring>
 #include <string>
@@ -20,6 +24,7 @@
 #include "src/storage/image_io.h"
 #include "src/workload/queries.h"
 #include "src/workload/uniform.h"
+#include "tests/page_image_test_util.h"
 #include "tests/sr_tree_test_access.h"
 
 namespace srtree {
@@ -126,9 +131,19 @@ TEST_P(SrPageLayoutTest, InnerPagesRoundTrip) {
   }
 }
 
+// Expects the staged extent of `node` to end at `used`, the first byte
+// after its last entry, and the codec to leave the 'x' sentinel past it.
+void ExpectExtentEndsAtLastEntry(const SRTree& tree, const Access::Node& node,
+                                 const std::vector<char>& page, size_t used) {
+  EXPECT_EQ(Access::NodeBytes(tree, node), used);
+  for (size_t b = used; b < page.size(); ++b) {
+    ASSERT_EQ(page[b], 'x') << "byte " << b;
+  }
+}
+
 // The page is dimension-major: coordinate d of entry i sits at double slot
 // d * count + i after the 8-byte header, the oids follow the coordinate
-// block, and every byte past the entries is zero.
+// block, and the page's bytes end there: the leaf-data area is not stored.
 TEST_P(SrPageLayoutTest, LeafPageIsDimensionMajor) {
   const SRTree tree(MakeOptions());
   const size_t count = tree.leaf_capacity();
@@ -150,9 +165,48 @@ TEST_P(SrPageLayoutTest, LeafPageIsDimensionMajor) {
     EXPECT_EQ(oid, node.points[i].oid);
   }
   const size_t used = 8 + count * (dim * sizeof(double) + sizeof(uint32_t));
-  for (size_t b = used; b < page.size(); ++b) {
-    ASSERT_EQ(page[b], 0) << "byte " << b;
+  ExpectExtentEndsAtLastEntry(tree, node, page, used);
+}
+
+// An inner page: centers, radii, rect lo, rect hi, weights and child ids,
+// each count-strided, and nothing after the child ids.
+TEST_P(SrPageLayoutTest, InnerPageIsDimensionMajor) {
+  const SRTree tree(MakeOptions());
+  const size_t count = tree.node_capacity();
+  const Access::Node node = MakeInner(count, /*level=*/1);
+  const std::vector<char> page = Access::Serialize(tree, node);
+  const size_t dim = static_cast<size_t>(GetParam().dim);
+  const auto load_double = [&](size_t offset) {
+    double x = 0;
+    std::memcpy(&x, page.data() + offset, sizeof(x));
+    return x;
+  };
+  const auto load_u32 = [&](size_t offset) {
+    uint32_t x = 0;
+    std::memcpy(&x, page.data() + offset, sizeof(x));
+    return x;
+  };
+  const size_t block = dim * count * sizeof(double);
+  const size_t centers = 8;
+  const size_t radii = centers + block;
+  const size_t lo = radii + count * sizeof(double);
+  const size_t hi = lo + block;
+  const size_t weights = hi + block;
+  const size_t children = weights + count * sizeof(uint32_t);
+  for (size_t i = 0; i < count; ++i) {
+    const Access::NodeEntry& e = node.children[i];
+    for (size_t d = 0; d < dim; ++d) {
+      const size_t slot = (d * count + i) * sizeof(double);
+      EXPECT_EQ(load_double(centers + slot), e.sphere.center()[d]);
+      EXPECT_EQ(load_double(lo + slot), e.rect.lo()[d]);
+      EXPECT_EQ(load_double(hi + slot), e.rect.hi()[d]);
+    }
+    EXPECT_EQ(load_double(radii + i * sizeof(double)), e.sphere.radius());
+    EXPECT_EQ(load_u32(weights + i * sizeof(uint32_t)), e.weight);
+    EXPECT_EQ(load_u32(children + i * sizeof(uint32_t)), e.child);
   }
+  ExpectExtentEndsAtLastEntry(tree, node, page,
+                              children + count * sizeof(uint32_t));
 }
 
 // Same bytes per entry as the row-major entries of Section 5.3, so the
@@ -237,6 +291,23 @@ void ForgeLayoutByte(const std::string& path, uint8_t layout) {
   ASSERT_TRUE(WriteStringToFileForTest(bytes, path).ok());
 }
 
+// The tree's own pages, at every level, store exactly their entries.
+TEST(SrImageLayoutTest, StoredExtentsEndAtTheLastEntry) {
+  const auto tree = BuildTree(MakeUniformDataset(1500, 5, /*seed=*/31));
+  ASSERT_GE(Access::RootLevel(*tree), 2);
+  std::vector<int> path;
+  for (int level = Access::RootLevel(*tree); level >= 0; --level) {
+    const Access::Node node = Access::ReadByPath(*tree, path);
+    ASSERT_EQ(node.level, level);
+    EXPECT_EQ(Access::ExtentByPath(*tree, path),
+              Access::NodeBytes(*tree, node));
+    path.push_back(0);
+  }
+  const PageFootprint pages = tree->GetPageFootprint();
+  EXPECT_EQ(pages.page_size, 2048u);
+  EXPECT_LT(pages.stored_bytes, pages.logical_bytes());
+}
+
 TEST(SrImageLayoutTest, RowMajorLayoutImageIsRejectedWithResaveError) {
   const auto tree = BuildTree(MakeUniformDataset(400, 4, /*seed=*/23));
   const std::string path = TempPath("sr_row_major_layout.idx");
@@ -261,6 +332,125 @@ TEST(SrImageLayoutTest, UnknownLayoutByteIsCorruption) {
   ASSERT_FALSE(reopened.ok());
   EXPECT_TRUE(reopened.status().IsCorruption())
       << reopened.status().ToString();
+}
+
+// --- Open on checksum-valid images that are not trees -------------------
+
+using testing_image::IndexImagePageFileStart;
+using testing_image::LoadLe;
+using testing_image::PageImage;
+using testing_image::PageRecord;
+using testing_image::StoreLe;
+
+constexpr int kForgeDim = 5;
+
+// Saves a tree, applies `forge` to the saved image's page-file records (it
+// may rewrite any page bytes in place) and re-seals every checksum, so
+// only Open()'s structural checks stand between the forgery and a decode.
+template <typename Forge>
+std::string ForgedImage(const std::string& name, Forge&& forge) {
+  const auto tree =
+      BuildTree(MakeUniformDataset(1500, kForgeDim, /*seed=*/37));
+  const std::string path = TempPath(name);
+  EXPECT_TRUE(tree->Save(path).ok());
+  std::string bytes;
+  EXPECT_TRUE(ReadFileToString(path, &bytes).ok());
+  const size_t start = IndexImagePageFileStart(bytes);
+  const PageImage image = testing_image::ParsePageImage(bytes, start);
+  forge(bytes, image);
+  testing_image::ResealPageImage(bytes, start);
+  EXPECT_TRUE(WriteStringToFileForTest(bytes, path).ok());
+  return path;
+}
+
+// The first live record whose page level is `level`.
+const PageRecord& FirstPageAtLevel(const std::string& bytes,
+                                   const PageImage& image, int level) {
+  for (const PageRecord& r : image.records) {
+    if (r.live && static_cast<unsigned char>(bytes[r.data]) == level) return r;
+  }
+  ADD_FAILURE() << "no page at level " << level;
+  return image.records.front();
+}
+
+// Offset of child id `i` in an inner page of `count` entries.
+size_t ChildIdOffset(const PageRecord& r, size_t count, size_t i) {
+  const size_t dim = kForgeDim;
+  return r.data + 8 + count * (3 * dim * 8 + 8 + 4) + i * 4;
+}
+
+void ExpectOpenCorruption(const std::string& path, const std::string& what) {
+  auto reopened = SRTree::Open(path);
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_TRUE(reopened.status().IsCorruption())
+      << reopened.status().ToString();
+  EXPECT_NE(reopened.status().message().find(what), std::string::npos)
+      << reopened.status().ToString();
+}
+
+// A leaf header claiming 600 entries used to send the decoding audit walk
+// 1,416 bytes past an 8 KB page buffer.
+TEST(SrOpenValidationTest, LeafCountPastCapacityIsCorruption) {
+  const std::string path =
+      ForgedImage("sr_forged_count.idx", [](std::string& b, const PageImage& im) {
+        StoreLe(b, FirstPageAtLevel(b, im, 0).data + 2, 2, 600);
+      });
+  ExpectOpenCorruption(path, "count exceeds its page");
+}
+
+// Within capacity, but more entries than the page's stored extent holds.
+TEST(SrOpenValidationTest, LeafCountPastStoredExtentIsCorruption) {
+  const std::string path =
+      ForgedImage("sr_forged_extent.idx", [](std::string& b, const PageImage& im) {
+        const PageRecord& leaf = FirstPageAtLevel(b, im, 0);
+        const size_t count = LoadLe(b, leaf.data + 2, 2);
+        StoreLe(b, leaf.data + 2, 2, count + 1);
+      });
+  ExpectOpenCorruption(path, "count exceeds its page");
+}
+
+// A child id naming no live page used to abort the process in PeekPage.
+TEST(SrOpenValidationTest, ChildIdNotLiveIsCorruption) {
+  const std::string path =
+      ForgedImage("sr_forged_child.idx", [](std::string& b, const PageImage& im) {
+        const PageRecord& inner = FirstPageAtLevel(b, im, 1);
+        const size_t count = LoadLe(b, inner.data + 2, 2);
+        StoreLe(b, ChildIdOffset(inner, count, 0), 4, im.page_count + 7);
+      });
+  ExpectOpenCorruption(path, "is not live");
+}
+
+TEST(SrOpenValidationTest, ChildAtTheWrongLevelIsCorruption) {
+  const std::string path =
+      ForgedImage("sr_forged_level.idx", [](std::string& b, const PageImage& im) {
+        b[FirstPageAtLevel(b, im, 0).data] = 1;  // a leaf claiming level 1
+      });
+  ExpectOpenCorruption(path, "does not carry its level");
+}
+
+// Two entries naming one child: a DAG, whose walk finds more points than
+// the tree holds.
+TEST(SrOpenValidationTest, SharedChildIsCorruption) {
+  const std::string path =
+      ForgedImage("sr_forged_dag.idx", [](std::string& b, const PageImage& im) {
+        const PageRecord& inner = FirstPageAtLevel(b, im, 1);
+        const size_t count = LoadLe(b, inner.data + 2, 2);
+        ASSERT_GE(count, 2u);
+        StoreLe(b, ChildIdOffset(inner, count, 1), 4,
+                LoadLe(b, ChildIdOffset(inner, count, 0), 4));
+      });
+  auto reopened = SRTree::Open(path);
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_TRUE(reopened.status().IsCorruption())
+      << reopened.status().ToString();
+}
+
+// The re-sealing itself forges nothing: an untouched image still opens.
+TEST(SrOpenValidationTest, ResealedUntouchedImageOpens) {
+  const std::string path = ForgedImage(
+      "sr_forged_none.idx", [](std::string&, const PageImage&) {});
+  auto reopened = SRTree::Open(path);
+  EXPECT_TRUE(reopened.ok()) << reopened.status().ToString();
 }
 
 }  // namespace

@@ -49,11 +49,24 @@ struct SRTreeTestAccess {
     return tree.root_level_;
   }
 
-  // The page codec on its own: encodes `node` into a page-sized buffer.
+  // The page codec on its own: encodes `node` into a page-sized buffer
+  // filled with 'x', which the codec overwrites only up to NodeBytes().
   static std::vector<char> Serialize(const SRTree& tree, const Node& node) {
     std::vector<char> page(tree.options_.page_size, 'x');
     tree.SerializeNode(node, page.data());
     return page;
+  }
+
+  // The bytes WriteNode stages for `node`.
+  static size_t NodeBytes(const SRTree& tree, const Node& node) {
+    return tree.NodeBytes(node.level, node.count());
+  }
+
+  // The stored extent of the working page of the node at `path`.
+  static size_t ExtentByPath(const SRTree& tree, const std::vector<int>& path) {
+    const PageId id = ReadByPath(tree, path).id;
+    MutexLock lock(tree.writer_mu_);
+    return tree.file_.extent(id);
   }
 
   static Node Deserialize(const SRTree& tree, const std::vector<char>& page,

@@ -217,6 +217,12 @@ int RunStats(int argc, char** argv) {
               static_cast<unsigned long long>(stats.leaf_count));
   std::printf("fanout:         %zu node / %zu leaf\n",
               (*tree)->node_capacity(), (*tree)->leaf_capacity());
+  const PageFootprint pages = (*tree)->GetPageFootprint();
+  std::printf("page bytes:     %llu stored / %llu logical (%llu pages x %llu)\n",
+              static_cast<unsigned long long>(pages.stored_bytes),
+              static_cast<unsigned long long>(pages.logical_bytes()),
+              static_cast<unsigned long long>(pages.pages),
+              static_cast<unsigned long long>(pages.page_size));
   std::printf("avg leaf sphere diameter: %.6g\n",
               regions.avg_sphere_diameter);
   std::printf("avg leaf rect volume:     %.6g\n", regions.avg_rect_volume);
