@@ -4,15 +4,21 @@
 // flat BFS-serialized image (SoA leaf blocks, implicit child pointers,
 // zero-deserialization reads), the dynamic tree is the insert-built
 // SR-tree. The tiered rows show the serving arrangement: fully compacted
-// (pure static) and with a 5% dynamic delta absorbing the newest writes.
+// (pure static), with a 5% dynamic delta absorbing the newest writes, and
+// with that delta plus 0.2% of the static points deleted (tombstones: dead
+// bits over the static tier's slots, tested in the leaf scans). The last
+// row also reports the CPU cost of one such Delete.
 //
 // The snapshot tracks the shape — the static tier must come in at or below
 // the dynamic tree's per-query cost — not absolute wall-clock numbers.
 
+#include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "src/common/timer.h"
 #include "src/statictier/static_sr_tree.h"
 #include "src/statictier/tiered_index.h"
 
@@ -22,6 +28,7 @@ namespace {
 struct Candidate {
   std::string label;
   std::unique_ptr<PointIndex> index;
+  std::string us_per_delete = "-";
 };
 
 int Run(const BenchOptions& options) {
@@ -66,7 +73,7 @@ int Run(const BenchOptions& options) {
     CHECK(tiered->BulkLoad(points, oids).ok());
     candidates.push_back({"Tiered (compacted)", std::move(tiered)});
   }
-  {
+  const auto make_tiered_with_delta = [&] {
     TieredIndex::Options tiered_options;
     tiered_options.dim = dim;
     auto tiered = std::make_unique<TieredIndex>(tiered_options);
@@ -78,19 +85,34 @@ int Run(const BenchOptions& options) {
     for (size_t i = delta_start; i < n; ++i) {
       CHECK(tiered->Insert(points[i], oids[i]).ok());
     }
-    candidates.push_back({"Tiered (5% delta)", std::move(tiered)});
+    return tiered;
+  };
+  candidates.push_back({"Tiered (5% delta)", make_tiered_with_delta()});
+  {
+    // 0.2% of the static points, spread evenly over the bulk-loaded slice.
+    auto tiered = make_tiered_with_delta();
+    const size_t deletes = std::max<size_t>(1, delta_start / 500);
+    const size_t stride = delta_start / deletes;
+    CpuTimer timer;
+    for (size_t d = 0; d < deletes; ++d) {
+      CHECK(tiered->Delete(points[d * stride], oids[d * stride]).ok());
+    }
+    const double us = timer.ElapsedSeconds() * 1e6 /
+                      static_cast<double>(deletes);
+    candidates.push_back({"Tiered (5% delta, 0.2% tombstones)",
+                          std::move(tiered), FormatNum(us)});
   }
 
   Table table("Static tier vs dynamic SR-tree: k-NN query cost (uniform, n=" +
                   std::to_string(n) + ", D=" + std::to_string(dim) +
                   ", k=" + std::to_string(options.k) + ")",
               {"index", "CPU ms/query", "reads/query", "leaf reads/query",
-               "nonleaf reads/query"});
+               "nonleaf reads/query", "CPU us/delete"});
   for (Candidate& c : candidates) {
     const QueryMetrics metrics = RunKnnWorkload(*c.index, queries, options.k);
     table.AddRow({c.label, FormatNum(metrics.cpu_ms),
                   FormatNum(metrics.disk_reads), FormatNum(metrics.leaf_reads),
-                  FormatNum(metrics.nonleaf_reads)});
+                  FormatNum(metrics.nonleaf_reads), c.us_per_delete});
   }
   table.Print();
   return bench::EmitJsonReport(options, {table});

@@ -30,6 +30,20 @@ size_t InnerEntryBytes(int dim) {
 
 }  // namespace
 
+void TombstoneBitmap::Set(uint64_t slot) {
+  const uint64_t c = slot / kSlotsPerChunk;
+  if (c >= chunks_.size()) chunks_.resize(c + 1);
+  // Value-initialized when new: a fresh chunk has no dead slot.
+  auto copy = chunks_[c] == nullptr ? std::make_shared<Chunk>()
+                                    : std::make_shared<Chunk>(*chunks_[c]);
+  uint64_t& word = (*copy)[(slot % kSlotsPerChunk) / 64];
+  const uint64_t bit = uint64_t{1} << (slot % 64);
+  CHECK_EQ(word & bit, 0u);
+  word |= bit;
+  chunks_[c] = std::move(copy);
+  ++count_;
+}
+
 StaticSRTree::StaticSRTree(const Options& options)
     : PagedIndex(options.page_size), options_(options) {
   CHECK_GT(options_.dim, 0);
@@ -118,6 +132,8 @@ Status StaticSRTree::LoadPages(std::istream& in, PageId root_id,
     root_id_ = kInvalidPageId;
     root_level_ = 0;
     size_ = 0;
+    first_leaf_ = kInvalidPageId;
+    leaf_count_ = 0;
     PublishBuilt(root_id_, root_level_, size_);
     return Status::OK();
   }
@@ -127,15 +143,18 @@ Status StaticSRTree::LoadPages(std::istream& in, PageId root_id,
   root_id_ = root_id;
   root_level_ = root_level;
   size_ = size;
-  RETURN_IF_ERROR(ValidateStructure());
+  RETURN_IF_ERROR(ValidateStructure(&first_leaf_, &leaf_count_));
   PublishBuilt(root_id_, root_level_, size_);
   return CheckInvariants();
 }
 
-Status StaticSRTree::ValidateStructure() const {
+Status StaticSRTree::ValidateStructure(PageId* first_leaf,
+                                       size_t* leaf_count) const {
   // BFS from the root: every reachable page must be live, carry the level
   // its parent implies, and keep its count within capacity — so the
-  // PeekPage-based audit/stats walks can never chase a wild child id.
+  // PeekPage-based audit/stats walks can never chase a wild child id. BFS
+  // reaches the leaves last and in id order, so the k-th leaf it meets
+  // must be page first_leaf + k for slots to be well defined.
   struct Item {
     PageId id;
     int level;
@@ -144,6 +163,8 @@ Status StaticSRTree::ValidateStructure() const {
   queue.push({root_id_, root_level_});
   uint64_t points = 0;
   uint64_t visited = 0;
+  *first_leaf = kInvalidPageId;
+  *leaf_count = 0;
   while (!queue.empty()) {
     const Item item = queue.front();
     queue.pop();
@@ -159,6 +180,12 @@ Status StaticSRTree::ValidateStructure() const {
       if (leaf.count == 0 || leaf.count > leaf_cap_) {
         return Status::Corruption("static SR-tree leaf count out of range");
       }
+      if (*leaf_count == 0) *first_leaf = item.id;
+      if (item.id != *first_leaf + *leaf_count) {
+        return Status::Corruption(
+            "static SR-tree leaves are not one contiguous run of pages");
+      }
+      ++*leaf_count;
       points += leaf.count;
       continue;
     }
@@ -318,16 +345,25 @@ void StaticSRTree::SerializeTree(const std::vector<Point>& points,
                                  size_t root_index) {
   // BFS numbering: a node's children are enqueued (and therefore allocated)
   // consecutively, which is what makes the single first_child id sufficient.
+  // The tree is balanced, so the leaves come last, on consecutive pages.
   std::vector<size_t> order;
   order.reserve(pool.size());
   std::queue<size_t> queue;
   queue.push(root_index);
+  first_leaf_ = kInvalidPageId;
+  leaf_count_ = 0;
   while (!queue.empty()) {
     const size_t index = queue.front();
     queue.pop();
     pool[index].page = file_.Allocate();
     order.push_back(index);
     for (const size_t child : pool[index].children) queue.push(child);
+    if (pool[index].level == 0) {
+      if (leaf_count_ == 0) first_leaf_ = pool[index].page;
+      CHECK_EQ(pool[index].page,
+               first_leaf_ + static_cast<PageId>(leaf_count_));
+      ++leaf_count_;
+    }
   }
 
   const int dim = options_.dim;
@@ -405,31 +441,40 @@ Status StaticSRTree::BulkLoad(const std::vector<Point>& points,
 
 Status StaticSRTree::ExportEntries(
     const std::function<void(PointView, uint32_t)>& fn) const {
-  if (size_ == 0) return Status::OK();
+  return ExportLiveEntries(TombstoneBitmap(), fn);
+}
+
+Status StaticSRTree::ExportLiveEntries(
+    const TombstoneBitmap& dead,
+    const std::function<void(PointView, uint32_t)>& fn) const {
   std::vector<Point> points;
   std::vector<uint32_t> oids;
-  std::queue<std::pair<PageId, int>> queue;
-  queue.push({root_id_, root_level_});
-  while (!queue.empty()) {
-    const auto [id, level] = queue.front();
-    queue.pop();
-    const char* buf = file_.PeekPage(id);
-    if (level == 0) {
-      DecodeLeaf(buf, points, oids);
-      for (size_t i = 0; i < points.size(); ++i) fn(points[i], oids[i]);
-      continue;
-    }
-    const SoaInnerView inner = ParseSoaInner(buf, options_.dim);
-    for (size_t i = 0; i < inner.count; ++i) {
-      queue.push({FirstChild(inner) + static_cast<PageId>(i), level - 1});
+  for (size_t l = 0; l < leaf_count_; ++l) {
+    const PageId id = first_leaf_ + static_cast<PageId>(l);
+    DecodeLeaf(file_.PeekPage(id), points, oids);
+    for (size_t i = 0; i < points.size(); ++i) {
+      if (!dead.Test(SlotOf(id, i))) fn(points[i], oids[i]);
     }
   }
   return Status::OK();
 }
 
-bool StaticSRTree::Contains(PointView point, uint32_t oid) const {
+Status StaticSRTree::CheckSlot(uint64_t slot) const {
+  if (slot / leaf_cap_ >= leaf_count_) {
+    return Status::Corruption("tombstone slot names no static-tier leaf");
+  }
+  const PageId id = first_leaf_ + static_cast<PageId>(slot / leaf_cap_);
+  const SoaLeafView leaf = ParseSoaLeaf(file_.PeekPage(id), options_.dim);
+  if (slot % leaf_cap_ >= leaf.count) {
+    return Status::Corruption("tombstone slot lies past its leaf's count");
+  }
+  return Status::OK();
+}
+
+std::optional<uint64_t> StaticSRTree::FindLiveSlot(
+    PointView point, uint32_t oid, const TombstoneBitmap& dead) const {
   if (size_ == 0 || static_cast<int>(point.size()) != options_.dim) {
-    return false;
+    return std::nullopt;
   }
   // Rect-guided descent: MBRs are exact over the stored coordinates, so the
   // containment test is exact too (no epsilon). Overlapping siblings mean
@@ -444,10 +489,10 @@ bool StaticSRTree::Contains(PointView point, uint32_t oid) const {
     if (level == 0) {
       const SoaLeafView leaf = ParseSoaLeaf(buf, options_.dim);
       for (size_t i = 0; i < leaf.count; ++i) {
-        if (leaf.oids[i] != oid) continue;
+        if (leaf.oids[i] != oid || dead.Test(SlotOf(id, i))) continue;
         GatherSoaElement(leaf.points, i, scratch);
         if (std::equal(point.begin(), point.end(), scratch.begin())) {
-          return true;
+          return SlotOf(id, i);
         }
       }
       continue;
@@ -465,7 +510,7 @@ bool StaticSRTree::Contains(PointView point, uint32_t oid) const {
       }
     }
   }
-  return false;
+  return std::nullopt;
 }
 
 // --------------------------------------------------------------------------
@@ -475,13 +520,14 @@ bool StaticSRTree::Contains(PointView point, uint32_t oid) const {
 // The static tier's bound policy for the shared traversals
 // (src/index/traversal.h) over one pinned version: pages are read in place
 // (snap.ReadInPlace) and bounded by the SR MINDIST, max(sphere, rect), in
-// distance space; the leaf scan skips tombstoned entries, so a masked point
-// can never displace a live one from a k-NN result.
+// distance space; the leaf scan skips entries whose slot is dead (one bit
+// test per in-range candidate), so a masked entry can never displace a live
+// one from a k-NN result.
 struct StaticSRTree::SearchBound {
   static constexpr BoundSpace kSpace = BoundSpace::kDistance;
   const StaticSRTree& tree;
   const PageFile::Snapshot& snap;
-  const TombstoneSet* tombstones;
+  const TombstoneBitmap* dead;  // null when no slot is dead
 
   // An unbuilt tree's root id is kInvalidPageId, which is empty() too.
   TraversalRoot root() const { return CommittedRoot(snap); }
@@ -495,14 +541,10 @@ struct StaticSRTree::SearchBound {
     const int dim = tree.options_.dim;
     if (level == 0) {
       const SoaLeafView leaf = ParseSoaLeaf(page, dim);
-      const bool masked = tombstones != nullptr && !tombstones->empty();
-      Point gather;
+      const uint64_t first_slot = tree.SlotOf(id, 0);
       ScanSoaLeaf(leaf, query, leaf_bound_sq, scratch,
                   [&](double d2, size_t i) {
-                    if (masked) {
-                      GatherSoaElement(leaf.points, i, gather);
-                      if (tombstones->contains({gather, leaf.oids[i]})) return;
-                    }
+                    if (dead != nullptr && dead->Test(first_slot + i)) return;
                     offer(d2, leaf.oids[i]);
                   });
       return;
@@ -518,8 +560,9 @@ struct StaticSRTree::SearchBound {
 
 std::vector<Neighbor> StaticSRTree::SearchSnapshot(
     const PageFile::Snapshot& snap, PointView query, const QuerySpec& spec,
-    IoStatsDelta* io, const TombstoneSet* tombstones) const {
-  return Traverse(SearchBound{*this, snap, tombstones}, query, spec, io);
+    IoStatsDelta* io, const TombstoneBitmap* dead) const {
+  if (dead != nullptr && dead->empty()) dead = nullptr;
+  return Traverse(SearchBound{*this, snap, dead}, query, spec, io);
 }
 
 // --------------------------------------------------------------------------
@@ -583,34 +626,29 @@ TreeStats StaticSRTree::GetTreeStats() const {
 
 RegionSummary StaticSRTree::LeafRegionSummary() const {
   RegionStatsCollector collector;
-  if (size_ == 0) return collector.Finish();
-  std::queue<std::pair<PageId, int>> queue;
-  queue.push({root_id_, root_level_});
   std::vector<Point> points;
   std::vector<uint32_t> oids;
-  while (!queue.empty()) {
-    const auto [id, level] = queue.front();
-    queue.pop();
-    const char* buf = file_.PeekPage(id);
-    if (level == 0) {
-      DecodeLeaf(buf, points, oids);
-      if (points.empty()) continue;
-      collector.CountLeaf();
-      Rect bound = Rect::Empty(options_.dim);
-      for (const Point& p : points) bound.Expand(p);
-      collector.AddRect(bound);
-      continue;
-    }
-    const SoaInnerView inner = ParseSoaInner(buf, options_.dim);
-    for (size_t i = 0; i < inner.count; ++i) {
-      queue.push({FirstChild(inner) + static_cast<PageId>(i), level - 1});
-    }
+  for (size_t l = 0; l < leaf_count_; ++l) {
+    DecodeLeaf(file_.PeekPage(first_leaf_ + static_cast<PageId>(l)), points,
+               oids);
+    if (points.empty()) continue;
+    collector.CountLeaf();
+    Rect bound = Rect::Empty(options_.dim);
+    for (const Point& p : points) bound.Expand(p);
+    collector.AddRect(bound);
   }
   return collector.Finish();
 }
 
 Status StaticSRTree::CheckInvariants() const {
-  if (size_ > 0) RETURN_IF_ERROR(ValidateStructure());
+  if (size_ > 0) {
+    PageId first_leaf = kInvalidPageId;
+    size_t leaf_count = 0;
+    RETURN_IF_ERROR(ValidateStructure(&first_leaf, &leaf_count));
+    if (first_leaf != first_leaf_ || leaf_count != leaf_count_) {
+      return Status::Corruption("static SR-tree leaf run does not match");
+    }
+  }
   return debug::AuditIndex(*this);
 }
 

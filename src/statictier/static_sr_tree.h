@@ -22,22 +22,31 @@
 //     readers keep traversing the old one.
 //
 // The structure is immutable after BulkLoad()/Open(): Insert and Delete
-// return Unimplemented. Logical deletes against a static tier are the
-// TieredIndex's tombstones, which the leaf scans consult through the
-// optional TombstoneSet filter so a masked point can never displace a live
-// one from a k-NN result.
+// return Unimplemented. Because the tree is balanced and BFS-numbered, its
+// leaves are one contiguous run of page ids at the end of the image, so
+// every stored entry has a stable SLOT,
+//
+//   slot = (leaf page id - first leaf id) * leaf_capacity + entry index,
+//
+// which depends only on the leaf order, not on how pages are encoded.
+// Logical deletes against a static tier are the TieredIndex's tombstones:
+// a TombstoneBitmap with one bit per slot. The leaf scans test each
+// in-range candidate's bit, so a masked entry can never displace a live
+// one from a k-NN result, and a delete masks exactly one stored copy of a
+// repeated (point, oid) pair.
 
 #ifndef SRTREE_STATICTIER_STATIC_SR_TREE_H_
 #define SRTREE_STATICTIER_STATIC_SR_TREE_H_
 
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
 #include <memory>
-#include <set>
+#include <optional>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "src/geometry/kernel.h"
@@ -46,9 +55,53 @@
 
 namespace srtree {
 
-// Tombstoned (point, oid) pairs masking static-tier entries; owned by the
-// TieredIndex, consulted by the static leaf scans.
-using TombstoneSet = std::set<std::pair<Point, uint32_t>>;
+// Dead static-tier slots (see StaticSRTree::SlotOf), one bit each, kept in
+// fixed-size chunks. A chunk is never modified once shared: Set() replaces
+// the one chunk it changes with a modified copy, so a bitmap copied before
+// a Set() keeps every old chunk, and a copy shares all chunks but one with
+// its source. A null (or missing) chunk has no dead slot.
+class TombstoneBitmap {
+ public:
+  static constexpr uint64_t kSlotsPerChunk = uint64_t{1} << 13;
+  using Chunk = std::array<uint64_t, kSlotsPerChunk / 64>;
+
+  bool empty() const { return count_ == 0; }
+  size_t count() const { return count_; }
+
+  bool Test(uint64_t slot) const {
+    const uint64_t c = slot / kSlotsPerChunk;
+    if (c >= chunks_.size() || chunks_[c] == nullptr) return false;
+    return ((*chunks_[c])[(slot % kSlotsPerChunk) / 64] >> (slot % 64)) & 1u;
+  }
+
+  // Marks `slot` dead (it must be live), copying only its chunk.
+  void Set(uint64_t slot);
+
+  // Calls fn(slot) for every dead slot, in increasing slot order.
+  template <typename Fn>
+  void ForEachSet(Fn&& fn) const {
+    for (size_t c = 0; c < chunks_.size(); ++c) {
+      if (chunks_[c] == nullptr) continue;
+      const Chunk& chunk = *chunks_[c];
+      for (size_t w = 0; w < chunk.size(); ++w) {
+        for (uint64_t bits = chunk[w]; bits != 0; bits &= bits - 1) {
+          fn(c * kSlotsPerChunk + w * 64 +
+             static_cast<uint64_t>(std::countr_zero(bits)));
+        }
+      }
+    }
+  }
+
+  // Chunk identity, for tests of what a Set() copied (null past the end).
+  size_t chunk_count() const { return chunks_.size(); }
+  const Chunk* chunk(size_t c) const {
+    return c < chunks_.size() ? chunks_[c].get() : nullptr;
+  }
+
+ private:
+  std::vector<std::shared_ptr<const Chunk>> chunks_;
+  size_t count_ = 0;
+};
 
 class StaticSRTree : public PagedIndex {
  public:
@@ -83,13 +136,28 @@ class StaticSRTree : public PagedIndex {
   Status BulkLoad(const std::vector<Point>& points,
                   const std::vector<uint32_t>& oids) override;
 
-  // Enumerates every stored (point, oid) pair (compaction feed).
+  // Enumerates every stored (point, oid) pair, in slot order.
   Status ExportEntries(
       const std::function<void(PointView, uint32_t)>& fn) const override;
+  // The same, skipping the slots `dead` marks (compaction feed).
+  Status ExportLiveEntries(
+      const TombstoneBitmap& dead,
+      const std::function<void(PointView, uint32_t)>& fn) const;
 
-  // Exact membership probe against the stored pairs (rect-guided descent;
-  // no I/O accounting — this is tombstone bookkeeping, not a query).
-  bool Contains(PointView point, uint32_t oid) const;
+  // Exact probe for a stored (point, oid) pair whose slot `dead` does not
+  // mark; returns that slot (rect-guided descent; no I/O accounting — this
+  // is tombstone bookkeeping, not a query). With repeated copies of a pair
+  // each call finds the next live one.
+  std::optional<uint64_t> FindLiveSlot(PointView point, uint32_t oid,
+                                       const TombstoneBitmap& dead) const;
+
+  // The slot of entry `index` of leaf page `leaf` (see the file comment).
+  uint64_t SlotOf(PageId leaf, size_t index) const {
+    return uint64_t{leaf - first_leaf_} * leaf_cap_ + index;
+  }
+  // OK iff `slot` names a stored entry: its leaf exists and the index is
+  // below that leaf's count. Corruption otherwise.
+  Status CheckSlot(uint64_t slot) const;
 
   TreeStats GetTreeStats() const override;
   Status CheckInvariants() const override;
@@ -107,15 +175,15 @@ class StaticSRTree : public PagedIndex {
   // tier's through epochs()/AcquirePageSnapshot and merges). The tree is
   // immutable once built, but routing reads through a committed version
   // lets a TieredIndex swap a compacted tree in under its readers.
-  // `tombstones` masks matching pairs during the leaf scans.
+  // The leaf scans skip the slots `dead` marks (null: none).
   std::vector<Neighbor> SearchSnapshot(const PageFile::Snapshot& snap,
                                        PointView query, const QuerySpec& spec,
                                        IoStatsDelta* io,
-                                       const TombstoneSet* tombstones) const;
+                                       const TombstoneBitmap* dead) const;
   std::vector<Neighbor> SearchSnapshot(const PageFile::Snapshot& snap,
                                        PointView query, const QuerySpec& spec,
                                        IoStatsDelta* io) const override {
-    return SearchSnapshot(snap, query, spec, io, /*tombstones=*/nullptr);
+    return SearchSnapshot(snap, query, spec, io, /*dead=*/nullptr);
   }
 
  protected:
@@ -151,8 +219,9 @@ class StaticSRTree : public PagedIndex {
                      std::vector<BuildNode>& pool, size_t root_index);
 
   // BFS over the page image checking header sanity (levels, counts, child
-  // liveness) so the audit/stats walks cannot crash on a forged image.
-  Status ValidateStructure() const;
+  // liveness) so the audit/stats walks cannot crash on a forged image, and
+  // that the leaves form one contiguous run of ids, which it reports.
+  Status ValidateStructure(PageId* first_leaf, size_t* leaf_count) const;
 
   // ---- audit / stats helpers (PeekPage walks, no I/O accounting) ----------
   struct DecodedEntry {
@@ -180,6 +249,9 @@ class StaticSRTree : public PagedIndex {
   PageId root_id_ = kInvalidPageId;
   int root_level_ = 0;
   size_t size_ = 0;
+  // The leaves' contiguous run of page ids (slots are numbered over it).
+  PageId first_leaf_ = kInvalidPageId;
+  size_t leaf_count_ = 0;
 };
 
 }  // namespace srtree

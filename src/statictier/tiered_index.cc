@@ -1,6 +1,7 @@
 #include "src/statictier/tiered_index.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "src/common/check.h"
@@ -54,7 +55,7 @@ TieredIndex::TieredIndex(const Options& options) : options_(options) {
   TierState initial;
   initial.static_tier = std::make_shared<StaticSRTree>(static_options);
   initial.delta = MakeDelta();
-  initial.tombstones = std::make_shared<const TombstoneSet>();
+  initial.tombstones = std::make_shared<const TombstoneBitmap>();
   initial.delta_version = initial.delta->AcquireSnapshot()->version();
   PublishState(std::move(initial));
 }
@@ -95,9 +96,9 @@ Status TieredIndex::Insert(PointView point, uint32_t oid) {
 Status TieredIndex::Delete(PointView point, uint32_t oid) {
   MutexLock lock(writer_mu_);
   const std::shared_ptr<const TierState> cur = LoadState();
-  TierState next = *cur;
   Status delta_status = cur->delta->Delete(point, oid);
   if (delta_status.ok()) {
+    TierState next = *cur;
     next.delta_version = next.delta->AcquireSnapshot()->version();
     ++next.version;
     --next.size;
@@ -105,19 +106,26 @@ Status TieredIndex::Delete(PointView point, uint32_t oid) {
     return Status::OK();
   }
   if (!delta_status.IsNotFound()) return delta_status;
-  const std::pair<Point, uint32_t> key(Point(point.begin(), point.end()), oid);
-  if (cur->tombstones->count(key) > 0 ||
-      !cur->static_tier->Contains(point, oid)) {
+  const std::optional<uint64_t> slot =
+      cur->static_tier->FindLiveSlot(point, oid, *cur->tombstones);
+  if (!slot.has_value()) {
     return Status::NotFound("no such (point, oid) pair");
   }
-  // Copy-on-write so snapshots holding the old set never see the mutation.
-  auto replacement = std::make_shared<TombstoneSet>(*cur->tombstones);
-  replacement->insert(key);
-  next.tombstones = std::move(replacement);
+  PublishDeadSlot(*slot);
+  return Status::OK();
+}
+
+void TieredIndex::PublishDeadSlot(uint64_t slot) {
+  const std::shared_ptr<const TierState> cur = LoadState();
+  TierState next = *cur;
+  // Path copy: the new bitmap copies the chunk holding `slot` and shares
+  // the rest, so snapshots holding the old one never see the mutation.
+  auto tombstones = std::make_shared<TombstoneBitmap>(*cur->tombstones);
+  tombstones->Set(slot);
+  next.tombstones = std::move(tombstones);
   ++next.version;
   --next.size;
   PublishState(std::move(next));
-  return Status::OK();
 }
 
 Status TieredIndex::BulkLoad(const std::vector<Point>& points,
@@ -141,21 +149,13 @@ Status TieredIndex::CollectLogicalContents(const TierState& state,
   oids->clear();
   points->reserve(state.size);
   oids->reserve(state.size);
-  const TombstoneSet& tombstones = *state.tombstones;
-  Point scratch;
-  RETURN_IF_ERROR(
-      state.static_tier->ExportEntries([&](PointView p, uint32_t oid) {
-        if (!tombstones.empty()) {
-          scratch.assign(p.begin(), p.end());
-          if (tombstones.count({scratch, oid}) > 0) return;
-        }
-        points->emplace_back(p.begin(), p.end());
-        oids->push_back(oid);
-      }));
-  RETURN_IF_ERROR(state.delta->ExportEntries([&](PointView p, uint32_t oid) {
+  const auto collect = [&](PointView p, uint32_t oid) {
     points->emplace_back(p.begin(), p.end());
     oids->push_back(oid);
-  }));
+  };
+  RETURN_IF_ERROR(
+      state.static_tier->ExportLiveEntries(*state.tombstones, collect));
+  RETURN_IF_ERROR(state.delta->ExportEntries(collect));
   if (points->size() != state.size) {
     return Status::Corruption("tiered bookkeeping does not match contents");
   }
@@ -182,7 +182,7 @@ Status TieredIndex::Compact() {
   TierState next;
   next.static_tier = std::move(merged);
   next.delta = MakeDelta();
-  next.tombstones = std::make_shared<const TombstoneSet>();
+  next.tombstones = std::make_shared<const TombstoneBitmap>();
   next.version = cur->version;
   next.size = cur->size;
   next.delta_version = next.delta->AcquireSnapshot()->version();
@@ -278,7 +278,6 @@ class TieredSnapshot : public IndexSnapshot, public SearchDispatch {
       : dim_(index->dim()),
         state_(std::move(view.state)),
         static_tree_(state_->static_tier),
-        tombstones_(state_->tombstones),
         version_(state_->version),
         size_(state_->size),
         guard_(static_tree_->epochs()),
@@ -299,7 +298,7 @@ class TieredSnapshot : public IndexSnapshot, public SearchDispatch {
   std::vector<Neighbor> SearchImpl(PointView query, const QuerySpec& spec,
                                    IoStatsDelta* io) const override {
     const std::vector<Neighbor> from_static = static_tree_->SearchSnapshot(
-        snap_, query, spec, io, tombstones_.get());
+        snap_, query, spec, io, state_->tombstones.get());
     QueryResult delta_result = delta_snap_->Search(query, spec);
     io->MergeFrom(delta_result.io);
     std::vector<Neighbor> merged;
@@ -319,7 +318,6 @@ class TieredSnapshot : public IndexSnapshot, public SearchDispatch {
   int dim_;
   std::shared_ptr<const TieredIndex::TierState> state_;
   std::shared_ptr<const StaticSRTree> static_tree_;
-  std::shared_ptr<const TombstoneSet> tombstones_;
   uint64_t version_;
   size_t size_;
   EpochGuard guard_;
@@ -345,16 +343,7 @@ Status TieredIndex::ExportEntries(
     const std::function<void(PointView, uint32_t)>& fn) const {
   MutexLock lock(writer_mu_);  // exclude mutators: the live delta is walked
   const std::shared_ptr<const TierState> cur = LoadState();
-  const TombstoneSet& tombstones = *cur->tombstones;
-  Point scratch;
-  RETURN_IF_ERROR(
-      cur->static_tier->ExportEntries([&](PointView p, uint32_t oid) {
-        if (!tombstones.empty()) {
-          scratch.assign(p.begin(), p.end());
-          if (tombstones.count({scratch, oid}) > 0) return;
-        }
-        fn(p, oid);
-      }));
+  RETURN_IF_ERROR(cur->static_tier->ExportLiveEntries(*cur->tombstones, fn));
   return cur->delta->ExportEntries(fn);
 }
 
@@ -380,12 +369,15 @@ Status TieredIndex::CheckInvariants() const {
   const std::shared_ptr<const TierState> cur = LoadState();
   RETURN_IF_ERROR(cur->static_tier->CheckInvariants());
   RETURN_IF_ERROR(cur->delta->CheckInvariants());
-  for (const auto& [point, oid] : *cur->tombstones) {
-    if (!cur->static_tier->Contains(point, oid)) {
-      return Status::Corruption("tombstone names a pair not in static tier");
-    }
-  }
-  const size_t tombstone_count = cur->tombstones->size();
+  // Every dead bit must name a stored static entry, and the dead count
+  // must be exactly what separates the physical entries from size().
+  size_t tombstone_count = 0;
+  Status slots = Status::OK();
+  cur->tombstones->ForEachSet([&](uint64_t slot) {
+    ++tombstone_count;
+    if (slots.ok()) slots = cur->static_tier->CheckSlot(slot);
+  });
+  RETURN_IF_ERROR(slots);
   const size_t physical = cur->static_tier->size() + cur->delta->size();
   if (physical < tombstone_count ||
       physical - tombstone_count != cur->size) {
@@ -440,7 +432,17 @@ size_t TieredIndex::delta_size_for_test() const {
 }
 
 size_t TieredIndex::tombstone_count_for_test() const {
-  return LoadState()->tombstones->size();
+  return LoadState()->tombstones->count();
+}
+
+std::shared_ptr<const TombstoneBitmap> TieredIndex::tombstones_for_test()
+    const {
+  return LoadState()->tombstones;
+}
+
+void TieredIndex::MarkSlotDeadForTest(uint64_t slot) {
+  MutexLock lock(writer_mu_);
+  PublishDeadSlot(slot);
 }
 
 }  // namespace srtree

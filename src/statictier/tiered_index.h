@@ -5,10 +5,14 @@
 //     (flat BFS-serialized page image, SoA blocks, zero-deserialization
 //     queries);
 //   * a small dynamic SR-tree "delta" absorbs every Insert;
-//   * Deletes against static-tier points become tombstones — (point, oid)
-//     pairs kept in a copy-on-write set that the static leaf scans consult,
-//     so a masked point can never appear in (or displace a live point from)
-//     a query result;
+//   * Deletes against static-tier points become tombstones: one bit per
+//     static-tier slot (StaticSRTree::SlotOf) in a chunked TombstoneBitmap.
+//     A delete marks exactly one live copy of the pair and path-copies only
+//     the chunk it changes, sharing every other chunk with the versions
+//     older snapshots hold, so its cost does not grow with the number of
+//     tombstones. The static leaf scans bit-test each candidate's slot, so
+//     a masked entry can never appear in (or displace a live point from) a
+//     query result;
 //   * queries run against both tiers and merge in the canonical Neighbor
 //     (distance, oid) order, making results byte-identical to a single-tier
 //     index over the same logical contents;
@@ -75,8 +79,8 @@ class TieredIndex : public PointIndex {
 
   // Rebuilds the static tier from the current logical contents (static
   // minus tombstones, plus delta) and swaps it in; the delta and tombstone
-  // set come back empty. Logical contents, size() and the version counter
-  // are unchanged — concurrent snapshot readers are never disturbed.
+  // bitmap come back empty. Logical contents, size() and the version
+  // counter are unchanged — concurrent snapshot readers are never disturbed.
   Status Compact() override;
 
   Status ExportEntries(
@@ -102,7 +106,13 @@ class TieredIndex : public PointIndex {
 
   // Test hooks.
   size_t delta_size_for_test() const;
+  // The number of dead static-tier slots.
   size_t tombstone_count_for_test() const;
+  // The published bitmap (tests compare chunk identity across deletes).
+  std::shared_ptr<const TombstoneBitmap> tombstones_for_test() const;
+  // Marks `slot` dead and drops size() by one, as a Delete would, without
+  // checking that the slot holds an entry (tests forge bad bookkeeping).
+  void MarkSlotDeadForTest(uint64_t slot);
 
  protected:
   std::vector<Neighbor> SearchImpl(PointView query, const QuerySpec& spec,
@@ -112,14 +122,16 @@ class TieredIndex : public PointIndex {
   friend class TieredSnapshot;
 
   // The immutable state readers capture: shared ownership of both tiers
-  // plus the tombstone set, and the (version, size) they correspond to.
+  // plus the tombstone bitmap, and the (version, size) they correspond to.
   // Mutators (serialized by writer_mu_) never edit a published TierState —
   // they build a fresh one and store it wholesale into state_, so a single
   // atomic load observes a fully consistent tier arrangement.
   struct TierState {
     std::shared_ptr<StaticSRTree> static_tier;
     std::shared_ptr<PointIndex> delta;
-    std::shared_ptr<const TombstoneSet> tombstones;
+    // Dead slots of static_tier. A Delete publishes a copy that shares
+    // all chunks but one with this one; Compact() starts a fresh one.
+    std::shared_ptr<const TombstoneBitmap> tombstones;
     // Bumped per successful Insert/Delete; Compact() leaves it alone.
     uint64_t version = 1;
     size_t size = 0;
@@ -151,6 +163,9 @@ class TieredIndex : public PointIndex {
         std::memory_order_release);
   }
   std::shared_ptr<PointIndex> MakeDelta() const;
+  // Publishes the current state with static slot `slot` dead and size()
+  // one lower.
+  void PublishDeadSlot(uint64_t slot) REQUIRES(writer_mu_);
   // Collects state's logical contents (static minus tombstones + delta).
   // Callers hold writer_mu_ so the live delta cannot move underneath.
   Status CollectLogicalContents(const TierState& state,

@@ -324,12 +324,15 @@ INSTANTIATE_TEST_SUITE_P(
 // types then delete some of each. No plane separates identical points, so
 // K-D-B refuses a copy its point page cannot hold with FailedPrecondition
 // and leaves size() unchanged; every other type takes them all. k-NN
-// answers must match the scan over the accepted entries either way.
+// answers must match the scan over the accepted entries either way. The
+// tiered index runs twice: built by Insert (every entry in its delta) and
+// by BulkLoad (every entry in its static tier, so the deletes are
+// tombstones over repeated copies).
 class DuplicatePointTest : public ::testing::TestWithParam<IndexType> {};
 
-TEST_P(DuplicatePointTest, RepeatedPointsAndOidsMatchScan) {
+void CheckRepeatedPointsMatchScan(IndexType type, bool bulk_load) {
+  SCOPED_TRACE(bulk_load ? "built by BulkLoad" : "built by Insert");
   constexpr int kDupDim = 8;
-  const IndexType type = GetParam();
   auto index = testing::MakeSmallPageIndex(type, kDupDim);
   auto oracle = MakeIndex(IndexType::kScan, IndexConfig{.dim = kDupDim});
   const size_t cap = index->leaf_capacity();
@@ -348,7 +351,7 @@ TEST_P(DuplicatePointTest, RepeatedPointsAndOidsMatchScan) {
   entries.emplace_back(entries[3 * cap]);  // and one of a uniform point
 
   std::vector<std::pair<Point, uint32_t>> accepted;
-  if (TakesPointMutations(type)) {
+  if (!bulk_load) {
     for (const auto& [point, oid] : entries) {
       const size_t before = index->size();
       const Status status = index->Insert(point, oid);
@@ -369,11 +372,6 @@ TEST_P(DuplicatePointTest, RepeatedPointsAndOidsMatchScan) {
         type == IndexType::kKdbTree ? cap : 3 * cap;
     ASSERT_GT(accepted.size(), first_uniform);
     EXPECT_EQ(accepted[first_uniform].first, uniform[0]);
-    // Delete every third accepted entry, copies and shared oids alike.
-    for (size_t i = 0; i < accepted.size(); i += 3) {
-      ASSERT_TRUE(index->Delete(accepted[i].first, accepted[i].second).ok());
-      ASSERT_TRUE(oracle->Delete(accepted[i].first, accepted[i].second).ok());
-    }
   } else {
     std::vector<Point> points;
     std::vector<uint32_t> oids;
@@ -383,6 +381,14 @@ TEST_P(DuplicatePointTest, RepeatedPointsAndOidsMatchScan) {
     }
     ASSERT_TRUE(index->BulkLoad(points, oids).ok());
     ASSERT_TRUE(oracle->BulkLoad(points, oids).ok());
+    accepted = entries;
+  }
+  if (TakesPointMutations(type)) {
+    // Delete every third accepted entry, copies and shared oids alike.
+    for (size_t i = 0; i < accepted.size(); i += 3) {
+      ASSERT_TRUE(index->Delete(accepted[i].first, accepted[i].second).ok());
+      ASSERT_TRUE(oracle->Delete(accepted[i].first, accepted[i].second).ok());
+    }
   }
   ASSERT_EQ(index->size(), oracle->size());
   EXPECT_TRUE(index->CheckInvariants().ok());
@@ -403,6 +409,14 @@ TEST_P(DuplicatePointTest, RepeatedPointsAndOidsMatchScan) {
             << "rank " << r;
       }
     }
+  }
+}
+
+TEST_P(DuplicatePointTest, RepeatedPointsAndOidsMatchScan) {
+  const IndexType type = GetParam();
+  CheckRepeatedPointsMatchScan(type, /*bulk_load=*/!TakesPointMutations(type));
+  if (type == IndexType::kTieredSRTree) {
+    CheckRepeatedPointsMatchScan(type, /*bulk_load=*/true);
   }
 }
 

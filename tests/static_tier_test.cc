@@ -1,10 +1,11 @@
 // StaticSRTree: the immutable read-optimized tier. These tests cover the
 // full round trip (BulkLoad → Save → factory OpenIndex → auditor-clean,
 // query-exact), oracle exactness of all three query kinds against brute
-// force, the tombstone filter on the snapshot search entry points, and the
-// immutability contract.
+// force, slot probes and the tombstone bitmap on the snapshot search entry
+// points, and the immutability contract.
 
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -161,13 +162,55 @@ TEST(StaticSRTreeTest, ContainsProbesStoredPairsExactly) {
   }
   ASSERT_TRUE(tree.BulkLoad(points, oids).ok());
 
-  EXPECT_TRUE(tree.Contains(points[0], 0));
-  EXPECT_TRUE(tree.Contains(points[599], 599));
+  const TombstoneBitmap none;
+  EXPECT_TRUE(tree.FindLiveSlot(points[0], 0, none).has_value());
+  EXPECT_TRUE(tree.FindLiveSlot(points[599], 599, none).has_value());
   // Same point, wrong oid → absent; nearby point → absent.
-  EXPECT_FALSE(tree.Contains(points[0], 599));
+  EXPECT_FALSE(tree.FindLiveSlot(points[0], 599, none).has_value());
   Point shifted = points[0];
   shifted[0] += 1e-3;
-  EXPECT_FALSE(tree.Contains(shifted, 0));
+  EXPECT_FALSE(tree.FindLiveSlot(shifted, 0, none).has_value());
+
+  // Every entry has its own slot, and a dead slot is no longer found.
+  std::set<uint64_t> slots;
+  for (size_t i = 0; i < points.size(); ++i) {
+    const std::optional<uint64_t> slot =
+        tree.FindLiveSlot(points[i], oids[i], none);
+    ASSERT_TRUE(slot.has_value());
+    EXPECT_TRUE(tree.CheckSlot(*slot).ok());
+    slots.insert(*slot);
+  }
+  EXPECT_EQ(slots.size(), points.size());
+  TombstoneBitmap dead;
+  dead.Set(*tree.FindLiveSlot(points[7], 7, none));
+  EXPECT_FALSE(tree.FindLiveSlot(points[7], 7, dead).has_value());
+  EXPECT_TRUE(tree.FindLiveSlot(points[8], 8, dead).has_value());
+}
+
+TEST(StaticSRTreeTest, FindLiveSlotSkipsDeadCopiesOfARepeatedPair) {
+  StaticSRTree tree(SmallOptions(2));
+  const Point repeated = {0.5, 0.5};
+  const std::vector<Point> points = {repeated, {0.1, 0.9}, repeated};
+  ASSERT_TRUE(tree.BulkLoad(points, {7, 8, 7}).ok());
+
+  TombstoneBitmap dead;
+  const std::optional<uint64_t> first = tree.FindLiveSlot(repeated, 7, dead);
+  ASSERT_TRUE(first.has_value());
+  dead.Set(*first);
+  const std::optional<uint64_t> second = tree.FindLiveSlot(repeated, 7, dead);
+  ASSERT_TRUE(second.has_value());
+  EXPECT_NE(*first, *second);
+  dead.Set(*second);
+  EXPECT_FALSE(tree.FindLiveSlot(repeated, 7, dead).has_value());
+  EXPECT_EQ(dead.count(), 2u);
+
+  size_t exported = 0;
+  ASSERT_TRUE(tree.ExportLiveEntries(dead, [&](PointView p, uint32_t oid) {
+                    EXPECT_EQ(oid, 8u);
+                    EXPECT_EQ(Point(p.begin(), p.end()), points[1]);
+                    ++exported;
+                  }).ok());
+  EXPECT_EQ(exported, 1u);
 }
 
 TEST(StaticSRTreeTest, TombstoneFilterMasksPointsInSnapshotSearches) {
@@ -180,10 +223,12 @@ TEST(StaticSRTreeTest, TombstoneFilterMasksPointsInSnapshotSearches) {
   LoadBoth(tree, oracle, data);
 
   // Tombstone every fourth point; the oracle deletes them for real.
-  TombstoneSet tombstones;
+  TombstoneBitmap tombstones;
   for (size_t i = 0; i < data.size(); i += 4) {
-    tombstones.emplace(Point(data.point(i).begin(), data.point(i).end()),
-                       static_cast<uint32_t>(i));
+    const std::optional<uint64_t> slot =
+        tree.FindLiveSlot(data.point(i), static_cast<uint32_t>(i), tombstones);
+    ASSERT_TRUE(slot.has_value());
+    tombstones.Set(*slot);
     ASSERT_TRUE(oracle.Delete(data.point(i), static_cast<uint32_t>(i)).ok());
   }
 

@@ -2,10 +2,14 @@
 // delete-masking of static points (the tombstone path), re-insert after a
 // tombstone, Compact() semantics (contents/version preserved, delta and
 // tombstones drained, snapshot readers undisturbed), the Save/Open round
-// trip through the factory, and full mutation fuzz with a compaction
-// schedule folded in.
+// trip through the factory, slot tombstones (one delete masks one stored
+// copy, dead bits must name entries, a delete copies one bitmap chunk and
+// pinned snapshots keep the old one), and full mutation fuzz with a
+// compaction schedule folded in.
 
+#include <algorithm>
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -249,6 +253,181 @@ TEST(TieredIndexTest, SaveOpenRoundTripThroughFactory) {
   ASSERT_TRUE(tiered->Insert(Point(kDim, 0.5), 99999).ok());
   ASSERT_TRUE(tiered->Delete(points[1], 1).ok());
   EXPECT_TRUE(tiered->CheckInvariants().ok());
+}
+
+// Two stored copies of one (point, oid) pair occupy two slots, and each
+// Delete masks exactly one of them.
+TEST(TieredIndexTest, DeleteMasksOneCopyOfARepeatedStaticPair) {
+  TieredIndex index(SmallOptions(2));
+  const Point repeated = {0.5, 0.5};
+  ASSERT_TRUE(index.BulkLoad({repeated, {0.1, 0.9}, repeated}, {7, 8, 7}).ok());
+  const auto hits = [&](const PointIndex& idx) {
+    return idx.Search(repeated, QuerySpec::Range(0)).neighbors.size();
+  };
+  ASSERT_EQ(hits(index), 2u);
+
+  ASSERT_TRUE(index.Delete(repeated, 7).ok());
+  EXPECT_EQ(index.size(), 2u);
+  EXPECT_EQ(hits(index), 1u);
+  EXPECT_TRUE(index.CheckInvariants().ok());
+
+  const std::string mid_path = TempPath("tiered_repeat_mid.idx");
+  ASSERT_TRUE(index.Save(mid_path).ok());
+  auto mid = OpenIndex(mid_path);
+  ASSERT_TRUE(mid.ok()) << mid.status().ToString();
+  EXPECT_EQ((*mid)->size(), 2u);
+  EXPECT_EQ(hits(**mid), 1u);
+
+  ASSERT_TRUE(index.Delete(repeated, 7).ok());
+  EXPECT_EQ(index.size(), 1u);
+  EXPECT_EQ(hits(index), 0u);
+  EXPECT_TRUE(index.Delete(repeated, 7).IsNotFound());
+  EXPECT_TRUE(index.CheckInvariants().ok());
+
+  const Status compacted = index.Compact();
+  ASSERT_TRUE(compacted.ok()) << compacted.ToString();
+  EXPECT_EQ(index.size(), 1u);
+  EXPECT_EQ(hits(index), 0u);
+  EXPECT_TRUE(index.CheckInvariants().ok());
+
+  const std::string path = TempPath("tiered_repeat.idx");
+  const Status saved = index.Save(path);
+  ASSERT_TRUE(saved.ok()) << saved.ToString();
+  auto reopened = OpenIndex(path);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->size(), 1u);
+  EXPECT_EQ(hits(**reopened), 0u);
+  EXPECT_TRUE((*reopened)->CheckInvariants().ok());
+}
+
+// A dead bit must name a stored entry: one past a leaf's count, or past
+// every leaf, is Corruption even when the size bookkeeping agrees with it.
+TEST(TieredIndexTest, CheckInvariantsRejectsDeadSlotsThatNameNoEntry) {
+  constexpr int kDim = 3;
+  // Five points fit one leaf: slots 0-4 hold entries, 5.. do not.
+  const std::vector<Point> points = MakeUniformDataset(5, kDim, 71).ToPoints();
+  const std::vector<uint32_t> oids = {0, 1, 2, 3, 4};
+
+  TieredIndex past_count(SmallOptions(kDim));
+  ASSERT_TRUE(past_count.BulkLoad(points, oids).ok());
+  ASSERT_GT(past_count.leaf_capacity(), 6u);
+  past_count.MarkSlotDeadForTest(5);
+  EXPECT_EQ(past_count.size(), 4u);
+  const Status status = past_count.CheckInvariants();
+  EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+  EXPECT_NE(status.ToString().find("past its leaf's count"), std::string::npos)
+      << status.ToString();
+
+  TieredIndex past_leaves(SmallOptions(kDim));
+  ASSERT_TRUE(past_leaves.BulkLoad(points, oids).ok());
+  past_leaves.MarkSlotDeadForTest(past_leaves.leaf_capacity());
+  const Status no_leaf = past_leaves.CheckInvariants();
+  EXPECT_TRUE(no_leaf.IsCorruption()) << no_leaf.ToString();
+  EXPECT_NE(no_leaf.ToString().find("no static-tier leaf"), std::string::npos)
+      << no_leaf.ToString();
+
+  // A real entry's slot passes, and an extra dead bit the size does not
+  // account for fails the count check.
+  TieredIndex valid(SmallOptions(kDim));
+  ASSERT_TRUE(valid.BulkLoad(points, oids).ok());
+  valid.MarkSlotDeadForTest(2);
+  EXPECT_TRUE(valid.CheckInvariants().ok());
+  ASSERT_TRUE(valid.Insert(points[0], 99).ok());
+  ASSERT_TRUE(valid.Delete(points[0], 99).ok());
+  EXPECT_TRUE(valid.CheckInvariants().ok());
+}
+
+// Bulk-loads enough points that the static tier spans several bitmap
+// chunks, so deletes can land in different ones.
+std::vector<Point> LoadMultiChunk(TieredIndex& index) {
+  constexpr int kDim = 3;
+  const size_t n = 3 * TombstoneBitmap::kSlotsPerChunk;
+  std::vector<Point> points = MakeUniformDataset(n, kDim, 79).ToPoints();
+  std::vector<uint32_t> oids(n);
+  for (size_t i = 0; i < n; ++i) oids[i] = static_cast<uint32_t>(i);
+  EXPECT_TRUE(index.BulkLoad(points, oids).ok());
+  return points;
+}
+
+// The one chunk index where two bitmaps hold different chunks, or -1 when
+// they differ in none or in several.
+int OnlyChangedChunk(const TombstoneBitmap& before,
+                     const TombstoneBitmap& after) {
+  int changed = -1;
+  const size_t n = std::max(before.chunk_count(), after.chunk_count());
+  for (size_t c = 0; c < n; ++c) {
+    if (before.chunk(c) == after.chunk(c)) continue;
+    if (changed != -1) return -1;
+    changed = static_cast<int>(c);
+  }
+  return changed;
+}
+
+TEST(TieredIndexTest, DeleteCopiesExactlyOneBitmapChunk) {
+  TieredIndex index(SmallOptions(3));
+  const std::vector<Point> points = LoadMultiChunk(index);
+  std::set<int> chunks_touched;
+  for (size_t i = 0; i < points.size(); i += 97) {
+    const std::shared_ptr<const TombstoneBitmap> before =
+        index.tombstones_for_test();
+    ASSERT_TRUE(index.Delete(points[i], static_cast<uint32_t>(i)).ok());
+    const std::shared_ptr<const TombstoneBitmap> after =
+        index.tombstones_for_test();
+    const int changed = OnlyChangedChunk(*before, *after);
+    ASSERT_GE(changed, 0) << "delete " << i;
+    chunks_touched.insert(changed);
+    EXPECT_EQ(after->count(), before->count() + 1);
+    // The old version still holds its own chunk, unmodified.
+    size_t old_bits = 0;
+    before->ForEachSet([&](uint64_t) { ++old_bits; });
+    EXPECT_EQ(old_bits, before->count());
+  }
+  EXPECT_GE(chunks_touched.size(), 2u);
+  EXPECT_TRUE(index.CheckInvariants().ok());
+}
+
+TEST(TieredIndexTest, SnapshotPinnedBeforeDeleteKeepsThePair) {
+  TieredIndex index(SmallOptions(3));
+  const std::vector<Point> points = LoadMultiChunk(index);
+  // Delete points until two deletes have landed in different chunks; each
+  // must be visible to a snapshot taken after it and to none taken before.
+  std::set<int> chunks;
+  std::vector<std::pair<size_t, std::unique_ptr<IndexSnapshot>>> pinned;
+  for (size_t i = 0; i < points.size() && chunks.size() < 2; i += 131) {
+    const uint32_t oid = static_cast<uint32_t>(i);
+    const std::shared_ptr<const TombstoneBitmap> before =
+        index.tombstones_for_test();
+    std::unique_ptr<IndexSnapshot> earlier = index.AcquireSnapshot();
+    ASSERT_TRUE(index.Delete(points[i], oid).ok());
+    std::unique_ptr<IndexSnapshot> later = index.AcquireSnapshot();
+    const int changed =
+        OnlyChangedChunk(*before, *index.tombstones_for_test());
+    ASSERT_GE(changed, 0);
+    if (!chunks.insert(changed).second) continue;
+
+    const auto nearest = [&](const IndexSnapshot& snap) {
+      return snap.Search(points[i], QuerySpec::Knn(1)).neighbors;
+    };
+    ASSERT_EQ(nearest(*earlier).size(), 1u);
+    EXPECT_EQ(nearest(*earlier)[0].oid, oid);
+    EXPECT_EQ(nearest(*earlier)[0].distance, 0.0);
+    EXPECT_EQ(earlier->size(), later->size() + 1);
+    ASSERT_EQ(nearest(*later).size(), 1u);
+    EXPECT_NE(nearest(*later)[0].oid, oid);
+    pinned.emplace_back(i, std::move(earlier));
+  }
+  ASSERT_EQ(chunks.size(), 2u);
+  // Still isolated after more deletes and a compaction.
+  for (size_t i = 1; i < 400; i += 2) {
+    if (i % 131 == 0) continue;  // deleted above
+    ASSERT_TRUE(index.Delete(points[i], static_cast<uint32_t>(i)).ok());
+  }
+  ASSERT_TRUE(index.Compact().ok());
+  for (const auto& [i, snap] : pinned) {
+    const auto got = snap->Search(points[i], QuerySpec::Knn(1)).neighbors;
+    ASSERT_EQ(got.size(), 1u);
+    EXPECT_EQ(got[0].oid, static_cast<uint32_t>(i));
+  }
 }
 
 // Full mutation fuzz through the factory, with a compaction every other
