@@ -6,7 +6,9 @@
 //       sphere bound alone.
 // Each switch is toggled independently; "neither" stores rectangles but
 // never benefits from them, isolating the pure fanout penalty of the
-// larger node entries.
+// larger node entries. The last row stores no rectangles at all (the
+// SS-tree's sphere region), so against "neither" it shows what that fanout
+// penalty costs.
 
 #include "bench/bench_util.h"
 #include "src/core/sr_tree.h"
@@ -17,15 +19,19 @@ namespace {
 
 struct Variant {
   const char* name;
+  SRTree::Region region;
   bool rect_in_radius;
   bool rect_in_mindist;
 };
 
+constexpr SRTree::Region kBoth = SRTree::Region::kSphereAndRect;
+
 constexpr Variant kVariants[] = {
-    {"SR-tree (both rules)", true, true},
-    {"radius rule only", true, false},
-    {"mindist rule only", false, true},
-    {"neither (fanout cost only)", false, false},
+    {"SR-tree (both rules)", kBoth, true, true},
+    {"radius rule only", kBoth, true, false},
+    {"mindist rule only", kBoth, false, true},
+    {"neither (fanout cost only)", kBoth, false, false},
+    {"SS region (no rects stored)", SRTree::Region::kSphere, false, false},
 };
 
 void RunOn(const std::string& label, const Dataset& data,
@@ -39,6 +45,7 @@ void RunOn(const std::string& label, const Dataset& data,
   for (const Variant& variant : kVariants) {
     SRTree::Options tree_options;
     tree_options.dim = data.dim();
+    tree_options.region = variant.region;
     tree_options.use_rect_in_radius = variant.rect_in_radius;
     tree_options.use_rect_in_mindist = variant.rect_in_mindist;
     SRTree tree(tree_options);

@@ -18,7 +18,9 @@ namespace {
 
 constexpr size_t kHeaderBytes = kSoaPageHeaderBytes;
 
-// Floating-point slack for sphere-containment checks (see ss_tree.cc).
+// Relative slack for floating-point containment checks: radii are computed
+// by the same arithmetic as the distances they bound, but triangle-
+// inequality chains can be off by a few ulps.
 constexpr double kEps = 1e-9;
 
 // Stored bytes of one leaf entry: the point and its oid. A leaf entry also
@@ -28,11 +30,14 @@ size_t LeafEntryBytes(size_t dim) {
   return dim * sizeof(double) + sizeof(uint32_t);
 }
 
-// center + radius + rect(lo,hi) + weight + child: the entry is three times
-// the SS-tree's and one and a half times the R*-tree's (Section 5.3).
-size_t InnerEntryBytes(size_t dim) {
-  return dim * sizeof(double) + sizeof(double) + 2 * dim * sizeof(double) +
-         2 * sizeof(uint32_t);
+// center + radius + rect(lo,hi) + weight + child: the SR entry is three
+// times the SS-tree's (no rect) and one and a half times the R*-tree's
+// (Section 5.3).
+size_t InnerEntryBytes(size_t dim, SRTree::Region region) {
+  const size_t rect = region == SRTree::Region::kSphereAndRect
+                          ? 2 * dim * sizeof(double)
+                          : 0;
+  return dim * sizeof(double) + sizeof(double) + rect + 2 * sizeof(uint32_t);
 }
 
 // Element `i` of a dim-major block equals `p`, coordinate for coordinate.
@@ -60,6 +65,9 @@ SRTree::Options SRTree::Validated(const Options& options) {
   CHECK_LE(options.min_utilization, 0.5);
   CHECK_GT(options.reinsert_fraction, 0.0);
   CHECK_LT(options.reinsert_fraction, 1.0);
+  // A sphere-only region stores no rectangle for either rule to use.
+  CHECK(options.region == Region::kSphereAndRect ||
+        (!options.use_rect_in_radius && !options.use_rect_in_mindist));
   return options;
 }
 
@@ -71,7 +79,8 @@ size_t SRTree::LeafCapacityFor(const Options& options) {
 
 size_t SRTree::NodeCapacityFor(const Options& options) {
   const size_t dim = static_cast<size_t>(options.dim);
-  return (options.page_size - kHeaderBytes) / InnerEntryBytes(dim);
+  return (options.page_size - kHeaderBytes) /
+         InnerEntryBytes(dim, options.region);
 }
 
 SRTree::SRTree(const Options& options)
@@ -117,7 +126,10 @@ struct SrImageHeader {
   // kSoaPageLayout. Images written before pages went dimension-major carry
   // 0 here (the byte was padding, always zeroed).
   uint8_t page_layout;
-  uint8_t pad[5];
+  // SRTree::Region; images written before the SS-tree shared this header
+  // carry 0 (the byte was padding), the sphere-and-rect region.
+  uint8_t region;
+  uint8_t pad[4];
   uint32_t root_id;
   int32_t root_level;
   uint64_t size;
@@ -125,6 +137,10 @@ struct SrImageHeader {
 
 constexpr uint8_t kRowMajorPageLayout = 0;
 constexpr uint8_t kSoaPageLayout = 1;
+
+// Size of the header record the SS-tree wrote before it shared this one,
+// when its pages were row-major.
+constexpr size_t kRowMajorSsHeaderBytes = 56;
 
 // True iff `o` would pass every constructor CHECK, so Open() can reject a
 // forged header with Corruption instead of crashing the process. The
@@ -135,10 +151,14 @@ bool PlausibleOptions(const SRTree::Options& o) {
   if (!(o.reinsert_fraction > 0.0 && o.reinsert_fraction < 1.0)) return false;
   if (o.page_size <= kHeaderBytes || o.page_size > (1u << 28)) return false;
   if (o.leaf_data_size > o.page_size) return false;
+  if (o.region == SRTree::Region::kSphere &&
+      (o.use_rect_in_radius || o.use_rect_in_mindist)) {
+    return false;
+  }
   const size_t dim = static_cast<size_t>(o.dim);
   const size_t usable = o.page_size - kHeaderBytes;
   return usable / (LeafEntryBytes(dim) + o.leaf_data_size) >= 2 &&
-         usable / InnerEntryBytes(dim) >= 2;
+         usable / InnerEntryBytes(dim, o.region) >= 2;
 }
 
 }  // namespace
@@ -154,17 +174,19 @@ Status SRTree::Save(const std::string& path) const {
   header.use_rect_in_radius = options_.use_rect_in_radius ? 1 : 0;
   header.use_rect_in_mindist = options_.use_rect_in_mindist ? 1 : 0;
   header.page_layout = kSoaPageLayout;
+  header.region = static_cast<uint8_t>(options_.region);
   header.root_id = root_id_;
   header.root_level = root_level_;
   header.size = size_;
   return AtomicWriteFile(path, [&](std::ostream& out) {
     RETURN_IF_ERROR(
-        WriteIndexImageTo(out, kImageTag, &header, sizeof(header)));
+        WriteIndexImageTo(out, image_tag(), &header, sizeof(header)));
     return file_.SaveTo(out);
   });
 }
 
-StatusOr<std::unique_ptr<SRTree>> SRTree::Open(const std::string& path) {
+template <typename Tree>
+StatusOr<std::unique_ptr<Tree>> SRTree::OpenImage(const std::string& path) {
   StatusOr<std::string> tag = PeekIndexImageTag(path);
   if (!tag.ok()) return tag.status();
 
@@ -178,7 +200,18 @@ StatusOr<std::unique_ptr<SRTree>> SRTree::Open(const std::string& path) {
         "pre-v2 SR-tree image is no longer readable; re-save with v2 "
         "(PointIndex::Save) using a release that still reads it");
   }
-  RETURN_IF_ERROR(image.Open(path, kImageTag, &header, sizeof(header)));
+  const Status opened =
+      image.Open(path, Tree::kImageTag, &header, sizeof(header));
+  if (!opened.ok()) {
+    if (*tag == SSTree::kImageTag &&
+        image.stored_header_size() == kRowMajorSsHeaderBytes) {
+      return Status::InvalidArgument(
+          "SS-tree image uses the retired row-major page layout, which this "
+          "release cannot read; rebuild the index from its points and re-save "
+          "it");
+    }
+    return opened;
+  }
   if (header.page_layout == kRowMajorPageLayout) {
     return Status::InvalidArgument(
         "SR-tree image uses the retired row-major page layout, which this "
@@ -195,13 +228,18 @@ StatusOr<std::unique_ptr<SRTree>> SRTree::Open(const std::string& path) {
   options.leaf_data_size = header.leaf_data_size;
   options.min_utilization = header.min_utilization;
   options.reinsert_fraction = header.reinsert_fraction;
+  options.region = static_cast<Region>(header.region);
   options.use_rect_in_radius = header.use_rect_in_radius != 0;
   options.use_rect_in_mindist = header.use_rect_in_mindist != 0;
-  if (!PlausibleOptions(options) || header.root_level < 0 ||
+  if (header.region > static_cast<uint8_t>(Region::kSphere) ||
+      !PlausibleOptions(options) || header.root_level < 0 ||
       header.root_level > 64) {
     return Status::Corruption("implausible SR-tree header");
   }
-  auto tree = std::make_unique<SRTree>(options);
+  auto tree = std::make_unique<Tree>(options);
+  if (tree->options_.region != options.region) {
+    return Status::Corruption("SR-tree image region does not match its tag");
+  }
   RETURN_IF_ERROR(tree->file_.LoadFrom(image.stream()));
   {
     // LoadFrom leaves the restored contents unpublished; once the page
@@ -212,66 +250,26 @@ StatusOr<std::unique_ptr<SRTree>> SRTree::Open(const std::string& path) {
     tree->root_level_ = header.root_level;
     tree->size_ = header.size;
     tree->maintenance_ = MaintenanceStats{};
-    RETURN_IF_ERROR(tree->ValidateStructure());
+    const size_t dim = static_cast<size_t>(options.dim);
+    RETURN_IF_ERROR(tree->ValidatePageTree(
+        tree->name(), tree->root_id_, tree->root_level_, tree->size_,
+        {.leaf_capacity = tree->leaf_cap_,
+         .node_capacity = tree->node_cap_,
+         .leaf_entry_bytes = LeafEntryBytes(dim),
+         .node_entry_bytes = InnerEntryBytes(dim, options.region),
+         .soa = true}));
     tree->CommitState();
   }
   RETURN_IF_ERROR(tree->CheckInvariants());
   return tree;
 }
 
-Status SRTree::ValidateStructure() const {
-  // Depth-first from the root: every reachable page must be live, carry the
-  // level its parent implies, keep its count within capacity and its
-  // entries within the bytes it stores — so the decoding walks behind
-  // CheckInvariants (PeekNode) never read past a page or chase a wild
-  // child id. A walk longer than the live page count is not a tree.
-  struct Item {
-    PageId id;
-    int level;
-  };
-  std::vector<Item> stack = {{root_id_, root_level_}};
-  uint64_t visited = 0;
-  uint64_t points = 0;
-  while (!stack.empty()) {
-    const Item item = stack.back();
-    stack.pop_back();
-    if (!file_.is_live(item.id)) {
-      return Status::Corruption("SR-tree page " + std::to_string(item.id) +
-                                " is not live in the image");
-    }
-    if (++visited > file_.live_pages()) {
-      return Status::Corruption("SR-tree page structure is not a tree");
-    }
-    const size_t extent = file_.extent(item.id);
-    const char* page = file_.PeekPage(item.id);
-    if (extent < kHeaderBytes || SoaPageLevel(page) != item.level) {
-      return Status::Corruption("SR-tree page " + std::to_string(item.id) +
-                                " does not carry its level");
-    }
-    if (item.level == 0) {
-      const SoaLeafView leaf = ParseSoaLeaf(page, options_.dim);
-      if (leaf.count > leaf_cap_ || NodeBytes(0, leaf.count) > extent) {
-        return Status::Corruption("SR-tree leaf page " +
-                                  std::to_string(item.id) +
-                                  " count exceeds its page");
-      }
-      points += leaf.count;
-      continue;
-    }
-    const SoaInnerView inner = ParseSoaInner(page, options_.dim);
-    if (inner.count > node_cap_ || NodeBytes(item.level, inner.count) > extent) {
-      return Status::Corruption("SR-tree inner page " +
-                                std::to_string(item.id) +
-                                " count exceeds its page");
-    }
-    for (size_t i = 0; i < inner.count; ++i) {
-      stack.push_back({inner.tail[i], item.level - 1});
-    }
-  }
-  if (points != size_) {
-    return Status::Corruption("SR-tree leaf total does not match its size");
-  }
-  return Status::OK();
+StatusOr<std::unique_ptr<SRTree>> SRTree::Open(const std::string& path) {
+  return OpenImage<SRTree>(path);
+}
+
+StatusOr<std::unique_ptr<SSTree>> SSTree::Open(const std::string& path) {
+  return OpenImage<SSTree>(path);
 }
 
 // --------------------------------------------------------------------------
@@ -281,7 +279,8 @@ Status SRTree::ValidateStructure() const {
 size_t SRTree::NodeBytes(int level, size_t count) const {
   const size_t dim = static_cast<size_t>(options_.dim);
   return kHeaderBytes +
-         count * (level == 0 ? LeafEntryBytes(dim) : InnerEntryBytes(dim));
+         count * (level == 0 ? LeafEntryBytes(dim)
+                             : InnerEntryBytes(dim, options_.region));
 }
 
 void SRTree::SerializeNode(const Node& node, char* buf) const {
@@ -303,10 +302,14 @@ void SRTree::SerializeNode(const Node& node, char* buf) const {
     });
     cursor = PutSoaArray<double>(
         cursor, count, [&](size_t i) { return e[i].sphere.radius(); });
-    cursor = PutSoaColumn(cursor, dim, count,
-                          [&](size_t i) { return PointView(e[i].rect.lo()); });
-    cursor = PutSoaColumn(cursor, dim, count,
-                          [&](size_t i) { return PointView(e[i].rect.hi()); });
+    if (has_rects()) {
+      cursor = PutSoaColumn(cursor, dim, count, [&](size_t i) {
+        return PointView(e[i].rect.lo());
+      });
+      cursor = PutSoaColumn(cursor, dim, count, [&](size_t i) {
+        return PointView(e[i].rect.hi());
+      });
+    }
     cursor = PutSoaArray<uint32_t>(cursor, count,
                                    [&](size_t i) { return e[i].weight; });
     cursor = PutSoaArray<uint32_t>(cursor, count,
@@ -330,17 +333,21 @@ void SRTree::DecodeNode(const char* buf, PageId id, Node& node) const {
     }
     return;
   }
-  const SoaInnerView inner = ParseSoaInner(buf, options_.dim);
+  const SoaInnerView inner = ParseSoaInner(buf, options_.dim, has_rects());
   node.points.clear();
   node.children.resize(inner.count);
   for (size_t i = 0; i < inner.count; ++i) {
     NodeEntry& e = node.children[i];
     GatherSoaElement(inner.centers, i, e.sphere.mutable_center());
     e.sphere.set_radius(inner.radii[i]);
-    GatherSoaElement(inner.lo, i, e.rect.mutable_lo());
-    GatherSoaElement(inner.hi, i, e.rect.mutable_hi());
     e.weight = inner.weights[i];
     e.child = inner.tail[i];
+  }
+  if (!has_rects()) return;
+  for (size_t i = 0; i < inner.count; ++i) {
+    NodeEntry& e = node.children[i];
+    GatherSoaElement(inner.lo, i, e.rect.mutable_lo());
+    GatherSoaElement(inner.hi, i, e.rect.mutable_hi());
   }
 }
 
@@ -404,20 +411,23 @@ SRTree::NodeEntry SRTree::ComputeEntry(const Node& node) const {
   NodeEntry entry;
   Point center = NodeCentroid(node, entry.weight);
 
-  Rect bound = Rect::Empty(options_.dim);
+  // A sphere-only region keeps no rectangle, so it skips the MBR and d_r.
+  const bool rects = has_rects();
+  Rect bound = rects ? Rect::Empty(options_.dim) : Rect();
   double d_s = 0.0;  // reach of the child spheres from the new center
   double d_r = 0.0;  // reach of the child rectangles from the new center
   if (node.is_leaf()) {
     for (const LeafEntry& e : node.points) {
-      bound.Expand(e.point);
+      if (rects) bound.Expand(e.point);
       d_s = std::max(d_s, GetDistanceKernel().L2(center, e.point));
     }
     d_r = d_s;  // a point is its own rectangle
   } else {
     for (const NodeEntry& e : node.children) {
-      bound.Expand(e.rect);
       d_s = std::max(d_s, GetDistanceKernel().L2(center, e.sphere.center()) +
                               e.sphere.radius());
+      if (!rects) continue;
+      bound.Expand(e.rect);
       d_r = std::max(d_r, std::sqrt(e.rect.MaxDistSq(center)));
     }
   }
@@ -730,9 +740,10 @@ bool SRTree::FindLeafPath(PageId id, int level, PointView point, uint32_t oid,
     }
   } else {
     // The page stays valid across the recursion: the search stages nothing.
-    const SoaInnerView inner = ParseSoaInner(page, options_.dim);
+    const bool rects = has_rects();
+    const SoaInnerView inner = ParseSoaInner(page, options_.dim, rects);
     for (size_t i = 0; i < inner.count; ++i) {
-      if (!SoaRectContains(inner, i, point)) continue;
+      if (rects && !SoaRectContains(inner, i, point)) continue;
       GatherSoaElement(inner.centers, i, center);
       if (GetDistanceKernel().L2(center, point) >
           inner.radii[i] * (1.0 + kEps) + kEps) {
@@ -834,7 +845,8 @@ struct SRTree::SearchBound {
                   [&](double d2, size_t i) { offer(d2, leaf.oids[i]); });
       return;
     }
-    const SoaInnerView inner = ParseSoaInner(page, tree.options_.dim);
+    const SoaInnerView inner =
+        ParseSoaInner(page, tree.options_.dim, tree.has_rects());
     const std::vector<double>& md = SrEntryMinDists(
         inner, query, tree.options_.use_rect_in_mindist, scratch);
     for (size_t i = 0; i < inner.count; ++i) child(md[i], inner.tail[i]);
@@ -884,9 +896,11 @@ void SRTree::CollectRegions(const Node& node,
   if (node.is_leaf()) {
     if (node.points.empty()) return;
     collector.CountLeaf();
-    const NodeEntry entry = ComputeEntry(node);
-    collector.AddSphere(entry.sphere);
-    collector.AddRect(entry.rect);
+    collector.AddSphere(ComputeEntry(node).sphere);
+    // The exact MBR, which a sphere-only tree measures without storing.
+    Rect bound = Rect::Empty(options_.dim);
+    for (const LeafEntry& e : node.points) bound.Expand(e.point);
+    collector.AddRect(bound);
     return;
   }
   for (const NodeEntry& e : node.children) {
@@ -926,7 +940,8 @@ void SRTree::VisitSubtree(const Node& node, std::vector<int>& path,
   view.min_entries = MinEntries(node);
   view.entries.reserve(node.children.size());
   for (const NodeEntry& e : node.children) {
-    view.entries.push_back(EntryView{&e.rect, &e.sphere, e.weight,
+    view.entries.push_back(EntryView{has_rects() ? &e.rect : nullptr,
+                                     &e.sphere, e.weight,
                                      /*has_weight=*/true});
   }
   view.points.reserve(node.points.size());
@@ -942,7 +957,8 @@ void SRTree::VisitSubtree(const Node& node, std::vector<int>& path,
 AuditSpec SRTree::GetAuditSpec() const {
   AuditSpec spec;
   spec.dim = options_.dim;
-  spec.rect_semantics = RectSemantics::kExactMbr;
+  spec.rect_semantics =
+      has_rects() ? RectSemantics::kExactMbr : RectSemantics::kNone;
   spec.has_spheres = true;
   // With the Section 4.2 rule enabled the radius is min(d_s, d_r), so it
   // can never exceed the farthest corner of the entry's exact MBR; the

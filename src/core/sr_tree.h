@@ -1,5 +1,6 @@
 // SR-tree (Katayama & Satoh, SIGMOD 1997) — the paper's contribution and
-// this library's primary index structure.
+// this library's primary index structure — and the SS-tree (White & Jain,
+// ICDE 1996) it is built on.
 //
 // A region is the INTERSECTION of a bounding sphere and a bounding
 // rectangle (Section 4.1):
@@ -14,6 +15,12 @@
 // The node entry stores both shapes, so its fanout is one third of the
 // SS-tree's and two thirds of the R*-tree's — the Section 5.3 trade-off the
 // experiments quantify.
+//
+// The SS-tree is the same tree with the sphere as its whole region
+// (Options::region = Region::kSphere): insertion, split and forced
+// reinsertion are shared (Section 4 builds the SR-tree on them), the radius
+// is d_s, the search bound is the sphere MINDIST, and inner entries store no
+// rectangle. SSTree below only selects that region, its name and its tag.
 //
 // Concurrency (single writer / snapshot-isolated readers, the contract of
 // every paged index, src/index/paged_index.h): Insert/Delete run under
@@ -31,6 +38,9 @@
 //          leaf-data area (count x leaf_data_size bytes, logical only)
 //   inner: [header] centers | radii | rect lo | rect hi | weights (u32) |
 //          child page ids (u32)
+//   sphere-only inner (the SS-tree): [header] centers | radii | weights |
+//          child page ids — no rect blocks
+// The region decides the inner layout once per page, never per entry.
 // The leaf-data area counts toward the leaf capacity (LeafCapacityFor), so
 // a leaf still fills its 8 KB page for the paper's accounting, but nothing
 // reads it, so it is never stored: each page's extent (PageFile::StageWrite)
@@ -40,12 +50,13 @@
 // hands back (WriteNode). A query never decodes: it overlays SoaBlock views
 // on the pinned version's own page buffer (PageFile::Snapshot::ReadInPlace)
 // and feeds them to the distance kernels — no lock, no copy, no per-entry
-// decode, no allocation per page read. The image header records the layout;
-// Open() rejects images in the retired row-major layout.
+// decode, no allocation per page read. The image header records the layout
+// and the region; Open() rejects images in the retired row-major layouts.
 
 #ifndef SRTREE_CORE_SR_TREE_H_
 #define SRTREE_CORE_SR_TREE_H_
 
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -64,14 +75,22 @@ namespace srtree {
 
 class SRTree : public PagedIndex {
  public:
+  // The shape of an inner entry's region.
+  enum class Region : uint8_t {
+    kSphereAndRect = 0,  // the SR-tree (Section 4.1)
+    kSphere = 1,         // the SS-tree: no rectangle is stored
+  };
+
   struct Options {
     int dim = 2;
     size_t page_size = kDefaultPageSize;
     size_t leaf_data_size = 512;
     double min_utilization = 0.4;
     double reinsert_fraction = 0.3;
+    Region region = Region::kSphereAndRect;
 
     // Ablation switches (the paper's design choices; both true = SR-tree).
+    // Both must be false with Region::kSphere, which stores no rectangle.
     // When use_rect_in_radius is false, the parent sphere radius falls back
     // to the SS-tree rule d_s (Section 4.2's min(d_s, d_r) disabled).
     bool use_rect_in_radius = true;
@@ -96,8 +115,8 @@ class SRTree : public PagedIndex {
   // readable — a pre-v2 legacy file or a row-major-layout image fails with
   // an explicit "re-save" error. Its pages (page-file format v3, or v2 at
   // full extent) are checked against their headers before anything decodes
-  // them (ValidateStructure): a checksum-valid image that is not a tree its
-  // pages can hold fails with Corruption.
+  // them (PagedIndex::ValidatePageTree): a checksum-valid image that is not
+  // a tree its pages can hold fails with Corruption.
   static StatusOr<std::unique_ptr<SRTree>> Open(const std::string& path);
 
   int dim() const override { return options_.dim; }
@@ -115,7 +134,8 @@ class SRTree : public PagedIndex {
   AuditSpec GetAuditSpec() const override;
 
   // Reports both shapes of the leaf regions; the true region (their
-  // intersection) is bounded above by each (Section 5.2).
+  // intersection) is bounded above by each (Section 5.2). A sphere-only
+  // tree's leaf rectangles are measured, not stored (Figure 6).
   RegionSummary LeafRegionSummary() const override EXCLUDES(writer_mu_);
 
   MaintenanceStats GetMaintenanceStats() const override EXCLUDES(writer_mu_) {
@@ -141,6 +161,12 @@ class SRTree : public PagedIndex {
   Status DeleteLocked(PointView point, uint32_t oid) override
       REQUIRES(writer_mu_);
 
+  // Opens an image saved under Tree::kImageTag as a `Tree`; an image saved
+  // under any other tag, or with another region than `Tree` builds, fails.
+  // Defined for SRTree and SSTree.
+  template <typename Tree>
+  static StatusOr<std::unique_ptr<Tree>> OpenImage(const std::string& path);
+
  private:
   // Test-only backdoor (tests/structural_auditor_test.cc): lets the
   // auditor's negative tests corrupt pages directly to prove each violation
@@ -153,7 +179,7 @@ class SRTree : public PagedIndex {
 
   struct NodeEntry {
     Sphere sphere;  // center = centroid of underlying points
-    Rect rect;      // exact MBR of underlying points
+    Rect rect;      // exact MBR of underlying points (empty: sphere region)
     uint32_t weight;
     PageId child;
   };
@@ -173,6 +199,10 @@ class SRTree : public PagedIndex {
     LeafEntry leaf;
     NodeEntry node;
   };
+
+  // The tag Save() writes.
+  virtual const char* image_tag() const { return kImageTag; }
+  bool has_rects() const { return options_.region == Region::kSphereAndRect; }
 
   // --- page I/O ---
   // ReadNode/PeekNode/WriteNode operate on *working state* and belong to
@@ -211,7 +241,9 @@ class SRTree : public PagedIndex {
 
   // --- region helpers ---
   Point NodeCentroid(const Node& node, uint32_t& weight) const;
-  // Sphere (radius = min(d_s, d_r)), exact MBR, and weight for `node`.
+  // Sphere (radius = min(d_s, d_r), or d_s alone without the radius rule or
+  // a rectangle), exact MBR (none for the sphere region), and weight for
+  // `node`.
   NodeEntry ComputeEntry(const Node& node) const;
   PointView EntryCentroid(const Node& node, size_t i) const;
 
@@ -249,12 +281,6 @@ class SRTree : public PagedIndex {
   struct SearchBound;
 
   // --- validation / stats (walk working state; callers hold writer_mu_) ---
-  // Open()'s check of a loaded image before anything decodes its pages:
-  // walks from the root, and returns Corruption unless every reachable page
-  // is live, carries its parent's level minus one, holds at most a full
-  // page of entries within its stored extent, and the walk visits no more
-  // pages than are live and finds size_ points.
-  Status ValidateStructure() const REQUIRES(writer_mu_);
   void VisitSubtree(const Node& node, std::vector<int>& path,
                     const NodeVisitor& visitor) const REQUIRES(writer_mu_);
   void CollectStats(const Node& node, TreeStats& stats) const
@@ -291,6 +317,34 @@ class SRTree : public PagedIndex {
   // inner one, reused by every InsertPending (see there).
   std::vector<Node> descent_ GUARDED_BY(writer_mu_);
   std::vector<int> descent_idx_ GUARDED_BY(writer_mu_);
+};
+
+// SS-tree (White & Jain, ICDE 1996) — the similarity-indexing baseline the
+// SR-tree improves upon (Section 2.3): bounding spheres centered at the
+// centroid of the underlying points, nearest-centroid descent, the
+// highest-variance split and per-node forced reinsertion. It is the SR-tree
+// with the sphere as its whole region; this class supplies only that
+// region, its name and its tag.
+class SSTree : public SRTree {
+ public:
+  // The region is always Region::kSphere and both rect rules are off,
+  // whatever `options` says.
+  explicit SSTree(const Options& options)
+      : SRTree(WithSphereRegion(options)) {}
+
+  static constexpr char kImageTag[] = "sstree";
+  static StatusOr<std::unique_ptr<SSTree>> Open(const std::string& path);
+
+  std::string name() const override { return "SS-tree"; }
+
+ private:
+  static Options WithSphereRegion(Options options) {
+    options.region = Region::kSphere;
+    options.use_rect_in_radius = false;
+    options.use_rect_in_mindist = false;
+    return options;
+  }
+  const char* image_tag() const override { return kImageTag; }
 };
 
 }  // namespace srtree

@@ -10,7 +10,6 @@
 #include "src/statictier/static_sr_tree.h"
 #include "src/statictier/tiered_index.h"
 #include "src/rstar/rstar_tree.h"
-#include "src/sstree/ss_tree.h"
 #include "src/vamsplit/vam_split_r_tree.h"
 #include "src/xtree/x_tree.h"
 
@@ -54,23 +53,16 @@ std::vector<IndexType> DynamicTreeTypes() {
 std::unique_ptr<PointIndex> MakeIndex(IndexType type,
                                       const IndexConfig& config) {
   switch (type) {
-    case IndexType::kSRTree: {
+    case IndexType::kSRTree:
+    case IndexType::kSSTree: {
       SRTree::Options options;
       options.dim = config.dim;
       options.page_size = config.page_size;
       options.leaf_data_size = config.leaf_data_size;
       options.min_utilization = config.min_utilization;
       options.reinsert_fraction = config.reinsert_fraction;
+      if (type == IndexType::kSSTree) return std::make_unique<SSTree>(options);
       return std::make_unique<SRTree>(options);
-    }
-    case IndexType::kSSTree: {
-      SSTree::Options options;
-      options.dim = config.dim;
-      options.page_size = config.page_size;
-      options.leaf_data_size = config.leaf_data_size;
-      options.min_utilization = config.min_utilization;
-      options.reinsert_fraction = config.reinsert_fraction;
-      return std::make_unique<SSTree>(options);
     }
     case IndexType::kRStarTree: {
       RStarTree::Options options;

@@ -1,5 +1,7 @@
 #include "src/index/paged_index.h"
 
+#include <cstring>
+
 namespace srtree {
 namespace {
 
@@ -41,6 +43,73 @@ Status PagedIndex::LoadFullPages(std::istream& in) {
   // every page is.
   if (file_.stored_bytes() != file_.live_pages() * file_.page_size()) {
     return Status::Corruption("image holds a page shorter than its block");
+  }
+  return Status::OK();
+}
+
+Status PagedIndex::ValidatePageTree(const std::string& tree, PageId root_id,
+                                    int root_level, uint64_t size,
+                                    const PageTreeShape& shape) const {
+  // Depth-first from the root: every reachable page must be live, carry the
+  // level its parent implies, keep its count within capacity and its
+  // entries within the bytes it stores — so the decoding walks behind
+  // CheckInvariants never read past a page or chase a wild child id. A walk
+  // longer than the live page count is not a tree.
+  constexpr size_t kHeaderBytes = 8;
+  struct Item {
+    PageId id;
+    int level;
+  };
+  std::vector<Item> stack = {{root_id, root_level}};
+  uint64_t visited = 0;
+  uint64_t points = 0;
+  while (!stack.empty()) {
+    const Item item = stack.back();
+    stack.pop_back();
+    const auto corrupt = [&](const char* what) {
+      return Status::Corruption(tree + " page " + std::to_string(item.id) +
+                                what);
+    };
+    if (!file_.is_live(item.id)) return corrupt(" is not live in the image");
+    if (++visited > file_.live_pages()) {
+      return Status::Corruption(tree + " page structure is not a tree");
+    }
+    const size_t extent = file_.extent(item.id);
+    const auto* page =
+        reinterpret_cast<const unsigned char*>(file_.PeekPage(item.id));
+    if (extent < kHeaderBytes || page[0] != item.level) {
+      return corrupt(" does not carry its level");
+    }
+    const size_t count = static_cast<size_t>(page[2]) |
+                         static_cast<size_t>(page[3]) << 8;
+    const bool leaf = item.level == 0;
+    const size_t entry_bytes =
+        leaf ? shape.leaf_entry_bytes : shape.node_entry_bytes;
+    if (count > (leaf ? shape.leaf_capacity : shape.node_capacity) ||
+        kHeaderBytes + count * entry_bytes > extent) {
+      return corrupt(" count exceeds its page");
+    }
+    if (shape.chained_pages) {
+      PageId next = kInvalidPageId;
+      std::memcpy(&next, page + 4, sizeof(next));
+      if (next != kInvalidPageId) stack.push_back({next, item.level});
+    }
+    if (leaf) {
+      points += count;
+      continue;
+    }
+    for (size_t i = 0; i < count; ++i) {
+      const size_t at =
+          shape.soa ? kHeaderBytes + count * (entry_bytes - sizeof(PageId)) +
+                          i * sizeof(PageId)
+                    : kHeaderBytes + (i + 1) * entry_bytes - sizeof(PageId);
+      PageId child = kInvalidPageId;
+      std::memcpy(&child, page + at, sizeof(child));
+      stack.push_back({child, item.level - 1});
+    }
+  }
+  if (points != size) {
+    return Status::Corruption(tree + " leaf total does not match its size");
   }
   return Status::OK();
 }

@@ -1,5 +1,6 @@
-// PagedIndex: the storage plumbing every paged tree shares — the SR-tree,
-// the static tier and the SS, R*, K-D-B, VAMSplit R, X and TV baselines.
+// PagedIndex: the storage plumbing every paged tree shares — the SR-tree
+// (and the SS-tree, its sphere-only region), the static tier and the R*,
+// K-D-B, VAMSplit R, X and TV baselines.
 //
 // A paged tree keeps its nodes in one copy-on-write PageFile and follows its
 // one contract (src/storage/page_file.h): a single writer, serialized by
@@ -31,6 +32,7 @@
 #include <cstddef>
 #include <istream>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/base/mutex.h"
@@ -115,12 +117,39 @@ class PagedIndex : public PointIndex {
     CommitRoot(root_id, root_level, size);
   }
 
+  // How Open()'s page walk (ValidatePageTree) reads one tree's pages. Every
+  // paged tree starts a page with the 8-byte header
+  // [u8 level][u8 flags][u16 count][u32 word] and follows it with `count`
+  // entries of a per-level stored size; an inner entry's u32 child id ends
+  // the entry (row-major pages) or sits in the u32 array that ends the
+  // entries (SoA pages, src/index/soa_page.h).
+  struct PageTreeShape {
+    size_t leaf_capacity = 0;     // entries a leaf page may hold
+    size_t node_capacity = 0;     // entries an inner page may hold
+    size_t leaf_entry_bytes = 0;  // stored bytes per leaf entry
+    size_t node_entry_bytes = 0;  // stored bytes per inner entry
+    bool soa = false;
+    // The header word names the node's next page at the same level, or
+    // kInvalidPageId: the X-tree's supernode chains.
+    bool chained_pages = false;
+  };
+
+  // Open()'s check of a loaded image before anything decodes its pages:
+  // walks from (root_id, root_level) and returns Corruption unless every
+  // reachable page is live, carries the level its parent implies, holds at
+  // most its capacity of entries within its stored extent, the walk visits
+  // no more pages than are live, and the leaves hold `size` points. Every
+  // message starts with `tree`, the tree's name.
+  Status ValidatePageTree(const std::string& tree, PageId root_id,
+                          int root_level, uint64_t size,
+                          const PageTreeShape& shape) const;
+
   // Open()'s load for a tree whose every page fills its block — each one
-  // but the SR-tree, which stages only a node's used bytes. Replaces the
-  // page file's contents with the image (PageFile::LoadFrom), then returns
-  // Corruption when a loaded page is shorter than page_size: such a tree
-  // decodes whole pages, so a checksum-valid image with a short extent
-  // would otherwise send it past the buffer.
+  // but the SR- and SS-trees, which stage only a node's used bytes.
+  // Replaces the page file's contents with the image (PageFile::LoadFrom),
+  // then returns Corruption when a loaded page is shorter than page_size:
+  // such a tree decodes whole pages, so a checksum-valid image with a short
+  // extent would otherwise send it past the buffer.
   Status LoadFullPages(std::istream& in);
 
   // Where traversals of `snap` start: its committed root, or empty when the

@@ -31,7 +31,7 @@ SoaLeafView ParseSoaLeaf(const char* page, int dim) {
   return leaf;
 }
 
-SoaInnerView ParseSoaInner(const char* page, int dim) {
+SoaInnerView ParseSoaInner(const char* page, int dim, bool has_rects) {
   SoaInnerView inner;
   inner.count = SoaPageCount(page);
   std::memcpy(&inner.header_word, page + 4, sizeof(inner.header_word));
@@ -42,10 +42,12 @@ SoaInnerView ParseSoaInner(const char* page, int dim) {
   cursor += block;
   inner.radii = cursor;
   cursor += inner.count;
-  inner.lo = SoaBlock{cursor, inner.count, dim};
-  cursor += block;
-  inner.hi = SoaBlock{cursor, inner.count, dim};
-  cursor += block;
+  if (has_rects) {
+    inner.lo = SoaBlock{cursor, inner.count, dim};
+    cursor += block;
+    inner.hi = SoaBlock{cursor, inner.count, dim};
+    cursor += block;
+  }
   inner.weights = reinterpret_cast<const uint32_t*>(cursor);
   inner.tail = inner.weights + inner.count;
   return inner;

@@ -15,6 +15,9 @@
 //          rect lo | rect hi (dim x count doubles each) | weights (count
 //          u32) | per-structure tail (the SR-tree's child ids)
 //
+// A sphere-only inner page (the SS-tree's region, see src/core/sr_tree.h)
+// has no rect lo / hi blocks: centers | radii | weights | tail.
+//
 // A view reads nothing past its entries, so a page need hold no more than
 // the header and entries: the SR-tree stores exactly that (its leaf-data
 // area counts toward capacity but is never stored), while the static tier
@@ -48,7 +51,7 @@ struct SoaLeafView {
 struct SoaInnerView {
   size_t count = 0;
   uint32_t header_word = 0;
-  SoaBlock centers, lo, hi;  // dim-major blocks
+  SoaBlock centers, lo, hi;  // dim-major blocks; lo/hi empty without rects
   const double* radii = nullptr;
   const uint32_t* weights = nullptr;
   const uint32_t* tail = nullptr;  // first word after the weight array
@@ -56,7 +59,8 @@ struct SoaInnerView {
 
 int SoaPageLevel(const char* page);
 SoaLeafView ParseSoaLeaf(const char* page, int dim);
-SoaInnerView ParseSoaInner(const char* page, int dim);
+// `has_rects` is false for a sphere-only page.
+SoaInnerView ParseSoaInner(const char* page, int dim, bool has_rects = true);
 
 // Writes the 8-byte page header; the rest of the page is the caller's.
 void PutSoaHeader(char* page, int level, size_t count, uint32_t header_word);

@@ -31,6 +31,10 @@ KdbTree::KdbTree(const Options& options)
   const size_t node_entry = 2 * dim * sizeof(double) + sizeof(uint32_t);
   leaf_cap_ = (options_.page_size - kHeaderBytes) / leaf_entry;
   node_cap_ = (options_.page_size - kHeaderBytes) / node_entry;
+  page_shape_ = {.leaf_capacity = leaf_cap_,
+                 .node_capacity = node_cap_,
+                 .leaf_entry_bytes = leaf_entry,
+                 .node_entry_bytes = node_entry};
   CHECK_GE(leaf_cap_, 2u);
   CHECK_GE(node_cap_, 2u);
 
@@ -119,9 +123,9 @@ StatusOr<std::unique_ptr<KdbTree>> KdbTree::Open(const std::string& path) {
   }
   auto tree = std::make_unique<KdbTree>(options);
   RETURN_IF_ERROR(tree->LoadFullPages(image.stream()));
-  if (!tree->file_.is_live(header.root_id)) {
-    return Status::Corruption("K-D-B-tree root page is not live in the image");
-  }
+  RETURN_IF_ERROR(tree->ValidatePageTree("K-D-B-tree", header.root_id,
+                                         header.root_level, header.size,
+                                         tree->page_shape_));
   tree->root_id_ = header.root_id;
   tree->root_level_ = header.root_level;
   tree->size_ = header.size;

@@ -148,6 +148,8 @@ class KdbTree : public PagedIndex {
   Options options_;
   size_t leaf_cap_;
   size_t node_cap_;
+  // Open()'s view of the pages (PagedIndex::ValidatePageTree).
+  PageTreeShape page_shape_;
 
   PageId root_id_;
   int root_level_ = 0;

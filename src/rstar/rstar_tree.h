@@ -175,6 +175,8 @@ class RStarTree : public PagedIndex {
   int active_dims_;  // resolved: 1..dim
   size_t leaf_cap_;
   size_t node_cap_;
+  // Open()'s view of the pages (PagedIndex::ValidatePageTree).
+  PageTreeShape page_shape_;
   size_t leaf_min_;
   size_t node_min_;
 

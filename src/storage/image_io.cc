@@ -164,6 +164,7 @@ Status IndexImageFile::Open(const std::string& path, const char* tag,
   if (!GetLe32(in_, &stored_size) || !GetLe32(in_, &stored_crc)) {
     return Status::Corruption("truncated index image header: " + path);
   }
+  stored_header_size_ = stored_size;
   if (stored_size != header_size) {
     return Status::Corruption("index image header size mismatch: " + path);
   }

@@ -155,8 +155,14 @@ class IndexImageFile {
   // the file (OpenRaw).
   std::istream& stream() { return in_; }
 
+  // The header size the file records, once Open() has read that far (0
+  // before), so a caller can recognize a retired header record after a
+  // size mismatch.
+  uint32_t stored_header_size() const { return stored_header_size_; }
+
  private:
   std::ifstream in_;
+  uint32_t stored_header_size_ = 0;
 };
 
 // Identifies a saved index file: returns the container tag for a v2 image,

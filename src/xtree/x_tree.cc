@@ -52,6 +52,11 @@ XTree::XTree(const Options& options)
   const size_t node_entry = 2 * dim * sizeof(double) + sizeof(uint32_t);
   leaf_cap_ = (options_.page_size - kHeaderBytes) / leaf_entry;
   node_cap_ = (options_.page_size - kHeaderBytes) / node_entry;
+  page_shape_ = {.leaf_capacity = leaf_cap_,
+                 .node_capacity = node_cap_,
+                 .leaf_entry_bytes = leaf_entry,
+                 .node_entry_bytes = node_entry,
+                 .chained_pages = true};
   CHECK_GE(leaf_cap_, 2u);
   CHECK_GE(node_cap_, 2u);
   leaf_min_ = std::max<size_t>(
@@ -148,9 +153,9 @@ StatusOr<std::unique_ptr<XTree>> XTree::Open(const std::string& path) {
   }
   auto tree = std::make_unique<XTree>(options);
   RETURN_IF_ERROR(tree->LoadFullPages(image.stream()));
-  if (!tree->file_.is_live(header.root_id)) {
-    return Status::Corruption("X-tree root page is not live in the image");
-  }
+  RETURN_IF_ERROR(tree->ValidatePageTree("X-tree", header.root_id,
+                                         header.root_level, header.size,
+                                         tree->page_shape_));
   tree->root_id_ = header.root_id;
   tree->root_level_ = header.root_level;
   tree->size_ = header.size;

@@ -178,6 +178,8 @@ class XTree : public PagedIndex {
   Options options_;
   size_t leaf_cap_;
   size_t node_cap_;
+  // Open()'s view of the pages (PagedIndex::ValidatePageTree).
+  PageTreeShape page_shape_;
   size_t leaf_min_;
   size_t node_min_;
 

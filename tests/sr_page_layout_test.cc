@@ -10,7 +10,11 @@
 //     carries the retired row-major layout byte is rejected with a clear
 //     "re-save" error instead of being misread;
 //   * Open rejects, with Corruption, a checksum-valid image whose page
-//     headers or child ids do not describe a tree its pages can hold.
+//     headers or child ids do not describe a tree its pages can hold — for
+//     the SS-tree's sphere-only pages too;
+//   * an SS-tree image in the retired row-major layout (its 56-byte header
+//     record) is rejected with a "re-save" error, and a header giving the
+//     sphere region with a rect rule set is Corruption.
 
 #include <cstring>
 #include <string>
@@ -20,6 +24,7 @@
 
 #include "src/common/random.h"
 #include "src/core/sr_tree.h"
+#include "src/index/index_factory.h"
 #include "src/storage/crc32c.h"
 #include "src/storage/image_io.h"
 #include "src/workload/queries.h"
@@ -231,12 +236,13 @@ std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
 }
 
-std::unique_ptr<SRTree> BuildTree(const Dataset& data) {
+template <typename Tree = SRTree>
+std::unique_ptr<Tree> BuildTree(const Dataset& data) {
   SRTree::Options options;
   options.dim = data.dim();
   options.page_size = 2048;
   options.leaf_data_size = 64;
-  auto tree = std::make_unique<SRTree>(options);
+  auto tree = std::make_unique<Tree>(options);
   EXPECT_TRUE(tree->BulkLoad(data.ToPoints(), data.SequentialOids()).ok());
   return tree;
 }
@@ -269,26 +275,35 @@ TEST(SrImageLayoutTest, SaveOpenRoundTripsSoaPages) {
 // header record, whose layout byte follows dim (4 + 4 padding), page size,
 // leaf-data size, two doubles and the two option flags.
 constexpr size_t kContainerFraming = 24;
+constexpr size_t kRectInRadiusByteInHeader = 40;
 constexpr size_t kLayoutByteInHeader = 42;
+constexpr size_t kRegionByteInHeader = 43;
 constexpr size_t kSrHeaderBytes = 64;
 
-// Rewrites the layout byte of a saved image and re-seals the header CRC,
-// so only the layout check — not the checksum — can reject the file.
-void ForgeLayoutByte(const std::string& path, uint8_t layout) {
+// Rewrites header byte `at` of a saved image, which must hold `expect`, and
+// re-seals the header CRC, so only the header checks — not the checksum —
+// can reject the file.
+void ForgeHeaderByte(const std::string& path, size_t at, uint8_t expect,
+                     uint8_t value) {
   std::string bytes;
   ASSERT_TRUE(ReadFileToString(path, &bytes).ok());
   ASSERT_GT(bytes.size(), kContainerFraming + kSrHeaderBytes);
   uint32_t header_size = 0;
   std::memcpy(&header_size, bytes.data() + 16, sizeof(header_size));
   ASSERT_EQ(header_size, kSrHeaderBytes);
-  ASSERT_EQ(bytes[kContainerFraming + kLayoutByteInHeader], 1)
-      << "the saved image should carry the SoA layout byte";
-  bytes[kContainerFraming + kLayoutByteInHeader] = static_cast<char>(layout);
+  ASSERT_EQ(bytes[kContainerFraming + at], static_cast<char>(expect))
+      << "header byte " << at;
+  bytes[kContainerFraming + at] = static_cast<char>(value);
   const uint32_t crc = Crc32c(bytes.data() + kContainerFraming, header_size);
   for (int i = 0; i < 4; ++i) {
     bytes[20 + static_cast<size_t>(i)] = static_cast<char>(crc >> (8 * i));
   }
   ASSERT_TRUE(WriteStringToFileForTest(bytes, path).ok());
+}
+
+// Rewrites the layout byte, which a saved image holds as 1 (SoA).
+void ForgeLayoutByte(const std::string& path, uint8_t layout) {
+  ForgeHeaderByte(path, kLayoutByteInHeader, /*expect=*/1, layout);
 }
 
 // The tree's own pages, at every level, store exactly their entries.
@@ -334,6 +349,70 @@ TEST(SrImageLayoutTest, UnknownLayoutByteIsCorruption) {
       << reopened.status().ToString();
 }
 
+// A sphere-only inner page holds centers, radii, weights and child ids:
+// dim x 8 + 16 bytes an entry, the SS-tree's Table 1 fanout.
+TEST(SsImageLayoutTest, InnerPagesStoreNoRects) {
+  const auto tree =
+      BuildTree<SSTree>(MakeUniformDataset(1500, 5, /*seed=*/47));
+  EXPECT_EQ(tree->node_capacity(), (2048u - 8) / (5 * 8 + 16));
+  ASSERT_GE(Access::RootLevel(*tree), 1);
+  const Access::Node root = Access::ReadByPath(*tree, {});
+  EXPECT_EQ(Access::ExtentByPath(*tree, {}),
+            8 + root.children.size() * (5 * 8 + 16));
+  for (const Access::NodeEntry& e : root.children) {
+    EXPECT_TRUE(e.rect.lo().empty());
+  }
+}
+
+// The SS-tree's row-major image: the 56-byte header record it wrote before
+// it shared the SR-tree's, then a page-file image that is never read.
+TEST(SsImageLayoutTest, RowMajorSsImageIsRejectedWithResaveError) {
+  using testing_image::Le;
+  std::string header;
+  header += Le(5, 4) + Le(0, 4);                 // dim, padding
+  header += Le(2048, 8) + Le(64, 8);             // page size, leaf data
+  double utilization = 0.4, fraction = 0.3;
+  uint64_t bits = 0;
+  std::memcpy(&bits, &utilization, sizeof(bits));
+  header += Le(bits, 8);
+  std::memcpy(&bits, &fraction, sizeof(bits));
+  header += Le(bits, 8);
+  header += Le(0, 4) + Le(0, 4) + Le(0, 8);  // root id, root level, size
+  ASSERT_EQ(header.size(), 56u);
+  // SRIX container framing: magic, version 2, tag, header size and CRC.
+  const std::string image =
+      Le(kIndexImageMagic, 4) + Le(kIndexImageVersion, 4) +
+      std::string("sstree\0\0", 8) + Le(header.size(), 4) +
+      Le(Crc32c(header.data(), header.size()), 4) + header;
+  const std::string path = TempPath("ss_row_major.idx");
+  ASSERT_TRUE(WriteStringToFileForTest(image, path).ok());
+
+  for (const auto& opened : {SSTree::Open(path).status(),
+                             OpenIndex(path).status()}) {
+    EXPECT_TRUE(opened.IsInvalidArgument()) << opened.ToString();
+    EXPECT_NE(opened.message().find("re-save"), std::string::npos)
+        << opened.ToString();
+  }
+}
+
+// A sphere-only region stores no rectangle for a rect rule to read.
+TEST(SsImageLayoutTest, SphereRegionWithRectFlagIsCorruption) {
+  const auto ss = BuildTree<SSTree>(MakeUniformDataset(400, 4, /*seed=*/53));
+  const std::string ss_path = TempPath("ss_rect_flag.idx");
+  ASSERT_TRUE(ss->Save(ss_path).ok());
+  ForgeHeaderByte(ss_path, kRectInRadiusByteInHeader, /*expect=*/0, 1);
+  const Status ss_status = SSTree::Open(ss_path).status();
+  EXPECT_TRUE(ss_status.IsCorruption()) << ss_status.ToString();
+
+  // The same from the other side: an SR image relabelled sphere-only.
+  const auto sr = BuildTree(MakeUniformDataset(400, 4, /*seed=*/59));
+  const std::string sr_path = TempPath("sr_sphere_region.idx");
+  ASSERT_TRUE(sr->Save(sr_path).ok());
+  ForgeHeaderByte(sr_path, kRegionByteInHeader, /*expect=*/0, 1);
+  const Status sr_status = SRTree::Open(sr_path).status();
+  EXPECT_TRUE(sr_status.IsCorruption()) << sr_status.ToString();
+}
+
 // --- Open on checksum-valid images that are not trees -------------------
 
 using testing_image::IndexImagePageFileStart;
@@ -344,13 +423,13 @@ using testing_image::StoreLe;
 
 constexpr int kForgeDim = 5;
 
-// Saves a tree, applies `forge` to the saved image's page-file records (it
-// may rewrite any page bytes in place) and re-seals every checksum, so
+// Saves a `Tree`, applies `forge` to the saved image's page-file records
+// (it may rewrite any page bytes in place) and re-seals every checksum, so
 // only Open()'s structural checks stand between the forgery and a decode.
-template <typename Forge>
+template <typename Tree = SRTree, typename Forge>
 std::string ForgedImage(const std::string& name, Forge&& forge) {
   const auto tree =
-      BuildTree(MakeUniformDataset(1500, kForgeDim, /*seed=*/37));
+      BuildTree<Tree>(MakeUniformDataset(1500, kForgeDim, /*seed=*/37));
   const std::string path = TempPath(name);
   EXPECT_TRUE(tree->Save(path).ok());
   std::string bytes;
@@ -373,14 +452,18 @@ const PageRecord& FirstPageAtLevel(const std::string& bytes,
   return image.records.front();
 }
 
-// Offset of child id `i` in an inner page of `count` entries.
-size_t ChildIdOffset(const PageRecord& r, size_t count, size_t i) {
+// Offset of child id `i` in an inner page of `count` entries; a
+// sphere-only (SS-tree) entry has no rect before its weight.
+size_t ChildIdOffset(const PageRecord& r, size_t count, size_t i,
+                     bool sphere_only = false) {
   const size_t dim = kForgeDim;
-  return r.data + 8 + count * (3 * dim * 8 + 8 + 4) + i * 4;
+  const size_t rect = sphere_only ? 0 : 2 * dim * 8;
+  return r.data + 8 + count * (dim * 8 + 8 + rect + 4) + i * 4;
 }
 
+template <typename Tree = SRTree>
 void ExpectOpenCorruption(const std::string& path, const std::string& what) {
-  auto reopened = SRTree::Open(path);
+  auto reopened = Tree::Open(path);
   ASSERT_FALSE(reopened.ok());
   EXPECT_TRUE(reopened.status().IsCorruption())
       << reopened.status().ToString();
@@ -443,6 +526,36 @@ TEST(SrOpenValidationTest, SharedChildIsCorruption) {
   ASSERT_FALSE(reopened.ok());
   EXPECT_TRUE(reopened.status().IsCorruption())
       << reopened.status().ToString();
+}
+
+// The same forgeries on the SS-tree's sphere-only pages.
+TEST(SsOpenValidationTest, LeafCountPastCapacityIsCorruption) {
+  const std::string path = ForgedImage<SSTree>(
+      "ss_forged_count.idx", [](std::string& b, const PageImage& im) {
+        StoreLe(b, FirstPageAtLevel(b, im, 0).data + 2, 2, 600);
+      });
+  ExpectOpenCorruption<SSTree>(path, "count exceeds its page");
+}
+
+TEST(SsOpenValidationTest, LeafCountPastStoredExtentIsCorruption) {
+  const std::string path = ForgedImage<SSTree>(
+      "ss_forged_extent.idx", [](std::string& b, const PageImage& im) {
+        const PageRecord& leaf = FirstPageAtLevel(b, im, 0);
+        const size_t count = LoadLe(b, leaf.data + 2, 2);
+        StoreLe(b, leaf.data + 2, 2, count + 1);
+      });
+  ExpectOpenCorruption<SSTree>(path, "count exceeds its page");
+}
+
+TEST(SsOpenValidationTest, ChildIdNotLiveIsCorruption) {
+  const std::string path = ForgedImage<SSTree>(
+      "ss_forged_child.idx", [](std::string& b, const PageImage& im) {
+        const PageRecord& inner = FirstPageAtLevel(b, im, 1);
+        const size_t count = LoadLe(b, inner.data + 2, 2);
+        StoreLe(b, ChildIdOffset(inner, count, 0, /*sphere_only=*/true), 4,
+                im.page_count + 7);
+      });
+  ExpectOpenCorruption<SSTree>(path, "is not live");
 }
 
 // The re-sealing itself forges nothing: an untouched image still opens.

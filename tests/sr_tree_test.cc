@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/sstree/ss_tree.h"
 #include "src/workload/queries.h"
 #include "src/workload/uniform.h"
 

@@ -1,4 +1,4 @@
-#include "src/sstree/ss_tree.h"
+#include "src/core/sr_tree.h"
 
 #include <gtest/gtest.h>
 

@@ -1,5 +1,7 @@
 #include "src/xtree/x_tree.h"
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "src/workload/uniform.h"
@@ -53,6 +55,14 @@ TEST(XTreeTest, HighDimensionalDataCreatesSupernodes) {
   const XTree::SupernodeStats stats = tree.GetSupernodeStats();
   EXPECT_GT(stats.supernodes, 0u);
   EXPECT_GT(stats.supernode_pages, stats.supernodes);  // > 1 page each
+
+  // Open's page walk follows the supernode chains.
+  const std::string path = ::testing::TempDir() + "/x_supernodes.idx";
+  ASSERT_TRUE(tree.Save(path).ok());
+  auto reopened = XTree::Open(path);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->GetSupernodeStats().supernode_pages,
+            stats.supernode_pages);
 }
 
 TEST(XTreeTest, SupernodeReadsCostOnePerPage) {

@@ -212,7 +212,6 @@ R3_TREE_DIRS = (
     "src/core/",
     "src/kdb/",
     "src/rstar/",
-    "src/sstree/",
     "src/vamsplit/",
     "src/xtree/",
 )

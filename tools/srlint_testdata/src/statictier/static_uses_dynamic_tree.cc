@@ -4,4 +4,4 @@
 #include "src/core/sr_tree.h"  // srlint-expect(R8)
 
 // An include that only appears in a comment must not count:
-// #include "src/sstree/ss_tree.h"
+// #include "src/rstar/rstar_tree.h"
