@@ -10,7 +10,6 @@
 #include "src/statictier/static_sr_tree.h"
 #include "src/statictier/tiered_index.h"
 #include "src/rstar/rstar_tree.h"
-#include "src/vamsplit/vam_split_r_tree.h"
 #include "src/xtree/x_tree.h"
 
 namespace srtree {

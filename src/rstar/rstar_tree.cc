@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <numeric>
+#include <type_traits>
 
 #include "src/common/check.h"
 #include "src/debug/structural_auditor.h"
@@ -80,6 +81,18 @@ struct RStarImageHeader {
   uint64_t size;
 };
 
+// The header record of a VAMSplit R-tree image saved before the tree
+// shared R*'s; its pages are already R*'s, with every dimension active.
+struct LegacyVamImageHeader {
+  int32_t dim;
+  uint32_t pad0;
+  uint64_t page_size;
+  uint64_t leaf_data_size;
+  uint32_t root_id;
+  int32_t root_level;
+  uint64_t size;
+};
+
 // True iff `o` would pass every constructor CHECK, so Open() can reject a
 // forged header with Corruption instead of crashing the process. The
 // negated-range form also rejects NaN utilization/fraction values.
@@ -124,7 +137,23 @@ template <typename Tree>
 StatusOr<std::unique_ptr<Tree>> RStarTree::OpenImage(const std::string& path) {
   RStarImageHeader header = {};
   IndexImageFile image;
-  RETURN_IF_ERROR(image.Open(path, Tree::kImageTag, &header, sizeof(header)));
+  Status opened = image.Open(path, Tree::kImageTag, &header, sizeof(header));
+  if (!opened.ok() && std::is_same_v<Tree, VamSplitRTree> &&
+      image.stored_header_size() == sizeof(LegacyVamImageHeader)) {
+    LegacyVamImageHeader legacy = {};
+    image = IndexImageFile();
+    opened = image.Open(path, Tree::kImageTag, &legacy, sizeof(legacy));
+    header = {.dim = legacy.dim,
+              .active_dims = legacy.dim,
+              .page_size = legacy.page_size,
+              .leaf_data_size = legacy.leaf_data_size,
+              .min_utilization = Options().min_utilization,
+              .reinsert_fraction = Options().reinsert_fraction,
+              .root_id = legacy.root_id,
+              .root_level = legacy.root_level,
+              .size = legacy.size};
+  }
+  RETURN_IF_ERROR(opened);
 
   Options options;
   options.dim = header.dim;
@@ -137,7 +166,8 @@ StatusOr<std::unique_ptr<Tree>> RStarTree::OpenImage(const std::string& path) {
       header.root_level > 64) {
     return Status::Corruption("implausible R*-tree header");
   }
-  auto tree = std::make_unique<Tree>(options);
+  // `new`: VamSplitRTree builds from R*'s options only for its friend.
+  std::unique_ptr<Tree> tree(new Tree(options));
   RETURN_IF_ERROR(tree->LoadFullPages(image.stream()));
   RETURN_IF_ERROR(tree->ValidatePageTree(tree->name(), header.root_id,
                                          header.root_level, header.size,
@@ -157,6 +187,11 @@ StatusOr<std::unique_ptr<RStarTree>> RStarTree::Open(const std::string& path) {
 
 StatusOr<std::unique_ptr<TvRTree>> TvRTree::Open(const std::string& path) {
   return OpenImage<TvRTree>(path);
+}
+
+StatusOr<std::unique_ptr<VamSplitRTree>> VamSplitRTree::Open(
+    const std::string& path) {
+  return OpenImage<VamSplitRTree>(path);
 }
 
 // --------------------------------------------------------------------------
@@ -747,6 +782,7 @@ RegionSummary RStarTree::LeafRegionSummary() const {
 void RStarTree::CollectRegions(const Node& node,
                                RegionStatsCollector& collector) const {
   if (node.is_leaf()) {
+    if (node.points.empty()) return;  // the empty tree's root
     collector.CountLeaf();
     collector.AddRect(NodeBoundingRect(node));
     return;
@@ -768,7 +804,7 @@ void RStarTree::VisitSubtree(const Node& node, std::vector<int>& path,
   NodeView view;
   view.level = node.level;
   view.capacity = Capacity(node);
-  view.min_entries = MinEntries(node);
+  view.min_entries = audits_min_fill() ? MinEntries(node) : 0;
   view.entries.reserve(node.children.size());
   for (const NodeEntry& e : node.children) {
     view.entries.push_back(EntryView{&e.rect, /*sphere=*/nullptr,

@@ -20,6 +20,7 @@
 #include <algorithm>
 #include <deque>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "src/geometry/rect.h"
@@ -85,11 +86,13 @@ class RStarTree : public PagedIndex {
       REQUIRES(writer_mu_);
 
   // Opens an image saved under Tree::kImageTag as a `Tree`; an image saved
-  // under any other tag fails. Defined for RStarTree and TvRTree.
+  // under any other tag fails. Defined for RStarTree, TvRTree and
+  // VamSplitRTree.
   template <typename Tree>
   static StatusOr<std::unique_ptr<Tree>> OpenImage(const std::string& path);
 
- private:
+  // What a subclass that builds its own pages (VamSplitRTree's bulk load)
+  // writes: R*'s nodes, staged through WriteNode, and the working root.
   struct LeafEntry {
     Point point;  // full vector
     uint32_t oid;
@@ -110,6 +113,19 @@ class RStarTree : public PagedIndex {
     size_t count() const { return is_leaf() ? points.size() : children.size(); }
   };
 
+  void WriteNode(const Node& node);
+  // The bound of a node's entries, in the active subspace.
+  Rect NodeBoundingRect(const Node& node) const;
+
+  PageId root_id_;
+  int root_level_ = 0;
+  size_t size_ = 0;
+
+  // Whether the audit holds non-root nodes to the minimum fill. A
+  // bulk-loaded tree may legitimately leave a 1-entry node.
+  virtual bool audits_min_fill() const { return true; }
+
+ private:
   // An entry awaiting (re)insertion at a given level.
   struct Pending {
     int level;
@@ -128,7 +144,6 @@ class RStarTree : public PagedIndex {
   // --- page I/O ---
   Node ReadNode(PageId id, int level) const;  // writer side, counted
   Node PeekNode(PageId id) const;  // no I/O accounting
-  void WriteNode(const Node& node);
   void SerializeNode(const Node& node, char* buf) const;
   Node DeserializeNode(const char* buf, PageId id) const;
 
@@ -141,7 +156,6 @@ class RStarTree : public PagedIndex {
 
   // --- region helpers (active subspace) ---
   Rect EntryRect(const Node& node, size_t i) const;
-  Rect NodeBoundingRect(const Node& node) const;
 
   // --- insertion machinery ---
   void ProcessPending(std::deque<Pending>& pending);
@@ -180,9 +194,6 @@ class RStarTree : public PagedIndex {
   size_t leaf_min_;
   size_t node_min_;
 
-  PageId root_id_;
-  int root_level_ = 0;
-  size_t size_ = 0;
   MaintenanceStats maintenance_;
 
   // Levels that already used forced reinsertion during the current
@@ -220,6 +231,62 @@ class TvRTree : public RStarTree {
     return options;
   }
   const char* image_tag() const override { return kImageTag; }
+};
+
+// VAMSplit R-tree (White & Jain, SPIE 1996) — the optimized static baseline
+// of Section 2.4: the R*-tree's pages and search, every dimension active,
+// over a top-down bulk load by the VAM partition (src/index/vam_partition.h)
+// that uses the minimum number of leaves. The tree is static: Insert and
+// Delete return Unimplemented.
+class VamSplitRTree : public RStarTree {
+ public:
+  struct Options {
+    int dim = 2;
+    size_t page_size = kDefaultPageSize;
+    size_t leaf_data_size = 512;
+  };
+
+  explicit VamSplitRTree(const Options& options)
+      : VamSplitRTree(RStarTree::Options{.dim = options.dim,
+                                         .page_size = options.page_size,
+                                         .leaf_data_size =
+                                             options.leaf_data_size}) {}
+
+  static constexpr char kImageTag[] = "vamsplit";
+  // Also opens an image saved before the tree shared R*'s header record.
+  static StatusOr<std::unique_ptr<VamSplitRTree>> Open(
+      const std::string& path);
+
+  std::string name() const override { return "VAMSplit R-tree"; }
+
+  // The only way to populate the tree.
+  Status BulkLoad(const std::vector<Point>& points,
+                  const std::vector<uint32_t>& oids) override;
+
+ protected:
+  Status InsertLocked(PointView point, uint32_t oid) override
+      REQUIRES(writer_mu_);
+  Status DeleteLocked(PointView point, uint32_t oid) override
+      REQUIRES(writer_mu_);
+
+ private:
+  friend class RStarTree;  // OpenImage restores a tree from its header
+
+  explicit VamSplitRTree(RStarTree::Options options)
+      : RStarTree(WithAllDimsActive(options)) {}
+
+  static RStarTree::Options WithAllDimsActive(RStarTree::Options options) {
+    options.active_dims = options.dim;
+    return options;
+  }
+  const char* image_tag() const override { return kImageTag; }
+  bool audits_min_fill() const override { return false; }
+
+  // Writes the subtree of the given height over `items`; returns its
+  // parent's entry for it.
+  NodeEntry Build(const std::vector<Point>& points,
+                  const std::vector<uint32_t>& oids, std::span<uint32_t> items,
+                  int height);
 };
 
 }  // namespace srtree

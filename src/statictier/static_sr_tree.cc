@@ -9,6 +9,7 @@
 #include "src/common/check.h"
 #include "src/debug/structural_auditor.h"
 #include "src/index/traversal.h"
+#include "src/index/vam_partition.h"
 #include "src/storage/image_io.h"
 
 namespace srtree {
@@ -221,12 +222,6 @@ Status StaticSRTree::DeleteLocked(PointView, uint32_t) {
       "Static SR-tree is immutable; mutate through a TieredIndex");
 }
 
-uint64_t StaticSRTree::SubtreeCapacity(int height) const {
-  uint64_t cap = leaf_cap_;
-  for (int h = 0; h < height; ++h) cap *= node_cap_;
-  return cap;
-}
-
 // In-memory build node; page ids are assigned by a BFS pass afterwards so
 // sibling subtrees land on contiguous pages.
 struct StaticSRTree::BuildNode {
@@ -240,57 +235,6 @@ struct StaticSRTree::BuildNode {
   uint64_t weight = 0;
   PageId page = kInvalidPageId;
 };
-
-int StaticSRTree::MaxVarianceDim(const std::vector<Point>& points,
-                                 std::span<uint32_t> items) const {
-  int best_dim = 0;
-  double best_var = -1.0;
-  for (int d = 0; d < options_.dim; ++d) {
-    double sum = 0.0, sum_sq = 0.0;
-    for (const uint32_t i : items) {
-      const double x = points[i][static_cast<size_t>(d)];
-      sum += x;
-      sum_sq += x * x;
-    }
-    const double n = static_cast<double>(items.size());
-    const double mean = sum / n;
-    const double var = sum_sq / n - mean * mean;
-    if (var > best_var) {
-      best_var = var;
-      best_dim = d;
-    }
-  }
-  return best_dim;
-}
-
-void StaticSRTree::SplitIntoPieces(
-    const std::vector<Point>& points, std::span<uint32_t> items,
-    uint64_t piece_cap, std::vector<std::span<uint32_t>>& pieces) const {
-  if (items.size() <= piece_cap) {
-    pieces.push_back(items);
-    return;
-  }
-  const int dim = MaxVarianceDim(points, items);
-  // The VAM split point: the multiple of the maximal-subtree capacity
-  // closest to the median, so the left side packs full subtrees and the
-  // total number of blocks is minimal (White & Jain).
-  const uint64_t n = items.size();
-  uint64_t mult = static_cast<uint64_t>(std::llround(
-      static_cast<double>(n) / 2.0 / static_cast<double>(piece_cap)));
-  mult = std::max<uint64_t>(mult, 1);
-  uint64_t left = mult * piece_cap;
-  if (left >= n) left = ((n - 1) / piece_cap) * piece_cap;
-  CHECK_GT(left, 0u);
-  CHECK_LT(left, n);
-
-  std::nth_element(items.begin(), items.begin() + static_cast<ptrdiff_t>(left),
-                   items.end(), [&](uint32_t a, uint32_t b) {
-                     return points[a][static_cast<size_t>(dim)] <
-                            points[b][static_cast<size_t>(dim)];
-                   });
-  SplitIntoPieces(points, items.subspan(0, left), piece_cap, pieces);
-  SplitIntoPieces(points, items.subspan(left), piece_cap, pieces);
-}
 
 size_t StaticSRTree::BuildSubtree(const std::vector<Point>& points,
                                   std::span<uint32_t> items, int height,
@@ -329,10 +273,12 @@ size_t StaticSRTree::BuildSubtree(const std::vector<Point>& points,
     return pool.size() - 1;
   }
 
-  std::vector<std::span<uint32_t>> pieces;
-  SplitIntoPieces(points, items, SubtreeCapacity(height - 1), pieces);
+  std::vector<VamItems> pieces;
+  SplitIntoPieces(points, items,
+                  VamSubtreeCapacity(leaf_cap_, node_cap_, height - 1),
+                  pieces);
   CHECK_LE(pieces.size(), node_cap_);
-  for (const std::span<uint32_t> piece : pieces) {
+  for (const VamItems piece : pieces) {
     node.children.push_back(BuildSubtree(points, piece, height - 1, pool));
   }
   pool.push_back(std::move(node));
@@ -423,9 +369,7 @@ Status StaticSRTree::BulkLoad(const std::vector<Point>& points,
   }
   if (points.empty()) return Status::OK();
 
-  int height = 0;
-  while (SubtreeCapacity(height) < points.size()) ++height;
-
+  const int height = VamHeight(leaf_cap_, node_cap_, points.size());
   std::vector<uint32_t> items(points.size());
   std::iota(items.begin(), items.end(), 0);
 

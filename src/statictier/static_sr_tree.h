@@ -205,12 +205,6 @@ class StaticSRTree : public PagedIndex {
 
   struct BuildNode;  // in-memory node, BFS-numbered before serialization
 
-  uint64_t SubtreeCapacity(int height) const;
-  int MaxVarianceDim(const std::vector<Point>& points,
-                     std::span<uint32_t> items) const;
-  void SplitIntoPieces(const std::vector<Point>& points,
-                       std::span<uint32_t> items, uint64_t piece_cap,
-                       std::vector<std::span<uint32_t>>& pieces) const;
   size_t BuildSubtree(const std::vector<Point>& points,
                       std::span<uint32_t> items, int height,
                       std::vector<BuildNode>& pool) const;

@@ -52,6 +52,17 @@ inline size_t IndexImagePageFileStart(const std::string& image) {
   return 24 + static_cast<size_t>(LoadLe(image, 16, 4));
 }
 
+// Replaces the header record of an index image with `header`, rewriting
+// its size and CRC words: an image as a type that kept a different header
+// record would have saved it.
+inline void ReplaceIndexImageHeader(std::string& image,
+                                    const std::string& header) {
+  const size_t old_size = static_cast<size_t>(LoadLe(image, 16, 4));
+  image.replace(24, old_size, header);
+  StoreLe(image, 16, 4, header.size());
+  StoreLe(image, 20, 4, Crc32c(header.data(), header.size()));
+}
+
 struct PageRecord {
   size_t id = 0;
   bool live = false;

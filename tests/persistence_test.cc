@@ -10,11 +10,13 @@
 #include "src/core/sr_tree.h"
 #include "src/debug/fault_injection.h"
 #include "src/index/index_factory.h"
+#include "src/rstar/rstar_tree.h"
 #include "src/storage/crc32c.h"
 #include "src/storage/image_io.h"
 #include "src/storage/page_file.h"
 #include "src/workload/queries.h"
 #include "src/workload/uniform.h"
+#include "tests/page_image_test_util.h"
 
 namespace srtree {
 namespace {
@@ -420,6 +422,111 @@ TEST(OpenIndexTest, LegacySrTreeV1ImageIsRecognizedButRejected) {
   ASSERT_FALSE(direct.ok());
   EXPECT_TRUE(direct.status().IsInvalidArgument())
       << direct.status().ToString();
+}
+
+// ---------------------------------------------------------------------------
+// The VAMSplit R-tree saves R*'s header record under its own tag. Before it
+// shared R*'s code it saved a 40-byte record over the same pages; such an
+// image still opens.
+
+std::unique_ptr<VamSplitRTree> BuildVamSplit(const Dataset& data) {
+  VamSplitRTree::Options options;
+  options.dim = 4;
+  options.page_size = 1024;
+  options.leaf_data_size = 0;
+  auto tree = std::make_unique<VamSplitRTree>(options);
+  EXPECT_TRUE(tree->BulkLoad(data.ToPoints(), data.SequentialOids()).ok());
+  return tree;
+}
+
+// The 40-byte header record of the retired format, from the fields of the
+// R*-format record `rstar` (dim, active_dims, page_size, leaf_data_size,
+// min_utilization, reinsert_fraction, root_id, root_level, size).
+std::string LegacyVamHeader(const std::string& rstar) {
+  EXPECT_EQ(rstar.size(), 56u);
+  return rstar.substr(0, 4) + std::string(4, '\0') + rstar.substr(8, 16) +
+         rstar.substr(40, 16);
+}
+
+void ExpectSameAnswers(const PointIndex& actual, const PointIndex& expected,
+                       const Dataset& data) {
+  for (const Point& q : SampleQueriesFromDataset(data, 8, /*seed=*/37)) {
+    for (const QuerySpec& spec : {QuerySpec::Knn(6), QuerySpec::KnnBestFirst(6),
+                                  QuerySpec::Range(0.2)}) {
+      const QueryResult want = expected.Search(q, spec);
+      const QueryResult got = actual.Search(q, spec);
+      ASSERT_TRUE(got.status.ok()) << got.status.ToString();
+      ASSERT_EQ(got.neighbors.size(), want.neighbors.size());
+      for (size_t i = 0; i < got.neighbors.size(); ++i) {
+        EXPECT_EQ(got.neighbors[i].oid, want.neighbors[i].oid);
+        EXPECT_EQ(got.neighbors[i].distance, want.neighbors[i].distance);
+      }
+      EXPECT_EQ(got.io.reads, want.io.reads);
+    }
+  }
+}
+
+TEST(OpenIndexTest, LegacyVamSplitHeaderOpensAndAnswersAlike) {
+  const Dataset data = MakeUniformDataset(1500, 4, /*seed=*/41);
+  const std::unique_ptr<VamSplitRTree> tree = BuildVamSplit(data);
+  const std::string path = TempPath("legacy_vamsplit.idx");
+  ASSERT_TRUE(tree->Save(path).ok());
+  const std::string saved = ReadAll(path);
+  std::string image = saved;
+  const size_t header_size =
+      static_cast<size_t>(testing_image::LoadLe(image, 16, 4));
+  ASSERT_EQ(header_size, 56u);  // R*'s record
+  testing_image::ReplaceIndexImageHeader(
+      image, LegacyVamHeader(image.substr(24, header_size)));
+  ASSERT_TRUE(WriteStringToFileForTest(image, path).ok());
+
+  auto reopened = OpenIndex(path);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->name(), "VAMSplit R-tree");
+  EXPECT_EQ((*reopened)->size(), tree->size());
+  EXPECT_TRUE((*reopened)->CheckInvariants().ok());
+  EXPECT_EQ((*reopened)->leaf_capacity(), tree->leaf_capacity());
+  EXPECT_EQ((*reopened)->node_capacity(), tree->node_capacity());
+  ExpectSameAnswers(**reopened, *tree, data);
+
+  // A re-save writes R*'s record under the vamsplit tag: the very image the
+  // tree itself saved.
+  const std::string resaved = TempPath("legacy_vamsplit_resaved.idx");
+  ASSERT_TRUE((*reopened)->Save(resaved).ok());
+  EXPECT_EQ(ReadAll(resaved), saved);
+}
+
+TEST(OpenIndexTest, VamSplitAndRStarImagesKeepTheirTags) {
+  const Dataset data = MakeUniformDataset(600, 4, /*seed=*/43);
+  const std::string vam_path = TempPath("tag_vamsplit.idx");
+  ASSERT_TRUE(BuildVamSplit(data)->Save(vam_path).ok());
+
+  RStarTree::Options options;
+  options.dim = 4;
+  options.page_size = 1024;
+  options.leaf_data_size = 0;
+  RStarTree rstar(options);
+  ASSERT_TRUE(rstar.BulkLoad(data.ToPoints(), data.SequentialOids()).ok());
+  const std::string rstar_path = TempPath("tag_rstar.idx");
+  ASSERT_TRUE(rstar.Save(rstar_path).ok());
+
+  const auto as_vam = VamSplitRTree::Open(rstar_path);
+  EXPECT_TRUE(as_vam.status().IsCorruption()) << as_vam.status().ToString();
+  const auto as_rstar = RStarTree::Open(vam_path);
+  EXPECT_TRUE(as_rstar.status().IsCorruption())
+      << as_rstar.status().ToString();
+  const auto as_tv = TvRTree::Open(vam_path);
+  EXPECT_TRUE(as_tv.status().IsCorruption()) << as_tv.status().ToString();
+
+  // The retired 40-byte record is a VAMSplit format only.
+  std::string image = ReadAll(vam_path);
+  testing_image::ReplaceIndexImageHeader(
+      image, LegacyVamHeader(image.substr(24, 56)));
+  ASSERT_TRUE(WriteStringToFileForTest(image, vam_path).ok());
+  EXPECT_TRUE(VamSplitRTree::Open(vam_path).ok());
+  const auto legacy_as_rstar = RStarTree::Open(vam_path);
+  EXPECT_TRUE(legacy_as_rstar.status().IsCorruption())
+      << legacy_as_rstar.status().ToString();
 }
 
 }  // namespace

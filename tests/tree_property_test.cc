@@ -2,6 +2,7 @@
 // data distribution: results must match brute force exactly, and the
 // structural invariants must hold through arbitrary insert/delete traffic.
 
+#include <cmath>
 #include <memory>
 #include <vector>
 
@@ -197,6 +198,18 @@ TEST_P(TreePropertyTest, EmptyAndSingleton) {
   ASSERT_EQ(result.size(), 1u);
   EXPECT_EQ(result[0].oid, 42u);
   EXPECT_TRUE(index->CheckInvariants().ok());
+}
+
+// An empty tree reports no leaf regions: its empty root leaf bounds
+// nothing, and counting its empty rect would make the averages inf.
+TEST_P(TreePropertyTest, EmptyTreeRegionSummaryHasNoLeaves) {
+  auto index = MakeSmallPageIndex(GetParam().type, GetParam().dim);
+  const RegionSummary summary = index->LeafRegionSummary();
+  EXPECT_EQ(summary.leaf_count, 0u);
+  EXPECT_TRUE(std::isfinite(summary.avg_rect_volume));
+  EXPECT_TRUE(std::isfinite(summary.avg_rect_diagonal));
+  EXPECT_TRUE(std::isfinite(summary.avg_sphere_volume));
+  EXPECT_TRUE(std::isfinite(summary.avg_sphere_diameter));
 }
 
 TEST_P(TreePropertyTest, InsertDeleteTrafficKeepsInvariants) {

@@ -1,4 +1,4 @@
-#include "src/vamsplit/vam_split_r_tree.h"
+#include "src/rstar/rstar_tree.h"
 
 #include <memory>
 

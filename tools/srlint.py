@@ -212,7 +212,6 @@ R3_TREE_DIRS = (
     "src/core/",
     "src/kdb/",
     "src/rstar/",
-    "src/vamsplit/",
     "src/xtree/",
 )
 R3_INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"')
