@@ -860,6 +860,12 @@ std::vector<Neighbor> SRTree::SearchSnapshot(const PageFile::Snapshot& snap,
   return Traverse(SearchBound{*this, snap}, query, spec, io);
 }
 
+void SRTree::KnnSnapshotInto(const PageFile::Snapshot& snap, PointView query,
+                             QueryKind kind, KnnCandidates& candidates,
+                             IoStatsDelta* io) const {
+  TraverseKnn(SearchBound{*this, snap}, query, kind, candidates, io);
+}
+
 // --------------------------------------------------------------------------
 // Stats & validation
 // --------------------------------------------------------------------------

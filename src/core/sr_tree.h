@@ -154,6 +154,12 @@ class SRTree : public PagedIndex {
   std::vector<Neighbor> SearchSnapshot(const PageFile::Snapshot& snap,
                                        PointView query, const QuerySpec& spec,
                                        IoStatsDelta* io) const override;
+  // SearchSnapshot's k-NN kinds (`kind` is kKnn or kKnnBestFirst), offering
+  // into the caller's `candidates`, which may already hold another tree's:
+  // the TieredIndex searches its delta after the static tier into one set.
+  void KnnSnapshotInto(const PageFile::Snapshot& snap, PointView query,
+                       QueryKind kind, KnnCandidates& candidates,
+                       IoStatsDelta* io) const;
 
  protected:
   Status InsertLocked(PointView point, uint32_t oid) override

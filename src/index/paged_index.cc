@@ -13,26 +13,25 @@ namespace {
 class PinnedSnapshot final : public IndexSnapshot, public SearchDispatch {
  public:
   explicit PinnedSnapshot(const PagedIndex* index)
-      : index_(index),
-        guard_(index->epochs()),
-        snap_(index->AcquirePageSnapshot(guard_)) {}
+      : index_(index), pages_(*index) {}
 
   [[nodiscard]] QueryResult Search(PointView query,
                                    const QuerySpec& spec) const override {
     return RunValidatedSearch(*this, index_->dim(), query, spec);
   }
-  uint64_t version() const override { return snap_.version(); }
-  size_t size() const override { return static_cast<size_t>(snap_.meta(2)); }
+  uint64_t version() const override { return pages_.snap.version(); }
+  size_t size() const override {
+    return static_cast<size_t>(pages_.snap.meta(2));
+  }
 
   std::vector<Neighbor> SearchImpl(PointView query, const QuerySpec& spec,
                                    IoStatsDelta* io) const override {
-    return index_->SearchSnapshot(snap_, query, spec, io);
+    return index_->SearchSnapshot(pages_.snap, query, spec, io);
   }
 
  private:
   const PagedIndex* index_;
-  EpochGuard guard_;  // declared before snap_: the announce precedes the pin
-  PageFile::Snapshot snap_;
+  PagedIndex::PinnedPages pages_;
 };
 
 }  // namespace

@@ -79,6 +79,18 @@ class PagedIndex : public PointIndex {
   PageFile::Snapshot AcquirePageSnapshot(const EpochGuard& guard) const {
     return file_.AcquireSnapshot(guard);
   }
+  // The number of the most recently committed version, without pinning it.
+  uint64_t committed_version() const { return file_.committed_version(); }
+
+  // The current committed version of `tree`'s pages, pinned for as long as
+  // this lives. The guard is declared before the snapshot: the announce
+  // precedes the pin.
+  struct PinnedPages {
+    explicit PinnedPages(const PagedIndex& tree)
+        : guard(tree.epochs()), snap(tree.AcquirePageSnapshot(guard)) {}
+    EpochGuard guard;
+    PageFile::Snapshot snap;
+  };
 
   // The tree's search: runs one validated query (see RunValidatedSearch)
   // against `snap`, a version of this index's page file pinned by the

@@ -166,31 +166,30 @@ void RangeVisit(const Policy& policy, PageId id, int level, PointView query,
 
 }  // namespace traversal_internal
 
-// Depth-first branch-and-bound k-NN: the paper's algorithm.
+// Depth-first branch-and-bound k-NN, the paper's algorithm, offering into
+// `candidates`. The set may already hold another tree's candidates for the
+// same query (a TieredIndex runs its static tier first): their k-th
+// distance then prunes from this tree's first page.
 template <typename Policy>
-std::vector<Neighbor> TraverseKnnDfs(const Policy& policy, PointView query,
-                                     int k, IoStatsDelta* io) {
-  KnnCandidates candidates(k);
+void TraverseKnnDfs(const Policy& policy, PointView query,
+                    KnnCandidates& candidates, IoStatsDelta* io) {
   const TraversalRoot root = policy.root();
-  if (!root.empty()) {
-    std::vector<traversal_internal::Ordered> order;
-    KernelScratch scratch;
-    traversal_internal::KnnDfsVisit(policy, root.id, root.level, query,
-                                    candidates, order, scratch, io);
-  }
-  return candidates.TakeSorted();
+  if (root.empty()) return;
+  std::vector<traversal_internal::Ordered> order;
+  KernelScratch scratch;
+  traversal_internal::KnnDfsVisit(policy, root.id, root.level, query,
+                                  candidates, order, scratch, io);
 }
 
-// Best-first k-NN: always expands the pending subtree with the smallest
-// bound and stops once that bound exceeds the k-th candidate, so it reads
-// no more pages than any traversal using the same bound.
+// Best-first k-NN into `candidates` (seeded as for TraverseKnnDfs): always
+// expands the pending subtree with the smallest bound and stops once that
+// bound exceeds the k-th candidate, so it reads no more pages than any
+// traversal using the same bound.
 template <typename Policy>
-std::vector<Neighbor> TraverseKnnBestFirst(const Policy& policy,
-                                           PointView query, int k,
-                                           IoStatsDelta* io) {
-  KnnCandidates candidates(k);
+void TraverseKnnBestFirst(const Policy& policy, PointView query,
+                          KnnCandidates& candidates, IoStatsDelta* io) {
   const TraversalRoot root = policy.root();
-  if (root.empty()) return candidates.TakeSorted();
+  if (root.empty()) return;
 
   struct Pending {
     double bound;
@@ -220,7 +219,18 @@ std::vector<Neighbor> TraverseKnnBestFirst(const Policy& policy,
           }
         });
   }
-  return candidates.TakeSorted();
+}
+
+// The k-NN traversal `kind` (kKnn or kKnnBestFirst) names, into
+// `candidates`.
+template <typename Policy>
+void TraverseKnn(const Policy& policy, PointView query, QueryKind kind,
+                 KnnCandidates& candidates, IoStatsDelta* io) {
+  if (kind == QueryKind::kKnnBestFirst) {
+    TraverseKnnBestFirst(policy, query, candidates, io);
+  } else {
+    TraverseKnnDfs(policy, query, candidates, io);
+  }
 }
 
 // Every point within `radius` of `query` (closed ball), in the canonical
@@ -243,15 +253,12 @@ std::vector<Neighbor> TraverseRange(const Policy& policy, PointView query,
 template <typename Policy>
 std::vector<Neighbor> Traverse(const Policy& policy, PointView query,
                                const QuerySpec& spec, IoStatsDelta* io) {
-  switch (spec.kind) {
-    case QueryKind::kKnn:
-      return TraverseKnnDfs(policy, query, spec.k, io);
-    case QueryKind::kKnnBestFirst:
-      return TraverseKnnBestFirst(policy, query, spec.k, io);
-    case QueryKind::kRange:
-      break;
+  if (spec.kind == QueryKind::kRange) {
+    return TraverseRange(policy, query, spec.radius, io);
   }
-  return TraverseRange(policy, query, spec.radius, io);
+  KnnCandidates candidates(spec.k);
+  TraverseKnn(policy, query, spec.kind, candidates, io);
+  return candidates.TakeSorted();
 }
 
 }  // namespace srtree

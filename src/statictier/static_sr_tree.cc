@@ -509,6 +509,14 @@ std::vector<Neighbor> StaticSRTree::SearchSnapshot(
   return Traverse(SearchBound{*this, snap, dead}, query, spec, io);
 }
 
+void StaticSRTree::KnnSnapshotInto(const PageFile::Snapshot& snap,
+                                   PointView query, QueryKind kind,
+                                   KnnCandidates& candidates, IoStatsDelta* io,
+                                   const TombstoneBitmap* dead) const {
+  if (dead != nullptr && dead->empty()) dead = nullptr;
+  TraverseKnn(SearchBound{*this, snap, dead}, query, kind, candidates, io);
+}
+
 // --------------------------------------------------------------------------
 // Stats & validation
 // --------------------------------------------------------------------------

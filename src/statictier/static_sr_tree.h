@@ -172,9 +172,9 @@ class StaticSRTree : public PagedIndex {
   int root_level() const { return root_level_; }
 
   // The search over a pinned version (the TieredIndex pins the static
-  // tier's through epochs()/AcquirePageSnapshot and merges). The tree is
-  // immutable once built, but routing reads through a committed version
-  // lets a TieredIndex swap a compacted tree in under its readers.
+  // tier's with PagedIndex::PinnedPages). The tree is immutable once built,
+  // but routing reads through a committed version lets a TieredIndex swap
+  // a compacted tree in under its readers.
   // The leaf scans skip the slots `dead` marks (null: none).
   std::vector<Neighbor> SearchSnapshot(const PageFile::Snapshot& snap,
                                        PointView query, const QuerySpec& spec,
@@ -185,6 +185,12 @@ class StaticSRTree : public PagedIndex {
                                        IoStatsDelta* io) const override {
     return SearchSnapshot(snap, query, spec, io, /*dead=*/nullptr);
   }
+  // SearchSnapshot's k-NN kinds (`kind` is kKnn or kKnnBestFirst), offering
+  // into the caller's `candidates`: the TieredIndex runs the static tier
+  // first and its delta after it into the same set.
+  void KnnSnapshotInto(const PageFile::Snapshot& snap, PointView query,
+                       QueryKind kind, KnnCandidates& candidates,
+                       IoStatsDelta* io, const TombstoneBitmap* dead) const;
 
  protected:
   Status InsertLocked(PointView point, uint32_t oid) override

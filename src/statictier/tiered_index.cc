@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "src/common/check.h"
-#include "src/index/index_factory.h"
 #include "src/storage/image_io.h"
 
 namespace srtree {
@@ -56,20 +55,20 @@ TieredIndex::TieredIndex(const Options& options) : options_(options) {
   initial.static_tier = std::make_shared<StaticSRTree>(static_options);
   initial.delta = MakeDelta();
   initial.tombstones = std::make_shared<const TombstoneBitmap>();
-  initial.delta_version = initial.delta->AcquireSnapshot()->version();
+  initial.delta_version = initial.delta->committed_version();
   PublishState(std::move(initial));
 }
 
 TieredIndex::~TieredIndex() = default;
 
-std::shared_ptr<PointIndex> TieredIndex::MakeDelta() const {
-  IndexConfig config;
-  config.dim = options_.dim;
-  config.page_size = options_.page_size;
-  config.leaf_data_size = options_.leaf_data_size;
-  config.min_utilization = options_.min_utilization;
-  config.reinsert_fraction = options_.reinsert_fraction;
-  return std::shared_ptr<PointIndex>(MakeIndex(IndexType::kSRTree, config));
+std::shared_ptr<SRTree> TieredIndex::MakeDelta() const {
+  SRTree::Options delta_options;
+  delta_options.dim = options_.dim;
+  delta_options.page_size = options_.page_size;
+  delta_options.leaf_data_size = options_.leaf_data_size;
+  delta_options.min_utilization = options_.min_utilization;
+  delta_options.reinsert_fraction = options_.reinsert_fraction;
+  return std::make_shared<SRTree>(delta_options);
 }
 
 size_t TieredIndex::size() const { return LoadState()->size; }
@@ -86,7 +85,7 @@ Status TieredIndex::Insert(PointView point, uint32_t oid) {
   // static copy until the next compaction drops both.
   RETURN_IF_ERROR(cur->delta->Insert(point, oid));
   TierState next = *cur;
-  next.delta_version = next.delta->AcquireSnapshot()->version();
+  next.delta_version = next.delta->committed_version();
   ++next.version;
   ++next.size;
   PublishState(std::move(next));
@@ -99,7 +98,7 @@ Status TieredIndex::Delete(PointView point, uint32_t oid) {
   Status delta_status = cur->delta->Delete(point, oid);
   if (delta_status.ok()) {
     TierState next = *cur;
-    next.delta_version = next.delta->AcquireSnapshot()->version();
+    next.delta_version = next.delta->committed_version();
     ++next.version;
     --next.size;
     PublishState(std::move(next));
@@ -185,7 +184,7 @@ Status TieredIndex::Compact() {
   next.tombstones = std::make_shared<const TombstoneBitmap>();
   next.version = cur->version;
   next.size = cur->size;
-  next.delta_version = next.delta->AcquireSnapshot()->version();
+  next.delta_version = next.delta->committed_version();
   PublishState(std::move(next));
   return Status::OK();
 }
@@ -251,88 +250,78 @@ StatusOr<std::unique_ptr<TieredIndex>> TieredIndex::Open(
 // Snapshots & search
 // --------------------------------------------------------------------------
 
-TieredIndex::CapturedView TieredIndex::CaptureState() const {
-  // Lock-free snapshot acquisition: load the published state, pin a delta
-  // snapshot, and retry when a mutation committed in between — the delta
-  // snapshot's version then differs from the one the state was published
-  // with. Mutators store state_ strictly AFTER the delta mutation it
-  // describes, so version equality proves (state, delta_snap) describe the
-  // same commit. Reading through writer_mu_ instead would nest that lock
-  // under every storage lock held by callers of size()/AcquireSnapshot().
-  for (;;) {
-    std::shared_ptr<const TierState> state = LoadState();
-    std::unique_ptr<IndexSnapshot> delta_snap =
-        state->delta->AcquireSnapshot();
-    if (delta_snap->version() == state->delta_version) {
-      return CapturedView{std::move(state), std::move(delta_snap)};
-    }
-  }
-}
-
-// A pinned two-tier read view. Member order is destruction-critical: the
-// epoch guard, page snapshot (static tier) and delta snapshot must die
-// before the TierState whose shared_ptrs keep their owners alive.
+// A pinned two-tier read view: the published state and a pinned version of
+// each tier's pages, the delta's at exactly state->delta_version. Member
+// order is destruction-critical: the pins must die before the TierState
+// whose shared_ptrs keep their trees (and epoch managers) alive.
 class TieredSnapshot : public IndexSnapshot, public SearchDispatch {
  public:
-  TieredSnapshot(const TieredIndex* index, TieredIndex::CapturedView view)
-      : dim_(index->dim()),
-        state_(std::move(view.state)),
-        static_tree_(state_->static_tier),
-        version_(state_->version),
-        size_(state_->size),
-        guard_(static_tree_->epochs()),
-        snap_(static_tree_->AcquirePageSnapshot(guard_)),
-        delta_snap_(std::move(view.delta_snap)) {}
+  // Lock-free acquisition: load the published state, pin the delta's pages,
+  // and retry when a mutation committed in between — the delta's pinned
+  // version then differs from the one the state was published with (the
+  // static tier's pages are pinned once the pair matches). Mutators store
+  // state_ strictly AFTER the delta mutation it describes, so version
+  // equality proves (state, delta pin) describe the same commit. Reading
+  // through writer_mu_ instead would nest that lock under every storage
+  // lock held by callers of size()/AcquireSnapshot().
+  explicit TieredSnapshot(const TieredIndex& index) : dim_(index.dim()) {
+    for (;;) {
+      delta_.reset();  // before the state that keeps its tree alive
+      state_ = index.LoadState();
+      delta_.emplace(*state_->delta);
+      if (delta_->snap.version() == state_->delta_version) break;
+    }
+    static_tier_.emplace(*state_->static_tier);
+  }
 
   [[nodiscard]] QueryResult Search(PointView query,
                                    const QuerySpec& spec) const override {
     return RunValidatedSearch(*this, dim_, query, spec);
   }
 
-  uint64_t version() const override { return version_; }
-  size_t size() const override { return size_; }
+  uint64_t version() const override { return state_->version; }
+  size_t size() const override { return state_->size; }
 
-  // Runs `spec` on both tiers and merges. For k-NN, the true top-k of the
-  // union is a subset of the union of per-tier top-k lists, so the
-  // canonical merge-then-truncate is exact; a range merges everything.
+  // A k-NN fills one candidate set: the static tier, which holds nearly
+  // every point, first, then the delta, so the delta starts pruning from an
+  // almost final k-th distance. A range concatenates both tiers' hits.
   std::vector<Neighbor> SearchImpl(PointView query, const QuerySpec& spec,
                                    IoStatsDelta* io) const override {
-    const std::vector<Neighbor> from_static = static_tree_->SearchSnapshot(
-        snap_, query, spec, io, state_->tombstones.get());
-    QueryResult delta_result = delta_snap_->Search(query, spec);
-    io->MergeFrom(delta_result.io);
-    std::vector<Neighbor> merged;
-    merged.reserve(from_static.size() + delta_result.neighbors.size());
-    std::merge(from_static.begin(), from_static.end(),
-               delta_result.neighbors.begin(), delta_result.neighbors.end(),
-               std::back_inserter(merged));
-    if (spec.kind != QueryKind::kRange &&
-        merged.size() > static_cast<size_t>(spec.k)) {
-      merged.resize(static_cast<size_t>(spec.k));
+    const StaticSRTree& static_tier = *state_->static_tier;
+    const SRTree& delta = *state_->delta;
+    const TombstoneBitmap* dead = state_->tombstones.get();
+    if (spec.kind == QueryKind::kRange) {
+      std::vector<Neighbor> hits = static_tier.SearchSnapshot(
+          static_tier_->snap, query, spec, io, dead);
+      const std::vector<Neighbor> delta_hits =
+          delta.SearchSnapshot(delta_->snap, query, spec, io);
+      const auto mid = hits.insert(hits.end(), delta_hits.begin(),
+                                   delta_hits.end());
+      std::inplace_merge(hits.begin(), mid, hits.end());
+      return hits;
     }
-    return merged;
+    KnnCandidates candidates(spec.k);
+    static_tier.KnnSnapshotInto(static_tier_->snap, query, spec.kind,
+                                candidates, io, dead);
+    delta.KnnSnapshotInto(delta_->snap, query, spec.kind, candidates, io);
+    return candidates.TakeSorted();
   }
 
  private:
-
   int dim_;
   std::shared_ptr<const TieredIndex::TierState> state_;
-  std::shared_ptr<const StaticSRTree> static_tree_;
-  uint64_t version_;
-  size_t size_;
-  EpochGuard guard_;
-  PageFile::Snapshot snap_;
-  std::unique_ptr<IndexSnapshot> delta_snap_;
+  std::optional<PagedIndex::PinnedPages> static_tier_;
+  std::optional<PagedIndex::PinnedPages> delta_;
 };
 
 std::unique_ptr<IndexSnapshot> TieredIndex::AcquireSnapshot() const {
-  return std::make_unique<TieredSnapshot>(this, CaptureState());
+  return std::make_unique<TieredSnapshot>(*this);
 }
 
 std::vector<Neighbor> TieredIndex::SearchImpl(PointView query,
                                               const QuerySpec& spec,
                                               IoStatsDelta* io) const {
-  return TieredSnapshot(this, CaptureState()).SearchImpl(query, spec, io);
+  return TieredSnapshot(*this).SearchImpl(query, spec, io);
 }
 
 // --------------------------------------------------------------------------

@@ -13,9 +13,12 @@
 //     tombstones. The static leaf scans bit-test each candidate's slot, so
 //     a masked entry can never appear in (or displace a live point from) a
 //     query result;
-//   * queries run against both tiers and merge in the canonical Neighbor
-//     (distance, oid) order, making results byte-identical to a single-tier
-//     index over the same logical contents;
+//   * a k-NN query fills one candidate set: the static tier's traversal
+//     runs first, and the delta's runs after it into the same set, so the
+//     delta prunes from the static tier's k-th distance rather than from
+//     infinity. The result is the top k under (squared distance, oid),
+//     byte-identical to a single-tier index over the same logical contents.
+//     A range query concatenates both tiers' hits in canonical order;
 //   * Compact() bulk-rebuilds the static tier from static-minus-tombstones
 //     plus delta via the VAMSplit build and swaps it in. Snapshots hold
 //     shared ownership of the tiers they were acquired against, so
@@ -27,7 +30,7 @@
 // (enforced by writer_mu_). Readers never take that lock: mutators publish
 // an immutable TierState wholesale through an atomic shared_ptr, and
 // Search() / AcquireSnapshot() capture it lock-free (RCU-style), pairing it
-// with a delta snapshot via a version-checked retry.
+// with a pinned version of the delta's pages via a version-checked retry.
 
 #ifndef SRTREE_STATICTIER_TIERED_INDEX_H_
 #define SRTREE_STATICTIER_TIERED_INDEX_H_
@@ -40,6 +43,7 @@
 #include <vector>
 
 #include "src/base/mutex.h"
+#include "src/core/sr_tree.h"
 #include "src/index/point_index.h"
 #include "src/statictier/static_sr_tree.h"
 
@@ -128,7 +132,7 @@ class TieredIndex : public PointIndex {
   // atomic load observes a fully consistent tier arrangement.
   struct TierState {
     std::shared_ptr<StaticSRTree> static_tier;
-    std::shared_ptr<PointIndex> delta;
+    std::shared_ptr<SRTree> delta;
     // Dead slots of static_tier. A Delete publishes a copy that shares
     // all chunks but one with this one; Compact() starts a fresh one.
     std::shared_ptr<const TombstoneBitmap> tombstones;
@@ -136,19 +140,11 @@ class TieredIndex : public PointIndex {
     uint64_t version = 1;
     size_t size = 0;
     // The delta tree's own committed version when this state was
-    // published; CaptureState() uses it to pair the state with a delta
-    // snapshot without taking writer_mu_.
+    // published; a TieredSnapshot uses it to pair the state with a pinned
+    // delta version without taking writer_mu_.
     uint64_t delta_version = 0;
   };
 
-  // A pinned read view: the published state plus a delta snapshot at
-  // exactly state->delta_version.
-  struct CapturedView {
-    std::shared_ptr<const TierState> state;
-    std::unique_ptr<IndexSnapshot> delta_snap;
-  };
-
-  CapturedView CaptureState() const;
   // state_ is accessed exclusively through these two helpers. The free
   // functions are used instead of std::atomic<shared_ptr> because
   // libstdc++'s _Sp_atomic lock-bit protocol is invisible to TSan (gcc
@@ -162,7 +158,7 @@ class TieredIndex : public PointIndex {
         &state_, std::make_shared<const TierState>(std::move(next)),
         std::memory_order_release);
   }
-  std::shared_ptr<PointIndex> MakeDelta() const;
+  std::shared_ptr<SRTree> MakeDelta() const;
   // Publishes the current state with static slot `slot` dead and size()
   // one lower.
   void PublishDeadSlot(uint64_t slot) REQUIRES(writer_mu_);
@@ -181,7 +177,7 @@ class TieredIndex : public PointIndex {
   mutable Mutex writer_mu_;
   // The published state. Accessed via LoadState() by readers and replaced
   // wholesale by mutators via PublishState() (store strictly after the
-  // delta mutation it describes, so CaptureState()'s version check is
+  // delta mutation it describes, so TieredSnapshot's version check is
   // sound).
   std::shared_ptr<const TierState> state_ UNGUARDED_OK(
       "touched only through std::atomic_load/atomic_store in "

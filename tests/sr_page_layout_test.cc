@@ -37,8 +37,12 @@ namespace {
 
 using Access = SRTreeTestAccess;
 
+// Every field is 8 bytes wide, so the struct has no padding. gtest prints a
+// parameter without a PrintTo as its raw bytes, and that text is part of
+// each case's ctest name; uninitialized padding made the names differ from
+// one build (and one run of test discovery) to the next.
 struct LayoutCase {
-  int dim;
+  size_t dim;
   size_t page_size;
   size_t leaf_data_size;
 };
@@ -52,14 +56,14 @@ class SrPageLayoutTest : public ::testing::TestWithParam<LayoutCase> {
  protected:
   SRTree::Options MakeOptions() const {
     SRTree::Options options;
-    options.dim = GetParam().dim;
+    options.dim = static_cast<int>(GetParam().dim);
     options.page_size = GetParam().page_size;
     options.leaf_data_size = GetParam().leaf_data_size;
     return options;
   }
 
   Point RandomPoint() {
-    Point p(static_cast<size_t>(GetParam().dim));
+    Point p(GetParam().dim);
     for (double& x : p) x = rng_.NextDouble() * 2.0 - 0.5;
     return p;
   }
@@ -154,7 +158,7 @@ TEST_P(SrPageLayoutTest, LeafPageIsDimensionMajor) {
   const size_t count = tree.leaf_capacity();
   const Access::Node node = MakeLeaf(count);
   const std::vector<char> page = Access::Serialize(tree, node);
-  const size_t dim = static_cast<size_t>(GetParam().dim);
+  const size_t dim = GetParam().dim;
   for (size_t i = 0; i < count; ++i) {
     for (size_t d = 0; d < dim; ++d) {
       double x = 0;
@@ -180,7 +184,7 @@ TEST_P(SrPageLayoutTest, InnerPageIsDimensionMajor) {
   const size_t count = tree.node_capacity();
   const Access::Node node = MakeInner(count, /*level=*/1);
   const std::vector<char> page = Access::Serialize(tree, node);
-  const size_t dim = static_cast<size_t>(GetParam().dim);
+  const size_t dim = GetParam().dim;
   const auto load_double = [&](size_t offset) {
     double x = 0;
     std::memcpy(&x, page.data() + offset, sizeof(x));
@@ -218,7 +222,7 @@ TEST_P(SrPageLayoutTest, InnerPageIsDimensionMajor) {
 // fanouts (Table 1) are unchanged by the layout.
 TEST_P(SrPageLayoutTest, FanoutsMatchRowMajorEntrySizes) {
   const SRTree tree(MakeOptions());
-  const size_t dim = static_cast<size_t>(GetParam().dim);
+  const size_t dim = GetParam().dim;
   const size_t usable = GetParam().page_size - 8;
   EXPECT_EQ(tree.leaf_capacity(),
             usable / (dim * 8 + 4 + GetParam().leaf_data_size));

@@ -4,8 +4,10 @@
 // tombstones drained, snapshot readers undisturbed), the Save/Open round
 // trip through the factory, slot tombstones (one delete masks one stored
 // copy, dead bits must name entries, a delete copies one bitmap chunk and
-// pinned snapshots keep the old one), and full mutation fuzz with a
-// compaction schedule folded in.
+// pinned snapshots keep the old one), the one k-NN candidate set across
+// both tiers (the delta prunes from the static tier's k-th distance; ties,
+// a short or empty static tier and k above the size match the scan), and
+// full mutation fuzz with a compaction schedule folded in.
 
 #include <algorithm>
 #include <memory>
@@ -427,6 +429,186 @@ TEST(TieredIndexTest, SnapshotPinnedBeforeDeleteKeepsThePair) {
     const auto got = snap->Search(points[i], QuerySpec::Knn(1)).neighbors;
     ASSERT_EQ(got.size(), 1u);
     EXPECT_EQ(got[0].oid, static_cast<uint32_t>(i));
+  }
+}
+
+// k-NN and best-first answers of `index` for `query` must equal the scan's
+// neighbor for neighbor (oid and distance), and every read must be a leaf
+// or an inner one.
+void ExpectKnnMatchesScan(const PointIndex& index,
+                          const BruteForceIndex& oracle, PointView query,
+                          int k) {
+  for (const QuerySpec& spec : {QuerySpec::Knn(k), QuerySpec::KnnBestFirst(k)}) {
+    const QueryResult got = index.Search(query, spec);
+    ASSERT_TRUE(got.status.ok()) << got.status.ToString();
+    const std::vector<Neighbor> want = oracle.Search(query, spec).neighbors;
+    ASSERT_EQ(got.neighbors.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got.neighbors[i].oid, want[i].oid) << "rank " << i;
+      EXPECT_EQ(got.neighbors[i].distance, want[i].distance) << "rank " << i;
+    }
+    EXPECT_EQ(got.io.reads, got.io.leaf_reads + got.io.nonleaf_reads);
+  }
+}
+
+// Inserts `n` uniform points into the delta of `index` and into `oracle`,
+// with oids from `first_oid`.
+void InsertBoth(TieredIndex& index, BruteForceIndex& oracle, size_t n,
+                int dim, uint64_t seed, uint32_t first_oid) {
+  const Dataset data = MakeUniformDataset(n, dim, seed);
+  for (size_t i = 0; i < data.size(); ++i) {
+    const uint32_t oid = first_oid + static_cast<uint32_t>(i);
+    ASSERT_TRUE(index.Insert(data.point(i), oid).ok());
+    ASSERT_TRUE(oracle.Insert(data.point(i), oid).ok());
+  }
+}
+
+// The delta's k-NN starts from the static tier's candidates: with the
+// query's neighborhood in the static tier and the delta a far cluster, the
+// delta reads only its root, whose children all lie beyond the static
+// tier's k-th distance. Searching the delta from an empty candidate set
+// would descend to at least one of its leaves.
+TEST(TieredIndexTest, DeltaSearchStartsFromStaticCandidates) {
+  constexpr int kDim = 4;
+  constexpr size_t kStatic = 1000;
+  constexpr int kK = 21;
+  TieredIndex index(SmallOptions(kDim));
+  BruteForceIndex::Options bf;
+  bf.dim = kDim;
+  BruteForceIndex oracle(bf);
+  const std::vector<Point> points = LoadBoth(index, oracle, kStatic, kDim, 67);
+
+  IndexConfig config;
+  config.dim = kDim;
+  config.page_size = SmallOptions(kDim).page_size;
+  const std::unique_ptr<PointIndex> standalone =
+      MakeIndex(IndexType::kStaticSRTree, config);
+  std::vector<uint32_t> oids(kStatic);
+  for (size_t i = 0; i < kStatic; ++i) oids[i] = static_cast<uint32_t>(i);
+  ASSERT_TRUE(standalone->BulkLoad(points, oids).ok());
+
+  for (size_t i = 0; i < 300; ++i) {
+    Point far = points[i];
+    for (double& x : far) x += 10.0;
+    ASSERT_TRUE(index.Insert(far, static_cast<uint32_t>(5000 + i)).ok());
+  }
+  // At least two delta pages: the root is an inner node.
+  ASSERT_GE(index.GetTreeStats().node_count,
+            standalone->GetTreeStats().node_count + 2);
+
+  for (size_t qi = 0; qi < 20; ++qi) {
+    const Point& q = points[qi * 37 % kStatic];
+    for (const QuerySpec& spec :
+         {QuerySpec::Knn(kK), QuerySpec::KnnBestFirst(kK)}) {
+      const QueryResult got = index.Search(q, spec);
+      const QueryResult want = standalone->Search(q, spec);
+      ASSERT_TRUE(got.status.ok());
+      ExpectSameNeighbors(got.neighbors, want.neighbors);
+      EXPECT_EQ(got.io.reads, want.io.reads + 1) << "query " << qi;
+      EXPECT_EQ(got.io.nonleaf_reads, want.io.nonleaf_reads + 1);
+      EXPECT_EQ(got.io.leaf_reads, want.io.leaf_reads);
+    }
+  }
+}
+
+// A k-th rank tied at equal distance across the tiers goes to the smaller
+// oid, whichever tier holds it: (3, 0) in the static tier and (0, 3) in the
+// delta are both at distance 3 from the origin, behind (1, 0) and (0, 2).
+TEST(TieredIndexTest, KnnTieAcrossTiersGoesToSmallerOid) {
+  constexpr int kDim = 2;
+  for (const bool static_smaller : {true, false}) {
+    SCOPED_TRACE(static_smaller ? "static oid smaller" : "delta oid smaller");
+    TieredIndex index(SmallOptions(kDim));
+    BruteForceIndex::Options bf;
+    bf.dim = kDim;
+    BruteForceIndex oracle(bf);
+    // Filler in [4, 5]^2 (oids 0..299), then the near points.
+    const Dataset filler = MakeUniformDataset(300, kDim, 71);
+    std::vector<Point> points;
+    std::vector<uint32_t> oids;
+    for (size_t i = 0; i < filler.size(); ++i) {
+      Point p(filler.point(i).begin(), filler.point(i).end());
+      for (double& x : p) x += 4.0;
+      points.push_back(p);
+      oids.push_back(static_cast<uint32_t>(i));
+    }
+    points.push_back({1.0, 0.0});
+    oids.push_back(400);
+    points.push_back({0.0, 2.0});
+    oids.push_back(401);
+    points.push_back({3.0, 0.0});
+    oids.push_back(static_smaller ? 402 : 600);
+    ASSERT_TRUE(index.BulkLoad(points, oids).ok());
+    ASSERT_TRUE(oracle.BulkLoad(points, oids).ok());
+
+    for (size_t i = 0; i < 100; ++i) {
+      Point p(filler.point(i).begin(), filler.point(i).end());
+      for (double& x : p) x += 4.5;
+      const uint32_t oid = static_cast<uint32_t>(1000 + i);
+      ASSERT_TRUE(index.Insert(p, oid).ok());
+      ASSERT_TRUE(oracle.Insert(p, oid).ok());
+    }
+    const uint32_t delta_oid = static_smaller ? 600 : 402;
+    ASSERT_TRUE(index.Insert(Point{0.0, 3.0}, delta_oid).ok());
+    ASSERT_TRUE(oracle.Insert(Point{0.0, 3.0}, delta_oid).ok());
+
+    const Point origin = {0.0, 0.0};
+    ExpectKnnMatchesScan(index, oracle, origin, 3);
+    const std::vector<Neighbor> got =
+        index.Search(origin, QuerySpec::Knn(3)).neighbors;
+    ASSERT_EQ(got.size(), 3u);
+    EXPECT_EQ(got[2].oid, 402u);
+    EXPECT_EQ(got[2].distance, 3.0);
+    ExpectKnnMatchesScan(index, oracle, origin, 4);
+  }
+}
+
+// The static tier holds fewer than k live points once tombstones mask most
+// of it, so its candidate set is not full when the delta starts.
+TEST(TieredIndexTest, KnnWithFewerThanKLiveStaticPointsMatchesScan) {
+  constexpr int kDim = 3;
+  TieredIndex index(SmallOptions(kDim));
+  BruteForceIndex::Options bf;
+  bf.dim = kDim;
+  BruteForceIndex oracle(bf);
+  const std::vector<Point> points = LoadBoth(index, oracle, 12, kDim, 73);
+  for (size_t i = 0; i < 9; ++i) {
+    ASSERT_TRUE(index.Delete(points[i], static_cast<uint32_t>(i)).ok());
+    ASSERT_TRUE(oracle.Delete(points[i], static_cast<uint32_t>(i)).ok());
+  }
+  InsertBoth(index, oracle, 120, kDim, 79, 1000);
+  for (const Point& q : points) ExpectKnnMatchesScan(index, oracle, q, 10);
+}
+
+// An empty static tier reads nothing and leaves the whole k-NN to the delta.
+TEST(TieredIndexTest, KnnWithEmptyStaticTierMatchesScan) {
+  constexpr int kDim = 3;
+  TieredIndex index(SmallOptions(kDim));
+  BruteForceIndex::Options bf;
+  bf.dim = kDim;
+  BruteForceIndex oracle(bf);
+  InsertBoth(index, oracle, 150, kDim, 83, 0);
+  const Dataset queries = MakeUniformDataset(10, kDim, 89);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    ExpectKnnMatchesScan(index, oracle, queries.point(i), 7);
+  }
+}
+
+// k above the index size returns every live point of both tiers.
+TEST(TieredIndexTest, KnnWithKAboveSizeReturnsEveryLivePoint) {
+  constexpr int kDim = 3;
+  TieredIndex index(SmallOptions(kDim));
+  BruteForceIndex::Options bf;
+  bf.dim = kDim;
+  BruteForceIndex oracle(bf);
+  const std::vector<Point> points = LoadBoth(index, oracle, 10, kDim, 97);
+  ASSERT_TRUE(index.Delete(points[3], 3).ok());
+  ASSERT_TRUE(oracle.Delete(points[3], 3).ok());
+  InsertBoth(index, oracle, 6, kDim, 101, 1000);
+  ASSERT_EQ(index.size(), 15u);
+  for (const Point& q : points) {
+    ExpectKnnMatchesScan(index, oracle, q, 50);
+    EXPECT_EQ(index.Search(q, QuerySpec::Knn(50)).neighbors.size(), 15u);
   }
 }
 

@@ -8,6 +8,7 @@
 #include <functional>
 #include <memory>
 #include <numeric>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -27,6 +28,10 @@ struct LoaderCase {
   std::string name;
   std::function<std::unique_ptr<PointIndex>()> make;
 };
+
+// Without this gtest prints the case as its raw bytes (the string's and the
+// function's heap pointers), which puts addresses into each ctest name.
+void PrintTo(const LoaderCase& loader, std::ostream* os) { *os << loader.name; }
 
 std::vector<LoaderCase> Loaders() {
   return {

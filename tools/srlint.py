@@ -37,10 +37,13 @@ tools/lint.py checks file *shape* (guards, include style); srlint checks
       every distance benefits from the dispatched implementation and the
       partial-distance-pruning contract (src/geometry/kernel.h).
   R8  tier isolation: src/statictier/ never includes a dynamic-tree
-      header. The static tier composes its delta through the PointIndex
-      interface and the src/index/ factory; a concrete tree include would
-      couple the read-optimized tier to one tree's internals and defeat
-      the point of the tiered split.
+      header, with one exception: the tiered index
+      (src/statictier/tiered_index.{h,cc}) holds its delta as the SR-tree
+      it always is, so it may include src/core/sr_tree.h and no other tree
+      header (its delta k-NN starts from the static tier's candidates,
+      through SRTree::KnnSnapshotInto). A concrete tree include anywhere
+      else in the tier would couple the read-optimized tier to one tree's
+      internals and defeat the point of the tiered split.
   R9  one traversal: under src/, no std::priority_queue and no declaration
       or definition of a SearchKnn*/SearchRange* function outside
       src/index/traversal.h (the one DFS, best-first and range traversal,
@@ -228,10 +231,14 @@ R5_ALLOWED_DIRS = ("src/storage/", "src/workload/")
 R7_CALL_RE = re.compile(r"(?<![\w.>])(SquaredDistance|Distance)\s*\(")
 R7_TREE_DIRS = R3_TREE_DIRS
 
-# The static tier talks to its dynamic delta through PointIndex and the
-# factory only; the dirs it must never include are the dynamic trees'.
+# The static tier never includes a dynamic tree's header; the dirs it must
+# not include are the dynamic trees'. The tiered index's files may include
+# the one tree its delta is.
 R8_CONSUMER_DIRS = ("src/statictier/",)
 R8_TREE_DIRS = R3_TREE_DIRS
+R8_DELTA_FILES = {"src/statictier/tiered_index.h",
+                  "src/statictier/tiered_index.cc"}
+R8_DELTA_HEADER = "src/core/sr_tree.h"
 
 R9_ALLOWED_FILES = {"src/index/traversal.h", "src/index/knn.h"}
 R9_QUEUE_RE = re.compile(r"\bstd\s*::\s*priority_queue\b")
@@ -336,12 +343,15 @@ def check_r8(rel: str, lines: list[str], raw_lines: list[str]):
         if not re.match(r"^\s*#\s*include\b", line):
             continue
         m = R3_INCLUDE_RE.match(raw)
-        if m and m.group(1).startswith(R8_TREE_DIRS):
-            yield Finding(
-                rel, lineno, "R8",
-                f'include of dynamic-tree header "{m.group(1)}"; the static '
-                f"tier composes its delta through PointIndex / "
-                f"src/index/index_factory.h only")
+        if not m or not m.group(1).startswith(R8_TREE_DIRS):
+            continue
+        if rel in R8_DELTA_FILES and m.group(1) == R8_DELTA_HEADER:
+            continue
+        yield Finding(
+            rel, lineno, "R8",
+            f'include of dynamic-tree header "{m.group(1)}"; only the '
+            f"tiered index may include one, {R8_DELTA_HEADER}, the type "
+            f"of its delta")
 
 
 def check_r9(rel: str, lines: list[str]):

@@ -1,5 +1,5 @@
-// R8 fixture: the static tier composes its dynamic delta through the
-// PointIndex interface and the factory, never a concrete tree header.
+// R8 fixture: a static-tier file other than the tiered index includes no
+// dynamic-tree header.
 #include "src/index/point_index.h"
 #include "src/core/sr_tree.h"  // srlint-expect(R8)
 
