@@ -3,11 +3,16 @@
 // uniform data set and run the same k-NN workload; the static tier is the
 // flat BFS-serialized image (SoA leaf blocks, implicit child pointers,
 // zero-deserialization reads), the dynamic tree is the insert-built
-// SR-tree. The tiered rows show the serving arrangement: fully compacted
-// (pure static), with a 5% dynamic delta absorbing the newest writes, and
-// with that delta plus 0.2% of the static points deleted (tombstones: dead
-// bits over the static tier's slots, tested in the leaf scans). The last
-// row also reports the CPU cost of one such Delete.
+// SR-tree. The static tier stores no payload, while the default dynamic
+// tree reserves IndexConfig's 512 bytes per leaf entry; the "no payload"
+// row is the dynamic tree with leaf_data_size = 0, so the gap between the
+// two dynamic rows is the payload's share and the gap between the
+// payload-free row and the static tier is what packing alone buys. The
+// tiered rows show the serving arrangement: fully compacted (pure static),
+// with a 5% dynamic delta absorbing the newest writes, and with that delta
+// plus 0.2% of the static points deleted (tombstones: dead bits over the
+// static tier's slots, tested in the leaf scans). The last row also
+// reports the CPU cost of one such Delete.
 //
 // The snapshot tracks the shape — the static tier must come in at or below
 // the dynamic tree's per-query cost — not absolute wall-clock numbers.
@@ -63,6 +68,15 @@ int Run(const BenchOptions& options) {
     auto dynamic_tree = MakeIndex(IndexType::kSRTree, config);
     BuildIndexFromDataset(*dynamic_tree, data);
     candidates.push_back({"Dynamic SR-tree", std::move(dynamic_tree)});
+  }
+  {
+    IndexConfig config;
+    config.dim = dim;
+    config.leaf_data_size = 0;
+    auto dynamic_tree = MakeIndex(IndexType::kSRTree, config);
+    BuildIndexFromDataset(*dynamic_tree, data);
+    candidates.push_back(
+        {"Dynamic SR-tree (no payload)", std::move(dynamic_tree)});
   }
   {
     StaticSRTree::Options static_options;

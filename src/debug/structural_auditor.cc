@@ -33,8 +33,6 @@ struct MirrorNode {
   int level = 0;
   size_t capacity = 0;
   size_t min_entries = 0;
-  size_t page_count = 1;
-  size_t per_page_capacity = 0;
   std::vector<MirrorEntry> entries;
   std::vector<Point> points;
   std::vector<std::unique_ptr<MirrorNode>> children;  // aligned with entries
@@ -124,13 +122,6 @@ class AuditRun {
       Report(ViolationKind::kUnderfullNode, path,
              "internal root must have >= 2 children, has " +
                  std::to_string(node.entries.size()));
-    }
-    if (!node.is_leaf() && node.per_page_capacity > 0 && node.page_count > 1 &&
-        node.count() <= (node.page_count - 1) * node.per_page_capacity) {
-      Report(ViolationKind::kSupernodeWaste, path,
-             std::to_string(node.count()) + " entries fit in " +
-                 std::to_string(node.page_count - 1) + " pages but the node "
-                 "occupies " + std::to_string(node.page_count));
     }
 
     const Rect* region =
@@ -319,8 +310,6 @@ std::unique_ptr<MirrorNode> BuildMirror(const PointIndex& index) {
     node->level = view.level;
     node->capacity = view.capacity;
     node->min_entries = view.min_entries;
-    node->page_count = view.page_count;
-    node->per_page_capacity = view.per_page_capacity;
     node->entries.reserve(view.entries.size());
     for (const EntryView& e : view.entries) {
       MirrorEntry entry;
@@ -368,8 +357,6 @@ const char* ViolationKindName(ViolationKind kind) {
       return "overfull-node";
     case ViolationKind::kUnderfullNode:
       return "underfull-node";
-    case ViolationKind::kSupernodeWaste:
-      return "supernode-waste";
     case ViolationKind::kRectContainment:
       return "rect-containment";
     case ViolationKind::kRectNotTightMbr:

@@ -10,7 +10,7 @@
 //   * SR-specific sphere rules (Section 4.2/4.4) — every subtree point lies
 //     inside the entry sphere, and the min(d_s, d_r) radius never exceeds
 //     the farthest corner of the entry's own rectangle;
-//   * fanout within [min_entries, capacity], supernode page economy;
+//   * fanout within [min_entries, capacity];
 //   * uniform leaf depth and level bookkeeping;
 //   * finiteness — every leaf point and every region (rect bounds, sphere
 //     center and radius) is finite: a NaN compares false against every
@@ -40,7 +40,6 @@ enum class ViolationKind {
   kEmptyInternalNode,   // internal node with zero children
   kOverfullNode,        // entry count above capacity
   kUnderfullNode,       // entry count below the structural minimum
-  kSupernodeWaste,      // X-tree supernode retains an unnecessary page
   kRectContainment,     // child rect or leaf point escapes the parent region
   kRectNotTightMbr,     // claimed rect is not the exact MBR of the contents
   kRegionOverlap,       // K-D-B sibling regions overlap in their interiors

@@ -10,7 +10,6 @@
 #include "src/statictier/static_sr_tree.h"
 #include "src/statictier/tiered_index.h"
 #include "src/rstar/rstar_tree.h"
-#include "src/xtree/x_tree.h"
 
 namespace srtree {
 
@@ -26,8 +25,6 @@ const char* IndexTypeName(IndexType type) {
       return "K-D-B-tree";
     case IndexType::kVamSplitRTree:
       return "VAMSplit R-tree";
-    case IndexType::kXTree:
-      return "X-tree";
     case IndexType::kTvTree:
       return "TV-tree";
     case IndexType::kScan:
@@ -85,14 +82,6 @@ std::unique_ptr<PointIndex> MakeIndex(IndexType type,
       options.page_size = config.page_size;
       options.leaf_data_size = config.leaf_data_size;
       return std::make_unique<VamSplitRTree>(options);
-    }
-    case IndexType::kXTree: {
-      XTree::Options options;
-      options.dim = config.dim;
-      options.page_size = config.page_size;
-      options.leaf_data_size = config.leaf_data_size;
-      options.min_utilization = config.min_utilization;
-      return std::make_unique<XTree>(options);
     }
     case IndexType::kTvTree: {
       TvRTree::Options options;
@@ -157,7 +146,12 @@ StatusOr<std::unique_ptr<PointIndex>> OpenIndex(const std::string& path) {
   if (*tag == RStarTree::kImageTag) return OpenAs<RStarTree>(path);
   if (*tag == KdbTree::kImageTag) return OpenAs<KdbTree>(path);
   if (*tag == VamSplitRTree::kImageTag) return OpenAs<VamSplitRTree>(path);
-  if (*tag == XTree::kImageTag) return OpenAs<XTree>(path);
+  if (*tag == "xtree") {
+    return Status::InvalidArgument(
+        "X-tree image is no longer readable: the X-tree is retired; commit "
+        "dd71630 is the last release that reads it, so rebuild its points "
+        "into another index type there");
+  }
   if (*tag == TvRTree::kImageTag) return OpenAs<TvRTree>(path);
   return Status::Corruption("unknown index image type tag: " + *tag);
 }

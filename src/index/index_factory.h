@@ -22,8 +22,9 @@ enum class IndexType {
   kRStarTree,
   kKdbTree,
   kVamSplitRTree,
-  kXTree,   // extension: Section 2.6 related work, not in the paper's tests
-  kTvTree,  // extension: Section 2.5 related work (fixed-telescope TV-tree)
+  // 5 belonged to the retired X-tree. The values after it stay put because
+  // gtest prints them in the names of tests parametrized on IndexType.
+  kTvTree = 6,  // extension: Section 2.5 related work (fixed-telescope TV-tree)
   kScan,
   // Tiered serving arrangement (src/statictier/): an immutable bulk tier
   // plus the dynamic SR-tree delta, and the bulk tier on its own.
@@ -50,10 +51,10 @@ std::unique_ptr<PointIndex> MakeIndex(IndexType type,
                                       const IndexConfig& config);
 
 // Opens an index image written by PointIndex::Save(), dispatching on the
-// type tag embedded in the file (including the legacy pre-v2 SR-tree
-// format). The returned index is fully validated: a corrupt, truncated, or
-// foreign file yields a non-OK status, never a crash or a silently broken
-// tree.
+// type tag embedded in the file. Images of retired formats (the pre-v2
+// SR-tree, the X-tree) are refused with InvalidArgument. The returned index
+// is fully validated: a corrupt, truncated, or foreign file yields a non-OK
+// status, never a crash or a silently broken tree.
 StatusOr<std::unique_ptr<PointIndex>> OpenIndex(const std::string& path);
 
 }  // namespace srtree

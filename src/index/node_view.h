@@ -34,14 +34,12 @@ struct EntryView {
 };
 
 // Snapshot of one node page. `capacity`/`min_entries` are the fanout limits
-// for THIS node (X-tree supernodes have multi-page capacities; bulk-loaded
-// structures report min_entries = 0, meaning "no minimum is enforced").
+// for THIS node (bulk-loaded structures report min_entries = 0, meaning "no
+// minimum is enforced").
 struct NodeView {
   int level = 0;              // 0 = leaf
   size_t capacity = 0;        // maximum entries this node may hold
   size_t min_entries = 0;     // structural minimum for non-root nodes
-  size_t page_count = 1;      // pages occupied (> 1 only for supernodes)
-  size_t per_page_capacity = 0;  // entries per page; 0 = single-page layout
   std::vector<EntryView> entries;  // internal node: one per child
   std::vector<PointView> points;   // leaf node: the stored points
 };

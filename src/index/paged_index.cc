@@ -88,11 +88,6 @@ Status PagedIndex::ValidatePageTree(const std::string& tree, PageId root_id,
         kHeaderBytes + count * entry_bytes > extent) {
       return corrupt(" count exceeds its page");
     }
-    if (shape.chained_pages) {
-      PageId next = kInvalidPageId;
-      std::memcpy(&next, page + 4, sizeof(next));
-      if (next != kInvalidPageId) stack.push_back({next, item.level});
-    }
     if (leaf) {
       points += count;
       continue;

@@ -1,6 +1,6 @@
 // PagedIndex: the storage plumbing every paged tree shares — the SR-tree
 // (and the SS-tree, its sphere-only region), the static tier and the R*,
-// K-D-B, VAMSplit R, X and TV baselines.
+// K-D-B, VAMSplit R and TV baselines.
 //
 // A paged tree keeps its nodes in one copy-on-write PageFile and follows its
 // one contract (src/storage/page_file.h): a single writer, serialized by
@@ -141,9 +141,6 @@ class PagedIndex : public PointIndex {
     size_t leaf_entry_bytes = 0;  // stored bytes per leaf entry
     size_t node_entry_bytes = 0;  // stored bytes per inner entry
     bool soa = false;
-    // The header word names the node's next page at the same level, or
-    // kInvalidPageId: the X-tree's supernode chains.
-    bool chained_pages = false;
   };
 
   // Open()'s check of a loaded image before anything decodes its pages:

@@ -26,8 +26,8 @@
 //                 IoStatsDelta* io, Offer&& offer, Child&& child) const;
 //   };
 //
-// The bounds per tree: squared rect MINDIST (R*, K-D-B, VAMSplit R, X, and
-// the TV-tree on its active dimensions) in kSquared; sphere MINDIST (SS)
+// The bounds per tree: squared rect MINDIST (R*, K-D-B, VAMSplit R, and the
+// TV-tree on its active dimensions) in kSquared; sphere MINDIST (SS)
 // and the SR-tree's max(sphere, rect) MINDIST (SR, static tier, Section
 // 4.4) in kDistance. Every comparison stays in the space the bound was
 // computed in, so no bound is rounded through an extra sqrt: a k-NN prunes

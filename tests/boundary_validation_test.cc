@@ -37,11 +37,11 @@ constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 std::vector<IndexType> AllIndexTypes() {
-  return {IndexType::kSRTree,       IndexType::kSSTree,
-          IndexType::kRStarTree,    IndexType::kKdbTree,
-          IndexType::kVamSplitRTree, IndexType::kXTree,
-          IndexType::kTvTree,       IndexType::kScan,
-          IndexType::kStaticSRTree, IndexType::kTieredSRTree};
+  return {IndexType::kSRTree,        IndexType::kSSTree,
+          IndexType::kRStarTree,     IndexType::kKdbTree,
+          IndexType::kVamSplitRTree, IndexType::kTvTree,
+          IndexType::kScan,          IndexType::kStaticSRTree,
+          IndexType::kTieredSRTree};
 }
 
 std::vector<Point> NonFinitePoints() {

@@ -36,8 +36,8 @@ INSTANTIATE_TEST_SUITE_P(
     AllIndexes, ConcurrentFuzzTest,
     ::testing::Values(IndexType::kSRTree, IndexType::kSSTree,
                       IndexType::kRStarTree, IndexType::kKdbTree,
-                      IndexType::kVamSplitRTree, IndexType::kXTree,
-                      IndexType::kTvTree, IndexType::kScan),
+                      IndexType::kVamSplitRTree, IndexType::kTvTree,
+                      IndexType::kScan),
     [](const ::testing::TestParamInfo<IndexType>& info) {
       std::string name = IndexTypeName(info.param);
       for (char& c : name) {

@@ -63,8 +63,6 @@ INSTANTIATE_TEST_SUITE_P(
                       FuzzParam{IndexType::kRStarTree, 202},
                       FuzzParam{IndexType::kKdbTree, 101},
                       FuzzParam{IndexType::kKdbTree, 202},
-                      FuzzParam{IndexType::kXTree, 101},
-                      FuzzParam{IndexType::kXTree, 202},
                       FuzzParam{IndexType::kTvTree, 101},
                       FuzzParam{IndexType::kTvTree, 202}),
     ParamName);
@@ -129,7 +127,6 @@ INSTANTIATE_TEST_SUITE_P(
                       FuzzParam{IndexType::kSSTree, 404},
                       FuzzParam{IndexType::kRStarTree, 404},
                       FuzzParam{IndexType::kKdbTree, 404},
-                      FuzzParam{IndexType::kXTree, 404},
                       FuzzParam{IndexType::kTvTree, 404}),
     ParamName);
 
@@ -170,9 +167,9 @@ INSTANTIATE_TEST_SUITE_P(
     AllIndexTypes, MutationFuzzNonFiniteTest,
     ::testing::Values(IndexType::kSRTree, IndexType::kSSTree,
                       IndexType::kRStarTree, IndexType::kKdbTree,
-                      IndexType::kVamSplitRTree, IndexType::kXTree,
-                      IndexType::kTvTree, IndexType::kScan,
-                      IndexType::kStaticSRTree, IndexType::kTieredSRTree),
+                      IndexType::kVamSplitRTree, IndexType::kTvTree,
+                      IndexType::kScan, IndexType::kStaticSRTree,
+                      IndexType::kTieredSRTree),
     [](const ::testing::TestParamInfo<IndexType>& info) {
       return TypeToken(info.param);
     });

@@ -452,7 +452,6 @@ TEST(KernelDifferentialTest, PruningTogglePreservesSearchResults) {
   IndexConfig config;
   config.dim = kDim;
   std::vector<IndexType> types = AllTreeTypes();
-  types.push_back(IndexType::kXTree);
   types.push_back(IndexType::kTvTree);
   types.push_back(IndexType::kScan);
   for (const IndexType type : types) {

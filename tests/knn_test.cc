@@ -90,7 +90,6 @@ TEST(NeighborOrderTest, DuplicateDistancesOrderedByOidInEveryIndex) {
   config.page_size = 512;
   config.leaf_data_size = 0;
   std::vector<IndexType> types = AllTreeTypes();
-  types.push_back(IndexType::kXTree);
   types.push_back(IndexType::kTvTree);
   types.push_back(IndexType::kScan);
   for (const IndexType type : types) {

@@ -111,8 +111,7 @@ TEST_P(MixedFuzzTreeTest, ReadersMatchOracleWhileWriterCommits) {
 INSTANTIATE_TEST_SUITE_P(
     DynamicBaselines, MixedFuzzTreeTest,
     ::testing::Values(IndexType::kSSTree, IndexType::kRStarTree,
-                      IndexType::kKdbTree, IndexType::kXTree,
-                      IndexType::kTvTree),
+                      IndexType::kKdbTree, IndexType::kTvTree),
     [](const ::testing::TestParamInfo<IndexType>& info) {
       return testing::TypeToken(info.param);
     });

@@ -28,7 +28,6 @@ namespace {
 
 std::vector<IndexType> SaveableTypes() {
   std::vector<IndexType> types = AllTreeTypes();
-  types.push_back(IndexType::kXTree);
   types.push_back(IndexType::kTvTree);
   return types;
 }
@@ -291,7 +290,7 @@ TEST(PageExtentFaultTest, ShortPageImagesAreCorruption) {
   }
 }
 
-// Every saveable tree — R*, TV, K-D-B, VAMSplit, X, SS and SR — given a
+// Every saveable tree — R*, TV, K-D-B, VAMSplit, SS and SR — given a
 // checksum-valid image in which a leaf's header claims 60,000 entries,
 // fails Open with Corruption before anything decodes the page
 // (PagedIndex::ValidatePageTree). The full-page trees used to abort the
@@ -328,34 +327,6 @@ TEST(ForgedPageHeaderTest, LeafCountPastCapacityIsCorruption) {
               std::string::npos)
         << loaded.status().ToString();
   }
-}
-
-// An X-tree page whose supernode link names the page itself: decoding the
-// chain would never end, so the walk refuses it as a page structure that
-// is not a tree.
-TEST(ForgedPageHeaderTest, XTreeSupernodeCycleIsCorruption) {
-  const Dataset data = MakeUniformDataset(2000, 4, /*seed=*/73);
-  IndexConfig config;
-  config.dim = 4;
-  config.page_size = 1024;
-  config.leaf_data_size = 64;
-  std::unique_ptr<PointIndex> index = MakeIndex(IndexType::kXTree, config);
-  ASSERT_TRUE(index->BulkLoad(data.ToPoints(), data.SequentialOids()).ok());
-  const std::string path = ::testing::TempDir() + "/forged_x_cycle.idx";
-  ASSERT_TRUE(index->Save(path).ok());
-  std::string image;
-  ASSERT_TRUE(ReadFileToString(path, &image).ok());
-  const size_t start = testing_image::IndexImagePageFileStart(image);
-  const PageImage parsed = ParsePageImage(image, start);
-  size_t victim = 0;
-  while (!parsed.records[victim].live) ++victim;
-  StoreLe(image, parsed.records[victim].data + 4, 4,
-          parsed.records[victim].id);
-  testing_image::ResealPageImage(image, start);
-  ASSERT_TRUE(WriteStringToFileForTest(image, path).ok());
-  StatusOr<std::unique_ptr<PointIndex>> loaded = OpenIndex(path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status().ToString();
 }
 
 // Every saveable tree opens its image rewritten in the v2 format — every

@@ -350,7 +350,6 @@ TEST(OpenIndexTest, AllIndexTypesRoundTrip) {
   config.leaf_data_size = 0;
 
   std::vector<IndexType> types = AllTreeTypes();
-  types.push_back(IndexType::kXTree);
   types.push_back(IndexType::kTvTree);
   for (const IndexType type : types) {
     SCOPED_TRACE(IndexTypeName(type));
@@ -422,6 +421,23 @@ TEST(OpenIndexTest, LegacySrTreeV1ImageIsRecognizedButRejected) {
   ASSERT_FALSE(direct.ok());
   EXPECT_TRUE(direct.status().IsInvalidArgument())
       << direct.status().ToString();
+}
+
+// The X-tree is retired: an image under its tag is refused by name, not
+// reported as an unknown tag.
+TEST(OpenIndexTest, RetiredXTreeImageIsRejected) {
+  const std::string path = TempPath("retired_xtree.idx");
+  std::ostringstream out;
+  const char header[16] = {};
+  ASSERT_TRUE(WriteIndexImageTo(out, "xtree", header, sizeof(header)).ok());
+  ASSERT_TRUE(WriteStringToFileForTest(out.str(), path).ok());
+
+  auto reopened = OpenIndex(path);
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_TRUE(reopened.status().IsInvalidArgument())
+      << reopened.status().ToString();
+  EXPECT_NE(reopened.status().message().find("retired"), std::string::npos)
+      << reopened.status().ToString();
 }
 
 // ---------------------------------------------------------------------------

@@ -35,9 +35,9 @@ namespace {
 
 std::vector<IndexType> AllIndexTypes() {
   std::vector<IndexType> types = {
-      IndexType::kSRTree,  IndexType::kSSTree, IndexType::kRStarTree,
-      IndexType::kKdbTree, IndexType::kVamSplitRTree,
-      IndexType::kXTree,   IndexType::kTvTree, IndexType::kScan};
+      IndexType::kSRTree,  IndexType::kSSTree,        IndexType::kRStarTree,
+      IndexType::kKdbTree, IndexType::kVamSplitRTree, IndexType::kTvTree,
+      IndexType::kScan};
   return types;
 }
 

@@ -98,7 +98,7 @@ std::vector<StressParam> AllStressParams() {
   std::vector<StressParam> params;
   for (const IndexType type :
        {IndexType::kSRTree, IndexType::kSSTree, IndexType::kRStarTree,
-        IndexType::kKdbTree, IndexType::kXTree, IndexType::kTvTree}) {
+        IndexType::kKdbTree, IndexType::kTvTree}) {
     for (const uint64_t seed : {101u, 202u, 303u}) {
       params.push_back(StressParam{type, seed});
     }

@@ -95,8 +95,8 @@ INSTANTIATE_TEST_SUITE_P(
     AllTrees, CleanAuditTest,
     ::testing::Values(IndexType::kSRTree, IndexType::kSSTree,
                       IndexType::kRStarTree, IndexType::kKdbTree,
-                      IndexType::kVamSplitRTree, IndexType::kXTree,
-                      IndexType::kTvTree, IndexType::kScan),
+                      IndexType::kVamSplitRTree, IndexType::kTvTree,
+                      IndexType::kScan),
     [](const ::testing::TestParamInfo<IndexType>& info) {
       return TypeToken(info.param);
     });

@@ -60,11 +60,12 @@ inline Dataset MakeTestDataset(DistKind kind, size_t n, int dim,
 
 // A small page size so modest datasets still produce multi-level trees with
 // splits, reinsertion, and condensation. 2048 bytes keeps every tree's node
-// capacity >= 2 for dim <= 16.
+// capacity >= 2 for dim <= 16; wider points get 4096 bytes, which keeps it
+// >= 2 up to dim 32.
 inline IndexConfig SmallPageConfig(int dim) {
   IndexConfig config;
   config.dim = dim;
-  config.page_size = 2048;
+  config.page_size = dim <= 16 ? 2048 : 4096;
   config.leaf_data_size = 0;
   return config;
 }
@@ -106,8 +107,6 @@ inline std::string TypeToken(IndexType type) {
       return "KdbTree";
     case IndexType::kVamSplitRTree:
       return "VamSplitRTree";
-    case IndexType::kXTree:
-      return "XTree";
     case IndexType::kTvTree:
       return "TvTree";
     case IndexType::kScan:

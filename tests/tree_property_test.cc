@@ -135,23 +135,14 @@ TEST_P(TreePropertyTest, MaintenanceCountersTrackStructureChanges) {
     EXPECT_EQ(stats.splits, 0u);  // static bulk load never splits pages
     return;
   }
-  // Insert-only growth allocates pages through splits (one new page each),
-  // root growth (one per level), and — for the X-tree — supernode
-  // extensions, so splits account for all pages beyond one per level.
-  if (GetParam().type == IndexType::kXTree) {
-    EXPECT_GT(stats.splits, 0u);
-  } else {
-    EXPECT_GE(stats.splits + stats.forced_splits,
-              tree.leaf_count + tree.node_count -
-                  static_cast<uint64_t>(tree.height));
-  }
+  // Insert-only growth allocates pages through splits (one new page each)
+  // and root growth (one per level), so splits account for all pages beyond
+  // one per level.
+  EXPECT_GE(stats.splits + stats.forced_splits,
+            tree.leaf_count + tree.node_count -
+                static_cast<uint64_t>(tree.height));
   if (GetParam().type == IndexType::kKdbTree) {
     EXPECT_EQ(stats.reinsertions, 0u);
-  } else if (GetParam().type == IndexType::kXTree) {
-    // The X-tree neither reinserts nor force-splits; overflow is handled
-    // by splits and supernode extension.
-    EXPECT_EQ(stats.reinsertions, 0u);
-    EXPECT_EQ(stats.forced_splits, 0u);
   } else {
     EXPECT_GT(stats.reinsertions, 0u);  // forced reinsertion fired
     EXPECT_EQ(stats.forced_splits, 0u);
@@ -319,9 +310,8 @@ std::vector<PropertyParam> AllPropertyParams() {
   std::vector<PropertyParam> params;
   for (const IndexType type :
        {IndexType::kSRTree, IndexType::kSSTree, IndexType::kRStarTree,
-        IndexType::kKdbTree, IndexType::kVamSplitRTree, IndexType::kXTree,
-        IndexType::kTvTree}) {
-    for (const int dim : {2, 8, 16}) {
+        IndexType::kKdbTree, IndexType::kVamSplitRTree, IndexType::kTvTree}) {
+    for (const int dim : {2, 8, 16, 32}) {
       for (const DistKind dist :
            {DistKind::kUniform, DistKind::kCluster, DistKind::kHistogram}) {
         params.push_back(PropertyParam{type, dim, dist});

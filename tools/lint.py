@@ -31,9 +31,9 @@ import re
 import subprocess
 import sys
 
-FIRST_PARTY_DIRS = ("src", "tests", "bench", "tools", "examples")
+from srlint import FIRST_PARTY_DIRS, git_tracked, walk_tree
+
 HEADER_SUFFIXES = (".h", ".hpp")
-SOURCE_SUFFIXES = HEADER_SUFFIXES + (".cc", ".cpp")
 
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"')
 USING_NAMESPACE_RE = re.compile(r"^\s*using\s+namespace\b")
@@ -51,11 +51,10 @@ def expected_guard(rel_path: pathlib.PurePosixPath) -> str:
 
 
 def tracked_sources(root: pathlib.Path) -> list[pathlib.PurePosixPath]:
-    out = subprocess.run(
-        ["git", "ls-files", *FIRST_PARTY_DIRS],
-        cwd=root, capture_output=True, text=True, check=True)
-    return [pathlib.PurePosixPath(line) for line in out.stdout.splitlines()
-            if line.endswith(SOURCE_SUFFIXES)]
+    # Outside a git checkout (a `git archive` export) every source file
+    # under the first-party dirs counts, as it does for srlint and srcheck.
+    files = git_tracked(root) or walk_tree(root)
+    return [pathlib.PurePosixPath(f) for f in sorted(files)]
 
 
 def check_file(root: pathlib.Path, rel: pathlib.PurePosixPath) -> list[str]:

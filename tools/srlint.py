@@ -215,7 +215,6 @@ R3_TREE_DIRS = (
     "src/core/",
     "src/kdb/",
     "src/rstar/",
-    "src/xtree/",
 )
 R3_INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"')
 
@@ -432,7 +431,9 @@ def compile_commands_files(root: pathlib.Path,
                 rel = path.resolve().relative_to(root.resolve()).as_posix()
             except ValueError:
                 continue  # outside the repo (system/third-party)
-            if rel.startswith(tuple(d + "/" for d in FIRST_PARTY_DIRS)):
+            # A compile database older than the tree may name deleted files.
+            if (rel.startswith(tuple(d + "/" for d in FIRST_PARTY_DIRS))
+                    and path.is_file()):
                 found.add(rel)
         return found
     return set()

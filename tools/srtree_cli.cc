@@ -59,13 +59,12 @@ StatusOr<IndexType> ParseIndexType(const std::string& name) {
   if (name == "rstar") return IndexType::kRStarTree;
   if (name == "kdb") return IndexType::kKdbTree;
   if (name == "vamsplit") return IndexType::kVamSplitRTree;
-  if (name == "xtree") return IndexType::kXTree;
   if (name == "tvtree") return IndexType::kTvTree;
   if (name == "static") return IndexType::kStaticSRTree;
   if (name == "tiered") return IndexType::kTieredSRTree;
   return Status::InvalidArgument(
       "unknown --type '" + name +
-      "' (want sr|ss|rstar|kdb|vamsplit|xtree|tvtree|static|tiered)");
+      "' (want sr|ss|rstar|kdb|vamsplit|tvtree|static|tiered)");
 }
 
 int RunGenerate(int argc, char** argv) {
@@ -119,7 +118,7 @@ int RunBuild(int argc, char** argv) {
   FlagParser parser;
   parser.AddString("input", "", "CSV file of vectors (required)");
   parser.AddString("index", "", "index file to write (required)");
-  parser.AddString("type", "sr", "sr|ss|rstar|kdb|vamsplit|xtree|tvtree");
+  parser.AddString("type", "sr", "sr|ss|rstar|kdb|vamsplit|tvtree");
   parser.AddInt("data-bytes", 512, "attribute bytes reserved per vector");
   parser.AddInt("page-size", 8192, "disk page size in bytes");
   const Status flag_status = parser.Parse(argc, argv);
