@@ -11,8 +11,8 @@
 namespace srtree {
 namespace {
 
-void RunOn(const std::string& label, const Dataset& data,
-           const BenchOptions& options) {
+Table RunOn(const std::string& label, const Dataset& data,
+            const BenchOptions& options) {
   const std::vector<Point> queries = SampleQueriesFromDataset(
       data, QueryCount(options), options.seed + 17);
 
@@ -45,17 +45,20 @@ void RunOn(const std::string& label, const Dataset& data,
                   std::to_string(index->GetTreeStats().height)});
   }
   table.Print();
+  return table;
 }
 
 int Run(const BenchOptions& options) {
   const size_t n = options.full ? 50000 : 10000;
-  RunOn("uniform data set (n=" + std::to_string(n) + ", D=" +
-            std::to_string(options.dim) + ")",
-        MakeUniformDataset(n, options.dim, options.seed), options);
-  RunOn("real data set (n=" + std::to_string(n) + ", D=" +
-            std::to_string(options.dim) + ")",
-        bench::MakeRealDataset(n, options.dim, options.seed), options);
-  return 0;
+  const Table uniform = RunOn(
+      "uniform data set (n=" + std::to_string(n) + ", D=" +
+          std::to_string(options.dim) + ")",
+      MakeUniformDataset(n, options.dim, options.seed), options);
+  const Table real = RunOn(
+      "real data set (n=" + std::to_string(n) + ", D=" +
+          std::to_string(options.dim) + ")",
+      bench::MakeRealDataset(n, options.dim, options.seed), options);
+  return bench::EmitJsonReport(options, {uniform, real});
 }
 
 }  // namespace

@@ -19,6 +19,12 @@
 // One pass over the query set varies by ~30% in CPU time on a shared host,
 // so each row's CPU column is the median of kCpuPasses passes; the reads
 // are the same in every pass.
+//
+// A second table times the two VAM bulk loads, the static tier's and the
+// VAMSplit R-tree's (both without payload, so their pages hold the same
+// entries), over the same points; --full adds a 1M-point real-data row,
+// the size the tiered serving benchmark builds its static tier at. Each
+// cell is the median of kBuildPasses builds.
 
 #include <algorithm>
 #include <memory>
@@ -27,6 +33,7 @@
 
 #include "bench/bench_util.h"
 #include "src/common/timer.h"
+#include "src/rstar/rstar_tree.h"
 #include "src/statictier/static_sr_tree.h"
 #include "src/statictier/tiered_index.h"
 
@@ -34,12 +41,53 @@ namespace srtree {
 namespace {
 
 constexpr size_t kCpuPasses = 5;
+constexpr size_t kBuildPasses = 3;
 
 struct Candidate {
   std::string label;
   std::unique_ptr<PointIndex> index;
   std::string us_per_delete = "-";
 };
+
+double Median(std::vector<double> values) {
+  const auto median = values.begin() + values.size() / 2;
+  std::nth_element(values.begin(), median, values.end());
+  return *median;
+}
+
+// Median wall seconds of kBuildPasses bulk loads of a fresh `make()`.
+template <typename MakeIndexFn>
+std::string BulkLoadSeconds(const MakeIndexFn& make,
+                            const std::vector<Point>& points,
+                            const std::vector<uint32_t>& oids) {
+  std::vector<double> seconds;
+  for (size_t pass = 0; pass < kBuildPasses; ++pass) {
+    const auto index = make();
+    WallTimer timer;
+    CHECK(index->BulkLoad(points, oids).ok());
+    seconds.push_back(timer.ElapsedSeconds());
+  }
+  return FormatNum(Median(seconds));
+}
+
+void AddBulkLoadRow(Table& table, const std::string& label,
+                    const Dataset& data) {
+  const std::vector<Point> points = data.ToPoints();
+  const std::vector<uint32_t> oids = data.SequentialOids();
+  const auto make_static = [&] {
+    StaticSRTree::Options options;
+    options.dim = data.dim();
+    return std::make_unique<StaticSRTree>(options);
+  };
+  const auto make_vamsplit = [&] {
+    VamSplitRTree::Options options;
+    options.dim = data.dim();
+    options.leaf_data_size = 0;
+    return std::make_unique<VamSplitRTree>(options);
+  };
+  table.AddRow({label, BulkLoadSeconds(make_static, points, oids),
+                BulkLoadSeconds(make_vamsplit, points, oids)});
+}
 
 int Run(const BenchOptions& options) {
   const size_t n = options.full ? 100000 : 20000;
@@ -134,14 +182,23 @@ int Run(const BenchOptions& options) {
       metrics = RunKnnWorkload(*c.index, queries, options.k);
       cpu_ms.push_back(metrics.cpu_ms);
     }
-    const auto median = cpu_ms.begin() + kCpuPasses / 2;
-    std::nth_element(cpu_ms.begin(), median, cpu_ms.end());
-    table.AddRow({c.label, FormatNum(*median),
+    table.AddRow({c.label, FormatNum(Median(cpu_ms)),
                   FormatNum(metrics.disk_reads), FormatNum(metrics.leaf_reads),
                   FormatNum(metrics.nonleaf_reads), c.us_per_delete});
   }
   table.Print();
-  return bench::EmitJsonReport(options, {table});
+
+  Table build_table("VAM bulk load: wall seconds per BulkLoad (D=" +
+                        std::to_string(dim) + ", no payload)",
+                    {"data set", "StaticSRTree", "VamSplitRTree"});
+  AddBulkLoadRow(build_table, "uniform n=" + std::to_string(n), data);
+  if (options.full) {
+    constexpr size_t kRealN = 1000000;
+    AddBulkLoadRow(build_table, "real n=" + std::to_string(kRealN),
+                   bench::MakeRealDataset(kRealN, dim, options.seed));
+  }
+  build_table.Print();
+  return bench::EmitJsonReport(options, {table, build_table});
 }
 
 }  // namespace

@@ -16,7 +16,7 @@
 namespace srtree {
 namespace {
 
-int Run() {
+int Run(const BenchOptions& options) {
   const std::vector<int> dims = {10, 20, 30, 40, 50, 60, 70, 80, 90, 100};
 
   std::vector<std::string> cols = {"index"};
@@ -42,7 +42,7 @@ int Run() {
   std::printf(
       "\nNote: at D=16 the SR-tree node holds 20 entries vs 56 (SS-tree) and"
       " 31 (R*-tree)\n      — the Section 5.3 fanout trade-off.\n");
-  return 0;
+  return bench::EmitJsonReport(options, {node_table, leaf_table});
 }
 
 }  // namespace
@@ -52,8 +52,8 @@ int main(int argc, char** argv) {
   srtree::FlagParser parser;
   srtree::AddBenchFlags(parser);
   int exit_code = 0;
-  if (!srtree::bench::ParseOrExit(parser, argc, argv, &exit_code)) {
-    return exit_code;
-  }
-  return srtree::Run();
+  const auto options =
+      srtree::bench::ParseOrExit(parser, argc, argv, &exit_code);
+  if (!options) return exit_code;
+  return srtree::Run(*options);
 }

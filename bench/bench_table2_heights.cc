@@ -32,7 +32,7 @@ int Run(const BenchOptions& options) {
     table.AddRow(std::move(row));
   }
   table.Print();
-  return 0;
+  return bench::EmitJsonReport(options, {table});
 }
 
 }  // namespace

@@ -28,6 +28,9 @@
 
 namespace srtree {
 
+class VamLoader;  // src/index/vam_partition.h
+struct VamRange;
+
 class RStarTree : public PagedIndex {
  public:
   struct Options {
@@ -282,11 +285,10 @@ class VamSplitRTree : public RStarTree {
   const char* image_tag() const override { return kImageTag; }
   bool audits_min_fill() const override { return false; }
 
-  // Writes the subtree of the given height over `items`; returns its
-  // parent's entry for it.
-  NodeEntry Build(const std::vector<Point>& points,
-                  const std::vector<uint32_t>& oids, std::span<uint32_t> items,
-                  int height);
+  // Writes the subtree of the given height over the loader's rows
+  // `range`; returns its parent's entry for it.
+  NodeEntry Build(VamLoader& loader, const std::vector<uint32_t>& oids,
+                  VamRange range, int height);
 };
 
 }  // namespace srtree

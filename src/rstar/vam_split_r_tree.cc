@@ -3,8 +3,6 @@
 // compiles as it does without the VAMSplit R-tree (GCC's inlining budget
 // grows with the size of a translation unit).
 
-#include <numeric>
-
 #include "src/common/check.h"
 #include "src/index/vam_partition.h"
 #include "src/rstar/rstar_tree.h"
@@ -33,38 +31,37 @@ Status VamSplitRTree::BulkLoad(const std::vector<Point>& points,
   if (points.empty()) return Status::OK();
 
   const int height = VamHeight(leaf_capacity(), node_capacity(), points.size());
-  std::vector<uint32_t> items(points.size());
-  std::iota(items.begin(), items.end(), 0);
-
+  VamLoader loader(points);
   file_.Free(root_id_);  // replace the empty placeholder root
-  root_id_ = Build(points, oids, items, height).child;
+  root_id_ = Build(loader, oids, loader.all(), height).child;
   root_level_ = height;
   size_ = points.size();
   PublishBuilt(root_id_, root_level_, size_);
   return Status::OK();
 }
 
-RStarTree::NodeEntry VamSplitRTree::Build(const std::vector<Point>& points,
+RStarTree::NodeEntry VamSplitRTree::Build(VamLoader& loader,
                                           const std::vector<uint32_t>& oids,
-                                          std::span<uint32_t> items,
-                                          int height) {
+                                          VamRange range, int height) {
+  loader.Gather(range);
   Node node;
   node.id = file_.Allocate();
   node.level = height;
   if (height == 0) {
-    CHECK_LE(items.size(), leaf_capacity());
-    for (const uint32_t i : items) {
-      node.points.push_back(LeafEntry{points[i], oids[i]});
+    CHECK_LE(range.size(), leaf_capacity());
+    for (size_t r = range.begin; r < range.end; ++r) {
+      const PointView p = loader.row(r);
+      node.points.push_back(
+          LeafEntry{Point(p.begin(), p.end()), oids[loader.slot(r)]});
     }
   } else {
-    std::vector<VamItems> pieces;
-    SplitIntoPieces(
-        points, items,
-        VamSubtreeCapacity(leaf_capacity(), node_capacity(), height - 1),
+    std::vector<VamRange> pieces;
+    loader.SplitIntoPieces(
+        range, VamSubtreeCapacity(leaf_capacity(), node_capacity(), height - 1),
         pieces);
     CHECK_LE(pieces.size(), node_capacity());
-    for (const VamItems piece : pieces) {
-      node.children.push_back(Build(points, oids, piece, height - 1));
+    for (const VamRange piece : pieces) {
+      node.children.push_back(Build(loader, oids, piece, height - 1));
     }
   }
   WriteNode(node);

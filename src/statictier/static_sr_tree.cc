@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <numeric>
 #include <queue>
 
 #include "src/common/check.h"
@@ -226,7 +225,7 @@ Status StaticSRTree::DeleteLocked(PointView, uint32_t) {
 // sibling subtrees land on contiguous pages.
 struct StaticSRTree::BuildNode {
   int level = 0;
-  std::vector<uint32_t> items;    // leaf: indices into the bulk-load arrays
+  std::vector<uint32_t> items;    // leaf: slots into the bulk-load arrays
   std::vector<size_t> children;   // inner: indices into the build pool
   // Aggregates over the node's whole subtree (the parent's entry for it).
   Point center;
@@ -236,50 +235,54 @@ struct StaticSRTree::BuildNode {
   PageId page = kInvalidPageId;
 };
 
-size_t StaticSRTree::BuildSubtree(const std::vector<Point>& points,
-                                  std::span<uint32_t> items, int height,
+size_t StaticSRTree::BuildSubtree(VamLoader& loader, VamRange range,
+                                  int height,
                                   std::vector<BuildNode>& pool) const {
   const DistanceKernel& kernel = GetDistanceKernel();
   BuildNode node;
   node.level = height;
-  node.weight = items.size();
+  node.weight = range.size();
 
   // Subtree aggregates from the actual point set: centroid center, exact
   // MBR, and the Section 4.2 radius rule min(d_s, d_r). Every subtree point
   // is inside the MBR, so d_r also bounds all of them — the sphere stays a
-  // valid cover even when d_r < d_s.
+  // valid cover even when d_r < d_s. The subtree's points are the loader's
+  // rows `range`; once they fit its block, each aggregate is a sequential
+  // scan.
+  loader.Gather(range);
   const size_t dim = static_cast<size_t>(options_.dim);
   node.center.assign(dim, 0.0);
   node.rect = Rect::Empty(options_.dim);
-  for (const uint32_t i : items) {
-    for (size_t d = 0; d < dim; ++d) node.center[d] += points[i][d];
-    node.rect.Expand(points[i]);
+  for (size_t r = range.begin; r < range.end; ++r) {
+    const PointView p = loader.row(r);
+    for (size_t d = 0; d < dim; ++d) node.center[d] += p[d];
+    node.rect.Expand(p);
   }
   for (size_t d = 0; d < dim; ++d) {
-    node.center[d] /= static_cast<double>(items.size());
+    node.center[d] /= static_cast<double>(range.size());
   }
   double max_d2 = 0.0;
-  for (const uint32_t i : items) {
-    max_d2 = std::max(max_d2, kernel.SquaredL2(node.center, points[i]));
+  for (size_t r = range.begin; r < range.end; ++r) {
+    max_d2 = std::max(max_d2, kernel.SquaredL2(node.center, loader.row(r)));
   }
   const double d_s = std::sqrt(max_d2);
   const double d_r = std::sqrt(node.rect.MaxDistSq(node.center));
   node.radius = std::min(d_s, d_r);
 
   if (height == 0) {
-    CHECK_LE(items.size(), leaf_cap_);
-    node.items.assign(items.begin(), items.end());
+    CHECK_LE(range.size(), leaf_cap_);
+    const std::span<const uint32_t> slots = loader.slots(range);
+    node.items.assign(slots.begin(), slots.end());
     pool.push_back(std::move(node));
     return pool.size() - 1;
   }
 
-  std::vector<VamItems> pieces;
-  SplitIntoPieces(points, items,
-                  VamSubtreeCapacity(leaf_cap_, node_cap_, height - 1),
-                  pieces);
+  std::vector<VamRange> pieces;
+  loader.SplitIntoPieces(
+      range, VamSubtreeCapacity(leaf_cap_, node_cap_, height - 1), pieces);
   CHECK_LE(pieces.size(), node_cap_);
-  for (const VamItems piece : pieces) {
-    node.children.push_back(BuildSubtree(points, piece, height - 1, pool));
+  for (const VamRange piece : pieces) {
+    node.children.push_back(BuildSubtree(loader, piece, height - 1, pool));
   }
   pool.push_back(std::move(node));
   return pool.size() - 1;
@@ -370,11 +373,13 @@ Status StaticSRTree::BulkLoad(const std::vector<Point>& points,
   if (points.empty()) return Status::OK();
 
   const int height = VamHeight(leaf_cap_, node_cap_, points.size());
-  std::vector<uint32_t> items(points.size());
-  std::iota(items.begin(), items.end(), 0);
-
   std::vector<BuildNode> pool;
-  const size_t root_index = BuildSubtree(points, items, height, pool);
+  size_t root_index = 0;
+  {
+    // The loader's memory goes before SerializeTree allocates the pages.
+    VamLoader loader(points);
+    root_index = BuildSubtree(loader, loader.all(), height, pool);
+  }
   SerializeTree(points, oids, pool, root_index);
   root_id_ = pool[root_index].page;
   root_level_ = height;

@@ -45,7 +45,6 @@
 #include <iosfwd>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -54,6 +53,9 @@
 #include "src/index/soa_page.h"
 
 namespace srtree {
+
+class VamLoader;  // src/index/vam_partition.h
+struct VamRange;
 
 // Dead static-tier slots (see StaticSRTree::SlotOf), one bit each, kept in
 // fixed-size chunks. A chunk is never modified once shared: Set() replaces
@@ -211,8 +213,7 @@ class StaticSRTree : public PagedIndex {
 
   struct BuildNode;  // in-memory node, BFS-numbered before serialization
 
-  size_t BuildSubtree(const std::vector<Point>& points,
-                      std::span<uint32_t> items, int height,
+  size_t BuildSubtree(VamLoader& loader, VamRange range, int height,
                       std::vector<BuildNode>& pool) const;
   void SerializeTree(const std::vector<Point>& points,
                      const std::vector<uint32_t>& oids,

@@ -6,6 +6,7 @@
 // reproduces from the log.
 
 #include <memory>
+#include <ostream>
 #include <string>
 #include <utility>
 
@@ -25,6 +26,12 @@ struct FuzzParam {
   IndexType type;
   uint64_t seed;
 };
+
+// Without this gtest prints the parameter as its raw bytes, padding
+// included, which puts per-build garbage into each ctest name.
+void PrintTo(const FuzzParam& param, std::ostream* os) {
+  *os << TypeToken(param.type) << " seed " << param.seed;
+}
 
 std::string ParamName(const ::testing::TestParamInfo<FuzzParam>& info) {
   return TypeToken(info.param.type) + "_seed" +

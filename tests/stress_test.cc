@@ -4,6 +4,7 @@
 // drawn from a coarse grid so duplicate coordinates occur naturally.
 
 #include <memory>
+#include <ostream>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -22,6 +23,12 @@ struct StressParam {
   IndexType type;
   uint64_t seed;
 };
+
+// Without this gtest prints the parameter as its raw bytes, padding
+// included, which puts per-build garbage into each ctest name.
+void PrintTo(const StressParam& param, std::ostream* os) {
+  *os << TypeToken(param.type) << " seed " << param.seed;
+}
 
 std::string ParamName(const ::testing::TestParamInfo<StressParam>& info) {
   return TypeToken(info.param.type) + "_seed" +
