@@ -28,8 +28,7 @@
 
 namespace srtree {
 
-class VamLoader;  // src/index/vam_partition.h
-struct VamRange;
+struct VamLayout;  // src/index/vam_partition.h
 
 class RStarTree : public PagedIndex {
  public:
@@ -285,10 +284,12 @@ class VamSplitRTree : public RStarTree {
   const char* image_tag() const override { return kImageTag; }
   bool audits_min_fill() const override { return false; }
 
-  // Writes the subtree of the given height over the loader's rows
-  // `range`; returns its parent's entry for it.
-  NodeEntry Build(VamLoader& loader, const std::vector<uint32_t>& oids,
-                  VamRange range, int height);
+  // Writes the subtree below layout node `index`, whose points are
+  // slots[node.range]: page ids in preorder, pages in postorder. Returns
+  // its parent's entry for it.
+  NodeEntry Build(const std::vector<Point>& points,
+                  const std::vector<uint32_t>& oids, const VamLayout& layout,
+                  std::span<const uint32_t> slots, size_t index);
 };
 
 }  // namespace srtree

@@ -30,38 +30,35 @@ Status VamSplitRTree::BulkLoad(const std::vector<Point>& points,
   }
   if (points.empty()) return Status::OK();
 
-  const int height = VamHeight(leaf_capacity(), node_capacity(), points.size());
-  VamLoader loader(points);
+  const VamLayout layout(points.size(), leaf_capacity(), node_capacity());
+  const std::vector<uint32_t> slots =
+      VamLoader::Walk(points, layout, /*hook=*/nullptr);
   file_.Free(root_id_);  // replace the empty placeholder root
-  root_id_ = Build(loader, oids, loader.all(), height).child;
-  root_level_ = height;
+  root_id_ = Build(points, oids, layout, slots, 0).child;
+  root_level_ = layout.nodes[0].level;
   size_ = points.size();
   PublishBuilt(root_id_, root_level_, size_);
   return Status::OK();
 }
 
-RStarTree::NodeEntry VamSplitRTree::Build(VamLoader& loader,
+RStarTree::NodeEntry VamSplitRTree::Build(const std::vector<Point>& points,
                                           const std::vector<uint32_t>& oids,
-                                          VamRange range, int height) {
-  loader.Gather(range);
+                                          const VamLayout& layout,
+                                          std::span<const uint32_t> slots,
+                                          size_t index) {
+  const VamNode& layout_node = layout.nodes[index];
   Node node;
   node.id = file_.Allocate();
-  node.level = height;
-  if (height == 0) {
-    CHECK_LE(range.size(), leaf_capacity());
-    for (size_t r = range.begin; r < range.end; ++r) {
-      const PointView p = loader.row(r);
-      node.points.push_back(
-          LeafEntry{Point(p.begin(), p.end()), oids[loader.slot(r)]});
+  node.level = layout_node.level;
+  if (node.level == 0) {
+    for (const uint32_t slot : slots.subspan(layout_node.range.begin,
+                                             layout_node.range.size())) {
+      node.points.push_back(LeafEntry{points[slot], oids[slot]});
     }
   } else {
-    std::vector<VamRange> pieces;
-    loader.SplitIntoPieces(
-        range, VamSubtreeCapacity(leaf_capacity(), node_capacity(), height - 1),
-        pieces);
-    CHECK_LE(pieces.size(), node_capacity());
-    for (const VamRange piece : pieces) {
-      node.children.push_back(Build(loader, oids, piece, height - 1));
+    for (size_t c = 0; c < layout_node.child_count; ++c) {
+      node.children.push_back(
+          Build(points, oids, layout, slots, layout_node.first_child + c));
     }
   }
   WriteNode(node);

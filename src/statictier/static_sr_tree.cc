@@ -221,93 +221,29 @@ Status StaticSRTree::DeleteLocked(PointView, uint32_t) {
       "Static SR-tree is immutable; mutate through a TieredIndex");
 }
 
-// In-memory build node; page ids are assigned by a BFS pass afterwards so
-// sibling subtrees land on contiguous pages.
+// A node's output of the build: the aggregates over its subtree (its
+// parent's entry for it) and its page.
 struct StaticSRTree::BuildNode {
-  int level = 0;
-  std::vector<uint32_t> items;    // leaf: slots into the bulk-load arrays
-  std::vector<size_t> children;   // inner: indices into the build pool
-  // Aggregates over the node's whole subtree (the parent's entry for it).
   Point center;
   double radius = 0.0;
   Rect rect;
-  uint64_t weight = 0;
   PageId page = kInvalidPageId;
 };
 
-size_t StaticSRTree::BuildSubtree(VamLoader& loader, VamRange range,
-                                  int height,
-                                  std::vector<BuildNode>& pool) const {
-  const DistanceKernel& kernel = GetDistanceKernel();
-  BuildNode node;
-  node.level = height;
-  node.weight = range.size();
-
-  // Subtree aggregates from the actual point set: centroid center, exact
-  // MBR, and the Section 4.2 radius rule min(d_s, d_r). Every subtree point
-  // is inside the MBR, so d_r also bounds all of them — the sphere stays a
-  // valid cover even when d_r < d_s. The subtree's points are the loader's
-  // rows `range`; once they fit its block, each aggregate is a sequential
-  // scan.
-  loader.Gather(range);
-  const size_t dim = static_cast<size_t>(options_.dim);
-  node.center.assign(dim, 0.0);
-  node.rect = Rect::Empty(options_.dim);
-  for (size_t r = range.begin; r < range.end; ++r) {
-    const PointView p = loader.row(r);
-    for (size_t d = 0; d < dim; ++d) node.center[d] += p[d];
-    node.rect.Expand(p);
-  }
-  for (size_t d = 0; d < dim; ++d) {
-    node.center[d] /= static_cast<double>(range.size());
-  }
-  double max_d2 = 0.0;
-  for (size_t r = range.begin; r < range.end; ++r) {
-    max_d2 = std::max(max_d2, kernel.SquaredL2(node.center, loader.row(r)));
-  }
-  const double d_s = std::sqrt(max_d2);
-  const double d_r = std::sqrt(node.rect.MaxDistSq(node.center));
-  node.radius = std::min(d_s, d_r);
-
-  if (height == 0) {
-    CHECK_LE(range.size(), leaf_cap_);
-    const std::span<const uint32_t> slots = loader.slots(range);
-    node.items.assign(slots.begin(), slots.end());
-    pool.push_back(std::move(node));
-    return pool.size() - 1;
-  }
-
-  std::vector<VamRange> pieces;
-  loader.SplitIntoPieces(
-      range, VamSubtreeCapacity(leaf_cap_, node_cap_, height - 1), pieces);
-  CHECK_LE(pieces.size(), node_cap_);
-  for (const VamRange piece : pieces) {
-    node.children.push_back(BuildSubtree(loader, piece, height - 1, pool));
-  }
-  pool.push_back(std::move(node));
-  return pool.size() - 1;
-}
-
 void StaticSRTree::SerializeTree(const std::vector<Point>& points,
                                  const std::vector<uint32_t>& oids,
-                                 std::vector<BuildNode>& pool,
-                                 size_t root_index) {
-  // BFS numbering: a node's children are enqueued (and therefore allocated)
-  // consecutively, which is what makes the single first_child id sufficient.
-  // The tree is balanced, so the leaves come last, on consecutive pages.
-  std::vector<size_t> order;
-  order.reserve(pool.size());
-  std::queue<size_t> queue;
-  queue.push(root_index);
+                                 const VamLayout& layout,
+                                 std::span<const uint32_t> slots,
+                                 std::vector<BuildNode>& pool) {
+  // The node list is breadth-first, so numbering pages in its order puts
+  // a node's children on consecutive pages, which is what makes the
+  // single first_child id sufficient. The tree is balanced, so the leaves
+  // come last, on consecutive pages.
   first_leaf_ = kInvalidPageId;
   leaf_count_ = 0;
-  while (!queue.empty()) {
-    const size_t index = queue.front();
-    queue.pop();
+  for (size_t index = 0; index < layout.nodes.size(); ++index) {
     pool[index].page = file_.Allocate();
-    order.push_back(index);
-    for (const size_t child : pool[index].children) queue.push(child);
-    if (pool[index].level == 0) {
+    if (layout.nodes[index].level == 0) {
       if (leaf_count_ == 0) first_leaf_ = pool[index].page;
       CHECK_EQ(pool[index].page,
                first_leaf_ + static_cast<PageId>(leaf_count_));
@@ -316,27 +252,29 @@ void StaticSRTree::SerializeTree(const std::vector<Point>& points,
   }
 
   const int dim = options_.dim;
-  for (const size_t index : order) {
-    const BuildNode& node = pool[index];
+  for (size_t index = 0; index < layout.nodes.size(); ++index) {
+    const VamNode& node = layout.nodes[index];
     // Serialized straight into the staged page, zeroed first so the unused
     // tail is defined.
-    char* const page = file_.StageWrite(node.page);
+    char* const page = file_.StageWrite(pool[index].page);
     std::memset(page, 0, options_.page_size);
     const size_t count =
-        node.level == 0 ? node.items.size() : node.children.size();
+        node.level == 0 ? node.range.size() : node.child_count;
     CHECK_GT(count, 0u);
     CHECK_LE(count, node.level == 0 ? leaf_cap_ : node_cap_);
     char* cursor = page + kHeaderBytes;
     if (node.level == 0) {
+      const std::span<const uint32_t> items =
+          slots.subspan(node.range.begin, count);
       PutSoaHeader(page, 0, count, 0);
       cursor = PutSoaColumn(cursor, dim, count, [&](size_t i) {
-        return PointView(points[node.items[i]]);
+        return PointView(points[items[i]]);
       });
       PutSoaArray<uint32_t>(cursor, count,
-                            [&](size_t i) { return oids[node.items[i]]; });
+                            [&](size_t i) { return oids[items[i]]; });
     } else {
       const auto child = [&](size_t i) -> const BuildNode& {
-        return pool[node.children[i]];
+        return pool[node.first_child + i];
       };
       const PageId first_child = child(0).page;
       for (size_t i = 0; i < count; ++i) {
@@ -355,7 +293,8 @@ void StaticSRTree::SerializeTree(const std::vector<Point>& points,
         return PointView(child(i).rect.hi());
       });
       PutSoaArray<uint32_t>(cursor, count, [&](size_t i) {
-        return static_cast<uint32_t>(child(i).weight);
+        return static_cast<uint32_t>(
+            layout.nodes[node.first_child + i].range.size());
       });
     }
   }
@@ -372,17 +311,43 @@ Status StaticSRTree::BulkLoad(const std::vector<Point>& points,
   }
   if (points.empty()) return Status::OK();
 
-  const int height = VamHeight(leaf_cap_, node_cap_, points.size());
-  std::vector<BuildNode> pool;
-  size_t root_index = 0;
-  {
-    // The loader's memory goes before SerializeTree allocates the pages.
-    VamLoader loader(points);
-    root_index = BuildSubtree(loader, loader.all(), height, pool);
+  const VamLayout layout(points.size(), leaf_cap_, node_cap_);
+  const size_t dim = static_cast<size_t>(options_.dim);
+  std::vector<BuildNode> pool(layout.nodes.size());
+  for (BuildNode& node : pool) {
+    node.center.assign(dim, 0.0);
+    node.rect = Rect::Empty(options_.dim);
   }
-  SerializeTree(points, oids, pool, root_index);
-  root_id_ = pool[root_index].page;
-  root_level_ = height;
+  // Subtree aggregates from the actual point set: centroid center, exact
+  // MBR, and the Section 4.2 radius rule min(d_s, d_r). Every subtree point
+  // is inside the MBR, so d_r also bounds all of them — the sphere stays a
+  // valid cover even when d_r < d_s. Each runs on one worker, over the
+  // node's rows in row order, into the node's own slot of the pool.
+  const DistanceKernel& kernel = GetDistanceKernel();
+  const auto aggregate = [&](size_t index, const VamLoader::Rows& rows) {
+    const VamRange range = layout.nodes[index].range;
+    BuildNode& node = pool[index];
+    rows.ForEach(range, [&](size_t, PointView p) {
+      for (size_t d = 0; d < dim; ++d) node.center[d] += p[d];
+      node.rect.Expand(p);
+    });
+    for (size_t d = 0; d < dim; ++d) {
+      node.center[d] /= static_cast<double>(range.size());
+    }
+    double max_d2 = 0.0;
+    rows.ForEach(range, [&](size_t, PointView p) {
+      max_d2 = std::max(max_d2, kernel.SquaredL2(node.center, p));
+    });
+    const double d_s = std::sqrt(max_d2);
+    const double d_r = std::sqrt(node.rect.MaxDistSq(node.center));
+    node.radius = std::min(d_s, d_r);
+  };
+  // The loader's memory goes before SerializeTree allocates the pages.
+  const std::vector<uint32_t> slots =
+      VamLoader::Walk(points, layout, aggregate);
+  SerializeTree(points, oids, layout, slots, pool);
+  root_id_ = pool[0].page;
+  root_level_ = layout.nodes[0].level;
   size_ = points.size();
   PublishBuilt(root_id_, root_level_, size_);
   return Status::OK();

@@ -45,6 +45,7 @@
 #include <iosfwd>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -54,8 +55,7 @@
 
 namespace srtree {
 
-class VamLoader;  // src/index/vam_partition.h
-struct VamRange;
+struct VamLayout;  // src/index/vam_partition.h
 
 // Dead static-tier slots (see StaticSRTree::SlotOf), one bit each, kept in
 // fixed-size chunks. A chunk is never modified once shared: Set() replaces
@@ -211,13 +211,14 @@ class StaticSRTree : public PagedIndex {
 
   // ---- construction -------------------------------------------------------
 
-  struct BuildNode;  // in-memory node, BFS-numbered before serialization
+  struct BuildNode;  // a node's aggregates and page, one per layout node
 
-  size_t BuildSubtree(VamLoader& loader, VamRange range, int height,
-                      std::vector<BuildNode>& pool) const;
+  // Writes the pages of the tree `layout` describes, whose points are
+  // slots[node.range], numbered in the layout's breadth-first order.
   void SerializeTree(const std::vector<Point>& points,
                      const std::vector<uint32_t>& oids,
-                     std::vector<BuildNode>& pool, size_t root_index);
+                     const VamLayout& layout, std::span<const uint32_t> slots,
+                     std::vector<BuildNode>& pool);
 
   // BFS over the page image checking header sanity (levels, counts, child
   // liveness) so the audit/stats walks cannot crash on a forged image, and

@@ -55,45 +55,6 @@ TEST(VamSplitRTreeTest, BulkLoadCommitsExactlyOnce) {
             5u);
 }
 
-TEST(VamSplitRTreeTest, UsesMinimumNumberOfLeaves) {
-  // The defining guarantee: the split point is rounded to multiples of the
-  // maximal-subtree capacity, so exactly ceil(n / leaf_capacity) leaves are
-  // allocated.
-  for (const size_t n : {100u, 1000u, 2500u}) {
-    VamSplitRTree::Options options;
-    options.dim = 4;
-    options.page_size = 1024;
-    options.leaf_data_size = 0;
-    VamSplitRTree tree(options);
-    const Dataset data = MakeUniformDataset(n, 4, /*seed=*/61);
-    ASSERT_TRUE(tree.BulkLoad(data.ToPoints(), data.SequentialOids()).ok());
-    const TreeStats stats = tree.GetTreeStats();
-    const uint64_t min_leaves =
-        (n + tree.leaf_capacity() - 1) / tree.leaf_capacity();
-    EXPECT_EQ(stats.leaf_count, min_leaves) << "n=" << n;
-    EXPECT_TRUE(tree.CheckInvariants().ok());
-  }
-}
-
-TEST(VamSplitRTreeTest, MinimalHeight) {
-  VamSplitRTree::Options options;
-  options.dim = 4;
-  options.page_size = 1024;
-  options.leaf_data_size = 0;
-  VamSplitRTree tree(options);
-  const size_t n = 2000;
-  const Dataset data = MakeUniformDataset(n, 4, /*seed=*/67);
-  ASSERT_TRUE(tree.BulkLoad(data.ToPoints(), data.SequentialOids()).ok());
-  // Smallest h with leaf_cap * node_cap^h >= n.
-  uint64_t cap = tree.leaf_capacity();
-  int height = 1;
-  while (cap < n) {
-    cap *= tree.node_capacity();
-    ++height;
-  }
-  EXPECT_EQ(tree.height(), height);
-}
-
 TEST(VamSplitRTreeTest, EmptyBulkLoad) {
   VamSplitRTree::Options options;
   options.dim = 2;

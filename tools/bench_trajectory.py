@@ -7,7 +7,11 @@ BENCH_<x>.json: a checked-in history of those snapshots, one entry appended
 per PR that re-runs the bench, so reviewers can see how the numbers moved
 across the project's life instead of only the latest value:
 
-    {"bench": "BENCH_<x>", "history": [{"label": ..., "tables": [...]}, ...]}
+    {"bench": "BENCH_<x>",
+     "history": [{"label": ..., "stamp": {...}, "tables": [...]}, ...]}
+
+An entry keeps its snapshot's machine stamp (nproc, CPU model, L3 bytes,
+distance kernel, compiler, build type) when the snapshot has one.
 
 `tools/bench_diff.py` understands both forms (a trajectory diffs as its most
 recent entry).
@@ -45,12 +49,15 @@ def load_doc(path):
         sys.exit(f"bench_trajectory.py: cannot read {path}: {e}")
 
 
-def load_snapshot_tables(path):
+def load_snapshot(path):
     doc = load_doc(path)
-    tables = doc.get("tables")
-    if not isinstance(tables, list):
+    if not isinstance(doc.get("tables"), list):
         sys.exit(f"bench_trajectory.py: {path}: missing 'tables' list")
-    return tables
+    return doc
+
+
+def load_snapshot_tables(path):
+    return load_snapshot(path)["tables"]
 
 
 def write_atomic(path, doc):
@@ -62,7 +69,8 @@ def write_atomic(path, doc):
 
 
 def do_append(args):
-    tables = load_snapshot_tables(args.snapshot)
+    snapshot = load_snapshot(args.snapshot)
+    tables = snapshot["tables"]
     if os.path.exists(args.trajectory):
         doc = load_doc(args.trajectory)
         history = doc.get("history")
@@ -76,7 +84,11 @@ def do_append(args):
     if history and history[-1].get("tables") == tables:
         print(f"{args.trajectory}: latest entry already identical, no-op")
         return 0
-    history.append({"label": args.label, "tables": tables})
+    entry = {"label": args.label}
+    if "stamp" in snapshot:
+        entry["stamp"] = snapshot["stamp"]
+    entry["tables"] = tables
+    history.append(entry)
     write_atomic(args.trajectory, doc)
     print(f"{args.trajectory}: appended entry '{args.label}' "
           f"({len(history)} total)")
