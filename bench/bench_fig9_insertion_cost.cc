@@ -40,7 +40,7 @@ int Run(const BenchOptions& options) {
   }
   cpu_table.Print();
   access_table.Print();
-  return 0;
+  return bench::EmitJsonReport(options, {cpu_table, access_table});
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <numeric>
@@ -91,7 +92,8 @@ SRTree::SRTree(const Options& options)
       leaf_min_(std::max<size_t>(
           1, static_cast<size_t>(options_.min_utilization * leaf_cap_))),
       node_min_(std::max<size_t>(
-          1, static_cast<size_t>(options_.min_utilization * node_cap_))) {
+          1, static_cast<size_t>(options_.min_utilization * node_cap_))),
+      dist_(std::max(leaf_cap_, node_cap_)) {
   CHECK_GE(leaf_cap_, 2u);
   CHECK_GE(node_cap_, 2u);
 
@@ -284,40 +286,18 @@ size_t SRTree::NodeBytes(int level, size_t count) const {
 }
 
 void SRTree::SerializeNode(const Node& node, char* buf) const {
+  // Entry by entry through the same slot writers that edit pages in place,
+  // so there is one encoding of the layout.
   const size_t count = node.count();
   CHECK_LE(count, Capacity(node));
-  const int dim = options_.dim;
   PutSoaHeader(buf, node.level, count, 0);
-  char* cursor = buf + kHeaderBytes;
-  if (node.is_leaf()) {
-    const std::vector<LeafEntry>& e = node.points;
-    cursor = PutSoaColumn(cursor, dim, count,
-                          [&](size_t i) { return PointView(e[i].point); });
-    cursor = PutSoaArray<uint32_t>(cursor, count,
-                                   [&](size_t i) { return e[i].oid; });
-  } else {
-    const std::vector<NodeEntry>& e = node.children;
-    cursor = PutSoaColumn(cursor, dim, count, [&](size_t i) {
-      return PointView(e[i].sphere.center());
-    });
-    cursor = PutSoaArray<double>(
-        cursor, count, [&](size_t i) { return e[i].sphere.radius(); });
-    if (has_rects()) {
-      cursor = PutSoaColumn(cursor, dim, count, [&](size_t i) {
-        return PointView(e[i].rect.lo());
-      });
-      cursor = PutSoaColumn(cursor, dim, count, [&](size_t i) {
-        return PointView(e[i].rect.hi());
-      });
+  for (size_t i = 0; i < count; ++i) {
+    if (node.is_leaf()) {
+      PutLeafEntry(buf, count, i, node.points[i]);
+    } else {
+      PutInnerEntry(buf, count, i, node.children[i]);
     }
-    cursor = PutSoaArray<uint32_t>(cursor, count,
-                                   [&](size_t i) { return e[i].weight; });
-    cursor = PutSoaArray<uint32_t>(cursor, count,
-                                   [&](size_t i) { return e[i].child; });
   }
-  // The entries end the page's bytes: a leaf's data area is logical only.
-  DCHECK_EQ(static_cast<size_t>(cursor - buf),
-            NodeBytes(node.level, count));
 }
 
 void SRTree::DecodeNode(const char* buf, PageId id, Node& node) const {
@@ -357,12 +337,6 @@ SRTree::Node SRTree::DeserializeNode(const char* buf, PageId id) const {
   return node;
 }
 
-void SRTree::ReadNode(PageId id, int level, Node& node) const {
-  // The writer reads its working pages in place, counted like any disk read.
-  DecodeNode(file_.ReadInPlace(id, level), id, node);
-  DCHECK_EQ(node.level, level);
-}
-
 SRTree::Node SRTree::PeekNode(PageId id) const {
   return DeserializeNode(file_.PeekPage(id), id);
 }
@@ -381,65 +355,185 @@ void SRTree::CommitState() {
 }
 
 // --------------------------------------------------------------------------
+// Page edits
+// --------------------------------------------------------------------------
+
+size_t SRTree::DoubleRows(int level) const {
+  const size_t dim = static_cast<size_t>(options_.dim);
+  if (level == 0) return dim;  // the coordinates
+  // centers, radii and, in the sphere-and-rect region, rect lo and hi
+  return dim + 1 + (has_rects() ? 2 * dim : 0);
+}
+
+size_t SRTree::PageCount(const char* page, int level) const {
+  return level == 0 ? ParseSoaLeaf(page, options_.dim).count
+                    : ParseSoaInner(page, options_.dim, has_rects()).count;
+}
+
+void SRTree::PutLeafEntry(char* page, size_t count, size_t slot,
+                          const LeafEntry& e) const {
+  double* coords = reinterpret_cast<double*>(page + kHeaderBytes);
+  const size_t dim = static_cast<size_t>(options_.dim);
+  for (size_t d = 0; d < dim; ++d) coords[d * count + slot] = e.point[d];
+  reinterpret_cast<uint32_t*>(coords + dim * count)[slot] = e.oid;
+}
+
+void SRTree::PutInnerEntry(char* page, size_t count, size_t slot,
+                           const NodeEntry& e) const {
+  double* row = reinterpret_cast<double*>(page + kHeaderBytes);
+  const size_t dim = static_cast<size_t>(options_.dim);
+  const auto put_column = [&](PointView p) {
+    for (size_t d = 0; d < dim; ++d) row[d * count + slot] = p[d];
+    row += dim * count;
+  };
+  put_column(e.sphere.center());
+  row[slot] = e.sphere.radius();
+  row += count;
+  if (has_rects()) {
+    put_column(e.rect.lo());
+    put_column(e.rect.hi());
+  }
+  uint32_t* words = reinterpret_cast<uint32_t*>(row);
+  words[slot] = e.weight;
+  words[count + slot] = e.child;
+}
+
+template <typename Fill>
+void SRTree::StageGrown(PageId id, int level, Fill&& fill) {
+  // The old bytes go to scratch first: when this mutation already wrote the
+  // page, staging it at another extent frees its buffer.
+  const char* old = file_.PeekPage(id);
+  const size_t count = PageCount(old, level);
+  page_copy_.assign(old, old + NodeBytes(level, count));
+  char* page = file_.StageWrite(id, NodeBytes(level, count + 1));
+  PutSoaHeader(page, level, count + 1, 0);
+  const char* from = page_copy_.data() + kHeaderBytes;
+  char* to = page + kHeaderBytes;
+  const auto relay = [&](size_t rows, size_t bytes) {
+    for (; rows > 0; --rows) {
+      std::memcpy(to, from, count * bytes);
+      to += (count + 1) * bytes;
+      from += count * bytes;
+    }
+  };
+  relay(DoubleRows(level), sizeof(double));
+  relay(WordRows(level), sizeof(uint32_t));
+  fill(page, count + 1);
+}
+
+// --------------------------------------------------------------------------
 // Region helpers
 // --------------------------------------------------------------------------
 
-Point SRTree::NodeCentroid(const Node& node, uint32_t& weight) const {
-  Point centroid(options_.dim, 0.0);
+namespace {
+
+// The centroid of `count` entries into `out`: per dimension, each entry's
+// coordinate coord_of(i, d) times its weight weight_of(i), summed in entry
+// order, then divided by the total weight, which it returns. A leaf point
+// weighs 1 (and 1.0 * x is x, so its sum is the plain one).
+template <typename CoordOf, typename WeightOf>
+uint32_t WeightedCentroid(size_t dim, size_t count, CoordOf&& coord_of,
+                          WeightOf&& weight_of, Point& out) {
   uint64_t total = 0;
-  if (node.is_leaf()) {
-    for (const LeafEntry& e : node.points) {
-      for (int d = 0; d < options_.dim; ++d) centroid[d] += e.point[d];
-    }
-    total = node.points.size();
-  } else {
-    for (const NodeEntry& e : node.children) {
-      const double w = static_cast<double>(e.weight);
-      for (int d = 0; d < options_.dim; ++d) {
-        centroid[d] += w * e.sphere.center()[d];
-      }
-      total += e.weight;
-    }
-  }
+  for (size_t i = 0; i < count; ++i) total += weight_of(i);
   CHECK_GT(total, 0u);
-  for (double& c : centroid) c /= static_cast<double>(total);
-  weight = static_cast<uint32_t>(total);
-  return centroid;
+  out.assign(dim, 0.0);
+  for (size_t d = 0; d < dim; ++d) {
+    double sum = 0.0;
+    for (size_t i = 0; i < count; ++i) {
+      sum += static_cast<double>(weight_of(i)) * coord_of(i, d);
+    }
+    out[d] = sum / static_cast<double>(total);
+  }
+  return static_cast<uint32_t>(total);
 }
 
-SRTree::NodeEntry SRTree::ComputeEntry(const Node& node) const {
-  NodeEntry entry;
-  Point center = NodeCentroid(node, entry.weight);
+// The exact MBR of the boxes [lo_i, hi_i] (points when lo and hi are the
+// same block), folded in entry order as Rect::Expand does.
+void SoaBounds(const SoaBlock& lo, const SoaBlock& hi, Rect& out) {
+  const size_t dim = static_cast<size_t>(lo.dim);
+  Point& out_lo = out.mutable_lo();
+  Point& out_hi = out.mutable_hi();
+  out_lo.assign(dim, std::numeric_limits<double>::infinity());
+  out_hi.assign(dim, -std::numeric_limits<double>::infinity());
+  for (size_t d = 0; d < dim; ++d) {
+    const double* lo_row = lo.coords + d * lo.count;
+    const double* hi_row = hi.coords + d * hi.count;
+    for (size_t i = 0; i < lo.count; ++i) {
+      out_lo[d] = std::min(out_lo[d], lo_row[i]);
+      out_hi[d] = std::max(out_hi[d], hi_row[i]);
+    }
+  }
+}
 
+// out[i] = Rect::MaxDistSq from `q` to the box [lo_i, hi_i]: the squared
+// distance to its farthest corner, summed over ascending dimensions.
+void MaxDistSqToMany(PointView q, const SoaBlock& lo, const SoaBlock& hi,
+                     double* out) {
+  std::fill_n(out, lo.count, 0.0);
+  for (size_t d = 0; d < q.size(); ++d) {
+    const double qd = q[d];
+    const double* lo_row = lo.coords + d * lo.count;
+    const double* hi_row = hi.coords + d * hi.count;
+    for (size_t i = 0; i < lo.count; ++i) {
+      const double diff =
+          std::max(std::abs(qd - lo_row[i]), std::abs(hi_row[i] - qd));
+      out[i] += diff * diff;
+    }
+  }
+}
+
+}  // namespace
+
+void SRTree::ComputeEntry(PageId id, NodeEntry& entry) const {
+  const char* page = file_.PeekPage(id);
+  const DistanceKernel& kernel = GetDistanceKernel();
+  const size_t dim = static_cast<size_t>(options_.dim);
   // A sphere-only region keeps no rectangle, so it skips the MBR and d_r.
   const bool rects = has_rects();
-  Rect bound = rects ? Rect::Empty(options_.dim) : Rect();
+  Point& center = entry.sphere.mutable_center();
   double d_s = 0.0;  // reach of the child spheres from the new center
   double d_r = 0.0;  // reach of the child rectangles from the new center
-  if (node.is_leaf()) {
-    for (const LeafEntry& e : node.points) {
-      if (rects) bound.Expand(e.point);
-      d_s = std::max(d_s, GetDistanceKernel().L2(center, e.point));
+  if (SoaPageLevel(page) == 0) {
+    const SoaLeafView leaf = ParseSoaLeaf(page, options_.dim);
+    DCHECK_LE(leaf.count, dist_.size());
+    const double* coords = leaf.points.coords;
+    entry.weight = WeightedCentroid(
+        dim, leaf.count,
+        [&](size_t i, size_t d) { return coords[d * leaf.count + i]; },
+        [](size_t) { return 1u; }, center);
+    kernel.SquaredL2ToMany(center, leaf.points, dist_.data());
+    for (size_t i = 0; i < leaf.count; ++i) {
+      d_s = std::max(d_s, std::sqrt(dist_[i]));
     }
     d_r = d_s;  // a point is its own rectangle
+    if (rects) SoaBounds(leaf.points, leaf.points, entry.rect);
   } else {
-    for (const NodeEntry& e : node.children) {
-      d_s = std::max(d_s, GetDistanceKernel().L2(center, e.sphere.center()) +
-                              e.sphere.radius());
-      if (!rects) continue;
-      bound.Expand(e.rect);
-      d_r = std::max(d_r, std::sqrt(e.rect.MaxDistSq(center)));
+    const SoaInnerView inner = ParseSoaInner(page, options_.dim, rects);
+    DCHECK_LE(inner.count, dist_.size());
+    const double* centers = inner.centers.coords;
+    entry.weight = WeightedCentroid(
+        dim, inner.count,
+        [&](size_t i, size_t d) { return centers[d * inner.count + i]; },
+        [&](size_t i) { return inner.weights[i]; }, center);
+    kernel.SquaredL2ToMany(center, inner.centers, dist_.data());
+    for (size_t i = 0; i < inner.count; ++i) {
+      d_s = std::max(d_s, std::sqrt(dist_[i]) + inner.radii[i]);
+    }
+    if (rects) {
+      SoaBounds(inner.lo, inner.hi, entry.rect);
+      MaxDistSqToMany(center, inner.lo, inner.hi, dist_.data());
+      for (size_t i = 0; i < inner.count; ++i) {
+        d_r = std::max(d_r, std::sqrt(dist_[i]));
+      }
     }
   }
   // Section 4.2: the radius is min(d_s, d_r). Both bound every point of the
   // subtree, so the smaller one still covers them while shrinking the
   // sphere below what the SS-tree would use.
-  const double radius =
-      options_.use_rect_in_radius ? std::min(d_s, d_r) : d_s;
-  entry.sphere = Sphere(std::move(center), radius);
-  entry.rect = std::move(bound);
-  entry.child = node.id;
-  return entry;
+  entry.sphere.set_radius(options_.use_rect_in_radius ? std::min(d_s, d_r)
+                                                      : d_s);
+  entry.child = id;
 }
 
 PointView SRTree::EntryCentroid(const Node& node, size_t i) const {
@@ -480,54 +574,81 @@ void SRTree::InsertPending(const Pending& item, std::deque<Pending>& pending) {
                       : PointView(item.node.sphere.center());
   CHECK_LE(item.level, root_level_);
 
-  // The descent decodes into writer-owned nodes reused from one insert to
-  // the next, so their entry vectors (and entry points) keep their capacity.
-  const size_t last = static_cast<size_t>(root_level_ - item.level);
-  if (descent_.size() <= last) descent_.resize(last + 1);
-  descent_idx_.clear();
-  ReadNode(root_id_, root_level_, descent_[0]);
-  for (size_t d = 0; d < last; ++d) {
-    const Node& cur = descent_[d];
-    const int i = ChooseSubtree(cur, centroid);
-    descent_idx_.push_back(i);
-    ReadNode(cur.children[static_cast<size_t>(i)].child, cur.level - 1,
-             descent_[d + 1]);
+  // The descent reads each page on the path in place, one counted read per
+  // page, and keeps only its id and the entry taken.
+  path_ids_.clear();
+  path_idx_.clear();
+  PageId id = root_id_;
+  const char* page = file_.ReadInPlace(id, root_level_);
+  for (int level = root_level_; level > item.level; --level) {
+    DCHECK_EQ(SoaPageLevel(page), level);
+    path_ids_.push_back(id);
+    const SoaInnerView inner = ParseSoaInner(page, options_.dim, has_rects());
+    const int i = ChooseSubtree(inner, centroid);
+    path_idx_.push_back(i);
+    id = inner.tail[i];
+    page = file_.ReadInPlace(id, level - 1);
   }
-  Node& target = descent_[last];
+  path_ids_.push_back(id);
+  const int last = root_level_ - item.level;
+  const size_t capacity = item.level == 0 ? leaf_cap_ : node_cap_;
+  if (PageCount(page, item.level) < capacity) {
+    StageGrown(id, item.level, [&](char* grown, size_t count) {
+      if (item.level == 0) {
+        PutLeafEntry(grown, count, count - 1, item.leaf);
+      } else {
+        PutInnerEntry(grown, count, count - 1, item.node);
+      }
+    });
+    RefreshPath(last);
+    return;
+  }
+  // Only an overflowing node is decoded: its capacity + 1 entries fit no
+  // page.
+  DecodeNode(page, id, overflow_);
   if (item.level == 0) {
-    target.points.push_back(item.leaf);
+    overflow_.points.push_back(item.leaf);
   } else {
-    target.children.push_back(item.node);
+    overflow_.children.push_back(item.node);
   }
-  ResolvePath(descent_, descent_idx_, static_cast<int>(last), pending);
+  ResolveOverflow(last, pending);
 }
 
-int SRTree::ChooseSubtree(const Node& node, PointView centroid) const {
-  DCHECK(!node.is_leaf());
+int SRTree::ChooseSubtree(const SoaInnerView& inner,
+                          PointView centroid) const {
+  // One batched pass over the center column. The kernel sums each entry in
+  // ascending dimensions with one accumulator, as SquaredL2 does, so the
+  // distances are bit-identical to pairwise ones.
+  DCHECK_LE(inner.count, dist_.size());
+  GetDistanceKernel().SquaredL2ToMany(centroid, inner.centers, dist_.data());
   int best = 0;
   double best_dist = std::numeric_limits<double>::infinity();
-  for (size_t i = 0; i < node.children.size(); ++i) {
-    const double d =
-        GetDistanceKernel().SquaredL2(node.children[i].sphere.center(),
-                                      centroid);
-    if (d < best_dist) {
-      best_dist = d;
+  for (size_t i = 0; i < inner.count; ++i) {
+    if (dist_[i] < best_dist) {
+      best_dist = dist_[i];
       best = static_cast<int>(i);
     }
   }
   return best;
 }
 
-void SRTree::ResolvePath(std::vector<Node>& path, const std::vector<int>& idx,
-                         int last, std::deque<Pending>& pending) {
-  int i = last;
-  while (true) {
-    Node& n = path[i];
-    if (n.count() <= Capacity(n)) break;
+void SRTree::RefreshPath(int from) {
+  for (int j = from - 1; j >= 0; --j) {
+    ComputeEntry(path_ids_[j + 1], entry_);
+    char* page = file_.StagePatch(path_ids_[j]);
+    PutInnerEntry(page, PageCount(page, root_level_ - j),
+                  static_cast<size_t>(path_idx_[j]), entry_);
+  }
+}
+
+void SRTree::ResolveOverflow(int from, std::deque<Pending>& pending) {
+  Node& n = overflow_;
+  for (int i = from;; --i) {
     const bool is_root = (i == 0);
     if (!is_root && reinserted_nodes_.insert(n.id).second) {
       std::vector<Pending> removed = RemoveForReinsert(n);
-      WritePathRefreshingEntries(path, idx, i);
+      WriteNode(n);
+      RefreshPath(i);
       for (Pending& p : removed) pending.push_back(std::move(p));
       return;
     }
@@ -538,21 +659,24 @@ void SRTree::ResolvePath(std::vector<Node>& path, const std::vector<int>& idx,
     }
     WriteNode(right);
     WriteNode(n);
-    Node& parent = path[i - 1];
-    parent.children[idx[i - 1]] = ComputeEntry(n);
-    parent.children.push_back(ComputeEntry(right));
-    --i;
-  }
-  WritePathRefreshingEntries(path, idx, i);
-}
-
-void SRTree::WritePathRefreshingEntries(std::vector<Node>& path,
-                                        const std::vector<int>& idx,
-                                        int from) {
-  WriteNode(path[from]);
-  for (int j = from - 1; j >= 0; --j) {
-    path[j].children[idx[j]] = ComputeEntry(path[j + 1]);
-    WriteNode(path[j]);
+    NodeEntry right_entry;
+    ComputeEntry(n.id, entry_);
+    ComputeEntry(right.id, right_entry);
+    const PageId parent = path_ids_[i - 1];
+    const int level = n.level + 1;
+    const size_t slot = static_cast<size_t>(path_idx_[i - 1]);
+    if (PageCount(file_.PeekPage(parent), level) < node_cap_) {
+      StageGrown(parent, level, [&](char* grown, size_t count) {
+        PutInnerEntry(grown, count, slot, entry_);
+        PutInnerEntry(grown, count, count - 1, right_entry);
+      });
+      RefreshPath(i - 1);
+      return;
+    }
+    // The parent overflows in turn.
+    DecodeNode(file_.PeekPage(parent), parent, n);
+    n.children[slot] = entry_;
+    n.children.push_back(std::move(right_entry));
   }
 }
 
@@ -563,8 +687,18 @@ std::vector<SRTree::Pending> SRTree::RemoveForReinsert(Node& node) {
       std::lround(options_.reinsert_fraction * static_cast<double>(total)));
   evict = std::clamp<size_t>(evict, 1, total - MinEntries(node));
 
-  uint32_t weight = 0;
-  const Point centroid = NodeCentroid(node, weight);
+  Point centroid;
+  if (node.is_leaf()) {
+    WeightedCentroid(
+        static_cast<size_t>(options_.dim), total,
+        [&](size_t i, size_t d) { return node.points[i].point[d]; },
+        [](size_t) { return 1u; }, centroid);
+  } else {
+    WeightedCentroid(
+        static_cast<size_t>(options_.dim), total,
+        [&](size_t i, size_t d) { return node.children[i].sphere.center()[d]; },
+        [&](size_t i) { return node.children[i].weight; }, centroid);
+  }
   std::vector<std::pair<double, size_t>> by_distance(total);
   for (size_t i = 0; i < total; ++i) {
     by_distance[i] = {
@@ -680,8 +814,9 @@ void SRTree::GrowRoot(Node& left, Node& right) {
   Node root;
   root.id = file_.Allocate();
   root.level = left.level + 1;
-  root.children.push_back(ComputeEntry(left));
-  root.children.push_back(ComputeEntry(right));
+  root.children.resize(2);
+  ComputeEntry(left.id, root.children[0]);
+  ComputeEntry(right.id, root.children[1]);
   WriteNode(root);
   root_id_ = root.id;
   root_level_ = root.level;
@@ -786,7 +921,7 @@ void SRTree::CondenseTree(std::vector<Node>& path, std::vector<int>& idx) {
       parent.children.erase(parent.children.begin() + idx[i - 1]);
     } else {
       WriteNode(n);
-      parent.children[idx[i - 1]] = ComputeEntry(n);
+      ComputeEntry(n.id, parent.children[idx[i - 1]]);
     }
   }
   WriteNode(path[0]);
@@ -902,7 +1037,9 @@ void SRTree::CollectRegions(const Node& node,
   if (node.is_leaf()) {
     if (node.points.empty()) return;
     collector.CountLeaf();
-    collector.AddSphere(ComputeEntry(node).sphere);
+    NodeEntry entry;
+    ComputeEntry(node.id, entry);
+    collector.AddSphere(entry.sphere);
     // The exact MBR, which a sphere-only tree measures without storing.
     Rect bound = Rect::Empty(options_.dim);
     for (const LeafEntry& e : node.points) bound.Expand(e.point);

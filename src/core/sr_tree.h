@@ -45,12 +45,15 @@
 // a leaf still fills its 8 KB page for the paper's accounting, but nothing
 // reads it, so it is never stored: each page's extent (PageFile::StageWrite)
 // ends at its last entry, NodeBytes(level, count) bytes.
-// The writer decodes its working pages in place into reused Node storage
-// (ReadNode) and serializes nodes straight into the buffer StageWrite
-// hands back (WriteNode). A query never decodes: it overlays SoaBlock views
-// on the pinned version's own page buffer (PageFile::Snapshot::ReadInPlace)
-// and feeds them to the distance kernels — no lock, no copy, no per-entry
-// decode, no allocation per page read. The image header records the layout
+// The writer works on its pages in place too: an insert descends through
+// the pages' center columns, adds an entry by re-laying the target page's
+// columns one slot wider, and refreshes each parent entry on the path by
+// patching only that entry's words with a region computed from the child's
+// page (ComputeEntry). Only a node that overflows is decoded into a Node:
+// its capacity + 1 entries fit no page. A query never decodes: it overlays
+// SoaBlock views on the pinned version's own page buffer
+// (PageFile::Snapshot::ReadInPlace) and feeds them to the distance kernels
+// — no lock, no copy, no per-entry decode, no allocation per page read. The image header records the layout
 // and the region; Open() rejects images in the retired row-major layouts.
 
 #ifndef SRTREE_CORE_SR_TREE_H_
@@ -72,6 +75,8 @@
 #include "src/index/paged_index.h"
 
 namespace srtree {
+
+struct SoaInnerView;
 
 class SRTree : public PagedIndex {
  public:
@@ -211,15 +216,13 @@ class SRTree : public PagedIndex {
   bool has_rects() const { return options_.region == Region::kSphereAndRect; }
 
   // --- page I/O ---
-  // ReadNode/PeekNode/WriteNode operate on *working state* and belong to
-  // the writer (or a locked structural accessor). The query path never
-  // builds a Node: it overlays SoaBlock views (src/index/soa_page.h) on
-  // committed pages read in place from the snapshot (snap.ReadInPlace).
+  // PeekNode/WriteNode operate on *working state* and belong to the writer
+  // (or a locked structural accessor). The query path never builds a Node:
+  // it overlays SoaBlock views (src/index/soa_page.h) on committed pages
+  // read in place from the snapshot (snap.ReadInPlace).
   //
-  // ReadNode decodes the working page in place (PageFile::ReadInPlace,
-  // counted as one read) into `node`, reusing its storage; WriteNode
+  // PeekNode decodes a working page without I/O accounting; WriteNode
   // serializes straight into the buffer PageFile::StageWrite hands back.
-  void ReadNode(PageId id, int level, Node& node) const REQUIRES(writer_mu_);
   Node PeekNode(PageId id) const REQUIRES(writer_mu_);
   void WriteNode(const Node& node) REQUIRES(writer_mu_);
   // Bytes a page of `count` entries at `level` holds: the header and the
@@ -245,26 +248,46 @@ class SRTree : public PagedIndex {
     return node.is_leaf() ? leaf_min_ : node_min_;
   }
 
+  // --- page edits (writer only) ---
+  // A page is kHeaderBytes, then DoubleRows(level) rows of count doubles,
+  // then WordRows(level) rows of count u32s (see the layout above).
+  size_t DoubleRows(int level) const;
+  static size_t WordRows(int level) { return level == 0 ? 1 : 2; }
+  size_t PageCount(const char* page, int level) const;
+  // Write `e` into slot `slot` of the `count`-entry page image at `page`
+  // (SerializeNode writes every slot through them).
+  void PutLeafEntry(char* page, size_t count, size_t slot,
+                    const LeafEntry& e) const;
+  void PutInnerEntry(char* page, size_t count, size_t slot,
+                     const NodeEntry& e) const;
+  // Stages page `id` at `level` one entry larger: its entries keep their
+  // slots, re-laid for the wider stride, and fill(page, count + 1) writes
+  // slot `count` (and may overwrite others).
+  template <typename Fill>
+  void StageGrown(PageId id, int level, Fill&& fill) REQUIRES(writer_mu_);
+
   // --- region helpers ---
-  Point NodeCentroid(const Node& node, uint32_t& weight) const;
-  // Sphere (radius = min(d_s, d_r), or d_s alone without the radius rule or
-  // a rectangle), exact MBR (none for the sphere region), and weight for
-  // `node`.
-  NodeEntry ComputeEntry(const Node& node) const;
+  // The entry for the working page `id`, computed from its bytes without
+  // I/O accounting (PageFile::PeekPage): the centroid, the sphere (radius =
+  // min(d_s, d_r), or d_s alone without the radius rule or a rectangle), the
+  // exact MBR (left as it is for the sphere region) and the weight. The one
+  // implementation of the Section 4.2 region arithmetic.
+  void ComputeEntry(PageId id, NodeEntry& entry) const REQUIRES(writer_mu_);
   PointView EntryCentroid(const Node& node, size_t i) const;
 
   // --- insertion machinery (writer only) ---
   void ProcessPending(std::deque<Pending>& pending) REQUIRES(writer_mu_);
   void InsertPending(const Pending& item, std::deque<Pending>& pending)
       REQUIRES(writer_mu_);
-  int ChooseSubtree(const Node& node, PointView centroid) const;
-  // Resolves overflow bottom-up from path[last] (idx[j] is path[j + 1]'s
-  // entry in path[j]) and writes the path back.
-  void ResolvePath(std::vector<Node>& path, const std::vector<int>& idx,
-                   int last, std::deque<Pending>& pending)
+  // The entry whose center is nearest `centroid` (the first on a tie).
+  int ChooseSubtree(const SoaInnerView& inner, PointView centroid) const
       REQUIRES(writer_mu_);
-  void WritePathRefreshingEntries(std::vector<Node>& path,
-                                  const std::vector<int>& idx, int from)
+  // Patches the entry of each page on the insert path above path_ids_[from]
+  // from its child's page, up to the root.
+  void RefreshPath(int from) REQUIRES(writer_mu_);
+  // Resolves the overflow of overflow_, the node at path_ids_[from] with
+  // one entry past its capacity, bottom-up, and writes the path back.
+  void ResolveOverflow(int from, std::deque<Pending>& pending)
       REQUIRES(writer_mu_);
   std::vector<Pending> RemoveForReinsert(Node& node) REQUIRES(writer_mu_);
   Node SplitNode(Node& node) REQUIRES(writer_mu_);
@@ -319,10 +342,18 @@ class SRTree : public PagedIndex {
   // Per-node forced-reinsertion bookkeeping, inherited from the SS-tree.
   std::set<PageId> reinserted_nodes_ GUARDED_BY(writer_mu_);
 
-  // The insert descent's root-to-target nodes and the entry taken at each
-  // inner one, reused by every InsertPending (see there).
-  std::vector<Node> descent_ GUARDED_BY(writer_mu_);
-  std::vector<int> descent_idx_ GUARDED_BY(writer_mu_);
+  // Writer scratch, reused by every InsertPending: the insert path's page
+  // ids from the root down and the entry taken at each inner page; the
+  // overflowing node; the entry a refresh computes; a copy of the page
+  // StageGrown re-lays; distances from one center to a page's
+  // entries (ChooseSubtree, ComputeEntry), sized once for a full page and
+  // mutable for the const walkers that take writer_mu_.
+  std::vector<PageId> path_ids_ GUARDED_BY(writer_mu_);
+  std::vector<int> path_idx_ GUARDED_BY(writer_mu_);
+  Node overflow_ GUARDED_BY(writer_mu_);
+  NodeEntry entry_ GUARDED_BY(writer_mu_);
+  std::vector<char> page_copy_ GUARDED_BY(writer_mu_);
+  mutable std::vector<double> dist_ GUARDED_BY(writer_mu_);
 };
 
 // SS-tree (White & Jain, ICDE 1996) — the similarity-indexing baseline the

@@ -715,4 +715,15 @@ Status PageFile::Load(const std::string& path) {
   return LoadFrom(image.stream());
 }
 
+char* PageFile::StagePatch(PageId id) {
+  CHECK(IsLive(id));
+  const char* current = pages_[id].get();
+  const size_t extent = extents_[id];
+  // At an unchanged extent StageWrite frees nothing: a copy-on-write keeps
+  // `current` alive in pending_retire_ until the next Commit().
+  char* page = StageWrite(id, extent);
+  if (page != current && extent > 0) std::memcpy(page, current, extent);
+  return page;
+}
+
 }  // namespace srtree

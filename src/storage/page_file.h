@@ -202,6 +202,13 @@ class PageFile {
   // callers holding a complete page image (storage probes and tests).
   void StageWrite(PageId id, const char* data);
 
+  // StageWrite(id, extent(id)) for a writer that changes only some of the
+  // page's bytes: the returned buffer already holds the page's current
+  // bytes (copy-on-write copies them into the fresh buffer; an unpublished
+  // buffer is returned as it is), so the caller overwrites just what
+  // changes. Counts one write; the same pointer contract as StageWrite.
+  [[nodiscard]] char* StagePatch(PageId id);
+
   // Atomically publishes the current working state (live pages + buffers +
   // `meta`) as the next version. Readers acquiring a snapshot from this
   // point observe the new version; snapshots acquired earlier keep reading

@@ -6,15 +6,22 @@
 // of slipping into the figures.
 
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/core/sr_tree.h"
 #include "src/index/index_factory.h"
 #include "src/index/point_index.h"
+#include "src/storage/crc32c.h"
 #include "src/workload/queries.h"
 #include "src/workload/uniform.h"
+#include "tests/page_image_test_util.h"
 
 namespace srtree {
 namespace {
@@ -260,6 +267,104 @@ TEST(PaperMetricGate, TvTreeUniformD10) {
       .best_first_reads = 5406,
       .range_reads = 1061};
   ExpectSame(Measure(IndexType::kTvTree, config, 3000, 0.3), want);
+}
+
+// Page pins for SR and SS trees built by Insert: every live page's bytes,
+// not only the counts above, so a writer change that moves an entry, a
+// radius ulp or an extent turns the suite red. Each digest is one CRC32C
+// chained over the (id, extent, CRC32C of the stored bytes) words of every
+// live page of the saved image, in id order.
+struct PagePin {
+  uint64_t live_pages = 0;
+  uint64_t stored_bytes = 0;
+  uint32_t digest = 0;
+};
+
+PagePin PinPages(const PointIndex& index, const std::string& name) {
+  const std::string path = ::testing::TempDir() + "/page_pin_" + name + ".idx";
+  EXPECT_TRUE(index.Save(path).ok());
+  std::ifstream in(path, std::ios::binary);
+  const std::string image((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  std::remove(path.c_str());
+  const testing_image::PageImage parsed = testing_image::ParsePageImage(
+      image, testing_image::IndexImagePageFileStart(image));
+  PagePin pin;
+  for (const testing_image::PageRecord& r : parsed.records) {
+    if (!r.live) continue;
+    ++pin.live_pages;
+    pin.stored_bytes += r.extent;
+    const uint32_t words[3] = {static_cast<uint32_t>(r.id),
+                               static_cast<uint32_t>(r.extent),
+                               Crc32c(image.data() + r.data, r.extent)};
+    pin.digest = Crc32cExtend(pin.digest, words, sizeof(words));
+  }
+  return pin;
+}
+
+void ExpectPin(const PagePin& got, const PagePin& want) {
+  EXPECT_EQ(got.live_pages, want.live_pages);
+  EXPECT_EQ(got.stored_bytes, want.stored_bytes);
+  EXPECT_EQ(got.digest, want.digest);
+}
+
+// Inserts n uniform points one by one and pins the pages, then deletes every
+// third point, so that underfull nodes condense and their orphans are
+// reinserted, and pins them again.
+void ExpectInsertBuiltPages(SRTree& tree, size_t n, const PagePin& built,
+                            const PagePin& after_deletes) {
+  const Dataset data = MakeUniformDataset(n, tree.dim(), /*seed=*/5);
+  const std::vector<Point> points = data.ToPoints();
+  for (size_t i = 0; i < points.size(); ++i) {
+    ASSERT_TRUE(tree.Insert(points[i], static_cast<uint32_t>(i)).ok());
+  }
+  ExpectPin(PinPages(tree, tree.name() + "_built"), built);
+  for (size_t i = 0; i < points.size(); i += 3) {
+    ASSERT_TRUE(tree.Delete(points[i], static_cast<uint32_t>(i)).ok());
+  }
+  ExpectPin(PinPages(tree, tree.name() + "_deleted"), after_deletes);
+  EXPECT_TRUE(tree.CheckInvariants().ok());
+}
+
+// The paper's configuration: D = 16, 8 KB pages, 512-byte leaf data.
+TEST(PaperMetricGate, SrTreeInsertBuiltPagesD16) {
+  SRTree::Options options;
+  options.dim = 16;
+  SRTree tree(options);
+  ExpectInsertBuiltPages(tree, 3000, {338, 533504, 1757631522},
+                         {310, 390080, 4024953});
+}
+
+TEST(PaperMetricGate, SrTreeInsertBuiltPagesD3) {
+  SRTree::Options options;
+  options.dim = 3;
+  options.page_size = 1024;
+  options.leaf_data_size = 0;
+  SRTree tree(options);
+  ExpectInsertBuiltPages(tree, 4000, {160, 127272, 268366481},
+                         {141, 88096, 1512033500});
+}
+
+TEST(PaperMetricGate, SsTreeInsertBuiltPagesD8) {
+  SRTree::Options options;
+  options.dim = 8;
+  options.page_size = 2048;
+  options.leaf_data_size = 0;
+  SSTree tree(options);
+  ExpectInsertBuiltPages(tree, 3000, {127, 215096, 2220728151},
+                         {115, 146040, 3703409875});
+}
+
+// The Section 4.2 radius rule off: the radius is d_s, the rects stay.
+TEST(PaperMetricGate, SrTreeWithoutRectRadiusInsertBuiltPagesD8) {
+  SRTree::Options options;
+  options.dim = 8;
+  options.page_size = 2048;
+  options.leaf_data_size = 0;
+  options.use_rect_in_radius = false;
+  SRTree tree(options);
+  ExpectInsertBuiltPages(tree, 3000, {142, 234464, 324748234},
+                         {129, 163656, 3648720538});
 }
 
 }  // namespace

@@ -66,6 +66,11 @@ where available, a real clang AST:
       acquisition — a MutexLock taken while another MutexLock (or a
       REQUIRES-declared capability) is held, directly or through a call
       chain across translation units — into a global acquisition graph.
+      A method is known by its class (`X::f` out of line, or the class
+      body it is defined in): a qualified call `X::f(...)` or a call on a
+      by-value local `X v` reaches X::f alone, any other call every
+      definition named f; a declaration's REQUIRES applies to its own
+      class's definition only.
       A cycle in that graph is a potential deadlock and fails the run.
       The graph is also a checked-in artifact, docs/lock_order.json
       (regenerate with --emit-lock-order); the repo-wide run fails when
@@ -134,7 +139,7 @@ import pathlib
 import re
 import subprocess
 import sys
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 FIRST_PARTY_DIRS = ("src", "tests", "bench", "tools", "examples")
 SOURCE_SUFFIXES = (".h", ".hpp", ".cc", ".cpp")
@@ -171,9 +176,10 @@ C5_OWNER_MARKERS = ("unique_ptr", "shared_ptr")
 # Calls that hand out a raw page pointer. A snapshot's ReadInPlace points
 # into the pinned version's buffer and is valid only while the EpochGuard
 # lives; the writer's PageFile::ReadInPlace and the buffer StageWrite(id)
-# returns point into working state that the next copy-on-write, Commit or
-# Load replaces (and, once published, must never be written again).
-C5_PAGE_POINTER_CALLS = ("ReadInPlace", "StageWrite")
+# or StagePatch(id) returns point into working state that the next
+# copy-on-write, Commit or Load replaces (and, once published, must never
+# be written again).
+C5_PAGE_POINTER_CALLS = ("ReadInPlace", "StageWrite", "StagePatch")
 
 # C6: the lock-order artifact. Regenerate with --emit-lock-order whenever
 # the repo-wide run reports it stale.
@@ -1271,12 +1277,25 @@ class _Func(NamedTuple):
     line: int
     requires: tuple[str, ...]
     body: tuple[int, int]  # token index range (start, end), exclusive
+    # The class of a method: the `X` of an out-of-line `X::name`
+    # definition, or the class whose body holds an in-class one.
+    cls: str = ""
+
+    @property
+    def key(self) -> str:
+        """The qualified name C6 resolves calls to (bare for free
+        functions)."""
+        return f"{self.cls}::{self.name}" if self.cls else self.name
 
 
 class _CallEvent(NamedTuple):
     callee: str
     held: tuple[str, ...]
     line: int
+    # The class the call is known to reach, or "": `X` of a qualified
+    # `X::callee(...)`, or the type of a by-value local receiver
+    # (`X v(...); v.callee(...)`), whose dynamic type is its static one.
+    cls: str = ""
 
 
 class _Acquire(NamedTuple):
@@ -1337,9 +1356,11 @@ def parse_functions(rel: str, tokens: list[Token]
                     ) -> tuple[list[_Func], dict[str, set[str]]]:
     """Segment a token stream into function definitions and collect the
     REQUIRES sets of function *declarations* (headers carry the annotation;
-    definitions usually do not repeat it)."""
+    definitions usually do not repeat it), keyed like _Func.key."""
     funcs: list[_Func] = []
     decl_requires: dict[str, set[str]] = {}
+    class_spans = [(name, span) for name, span, _, _ in
+                   parse_classes(rel, tokens)]
     n = len(tokens)
     i = 0
     while i < n:
@@ -1414,15 +1435,53 @@ def parse_functions(rel: str, tokens: list[Token]
         if body_start is not None:
             body_end = _match_fwd(tokens, body_start, "{", "}")
             funcs.append(_Func(rel, name, tok.line, tuple(requires),
-                               (body_start + 1, body_end)))
+                               (body_start + 1, body_end),
+                               _method_class(tokens, i, class_spans)))
             i = body_end
         elif is_decl and requires:
-            decl_requires.setdefault(name, set()).update(requires)
+            cls = _method_class(tokens, i, class_spans)
+            key = f"{cls}::{name}" if cls else name
+            decl_requires.setdefault(key, set()).update(requires)
             i = j
         else:
             i = close
         i += 1
     return funcs, decl_requires
+
+
+def _method_class(tokens: list[Token], i: int,
+                  class_spans: list[tuple[str, tuple[int, int]]]) -> str:
+    """The class of the function definition named at tokens[i]: the
+    qualifier of `X::name` (`X::~name`), else the innermost class body
+    holding it, else "" (a free function)."""
+    j = i - 1 if i >= 1 and tokens[i - 1].text == "~" else i
+    if j >= 2 and tokens[j - 1].text == "::" and \
+            IDENT_RE.match(tokens[j - 2].text):
+        return tokens[j - 2].text
+    inner = ""
+    inner_start = -1
+    for name, (start, end) in class_spans:
+        if start <= i < end and start > inner_start:
+            inner, inner_start = name, start
+    return inner
+
+
+def _value_local(tokens: list[Token], i: int, end: int) -> str | None:
+    """The variable a by-value local declaration `T v(...)`, `T v{...}`,
+    `T v = ...` or `T v;` starting at tokens[i] (= T) declares, else None.
+    References and pointers (`T& v`, `T* v`) do not qualify: their object
+    may be of a derived class."""
+    if i + 2 >= end or tokens[i].text in STATEMENT_KEYWORDS or \
+            tokens[i].text == "auto" or \
+            not IDENT_RE.match(tokens[i].text):
+        return None
+    if i >= 1 and tokens[i - 1].text in (".", "->", "::", "<", ","):
+        return None
+    var = tokens[i + 1].text
+    if not IDENT_RE.match(var) or var in STATEMENT_KEYWORDS or \
+            tokens[i + 2].text not in ("(", "{", "=", ";"):
+        return None
+    return var
 
 
 def scan_body(tokens: list[Token], span: tuple[int, int],
@@ -1433,6 +1492,7 @@ def scan_body(tokens: list[Token], span: tuple[int, int],
     depth = 0
     acquires: list[_Acquire] = []
     calls: list[_CallEvent] = []
+    locals_type: dict[str, str] = {}  # by-value locals -> their type
     i = start
     while i < end:
         t = tokens[i].text
@@ -1459,8 +1519,20 @@ def scan_body(tokens: list[Token], span: tuple[int, int],
         elif IDENT_RE.match(t) and t not in STATEMENT_KEYWORDS and \
                 t != "MutexLock" and i + 1 < end and \
                 tokens[i + 1].text == "(":
+            cls = ""
+            before = tokens[i - 1].text if i >= 1 else ""
+            if before == "::" and i >= 2 and \
+                    IDENT_RE.match(tokens[i - 2].text):
+                cls = tokens[i - 2].text
+            elif before in (".", "->") and i >= 2 and \
+                    (i < 3 or tokens[i - 3].text not in (".", "->", "::")):
+                cls = locals_type.get(tokens[i - 2].text, "")
             calls.append(_CallEvent(t, tuple(h[0] for h in held),
-                                    tokens[i].line))
+                                    tokens[i].line, cls))
+        else:
+            var = _value_local(tokens, i, end)
+            if var is not None:
+                locals_type[var] = t
         i += 1
     return acquires, calls
 
@@ -1479,18 +1551,42 @@ def parse_program(analysis: "Analysis") -> _Program:
             decl_requires.setdefault(k, set()).update(v)
     scans = []
     for fn in funcs:
-        req = set(fn.requires) | decl_requires.get(fn.name, set())
+        req = set(fn.requires) | decl_requires.get(fn.key, set())
         acq, calls = scan_body(analysis.tokens_by_rel[fn.rel], fn.body, req)
         scans.append((fn, acq, calls))
     return _Program(funcs, decl_requires, scans)
 
 
+def _call_targets(program: _Program
+                  ) -> Callable[[_CallEvent], set[str]]:
+    """Resolves a call to the keys (_Func.key) of the definitions it can
+    reach: the one method `X::callee` when the call names its class (a
+    qualified call, or a by-value local receiver) and X defines it, else
+    every definition named `callee`, so that virtual dispatch and
+    receivers of unknown type are over-approximated, never missed."""
+    by_name: dict[str, set[str]] = {}
+    for fn, _, _ in program.scans:
+        by_name.setdefault(fn.name, set()).add(fn.key)
+
+    def targets(call: _CallEvent) -> set[str]:
+        named = by_name.get(call.callee, set())
+        exact = f"{call.cls}::{call.callee}"
+        return {exact} if call.cls and exact in named else named
+
+    return targets
+
+
 def _transitive_acquires(program: _Program) -> dict[str, set[str]]:
+    """Mutexes each definition (by key) acquires, itself or through the
+    calls it makes."""
+    targets = _call_targets(program)
     direct: dict[str, set[str]] = {}
     callees: dict[str, set[str]] = {}
     for fn, acq, calls in program.scans:
-        direct.setdefault(fn.name, set()).update(a.mutex for a in acq)
-        callees.setdefault(fn.name, set()).update(c.callee for c in calls)
+        direct.setdefault(fn.key, set()).update(a.mutex for a in acq)
+        cs = callees.setdefault(fn.key, set())
+        for c in calls:
+            cs |= targets(c)
     trans = {k: set(v) for k, v in direct.items()}
     changed = True
     while changed:
@@ -1514,8 +1610,10 @@ def build_lock_graph(program: _Program) -> dict[tuple[str, str], set[str]]:
     holding locks, to a function that (transitively) acquires. Same-name
     self-edges are suppressed: the by-name abstraction cannot tell two
     instances of `mu` apart, and the codebase's per-object locks make
-    them overwhelmingly distinct objects."""
+    them overwhelmingly distinct objects. Calls resolve as
+    _call_targets says."""
     trans = _transitive_acquires(program)
+    targets = _call_targets(program)
     edges: dict[tuple[str, str], set[str]] = {}
     for fn, acq, calls in program.scans:
         for a in acq:
@@ -1526,7 +1624,10 @@ def build_lock_graph(program: _Program) -> dict[tuple[str, str], set[str]]:
         for c in calls:
             if not c.held:
                 continue
-            for mu in sorted(trans.get(c.callee, ())):
+            reached = set()
+            for key in targets(c):
+                reached |= trans.get(key, set())
+            for mu in sorted(reached):
                 for h in c.held:
                     if h != mu:
                         edges.setdefault((h, mu), set()).add(
