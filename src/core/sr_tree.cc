@@ -93,21 +93,18 @@ SRTree::SRTree(const Options& options)
           1, static_cast<size_t>(options_.min_utilization * leaf_cap_))),
       node_min_(std::max<size_t>(
           1, static_cast<size_t>(options_.min_utilization * node_cap_))),
-      dist_(std::max(leaf_cap_, node_cap_)) {
+      dist_(std::max(leaf_cap_, node_cap_) + 1) {
   CHECK_GE(leaf_cap_, 2u);
   CHECK_GE(node_cap_, 2u);
 
   // No other thread can hold a reference yet, but the analysis (correctly)
   // demands the lock for the guarded members and the REQUIRES helpers.
   MutexLock lock(writer_mu_);
-  Node root;
-  root.id = file_.Allocate();
-  root.level = 0;
-  WriteNode(root);
-  root_id_ = root.id;
+  image_.resize(
+      std::max(NodeBytes(0, leaf_cap_ + 1), NodeBytes(1, node_cap_ + 1)));
+  root_id_ = NewEmptyLeaf();
   CommitState();  // publish the empty tree as the first real version
 }
-
 
 // --------------------------------------------------------------------------
 // Persistence
@@ -275,7 +272,7 @@ StatusOr<std::unique_ptr<SSTree>> SSTree::Open(const std::string& path) {
 }
 
 // --------------------------------------------------------------------------
-// Page I/O
+// Page images
 // --------------------------------------------------------------------------
 
 size_t SRTree::NodeBytes(int level, size_t count) const {
@@ -285,78 +282,9 @@ size_t SRTree::NodeBytes(int level, size_t count) const {
                              : InnerEntryBytes(dim, options_.region));
 }
 
-void SRTree::SerializeNode(const Node& node, char* buf) const {
-  // Entry by entry through the same slot writers that edit pages in place,
-  // so there is one encoding of the layout.
-  const size_t count = node.count();
-  CHECK_LE(count, Capacity(node));
-  PutSoaHeader(buf, node.level, count, 0);
-  for (size_t i = 0; i < count; ++i) {
-    if (node.is_leaf()) {
-      PutLeafEntry(buf, count, i, node.points[i]);
-    } else {
-      PutInnerEntry(buf, count, i, node.children[i]);
-    }
-  }
-}
-
-void SRTree::DecodeNode(const char* buf, PageId id, Node& node) const {
-  node.id = id;
-  node.level = SoaPageLevel(buf);
-  if (node.level == 0) {
-    const SoaLeafView leaf = ParseSoaLeaf(buf, options_.dim);
-    node.children.clear();
-    node.points.resize(leaf.count);
-    for (size_t i = 0; i < leaf.count; ++i) {
-      GatherSoaElement(leaf.points, i, node.points[i].point);
-      node.points[i].oid = leaf.oids[i];
-    }
-    return;
-  }
-  const SoaInnerView inner = ParseSoaInner(buf, options_.dim, has_rects());
-  node.points.clear();
-  node.children.resize(inner.count);
-  for (size_t i = 0; i < inner.count; ++i) {
-    NodeEntry& e = node.children[i];
-    GatherSoaElement(inner.centers, i, e.sphere.mutable_center());
-    e.sphere.set_radius(inner.radii[i]);
-    e.weight = inner.weights[i];
-    e.child = inner.tail[i];
-  }
-  if (!has_rects()) return;
-  for (size_t i = 0; i < inner.count; ++i) {
-    NodeEntry& e = node.children[i];
-    GatherSoaElement(inner.lo, i, e.rect.mutable_lo());
-    GatherSoaElement(inner.hi, i, e.rect.mutable_hi());
-  }
-}
-
-SRTree::Node SRTree::DeserializeNode(const char* buf, PageId id) const {
-  Node node;
-  DecodeNode(buf, id, node);
-  return node;
-}
-
-SRTree::Node SRTree::PeekNode(PageId id) const {
-  return DeserializeNode(file_.PeekPage(id), id);
-}
-
-void SRTree::WriteNode(const Node& node) {
-  // Serialized straight into the staged buffer, sized to exactly the bytes
-  // the node uses, which SerializeNode fills completely. Copy-on-write
-  // staging keeps snapshots on the committed buffer: staging a shared page
-  // moves this id to a fresh one.
-  SerializeNode(node, file_.StageWrite(node.id,
-                                       NodeBytes(node.level, node.count())));
-}
-
 void SRTree::CommitState() {
   CommitRoot(root_id_, root_level_, size_);
 }
-
-// --------------------------------------------------------------------------
-// Page edits
-// --------------------------------------------------------------------------
 
 size_t SRTree::DoubleRows(int level) const {
   const size_t dim = static_cast<size_t>(options_.dim);
@@ -398,27 +326,102 @@ void SRTree::PutInnerEntry(char* page, size_t count, size_t slot,
   words[count + slot] = e.child;
 }
 
+void SRTree::ReadSlot(const char* page, size_t count, int level, size_t slot,
+                      Pending& out) const {
+  const double* row = reinterpret_cast<const double*>(page + kHeaderBytes);
+  const size_t dim = static_cast<size_t>(options_.dim);
+  const auto get_column = [&](Point& p) {
+    p.resize(dim);
+    for (size_t d = 0; d < dim; ++d) p[d] = row[d * count + slot];
+    row += dim * count;
+  };
+  out.level = level;
+  if (level == 0) {
+    get_column(out.leaf.point);
+    out.leaf.oid = reinterpret_cast<const uint32_t*>(row)[slot];
+    return;
+  }
+  NodeEntry& e = out.node;
+  get_column(e.sphere.mutable_center());
+  e.sphere.set_radius(row[slot]);
+  row += count;
+  if (has_rects()) {
+    get_column(e.rect.mutable_lo());
+    get_column(e.rect.mutable_hi());
+  }
+  const uint32_t* words = reinterpret_cast<const uint32_t*>(row);
+  e.weight = words[slot];
+  e.child = words[count + slot];
+}
+
+namespace {
+
+// Copies `rows` rows of `count` T's at `from` into rows of `to_count` T's
+// at `to`, element slots[j] of each row to element j, and advances both
+// past them. A run of consecutive slots is found once and moves as one
+// block per row, so a relay that keeps the entries in order costs one copy
+// per row.
+template <typename T>
+void RelayRows(const char*& from, size_t count, char*& to, size_t to_count,
+               size_t rows, std::span<const uint32_t> slots) {
+  const T* src = reinterpret_cast<const T*>(from);
+  T* dst = reinterpret_cast<T*>(to);
+  for (size_t j = 0; j < slots.size();) {
+    size_t run = 1;
+    while (j + run < slots.size() && slots[j + run] == slots[j] + run) ++run;
+    for (size_t r = 0; r < rows; ++r) {
+      std::copy_n(src + r * count + slots[j], run, dst + r * to_count + j);
+    }
+    j += run;
+  }
+  from = reinterpret_cast<const char*>(src + rows * count);
+  to = reinterpret_cast<char*>(dst + rows * to_count);
+}
+
+}  // namespace
+
+void SRTree::RelaySlots(const char* from, size_t count, int level,
+                        std::span<const uint32_t> slots, char* to,
+                        size_t to_count) const {
+  DCHECK_LE(slots.size(), to_count);
+  PutSoaHeader(to, level, to_count, 0);
+  from += kHeaderBytes;
+  to += kHeaderBytes;
+  RelayRows<double>(from, count, to, to_count, DoubleRows(level), slots);
+  RelayRows<uint32_t>(from, count, to, to_count, WordRows(level), slots);
+}
+
 template <typename Fill>
-void SRTree::StageGrown(PageId id, int level, Fill&& fill) {
-  // The old bytes go to scratch first: when this mutation already wrote the
-  // page, staging it at another extent frees its buffer.
+void SRTree::StageRelaid(PageId id, int level,
+                         std::span<const uint32_t> slots, size_t to_count,
+                         Fill&& fill) {
   const char* old = file_.PeekPage(id);
   const size_t count = PageCount(old, level);
   page_copy_.assign(old, old + NodeBytes(level, count));
-  char* page = file_.StageWrite(id, NodeBytes(level, count + 1));
-  PutSoaHeader(page, level, count + 1, 0);
-  const char* from = page_copy_.data() + kHeaderBytes;
-  char* to = page + kHeaderBytes;
-  const auto relay = [&](size_t rows, size_t bytes) {
-    for (; rows > 0; --rows) {
-      std::memcpy(to, from, count * bytes);
-      to += (count + 1) * bytes;
-      from += count * bytes;
-    }
-  };
-  relay(DoubleRows(level), sizeof(double));
-  relay(WordRows(level), sizeof(uint32_t));
-  fill(page, count + 1);
+  char* page = file_.StageWrite(id, NodeBytes(level, to_count));
+  RelaySlots(page_copy_.data(), count, level, slots, page, to_count);
+  fill(page);
+}
+
+template <typename Fill>
+bool SRTree::Widen(PageId id, int level, size_t count, Fill&& fill) {
+  // Every entry keeps its slot.
+  slots_.resize(count);
+  std::iota(slots_.begin(), slots_.end(), 0u);
+  if (count < Capacity(level)) {
+    StageRelaid(id, level, slots_, count + 1, fill);
+    return true;
+  }
+  RelaySlots(file_.PeekPage(id), count, level, slots_, image_.data(),
+             count + 1);
+  fill(image_.data());
+  return false;
+}
+
+PageId SRTree::NewEmptyLeaf() {
+  const PageId id = file_.Allocate();
+  PutSoaHeader(file_.StageWrite(id, NodeBytes(0, 0)), 0, 0, 0);
+  return id;
 }
 
 // --------------------------------------------------------------------------
@@ -536,11 +539,6 @@ void SRTree::ComputeEntry(PageId id, NodeEntry& entry) const {
   entry.child = id;
 }
 
-PointView SRTree::EntryCentroid(const Node& node, size_t i) const {
-  return node.is_leaf() ? PointView(node.points[i].point)
-                        : PointView(node.children[i].sphere.center());
-}
-
 // --------------------------------------------------------------------------
 // Insertion
 // --------------------------------------------------------------------------
@@ -548,10 +546,7 @@ PointView SRTree::EntryCentroid(const Node& node, size_t i) const {
 Status SRTree::InsertLocked(PointView point, uint32_t oid) {
   reinserted_nodes_.clear();
   std::deque<Pending> pending;
-  Pending item;
-  item.level = 0;
-  item.leaf = LeafEntry{Point(point.begin(), point.end()), oid};
-  pending.push_back(std::move(item));
+  pending.push_back({0, LeafEntry{Point(point.begin(), point.end()), oid}, {}});
   ProcessPending(pending);
   ++size_;
   // One atomic publish per insert: concurrent snapshots see the whole
@@ -591,27 +586,19 @@ void SRTree::InsertPending(const Pending& item, std::deque<Pending>& pending) {
   }
   path_ids_.push_back(id);
   const int last = root_level_ - item.level;
-  const size_t capacity = item.level == 0 ? leaf_cap_ : node_cap_;
-  if (PageCount(page, item.level) < capacity) {
-    StageGrown(id, item.level, [&](char* grown, size_t count) {
-      if (item.level == 0) {
-        PutLeafEntry(grown, count, count - 1, item.leaf);
-      } else {
-        PutInnerEntry(grown, count, count - 1, item.node);
-      }
-    });
+  const size_t count = PageCount(page, item.level);
+  const bool fits = Widen(id, item.level, count, [&](char* grown) {
+    if (item.level == 0) {
+      PutLeafEntry(grown, count + 1, count, item.leaf);
+    } else {
+      PutInnerEntry(grown, count + 1, count, item.node);
+    }
+  });
+  if (fits) {
     RefreshPath(last);
-    return;
-  }
-  // Only an overflowing node is decoded: its capacity + 1 entries fit no
-  // page.
-  DecodeNode(page, id, overflow_);
-  if (item.level == 0) {
-    overflow_.points.push_back(item.leaf);
   } else {
-    overflow_.children.push_back(item.node);
+    ResolveOverflow(last, pending);
   }
-  ResolveOverflow(last, pending);
 }
 
 int SRTree::ChooseSubtree(const SoaInnerView& inner,
@@ -642,99 +629,107 @@ void SRTree::RefreshPath(int from) {
 }
 
 void SRTree::ResolveOverflow(int from, std::deque<Pending>& pending) {
-  Node& n = overflow_;
   for (int i = from;; --i) {
+    const PageId id = path_ids_[i];
+    const int level = root_level_ - i;
     const bool is_root = (i == 0);
-    if (!is_root && reinserted_nodes_.insert(n.id).second) {
-      std::vector<Pending> removed = RemoveForReinsert(n);
-      WriteNode(n);
+    if (!is_root && reinserted_nodes_.insert(id).second) {
+      RemoveForReinsert(id, level, pending);
       RefreshPath(i);
-      for (Pending& p : removed) pending.push_back(std::move(p));
       return;
     }
-    Node right = SplitNode(n);
-    if (is_root) {
-      GrowRoot(n, right);
-      return;
-    }
-    WriteNode(right);
-    WriteNode(n);
+    const PageId right = SplitNode(id, level);
     NodeEntry right_entry;
-    ComputeEntry(n.id, entry_);
-    ComputeEntry(right.id, right_entry);
+    ComputeEntry(id, entry_);
+    ComputeEntry(right, right_entry);
+    if (is_root) {
+      // The root splits: a new root holds the two halves.
+      root_id_ = file_.Allocate();
+      root_level_ = level + 1;
+      char* root = file_.StageWrite(root_id_, NodeBytes(root_level_, 2));
+      PutSoaHeader(root, root_level_, 2, 0);
+      PutInnerEntry(root, 2, 0, entry_);
+      PutInnerEntry(root, 2, 1, right_entry);
+      return;
+    }
+    // The parent takes the right half's entry last; when it is full too, it
+    // overflows in turn, into the image.
     const PageId parent = path_ids_[i - 1];
-    const int level = n.level + 1;
     const size_t slot = static_cast<size_t>(path_idx_[i - 1]);
-    if (PageCount(file_.PeekPage(parent), level) < node_cap_) {
-      StageGrown(parent, level, [&](char* grown, size_t count) {
-        PutInnerEntry(grown, count, slot, entry_);
-        PutInnerEntry(grown, count, count - 1, right_entry);
-      });
+    const size_t count = PageCount(file_.PeekPage(parent), level + 1);
+    if (Widen(parent, level + 1, count, [&](char* grown) {
+          PutInnerEntry(grown, count + 1, slot, entry_);
+          PutInnerEntry(grown, count + 1, count, right_entry);
+        })) {
       RefreshPath(i - 1);
       return;
     }
-    // The parent overflows in turn.
-    DecodeNode(file_.PeekPage(parent), parent, n);
-    n.children[slot] = entry_;
-    n.children.push_back(std::move(right_entry));
   }
 }
 
-std::vector<SRTree::Pending> SRTree::RemoveForReinsert(Node& node) {
+void SRTree::RemoveForReinsert(PageId id, int level,
+                               std::deque<Pending>& pending) {
   ++maintenance_.reinsertions;
-  const size_t total = node.count();
+  const size_t total = Capacity(level) + 1;
   size_t evict = static_cast<size_t>(
       std::lround(options_.reinsert_fraction * static_cast<double>(total)));
-  evict = std::clamp<size_t>(evict, 1, total - MinEntries(node));
+  evict = std::clamp<size_t>(evict, 1, total - MinEntries(level));
 
+  // The entries' centroids are the image's first column: a leaf's points,
+  // an inner page's sphere centers.
+  const char* image = image_.data();
+  const size_t dim = static_cast<size_t>(options_.dim);
+  const SoaBlock centroids{
+      reinterpret_cast<const double*>(image + kHeaderBytes), total,
+      options_.dim};
+  const auto coord_of = [&](size_t i, size_t d) {
+    return centroids.coords[d * total + i];
+  };
   Point centroid;
-  if (node.is_leaf()) {
-    WeightedCentroid(
-        static_cast<size_t>(options_.dim), total,
-        [&](size_t i, size_t d) { return node.points[i].point[d]; },
-        [](size_t) { return 1u; }, centroid);
+  if (level == 0) {
+    WeightedCentroid(dim, total, coord_of, [](size_t) { return 1u; },
+                     centroid);
   } else {
-    WeightedCentroid(
-        static_cast<size_t>(options_.dim), total,
-        [&](size_t i, size_t d) { return node.children[i].sphere.center()[d]; },
-        [&](size_t i) { return node.children[i].weight; }, centroid);
+    const uint32_t* weights =
+        ParseSoaInner(image, options_.dim, has_rects()).weights;
+    WeightedCentroid(dim, total, coord_of,
+                     [&](size_t i) { return weights[i]; }, centroid);
   }
+  DCHECK_LE(total, dist_.size());
+  GetDistanceKernel().SquaredL2ToMany(centroid, centroids, dist_.data());
   std::vector<std::pair<double, size_t>> by_distance(total);
-  for (size_t i = 0; i < total; ++i) {
-    by_distance[i] = {
-        GetDistanceKernel().SquaredL2(EntryCentroid(node, i), centroid), i};
-  }
+  for (size_t i = 0; i < total; ++i) by_distance[i] = {dist_[i], i};
   std::sort(by_distance.begin(), by_distance.end(),
             [](const auto& a, const auto& b) { return a.first > b.first; });
 
-  std::vector<size_t> evicted;
-  for (size_t i = 0; i < evict; ++i) evicted.push_back(by_distance[i].second);
-  std::vector<Pending> removed(evict);
-  for (size_t i = 0; i < evict; ++i) {
-    Pending& p = removed[evict - 1 - i];  // closest-first reinsertion
-    p.level = node.level;
-    if (node.is_leaf()) {
-      p.leaf = node.points[evicted[i]];
-    } else {
-      p.node = node.children[evicted[i]];
-    }
+  // Closest-first reinsertion: the evicted entries queue from the nearest.
+  std::vector<bool> evicted(total, false);
+  for (size_t k = evict; k-- > 0;) {
+    const size_t slot = by_distance[k].second;
+    evicted[slot] = true;
+    ReadSlot(image, total, level, slot, pending.emplace_back());
   }
-  std::sort(evicted.begin(), evicted.end(), std::greater<size_t>());
-  for (size_t pos : evicted) {
-    if (node.is_leaf()) {
-      node.points.erase(node.points.begin() + pos);
-    } else {
-      node.children.erase(node.children.begin() + pos);
-    }
+  // The rest stay, in slot order.
+  slots_.clear();
+  for (uint32_t slot = 0; slot < total; ++slot) {
+    if (!evicted[slot]) slots_.push_back(slot);
   }
-  return removed;
+  RelaySlots(image, total, level, slots_,
+             file_.StageWrite(id, NodeBytes(level, slots_.size())),
+             slots_.size());
 }
 
-SRTree::Node SRTree::SplitNode(Node& node) {
+PageId SRTree::SplitNode(PageId id, int level) {
   ++maintenance_.splits;
-  const size_t total = node.count();
-  const size_t m = MinEntries(node);
+  const size_t total = Capacity(level) + 1;
+  const size_t m = MinEntries(level);
   CHECK_GE(total, 2 * m);
+  // Entry i's centroid coordinate d, from the image's first column.
+  const double* centroids =
+      reinterpret_cast<const double*>(image_.data() + kHeaderBytes);
+  const auto x = [&](size_t i, int d) {
+    return centroids[static_cast<size_t>(d) * total + i];
+  };
 
   // The SR-tree inherits the SS-tree split: dimension of highest centroid
   // variance, position of least summed variance (Section 4.2).
@@ -743,9 +738,8 @@ SRTree::Node SRTree::SplitNode(Node& node) {
   for (int d = 0; d < options_.dim; ++d) {
     double sum = 0.0, sum_sq = 0.0;
     for (size_t i = 0; i < total; ++i) {
-      const double x = EntryCentroid(node, i)[d];
-      sum += x;
-      sum_sq += x * x;
+      sum += x(i, d);
+      sum_sq += x(i, d) * x(i, d);
     }
     const double mean = sum / static_cast<double>(total);
     const double var = sum_sq / static_cast<double>(total) - mean * mean;
@@ -755,17 +749,17 @@ SRTree::Node SRTree::SplitNode(Node& node) {
     }
   }
 
-  std::vector<size_t> order(total);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return EntryCentroid(node, a)[best_dim] < EntryCentroid(node, b)[best_dim];
+  slots_.resize(total);
+  std::iota(slots_.begin(), slots_.end(), 0u);
+  std::sort(slots_.begin(), slots_.end(), [&](uint32_t a, uint32_t b) {
+    return x(a, best_dim) < x(b, best_dim);
   });
 
   std::vector<double> prefix_sum(total + 1, 0.0), prefix_sq(total + 1, 0.0);
   for (size_t i = 0; i < total; ++i) {
-    const double x = EntryCentroid(node, order[i])[best_dim];
-    prefix_sum[i + 1] = prefix_sum[i] + x;
-    prefix_sq[i + 1] = prefix_sq[i] + x * x;
+    const double v = x(slots_[i], best_dim);
+    prefix_sum[i + 1] = prefix_sum[i] + v;
+    prefix_sq[i + 1] = prefix_sq[i] + v * v;
   }
   auto group_variance = [&](size_t begin, size_t end) {
     const double n = static_cast<double>(end - begin);
@@ -785,41 +779,15 @@ SRTree::Node SRTree::SplitNode(Node& node) {
     }
   }
 
-  Node right;
-  right.id = file_.Allocate();
-  right.level = node.level;
-  if (node.is_leaf()) {
-    std::vector<LeafEntry> left_points, right_points;
-    for (size_t i = 0; i < total; ++i) {
-      auto& dst = (i < best_split) ? left_points : right_points;
-      dst.push_back(std::move(node.points[order[i]]));
-    }
-    node.points = std::move(left_points);
-    right.points = std::move(right_points);
-  } else {
-    std::vector<NodeEntry> left_children, right_children;
-    for (size_t i = 0; i < total; ++i) {
-      auto& dst = (i < best_split) ? left_children : right_children;
-      dst.push_back(std::move(node.children[order[i]]));
-    }
-    node.children = std::move(left_children);
-    right.children = std::move(right_children);
-  }
+  // The entries before the split point stay on `id`, the rest go right.
+  const PageId right = file_.Allocate();
+  const std::span<const uint32_t> order(slots_);
+  const size_t rest = total - best_split;
+  RelaySlots(image_.data(), total, level, order.first(best_split),
+             file_.StageWrite(id, NodeBytes(level, best_split)), best_split);
+  RelaySlots(image_.data(), total, level, order.subspan(best_split),
+             file_.StageWrite(right, NodeBytes(level, rest)), rest);
   return right;
-}
-
-void SRTree::GrowRoot(Node& left, Node& right) {
-  WriteNode(left);
-  WriteNode(right);
-  Node root;
-  root.id = file_.Allocate();
-  root.level = left.level + 1;
-  root.children.resize(2);
-  ComputeEntry(left.id, root.children[0]);
-  ComputeEntry(right.id, root.children[1]);
-  WriteNode(root);
-  root_id_ = root.id;
-  root_level_ = root.level;
 }
 
 // --------------------------------------------------------------------------
@@ -827,128 +795,117 @@ void SRTree::GrowRoot(Node& left, Node& right) {
 // --------------------------------------------------------------------------
 
 Status SRTree::DeleteLocked(PointView point, uint32_t oid) {
-  std::vector<PageId> ids;
-  std::vector<int> idx;
-  Point center;
-  if (!FindLeafPath(root_id_, root_level_, point, oid, ids, idx, center)) {
+  path_ids_.clear();
+  path_idx_.clear();
+  find_dist_.resize(static_cast<size_t>(root_level_) * node_cap_);
+  if (!FindLeafPath(root_id_, root_level_, point, oid)) {
     // Nothing staged, nothing committed: the version number advances only
     // on successful mutations.
     return Status::NotFound("point not present");
   }
-  // Only the nodes on the returned path are decoded (the search already
-  // counted their reads).
-  std::vector<Node> path(ids.size());
-  for (size_t j = 0; j < ids.size(); ++j) {
-    DecodeNode(file_.PeekPage(ids[j]), ids[j], path[j]);
-  }
-  Node& leaf = path.back();
-  bool erased = false;
-  for (size_t i = 0; i < leaf.points.size(); ++i) {
-    if (leaf.points[i].oid == oid &&
-        std::equal(point.begin(), point.end(), leaf.points[i].point.begin(),
-                   leaf.points[i].point.end())) {
-      leaf.points.erase(leaf.points.begin() + i);
-      erased = true;
-      break;
-    }
-  }
-  CHECK(erased);
-  CondenseTree(path, idx);
+  CondenseTree();
   ShrinkRoot();
   --size_;
   CommitState();
   return Status::OK();
 }
 
-bool SRTree::FindLeafPath(PageId id, int level, PointView point, uint32_t oid,
-                          std::vector<PageId>& ids, std::vector<int>& idx,
-                          Point& center) {
+bool SRTree::FindLeafPath(PageId id, int level, PointView point,
+                          uint32_t oid) {
   const char* page = file_.ReadInPlace(id, level);
   DCHECK_EQ(SoaPageLevel(page), level);
-  ids.push_back(id);
+  path_ids_.push_back(id);
   if (level == 0) {
     const SoaLeafView leaf = ParseSoaLeaf(page, options_.dim);
     for (size_t i = 0; i < leaf.count; ++i) {
       if (leaf.oids[i] == oid && SoaElementEquals(leaf.points, i, point)) {
+        path_idx_.push_back(static_cast<int>(i));
         return true;
       }
     }
   } else {
     // The page stays valid across the recursion: the search stages nothing.
+    // One batched pass over the center column: L2 is sqrt(SquaredL2), which
+    // the batch matches bit for bit. Each inner level has its own row of
+    // find_dist_, since the recursion below fills the rows under it.
     const bool rects = has_rects();
     const SoaInnerView inner = ParseSoaInner(page, options_.dim, rects);
+    DCHECK_LE(inner.count, node_cap_);
+    double* dist =
+        find_dist_.data() + static_cast<size_t>(level - 1) * node_cap_;
+    GetDistanceKernel().SquaredL2ToMany(point, inner.centers, dist);
     for (size_t i = 0; i < inner.count; ++i) {
       if (rects && !SoaRectContains(inner, i, point)) continue;
-      GatherSoaElement(inner.centers, i, center);
-      if (GetDistanceKernel().L2(center, point) >
-          inner.radii[i] * (1.0 + kEps) + kEps) {
-        continue;
-      }
-      idx.push_back(static_cast<int>(i));
-      if (FindLeafPath(inner.tail[i], level - 1, point, oid, ids, idx,
-                       center)) {
-        return true;
-      }
-      idx.pop_back();
+      if (std::sqrt(dist[i]) > inner.radii[i] * (1.0 + kEps) + kEps) continue;
+      path_idx_.push_back(static_cast<int>(i));
+      if (FindLeafPath(inner.tail[i], level - 1, point, oid)) return true;
+      path_idx_.pop_back();
     }
   }
-  ids.pop_back();
+  path_ids_.pop_back();
   return false;
 }
 
-void SRTree::CondenseTree(std::vector<Node>& path, std::vector<int>& idx) {
+void SRTree::CondenseTree() {
   std::deque<Pending> orphans;
-  for (int i = static_cast<int>(path.size()) - 1; i >= 1; --i) {
-    Node& n = path[i];
-    Node& parent = path[i - 1];
-    if (n.count() < MinEntries(n)) {
-      if (n.is_leaf()) {
-        for (LeafEntry& e : n.points) {
-          Pending p;
-          p.level = 0;
-          p.leaf = std::move(e);
-          orphans.push_back(std::move(p));
-        }
-      } else {
-        for (NodeEntry& e : n.children) {
-          Pending p;
-          p.level = n.level;
-          p.node = e;
-          orphans.push_back(std::move(p));
-        }
+  // Bottom-up, the entry each page took on the path is either removed (the
+  // point itself, or the entry of a child that underflowed) or patched from
+  // its child's page, which entry_ then holds.
+  bool removed = true;
+  for (int i = static_cast<int>(path_ids_.size()) - 1; i >= 0; --i) {
+    const PageId id = path_ids_[i];
+    const int level = root_level_ - i;
+    const size_t slot = static_cast<size_t>(path_idx_[i]);
+    const char* page = file_.PeekPage(id);
+    const size_t count = PageCount(page, level);
+    const size_t left = removed ? count - 1 : count;
+    if (i > 0 && left < MinEntries(level)) {
+      // An underflowing node is never staged: its other entries become
+      // orphans, read from the page in slot order, and the page is freed.
+      for (size_t s = 0; s < count; ++s) {
+        if (removed && s == slot) continue;
+        ReadSlot(page, count, level, s, orphans.emplace_back());
+        if (s == slot) orphans.back().node = entry_;  // patched, not stored
       }
-      file_.Free(n.id);
-      parent.children.erase(parent.children.begin() + idx[i - 1]);
-    } else {
-      WriteNode(n);
-      ComputeEntry(n.id, parent.children[idx[i - 1]]);
+      file_.Free(id);
+      removed = true;
+      continue;
     }
+    // Every other page on the path, the root included, takes one write.
+    if (removed) {
+      slots_.clear();
+      for (uint32_t s = 0; s < count; ++s) {
+        if (s != slot) slots_.push_back(s);
+      }
+      StageRelaid(id, level, slots_, left, [](char*) {});
+    } else {
+      PutInnerEntry(file_.StagePatch(id), count, slot, entry_);
+    }
+    if (i > 0) ComputeEntry(id, entry_);
+    removed = false;
   }
-  WriteNode(path[0]);
 
   reinserted_nodes_.clear();
   ProcessPending(orphans);
 }
 
 void SRTree::ShrinkRoot() {
-  for (;;) {
-    Node root = PeekNode(root_id_);
-    if (root.is_leaf()) return;
-    if (root.children.empty()) {
-      file_.Free(root.id);
-      Node leaf;
-      leaf.id = file_.Allocate();
-      leaf.level = 0;
-      WriteNode(leaf);
-      root_id_ = leaf.id;
-      root_level_ = 0;
-      return;
+  while (root_level_ > 0) {
+    const SoaInnerView root =
+        ParseSoaInner(file_.PeekPage(root_id_), options_.dim, has_rects());
+    if (root.count > 1) return;
+    // Read the only child before Free releases the page.
+    const PageId old_root = root_id_;
+    const bool empty = root.count == 0;
+    if (!empty) {
+      root_id_ = root.tail[0];
+      --root_level_;
     }
-    if (root.children.size() > 1) return;
-    const PageId child = root.children[0].child;
-    file_.Free(root.id);
-    root_id_ = child;
-    --root_level_;
+    file_.Free(old_root);
+    if (empty) {
+      root_id_ = NewEmptyLeaf();
+      root_level_ = 0;
+    }
   }
 }
 
@@ -1009,45 +966,48 @@ TreeStats SRTree::GetTreeStats() const {
   MutexLock lock(writer_mu_);
   TreeStats stats;
   stats.height = root_level_ + 1;
-  CollectStats(PeekNode(root_id_), stats);
+  CollectStats(root_id_, stats);
   return stats;
 }
 
-void SRTree::CollectStats(const Node& node, TreeStats& stats) const {
-  if (node.is_leaf()) {
+void SRTree::CollectStats(PageId id, TreeStats& stats) const {
+  const char* page = file_.PeekPage(id);
+  if (SoaPageLevel(page) == 0) {
     ++stats.leaf_count;
-    stats.entry_count += node.points.size();
+    stats.entry_count += PageCount(page, 0);
     return;
   }
   ++stats.node_count;
-  for (const NodeEntry& e : node.children) {
-    CollectStats(PeekNode(e.child), stats);
-  }
+  const SoaInnerView inner = ParseSoaInner(page, options_.dim, has_rects());
+  for (size_t i = 0; i < inner.count; ++i) CollectStats(inner.tail[i], stats);
 }
 
 RegionSummary SRTree::LeafRegionSummary() const {
   MutexLock lock(writer_mu_);
   RegionStatsCollector collector;
-  CollectRegions(PeekNode(root_id_), collector);
+  CollectRegions(root_id_, collector);
   return collector.Finish();
 }
 
-void SRTree::CollectRegions(const Node& node,
+void SRTree::CollectRegions(PageId id,
                             RegionStatsCollector& collector) const {
-  if (node.is_leaf()) {
-    if (node.points.empty()) return;
+  const char* page = file_.PeekPage(id);
+  if (SoaPageLevel(page) == 0) {
+    const SoaLeafView leaf = ParseSoaLeaf(page, options_.dim);
+    if (leaf.count == 0) return;
     collector.CountLeaf();
     NodeEntry entry;
-    ComputeEntry(node.id, entry);
+    ComputeEntry(id, entry);
     collector.AddSphere(entry.sphere);
     // The exact MBR, which a sphere-only tree measures without storing.
-    Rect bound = Rect::Empty(options_.dim);
-    for (const LeafEntry& e : node.points) bound.Expand(e.point);
+    Rect bound;
+    SoaBounds(leaf.points, leaf.points, bound);
     collector.AddRect(bound);
     return;
   }
-  for (const NodeEntry& e : node.children) {
-    CollectRegions(PeekNode(e.child), collector);
+  const SoaInnerView inner = ParseSoaInner(page, options_.dim, has_rects());
+  for (size_t i = 0; i < inner.count; ++i) {
+    CollectRegions(inner.tail[i], collector);
   }
 }
 
@@ -1055,14 +1015,20 @@ Status SRTree::ExportEntries(
     const std::function<void(PointView, uint32_t)>& fn) const {
   MutexLock lock(writer_mu_);
   std::vector<PageId> stack = {root_id_};
+  Pending e;
   while (!stack.empty()) {
-    const Node node = PeekNode(stack.back());
+    const char* page = file_.PeekPage(stack.back());
     stack.pop_back();
-    if (node.is_leaf()) {
-      for (const LeafEntry& e : node.points) fn(e.point, e.oid);
+    if (SoaPageLevel(page) == 0) {
+      const size_t count = PageCount(page, 0);
+      for (size_t i = 0; i < count; ++i) {
+        ReadSlot(page, count, 0, i, e);
+        fn(e.leaf.point, e.leaf.oid);
+      }
       continue;
     }
-    for (const NodeEntry& e : node.children) stack.push_back(e.child);
+    const SoaInnerView inner = ParseSoaInner(page, options_.dim, has_rects());
+    stack.insert(stack.end(), inner.tail, inner.tail + inner.count);
   }
   return Status::OK();
 }
@@ -1072,27 +1038,34 @@ Status SRTree::CheckInvariants() const { return debug::AuditIndex(*this); }
 void SRTree::VisitNodes(const NodeVisitor& visitor) const {
   MutexLock lock(writer_mu_);
   std::vector<int> path;
-  VisitSubtree(PeekNode(root_id_), path, visitor);
+  VisitSubtree(root_id_, path, visitor);
 }
 
-void SRTree::VisitSubtree(const Node& node, std::vector<int>& path,
+void SRTree::VisitSubtree(PageId id, std::vector<int>& path,
                           const NodeVisitor& visitor) const {
+  const char* page = file_.PeekPage(id);
   NodeView view;
-  view.level = node.level;
-  view.capacity = Capacity(node);
-  view.min_entries = MinEntries(node);
-  view.entries.reserve(node.children.size());
-  for (const NodeEntry& e : node.children) {
-    view.entries.push_back(EntryView{has_rects() ? &e.rect : nullptr,
-                                     &e.sphere, e.weight,
-                                     /*has_weight=*/true});
+  view.level = SoaPageLevel(page);
+  view.capacity = Capacity(view.level);
+  view.min_entries = MinEntries(view.level);
+  const size_t count = PageCount(page, view.level);
+  // The views point into these, which outlive the callback.
+  std::vector<Pending> entries(count);
+  for (size_t i = 0; i < count; ++i) {
+    Pending& e = entries[i];
+    ReadSlot(page, count, view.level, i, e);
+    if (view.level == 0) {
+      view.points.push_back(e.leaf.point);
+    } else {
+      view.entries.push_back(EntryView{has_rects() ? &e.node.rect : nullptr,
+                                       &e.node.sphere, e.node.weight,
+                                       /*has_weight=*/true});
+    }
   }
-  view.points.reserve(node.points.size());
-  for (const LeafEntry& e : node.points) view.points.push_back(e.point);
   visitor(path, view);
-  for (size_t i = 0; i < node.children.size(); ++i) {
+  for (size_t i = 0; view.level > 0 && i < count; ++i) {
     path.push_back(static_cast<int>(i));
-    VisitSubtree(PeekNode(node.children[i].child), path, visitor);
+    VisitSubtree(entries[i].node.child, path, visitor);
     path.pop_back();
   }
 }

@@ -45,16 +45,24 @@
 // a leaf still fills its 8 KB page for the paper's accounting, but nothing
 // reads it, so it is never stored: each page's extent (PageFile::StageWrite)
 // ends at its last entry, NodeBytes(level, count) bytes.
-// The writer works on its pages in place too: an insert descends through
-// the pages' center columns, adds an entry by re-laying the target page's
-// columns one slot wider, and refreshes each parent entry on the path by
-// patching only that entry's words with a region computed from the child's
-// page (ComputeEntry). Only a node that overflows is decoded into a Node:
-// its capacity + 1 entries fit no page. A query never decodes: it overlays
-// SoaBlock views on the pinned version's own page buffer
-// (PageFile::Snapshot::ReadInPlace) and feeds them to the distance kernels
-// — no lock, no copy, no per-entry decode, no allocation per page read. The image header records the layout
-// and the region; Open() rejects images in the retired row-major layouts.
+// The writer works on its pages in place too, and no node is ever decoded.
+// An insert descends through the pages' center columns, adds an entry by
+// re-laying the target page's columns one slot wider, and refreshes each
+// parent entry on the path by patching only that entry's words with a
+// region computed from the child's page (ComputeEntry). A node that
+// overflows is relayed into the overflow image, a writer-owned scratch block
+// in the same layout with room for capacity + 1 entries, where the split
+// and the forced reinsertion choose slots; each resulting page is relayed
+// from it. A delete finds its leaf through the center columns, restages the
+// leaf one slot narrower and patches or narrows each page above it; a node
+// that underflows hands its entries to reinsertion straight from its page.
+// Every one of these edits copies slots between images through one
+// primitive (RelaySlots). A query never decodes either: it overlays SoaBlock
+// views on the pinned version's own page buffer (PageFile::Snapshot::
+// ReadInPlace) and feeds them to the distance kernels — no lock, no copy,
+// no per-entry decode, no allocation per page read. The image header
+// records the layout and the region; Open() rejects images in the retired
+// row-major layouts.
 
 #ifndef SRTREE_CORE_SR_TREE_H_
 #define SRTREE_CORE_SR_TREE_H_
@@ -64,6 +72,7 @@
 #include <functional>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -195,16 +204,6 @@ class SRTree : public PagedIndex {
     PageId child;
   };
 
-  struct Node {
-    PageId id = kInvalidPageId;
-    int level = 0;
-    std::vector<NodeEntry> children;
-    std::vector<LeafEntry> points;
-
-    bool is_leaf() const { return level == 0; }
-    size_t count() const { return is_leaf() ? points.size() : children.size(); }
-  };
-
   struct Pending {
     int level;
     LeafEntry leaf;
@@ -215,56 +214,62 @@ class SRTree : public PagedIndex {
   virtual const char* image_tag() const { return kImageTag; }
   bool has_rects() const { return options_.region == Region::kSphereAndRect; }
 
-  // --- page I/O ---
-  // PeekNode/WriteNode operate on *working state* and belong to the writer
-  // (or a locked structural accessor). The query path never builds a Node:
-  // it overlays SoaBlock views (src/index/soa_page.h) on committed pages
-  // read in place from the snapshot (snap.ReadInPlace).
-  //
-  // PeekNode decodes a working page without I/O accounting; WriteNode
-  // serializes straight into the buffer PageFile::StageWrite hands back.
-  Node PeekNode(PageId id) const REQUIRES(writer_mu_);
-  void WriteNode(const Node& node) REQUIRES(writer_mu_);
-  // Bytes a page of `count` entries at `level` holds: the header and the
-  // entries, without a leaf's data area.
-  size_t NodeBytes(int level, size_t count) const;
-  // Encodes `node` into exactly NodeBytes(node.level, node.count()) bytes
-  // at `buf` in the SoA layout above, and decodes it back. DecodeNode
-  // refills `node` in place, keeping the capacity of its entry vectors and
-  // entry points.
-  void SerializeNode(const Node& node, char* buf) const;
-  void DecodeNode(const char* buf, PageId id, Node& node) const;
-  Node DeserializeNode(const char* buf, PageId id) const;
-
   // Publishes the working state as the next committed version, carrying
   // (root id, root level, size) in the metadata words. Exactly one commit
   // ends every successful mutation.
   void CommitState() REQUIRES(writer_mu_);
 
-  size_t Capacity(const Node& node) const {
-    return node.is_leaf() ? leaf_cap_ : node_cap_;
+  size_t Capacity(int level) const {
+    return level == 0 ? leaf_cap_ : node_cap_;
   }
-  size_t MinEntries(const Node& node) const {
-    return node.is_leaf() ? leaf_min_ : node_min_;
+  size_t MinEntries(int level) const {
+    return level == 0 ? leaf_min_ : node_min_;
   }
 
-  // --- page edits (writer only) ---
-  // A page is kHeaderBytes, then DoubleRows(level) rows of count doubles,
-  // then WordRows(level) rows of count u32s (see the layout above).
+  // --- page images ---
+  // Every page, and the overflow image, is a SoA image in the layout above:
+  // kHeaderBytes, then DoubleRows(level) rows of count doubles, then
+  // WordRows(level) rows of count u32s. The writer reads and edits these
+  // images in place; the query path never leaves them either (it overlays
+  // SoaBlock views on committed pages read in place, snap.ReadInPlace).
+  //
+  // Bytes a page of `count` entries at `level` holds: the header and the
+  // entries, without a leaf's data area.
+  size_t NodeBytes(int level, size_t count) const;
   size_t DoubleRows(int level) const;
   static size_t WordRows(int level) { return level == 0 ? 1 : 2; }
   size_t PageCount(const char* page, int level) const;
-  // Write `e` into slot `slot` of the `count`-entry page image at `page`
-  // (SerializeNode writes every slot through them).
+  // Write `e` into slot `slot` of the `count`-entry image at `page`, and
+  // read it back into `out` at `level`: the slot writers and their inverse.
   void PutLeafEntry(char* page, size_t count, size_t slot,
                     const LeafEntry& e) const;
   void PutInnerEntry(char* page, size_t count, size_t slot,
                      const NodeEntry& e) const;
-  // Stages page `id` at `level` one entry larger: its entries keep their
-  // slots, re-laid for the wider stride, and fill(page, count + 1) writes
-  // slot `count` (and may overwrite others).
+  void ReadSlot(const char* page, size_t count, int level, size_t slot,
+                Pending& out) const;
+  // The slot relay: writes the header of a `to_count`-entry image at `to`
+  // and copies slot slots[j] of the `count`-entry image `from` at `level`
+  // into its slot j, column by column. Slots of `to` past slots.size() are
+  // the caller's to fill. `from` and `to` must not overlap.
+  void RelaySlots(const char* from, size_t count, int level,
+                  std::span<const uint32_t> slots, char* to,
+                  size_t to_count) const;
+  // Restages page `id` at `level` as a `to_count`-entry page holding its
+  // entries `slots` (RelaySlots), then calls fill(page) on it. The old bytes
+  // go to page_copy_ first: when this mutation already wrote the page,
+  // staging it at another extent frees its buffer.
   template <typename Fill>
-  void StageGrown(PageId id, int level, Fill&& fill) REQUIRES(writer_mu_);
+  void StageRelaid(PageId id, int level, std::span<const uint32_t> slots,
+                   size_t to_count, Fill&& fill) REQUIRES(writer_mu_);
+  // Relays page `id` at `level`, of `count` entries, one slot wider and
+  // calls fill(image) to fill its slot `count`: on the page itself,
+  // restaged, when it has room (and returns true), else on the overflow
+  // image (and returns false).
+  template <typename Fill>
+  bool Widen(PageId id, int level, size_t count, Fill&& fill)
+      REQUIRES(writer_mu_);
+  // Allocates and stages an empty leaf.
+  PageId NewEmptyLeaf() REQUIRES(writer_mu_);
 
   // --- region helpers ---
   // The entry for the working page `id`, computed from its bytes without
@@ -273,7 +278,6 @@ class SRTree : public PagedIndex {
   // exact MBR (left as it is for the sphere region) and the weight. The one
   // implementation of the Section 4.2 region arithmetic.
   void ComputeEntry(PageId id, NodeEntry& entry) const REQUIRES(writer_mu_);
-  PointView EntryCentroid(const Node& node, size_t i) const;
 
   // --- insertion machinery (writer only) ---
   void ProcessPending(std::deque<Pending>& pending) REQUIRES(writer_mu_);
@@ -282,39 +286,41 @@ class SRTree : public PagedIndex {
   // The entry whose center is nearest `centroid` (the first on a tie).
   int ChooseSubtree(const SoaInnerView& inner, PointView centroid) const
       REQUIRES(writer_mu_);
-  // Patches the entry of each page on the insert path above path_ids_[from]
-  // from its child's page, up to the root.
+  // Patches the entry of each page on the path above path_ids_[from] from
+  // its child's page, up to the root.
   void RefreshPath(int from) REQUIRES(writer_mu_);
-  // Resolves the overflow of overflow_, the node at path_ids_[from] with
-  // one entry past its capacity, bottom-up, and writes the path back.
+  // Resolves the overflow of the node at path_ids_[from], whose capacity + 1
+  // entries the overflow image holds, bottom-up, and writes the path back.
   void ResolveOverflow(int from, std::deque<Pending>& pending)
       REQUIRES(writer_mu_);
-  std::vector<Pending> RemoveForReinsert(Node& node) REQUIRES(writer_mu_);
-  Node SplitNode(Node& node) REQUIRES(writer_mu_);
-  void GrowRoot(Node& left, Node& right) REQUIRES(writer_mu_);
+  // Both take the overflow image of page `id` at `level`. RemoveForReinsert
+  // queues the entries farthest from its centroid on `pending` and restages
+  // `id` with the rest; SplitNode restages `id` with one group and a new
+  // page, which it returns, with the other.
+  void RemoveForReinsert(PageId id, int level, std::deque<Pending>& pending)
+      REQUIRES(writer_mu_);
+  PageId SplitNode(PageId id, int level) REQUIRES(writer_mu_);
 
   // --- deletion machinery (writer only) ---
   // Depth-first search for the leaf holding (point, oid) from page `id`,
-  // testing containment on the pages in place; on success `ids` holds the
-  // page ids from `id` down to that leaf and `idx` the entry taken at each
-  // inner node. `center` is scratch.
-  bool FindLeafPath(PageId id, int level, PointView point, uint32_t oid,
-                    std::vector<PageId>& ids, std::vector<int>& idx,
-                    Point& center) REQUIRES(writer_mu_);
-  void CondenseTree(std::vector<Node>& path, std::vector<int>& idx)
+  // testing containment on the pages in place; on success path_ids_ holds
+  // the page ids from `id` down to that leaf and path_idx_ the entry taken
+  // at each, the point's slot last.
+  bool FindLeafPath(PageId id, int level, PointView point, uint32_t oid)
       REQUIRES(writer_mu_);
+  // Removes the entry FindLeafPath found and condenses the path bottom-up.
+  void CondenseTree() REQUIRES(writer_mu_);
   void ShrinkRoot() REQUIRES(writer_mu_);
 
   // --- search: the bound policy the shared traversals
   //     (src/index/traversal.h) run with; defined in the .cc ---
   struct SearchBound;
 
-  // --- validation / stats (walk working state; callers hold writer_mu_) ---
-  void VisitSubtree(const Node& node, std::vector<int>& path,
+  // --- validation / stats (walk working pages; callers hold writer_mu_) ---
+  void VisitSubtree(PageId id, std::vector<int>& path,
                     const NodeVisitor& visitor) const REQUIRES(writer_mu_);
-  void CollectStats(const Node& node, TreeStats& stats) const
-      REQUIRES(writer_mu_);
-  void CollectRegions(const Node& node, RegionStatsCollector& collector) const
+  void CollectStats(PageId id, TreeStats& stats) const REQUIRES(writer_mu_);
+  void CollectRegions(PageId id, RegionStatsCollector& collector) const
       REQUIRES(writer_mu_);
 
   // Constructor helpers so the configuration block below can be const:
@@ -342,17 +348,23 @@ class SRTree : public PagedIndex {
   // Per-node forced-reinsertion bookkeeping, inherited from the SS-tree.
   std::set<PageId> reinserted_nodes_ GUARDED_BY(writer_mu_);
 
-  // Writer scratch, reused by every InsertPending: the insert path's page
-  // ids from the root down and the entry taken at each inner page; the
-  // overflowing node; the entry a refresh computes; a copy of the page
-  // StageGrown re-lays; distances from one center to a page's
-  // entries (ChooseSubtree, ComputeEntry), sized once for a full page and
-  // mutable for the const walkers that take writer_mu_.
+  // Writer scratch, reused by every mutation: the path's page ids from the
+  // root down and the entry taken at each page; the entry a refresh
+  // computes; a copy of the page StageRelaid re-lays; the overflow image,
+  // sized for capacity + 1 entries at any level; a slot list (a widened
+  // page's slots in order, a split's order, a delete's or a reinsertion's
+  // survivors); FindLeafPath's
+  // distances, one row of node_cap_ per inner level; and distances from one
+  // center to an image's entries (ChooseSubtree, ComputeEntry,
+  // RemoveForReinsert), sized once for capacity + 1 and mutable for the
+  // const walkers that take writer_mu_.
   std::vector<PageId> path_ids_ GUARDED_BY(writer_mu_);
   std::vector<int> path_idx_ GUARDED_BY(writer_mu_);
-  Node overflow_ GUARDED_BY(writer_mu_);
   NodeEntry entry_ GUARDED_BY(writer_mu_);
   std::vector<char> page_copy_ GUARDED_BY(writer_mu_);
+  std::vector<char> image_ GUARDED_BY(writer_mu_);
+  std::vector<uint32_t> slots_ GUARDED_BY(writer_mu_);
+  std::vector<double> find_dist_ GUARDED_BY(writer_mu_);
   mutable std::vector<double> dist_ GUARDED_BY(writer_mu_);
 };
 

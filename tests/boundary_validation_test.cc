@@ -242,8 +242,10 @@ TEST(NumericDomainTest, ValidatePointBoundary) {
 // three or more levels. The point-mutation trees take them one Insert at a
 // time; a point one rejects (K-D-B's fixed domain) must fail with
 // InvalidArgument and leave size() unchanged. Every k-NN query must then
-// match the scan over the accepted points. The magnitude parameter is a
-// decimal exponent, or kMaxMagnitude for MaxCoordinateMagnitude(D).
+// match the scan over the accepted points, and again after the
+// point-mutation trees delete every third accepted point. The magnitude
+// parameter is a decimal exponent, or kMaxMagnitude for
+// MaxCoordinateMagnitude(D).
 constexpr int kMaxMagnitude = -1;
 
 using MagnitudeParam = std::tuple<IndexType, int, int>;
@@ -268,12 +270,14 @@ TEST_P(ExtremeMagnitudeTest, AcceptedPointsMatchScan) {
 
   auto index = testing::MakeSmallPageIndex(type, dim);
   auto oracle = MakeIndex(IndexType::kScan, IndexConfig{.dim = dim});
+  std::vector<uint32_t> accepted;
   if (TakesPointMutations(type)) {
     for (uint32_t oid = 0; oid < points.size(); ++oid) {
       const size_t before = index->size();
       const Status status = index->Insert(points[oid], oid);
       if (status.ok()) {
         ASSERT_TRUE(oracle->Insert(points[oid], oid).ok());
+        accepted.push_back(oid);
       } else {
         EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
         EXPECT_EQ(index->size(), before);
@@ -285,23 +289,41 @@ TEST_P(ExtremeMagnitudeTest, AcceptedPointsMatchScan) {
     ASSERT_TRUE(index->BulkLoad(points, oids).ok());
     ASSERT_TRUE(oracle->BulkLoad(points, oids).ok());
   }
-  ASSERT_EQ(index->size(), oracle->size());
-  EXPECT_TRUE(index->CheckInvariants().ok());
-
-  for (const Point& q : scaled(MakeUniformDataset(20, dim, /*seed=*/53))) {
-    for (const QuerySpec& spec : {QuerySpec::Knn(10),
-                                  QuerySpec::KnnBestFirst(10)}) {
-      const QueryResult got = index->Search(q, spec);
-      const QueryResult want = oracle->Search(q, spec);
-      ASSERT_TRUE(got.status.ok()) << got.status.ToString();
-      ASSERT_EQ(got.neighbors.size(), want.neighbors.size());
-      for (size_t r = 0; r < want.neighbors.size(); ++r) {
-        EXPECT_EQ(got.neighbors[r].oid, want.neighbors[r].oid) << "rank " << r;
-        EXPECT_DOUBLE_EQ(got.neighbors[r].distance, want.neighbors[r].distance)
-            << "rank " << r;
+  const std::vector<Point> queries =
+      scaled(MakeUniformDataset(20, dim, /*seed=*/53));
+  const auto expect_matches_scan = [&] {
+    ASSERT_EQ(index->size(), oracle->size());
+    EXPECT_TRUE(index->CheckInvariants().ok());
+    for (const Point& q : queries) {
+      for (const QuerySpec& spec : {QuerySpec::Knn(10),
+                                    QuerySpec::KnnBestFirst(10)}) {
+        const QueryResult got = index->Search(q, spec);
+        const QueryResult want = oracle->Search(q, spec);
+        ASSERT_TRUE(got.status.ok()) << got.status.ToString();
+        ASSERT_EQ(got.neighbors.size(), want.neighbors.size());
+        for (size_t r = 0; r < want.neighbors.size(); ++r) {
+          EXPECT_EQ(got.neighbors[r].oid, want.neighbors[r].oid)
+              << "rank " << r;
+          EXPECT_DOUBLE_EQ(got.neighbors[r].distance,
+                           want.neighbors[r].distance)
+              << "rank " << r;
+        }
       }
     }
+  };
+  expect_matches_scan();
+
+  // Deleting every third accepted point sends each delete's containment
+  // test through the inner spheres at this magnitude, where distances can
+  // be huge or inf, and condenses underfull nodes.
+  if (!TakesPointMutations(type)) return;
+  for (size_t i = 0; i < accepted.size(); i += 3) {
+    const uint32_t oid = accepted[i];
+    const Status status = index->Delete(points[oid], oid);
+    ASSERT_TRUE(status.ok()) << "oid " << oid << ": " << status.ToString();
+    ASSERT_TRUE(oracle->Delete(points[oid], oid).ok());
   }
+  expect_matches_scan();
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -367,5 +367,70 @@ TEST(PaperMetricGate, SrTreeWithoutRectRadiusInsertBuiltPagesD8) {
                          {129, 163656, 3648720538});
 }
 
+// The delete phase's I/O and maintenance: counted reads and writes, splits
+// and forced reinsertions over deleting every third point of a tree built
+// by Insert (the shape of ExpectInsertBuiltPages), so a writer change that
+// moves one page access per delete turns the suite red.
+struct DeleteIo {
+  uint64_t reads = 0;
+  uint64_t writes = 0;
+  uint64_t splits = 0;
+  uint64_t reinsertions = 0;
+};
+
+void ExpectDeleteIo(SRTree& tree, size_t n, const DeleteIo& want) {
+  const Dataset data = MakeUniformDataset(n, tree.dim(), /*seed=*/5);
+  const std::vector<Point> points = data.ToPoints();
+  for (size_t i = 0; i < points.size(); ++i) {
+    ASSERT_TRUE(tree.Insert(points[i], static_cast<uint32_t>(i)).ok());
+  }
+  const IoStats io_before = tree.GetIoStats();
+  const MaintenanceStats before = tree.GetMaintenanceStats();
+  for (size_t i = 0; i < points.size(); i += 3) {
+    ASSERT_TRUE(tree.Delete(points[i], static_cast<uint32_t>(i)).ok());
+  }
+  const IoStats io_after = tree.GetIoStats();
+  const MaintenanceStats after = tree.GetMaintenanceStats();
+  EXPECT_EQ(io_after.reads - io_before.reads, want.reads);
+  EXPECT_EQ(io_after.writes - io_before.writes, want.writes);
+  EXPECT_EQ(after.splits - before.splits, want.splits);
+  EXPECT_EQ(after.reinsertions - before.reinsertions, want.reinsertions);
+}
+
+TEST(PaperMetricGate, SrTreeDeleteIoD16) {
+  SRTree::Options options;
+  options.dim = 16;
+  SRTree tree(options);
+  ExpectDeleteIo(tree, 3000, {7216, 3260, 0, 3});
+}
+
+TEST(PaperMetricGate, SrTreeDeleteIoD3) {
+  SRTree::Options options;
+  options.dim = 3;
+  options.page_size = 1024;
+  options.leaf_data_size = 0;
+  SRTree tree(options);
+  ExpectDeleteIo(tree, 4000, {7298, 6402, 1, 2});
+}
+
+TEST(PaperMetricGate, SsTreeDeleteIoD8) {
+  SRTree::Options options;
+  options.dim = 8;
+  options.page_size = 2048;
+  options.leaf_data_size = 0;
+  SSTree tree(options);
+  ExpectDeleteIo(tree, 3000, {8533, 3438, 0, 2});
+}
+
+TEST(PaperMetricGate, SrTreeWithoutRectRadiusDeleteIoD8) {
+  SRTree::Options options;
+  options.dim = 8;
+  options.page_size = 2048;
+  options.leaf_data_size = 0;
+  options.use_rect_in_radius = false;
+  SRTree tree(options);
+  ExpectDeleteIo(tree, 3000, {6736, 4711, 1, 3});
+}
+
 }  // namespace
 }  // namespace srtree

@@ -1,7 +1,7 @@
 // The SR-tree's dimension-major (SoA) page layout and its persistence:
-//   * SerializeNode/DeserializeNode round-trip every field, for leaf and
-//     inner pages, at D = 1, 3 and 16, on small and default pages, with 0,
-//     1 and a full page of entries;
+//   * the slot writers and the slot readers round-trip every field, for
+//     leaf and inner pages, at D = 1, 3 and 16, on small and default pages,
+//     with 0, 1 and a full page of entries;
 //   * the entry sizes — and so the Table 1 fanouts — are those of the
 //     paper's row-major entries;
 //   * a page stores exactly its header and entries: the leaf-data area is
@@ -25,6 +25,7 @@
 #include "src/common/random.h"
 #include "src/core/sr_tree.h"
 #include "src/index/index_factory.h"
+#include "src/index/soa_page.h"
 #include "src/storage/crc32c.h"
 #include "src/storage/image_io.h"
 #include "src/workload/queries.h"
@@ -68,21 +69,17 @@ class SrPageLayoutTest : public ::testing::TestWithParam<LayoutCase> {
     return p;
   }
 
-  Access::Node MakeLeaf(size_t count) {
-    Access::Node node;
-    node.id = 7;
-    node.level = 0;
+  std::vector<Access::LeafEntry> MakeLeaf(size_t count) {
+    std::vector<Access::LeafEntry> entries;
     for (size_t i = 0; i < count; ++i) {
-      node.points.push_back(
+      entries.push_back(
           Access::LeafEntry{RandomPoint(), static_cast<uint32_t>(1000 + i)});
     }
-    return node;
+    return entries;
   }
 
-  Access::Node MakeInner(size_t count, int level) {
-    Access::Node node;
-    node.id = 9;
-    node.level = level;
+  std::vector<Access::NodeEntry> MakeInner(size_t count) {
+    std::vector<Access::NodeEntry> entries;
     for (size_t i = 0; i < count; ++i) {
       Point lo = RandomPoint(), hi = lo;
       for (double& x : hi) x += rng_.NextDouble();
@@ -91,42 +88,29 @@ class SrPageLayoutTest : public ::testing::TestWithParam<LayoutCase> {
       e.rect = Rect(std::move(lo), std::move(hi));
       e.weight = static_cast<uint32_t>(3 + 5 * i);
       e.child = static_cast<PageId>(40 + 2 * i);
-      node.children.push_back(std::move(e));
+      entries.push_back(std::move(e));
     }
-    return node;
+    return entries;
   }
 
   Xoshiro256 rng_{4242};
 };
 
-void ExpectSameNode(const Access::Node& got, const Access::Node& want) {
-  EXPECT_EQ(got.id, want.id);
-  EXPECT_EQ(got.level, want.level);
-  ASSERT_EQ(got.points.size(), want.points.size());
-  for (size_t i = 0; i < want.points.size(); ++i) {
-    EXPECT_EQ(got.points[i].point, want.points[i].point) << "entry " << i;
-    EXPECT_EQ(got.points[i].oid, want.points[i].oid) << "entry " << i;
-  }
-  ASSERT_EQ(got.children.size(), want.children.size());
-  for (size_t i = 0; i < want.children.size(); ++i) {
-    const Access::NodeEntry& g = got.children[i];
-    const Access::NodeEntry& w = want.children[i];
-    EXPECT_EQ(g.sphere.center(), w.sphere.center()) << "entry " << i;
-    EXPECT_EQ(g.sphere.radius(), w.sphere.radius()) << "entry " << i;
-    EXPECT_EQ(g.rect.lo(), w.rect.lo()) << "entry " << i;
-    EXPECT_EQ(g.rect.hi(), w.rect.hi()) << "entry " << i;
-    EXPECT_EQ(g.weight, w.weight) << "entry " << i;
-    EXPECT_EQ(g.child, w.child) << "entry " << i;
-  }
-}
-
+// Each slot read back from `page` equals the entry written into it, and the
+// header carries the level and the count.
 TEST_P(SrPageLayoutTest, LeafPagesRoundTrip) {
   const SRTree tree(MakeOptions());
   for (const size_t count : {size_t{0}, size_t{1}, tree.leaf_capacity()}) {
     SCOPED_TRACE("count " + std::to_string(count));
-    const Access::Node node = MakeLeaf(count);
-    const std::vector<char> page = Access::Serialize(tree, node);
-    ExpectSameNode(Access::Deserialize(tree, page, node.id), node);
+    const std::vector<Access::LeafEntry> entries = MakeLeaf(count);
+    const std::vector<char> page = Access::LeafPage(tree, entries);
+    EXPECT_EQ(SoaPageLevel(page.data()), 0);
+    ASSERT_EQ(Access::Count(tree, page.data()), count);
+    for (size_t i = 0; i < count; ++i) {
+      const Access::LeafEntry got = Access::GetLeaf(tree, page, i);
+      EXPECT_EQ(got.point, entries[i].point) << "entry " << i;
+      EXPECT_EQ(got.oid, entries[i].oid) << "entry " << i;
+    }
   }
 }
 
@@ -134,17 +118,29 @@ TEST_P(SrPageLayoutTest, InnerPagesRoundTrip) {
   const SRTree tree(MakeOptions());
   for (const size_t count : {size_t{0}, size_t{1}, tree.node_capacity()}) {
     SCOPED_TRACE("count " + std::to_string(count));
-    const Access::Node node = MakeInner(count, /*level=*/2);
-    const std::vector<char> page = Access::Serialize(tree, node);
-    ExpectSameNode(Access::Deserialize(tree, page, node.id), node);
+    const std::vector<Access::NodeEntry> entries = MakeInner(count);
+    const std::vector<char> page = Access::InnerPage(tree, 2, entries);
+    EXPECT_EQ(SoaPageLevel(page.data()), 2);
+    ASSERT_EQ(Access::Count(tree, page.data()), count);
+    for (size_t i = 0; i < count; ++i) {
+      const Access::NodeEntry got = Access::GetInner(tree, page, i);
+      const Access::NodeEntry& want = entries[i];
+      EXPECT_EQ(got.sphere.center(), want.sphere.center()) << "entry " << i;
+      EXPECT_EQ(got.sphere.radius(), want.sphere.radius()) << "entry " << i;
+      EXPECT_EQ(got.rect.lo(), want.rect.lo()) << "entry " << i;
+      EXPECT_EQ(got.rect.hi(), want.rect.hi()) << "entry " << i;
+      EXPECT_EQ(got.weight, want.weight) << "entry " << i;
+      EXPECT_EQ(got.child, want.child) << "entry " << i;
+    }
   }
 }
 
-// Expects the staged extent of `node` to end at `used`, the first byte
-// after its last entry, and the codec to leave the 'x' sentinel past it.
-void ExpectExtentEndsAtLastEntry(const SRTree& tree, const Access::Node& node,
+// Expects a page of `count` entries at `level` to stage exactly `used`
+// bytes, ending at its last entry, and the slot writers to leave the 'x'
+// sentinel past them.
+void ExpectExtentEndsAtLastEntry(const SRTree& tree, int level, size_t count,
                                  const std::vector<char>& page, size_t used) {
-  EXPECT_EQ(Access::NodeBytes(tree, node), used);
+  EXPECT_EQ(Access::NodeBytes(tree, level, count), used);
   for (size_t b = used; b < page.size(); ++b) {
     ASSERT_EQ(page[b], 'x') << "byte " << b;
   }
@@ -156,25 +152,25 @@ void ExpectExtentEndsAtLastEntry(const SRTree& tree, const Access::Node& node,
 TEST_P(SrPageLayoutTest, LeafPageIsDimensionMajor) {
   const SRTree tree(MakeOptions());
   const size_t count = tree.leaf_capacity();
-  const Access::Node node = MakeLeaf(count);
-  const std::vector<char> page = Access::Serialize(tree, node);
+  const std::vector<Access::LeafEntry> entries = MakeLeaf(count);
+  const std::vector<char> page = Access::LeafPage(tree, entries);
   const size_t dim = GetParam().dim;
   for (size_t i = 0; i < count; ++i) {
     for (size_t d = 0; d < dim; ++d) {
       double x = 0;
       std::memcpy(&x, page.data() + 8 + (d * count + i) * sizeof(double),
                   sizeof(x));
-      EXPECT_EQ(x, node.points[i].point[d]);
+      EXPECT_EQ(x, entries[i].point[d]);
     }
     uint32_t oid = 0;
     std::memcpy(&oid,
                 page.data() + 8 + dim * count * sizeof(double) +
                     i * sizeof(uint32_t),
                 sizeof(oid));
-    EXPECT_EQ(oid, node.points[i].oid);
+    EXPECT_EQ(oid, entries[i].oid);
   }
   const size_t used = 8 + count * (dim * sizeof(double) + sizeof(uint32_t));
-  ExpectExtentEndsAtLastEntry(tree, node, page, used);
+  ExpectExtentEndsAtLastEntry(tree, 0, count, page, used);
 }
 
 // An inner page: centers, radii, rect lo, rect hi, weights and child ids,
@@ -182,8 +178,8 @@ TEST_P(SrPageLayoutTest, LeafPageIsDimensionMajor) {
 TEST_P(SrPageLayoutTest, InnerPageIsDimensionMajor) {
   const SRTree tree(MakeOptions());
   const size_t count = tree.node_capacity();
-  const Access::Node node = MakeInner(count, /*level=*/1);
-  const std::vector<char> page = Access::Serialize(tree, node);
+  const std::vector<Access::NodeEntry> entries = MakeInner(count);
+  const std::vector<char> page = Access::InnerPage(tree, 1, entries);
   const size_t dim = GetParam().dim;
   const auto load_double = [&](size_t offset) {
     double x = 0;
@@ -203,7 +199,7 @@ TEST_P(SrPageLayoutTest, InnerPageIsDimensionMajor) {
   const size_t weights = hi + block;
   const size_t children = weights + count * sizeof(uint32_t);
   for (size_t i = 0; i < count; ++i) {
-    const Access::NodeEntry& e = node.children[i];
+    const Access::NodeEntry& e = entries[i];
     for (size_t d = 0; d < dim; ++d) {
       const size_t slot = (d * count + i) * sizeof(double);
       EXPECT_EQ(load_double(centers + slot), e.sphere.center()[d]);
@@ -214,7 +210,7 @@ TEST_P(SrPageLayoutTest, InnerPageIsDimensionMajor) {
     EXPECT_EQ(load_u32(weights + i * sizeof(uint32_t)), e.weight);
     EXPECT_EQ(load_u32(children + i * sizeof(uint32_t)), e.child);
   }
-  ExpectExtentEndsAtLastEntry(tree, node, page,
+  ExpectExtentEndsAtLastEntry(tree, 1, count, page,
                               children + count * sizeof(uint32_t));
 }
 
@@ -316,10 +312,10 @@ TEST(SrImageLayoutTest, StoredExtentsEndAtTheLastEntry) {
   ASSERT_GE(Access::RootLevel(*tree), 2);
   std::vector<int> path;
   for (int level = Access::RootLevel(*tree); level >= 0; --level) {
-    const Access::Node node = Access::ReadByPath(*tree, path);
-    ASSERT_EQ(node.level, level);
+    const char* page = Access::PageByPath(*tree, path);
+    ASSERT_EQ(SoaPageLevel(page), level);
     EXPECT_EQ(Access::ExtentByPath(*tree, path),
-              Access::NodeBytes(*tree, node));
+              Access::NodeBytes(*tree, level, Access::Count(*tree, page)));
     path.push_back(0);
   }
   const PageFootprint pages = tree->GetPageFootprint();
@@ -360,11 +356,12 @@ TEST(SsImageLayoutTest, InnerPagesStoreNoRects) {
       BuildTree<SSTree>(MakeUniformDataset(1500, 5, /*seed=*/47));
   EXPECT_EQ(tree->node_capacity(), (2048u - 8) / (5 * 8 + 16));
   ASSERT_GE(Access::RootLevel(*tree), 1);
-  const Access::Node root = Access::ReadByPath(*tree, {});
-  EXPECT_EQ(Access::ExtentByPath(*tree, {}),
-            8 + root.children.size() * (5 * 8 + 16));
-  for (const Access::NodeEntry& e : root.children) {
-    EXPECT_TRUE(e.rect.lo().empty());
+  const char* root = Access::PageByPath(*tree, {});
+  const size_t count = Access::Count(*tree, root);
+  EXPECT_EQ(Access::ExtentByPath(*tree, {}), 8 + count * (5 * 8 + 16));
+  const std::vector<char> page(root, root + Access::ExtentByPath(*tree, {}));
+  for (size_t i = 0; i < count; ++i) {
+    EXPECT_TRUE(Access::GetInner(*tree, page, i).rect.lo().empty());
   }
 }
 

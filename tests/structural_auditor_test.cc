@@ -1,8 +1,8 @@
 // StructuralAuditor coverage: clean trees of every variant audit clean,
 // and deliberately corrupted trees yield the right violation class at the
 // right node path. Corruption goes through SRTreeTestAccess
-// (tests/sr_tree_test_access.h), a test-only friend that rewrites pages
-// directly.
+// (tests/sr_tree_test_access.h), a test-only friend that rewrites the
+// page's own columns, or restages a page through the tree's slot relay.
 
 #include <algorithm>
 #include <limits>
@@ -105,10 +105,10 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(CorruptedAuditTest, ShrunkSphereIsLocated) {
   auto tree = BuildSmallPageSRTree(800);
-  auto root = SRTreeTestAccess::ReadByPath(*tree, {});
-  ASSERT_FALSE(root.is_leaf());
-  root.children[0].sphere.set_radius(root.children[0].sphere.radius() * 0.05);
-  SRTreeTestAccess::Write(*tree, root);
+  ASSERT_GE(SRTreeTestAccess::RootLevel(*tree), 1);
+  auto entry = SRTreeTestAccess::GetInnerByPath(*tree, {}, 0);
+  entry.sphere.set_radius(entry.sphere.radius() * 0.05);
+  SRTreeTestAccess::PutInnerByPath(*tree, {}, 0, entry);
 
   const std::vector<Violation> violations = StructuralAuditor().Audit(*tree);
   EXPECT_TRUE(HasViolationAt(violations, ViolationKind::kSphereContainment,
@@ -121,14 +121,13 @@ TEST(CorruptedAuditTest, ChildRectWidenedPastParentIsLocated) {
   auto tree = BuildSmallPageSRTree(3000);
   ASSERT_GE(SRTreeTestAccess::RootLevel(*tree), 2)
       << "need height >= 3 so an inner node has a claimed rect";
-  auto inner = SRTreeTestAccess::ReadByPath(*tree, {0});
-  ASSERT_FALSE(inner.is_leaf());
   // Push one child's rectangle far outside anything its parent claims.
-  Point lo = inner.children[0].rect.lo();
-  Point hi = inner.children[0].rect.hi();
+  auto entry = SRTreeTestAccess::GetInnerByPath(*tree, {0}, 0);
+  Point lo = entry.rect.lo();
+  Point hi = entry.rect.hi();
   hi[0] += 100.0;
-  inner.children[0].rect = Rect(std::move(lo), std::move(hi));
-  SRTreeTestAccess::Write(*tree, inner);
+  entry.rect = Rect(std::move(lo), std::move(hi));
+  SRTreeTestAccess::PutInnerByPath(*tree, {0}, 0, entry);
 
   const std::vector<Violation> violations = StructuralAuditor().Audit(*tree);
   EXPECT_TRUE(HasViolationAt(violations, ViolationKind::kRectContainment,
@@ -144,12 +143,11 @@ TEST(CorruptedAuditTest, UnbalancedLeafDepthIsLocated) {
   auto tree = BuildSmallPageSRTree(3000);
   ASSERT_GE(SRTreeTestAccess::RootLevel(*tree), 2)
       << "need height >= 3 to splice a grandchild under the root";
-  auto root = SRTreeTestAccess::ReadByPath(*tree, {});
-  const auto grandchild = SRTreeTestAccess::ReadByPath(*tree, {0, 0});
   // Point the root's first entry one level too deep: the subtree under
   // root/0 now bottoms out a level early.
-  root.children[0].child = grandchild.id;
-  SRTreeTestAccess::Write(*tree, root);
+  auto entry = SRTreeTestAccess::GetInnerByPath(*tree, {}, 0);
+  entry.child = SRTreeTestAccess::PageIdByPath(*tree, {0, 0});
+  SRTreeTestAccess::PutInnerByPath(*tree, {}, 0, entry);
 
   const std::vector<Violation> violations = StructuralAuditor().Audit(*tree);
   EXPECT_TRUE(HasViolationAt(violations, ViolationKind::kUnevenLeafDepth,
@@ -159,10 +157,10 @@ TEST(CorruptedAuditTest, UnbalancedLeafDepthIsLocated) {
 
 TEST(CorruptedAuditTest, WeightMismatchIsLocated) {
   auto tree = BuildSmallPageSRTree(800);
-  auto root = SRTreeTestAccess::ReadByPath(*tree, {});
-  ASSERT_FALSE(root.is_leaf());
-  root.children[1].weight += 7;
-  SRTreeTestAccess::Write(*tree, root);
+  ASSERT_GE(SRTreeTestAccess::RootLevel(*tree), 1);
+  auto entry = SRTreeTestAccess::GetInnerByPath(*tree, {}, 1);
+  entry.weight += 7;
+  SRTreeTestAccess::PutInnerByPath(*tree, {}, 1, entry);
 
   const std::vector<Violation> violations = StructuralAuditor().Audit(*tree);
   EXPECT_TRUE(
@@ -174,15 +172,12 @@ TEST(CorruptedAuditTest, UnderfullLeafAndCountMismatchAreLocated) {
   auto tree = BuildSmallPageSRTree(800);
   ASSERT_GE(SRTreeTestAccess::RootLevel(*tree), 1);
   // Walk down the 0-spine to a leaf and empty it almost completely.
-  std::vector<int> path;
-  auto node = SRTreeTestAccess::ReadByPath(*tree, path);
-  while (!node.is_leaf()) {
-    path.push_back(0);
-    node = SRTreeTestAccess::ReadByPath(*tree, path);
-  }
-  ASSERT_GT(node.points.size(), 1u);
-  node.points.resize(1);
-  SRTreeTestAccess::Write(*tree, node);
+  const std::vector<int> path(
+      static_cast<size_t>(SRTreeTestAccess::RootLevel(*tree)), 0);
+  ASSERT_GT(SRTreeTestAccess::Count(
+                *tree, SRTreeTestAccess::PageByPath(*tree, path)),
+            1u);
+  SRTreeTestAccess::KeepSlots(*tree, path, {0});
 
   std::string leaf_path = "root";
   for (const int i : path) leaf_path += "/" + std::to_string(i);
@@ -203,12 +198,12 @@ TEST(CorruptedAuditTest, UnderfullLeafAndCountMismatchAreLocated) {
 
 TEST(CorruptedAuditTest, SphereInflatedPastRectBoundIsLocated) {
   auto tree = BuildSmallPageSRTree(800);
-  auto root = SRTreeTestAccess::ReadByPath(*tree, {});
-  ASSERT_FALSE(root.is_leaf());
+  ASSERT_GE(SRTreeTestAccess::RootLevel(*tree), 1);
   // A huge radius still contains every point, but violates the Section 4.2
   // min(d_s, d_r) rule the SR-tree's MINDIST bound depends on.
-  root.children[0].sphere.set_radius(1e6);
-  SRTreeTestAccess::Write(*tree, root);
+  auto entry = SRTreeTestAccess::GetInnerByPath(*tree, {}, 0);
+  entry.sphere.set_radius(1e6);
+  SRTreeTestAccess::PutInnerByPath(*tree, {}, 0, entry);
 
   const std::vector<Violation> violations = StructuralAuditor().Audit(*tree);
   EXPECT_TRUE(HasViolationAt(violations, ViolationKind::kSphereExceedsRect,

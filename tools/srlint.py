@@ -56,6 +56,12 @@ tools/lint.py checks file *shape* (guards, include style); srlint checks
       simulated (PageFile::SimulateCache); a pool include under src/,
       bench/, tools/ or examples/ would put a second cache model back on a
       read path.
+  R11 SR pages are the writer's only representation: nothing under
+      src/core/ declares or defines DecodeNode, DeserializeNode or
+      PeekNode, or a Node struct or class. The SR/SS writer reads and edits
+      its dimension-major pages in place and copies slots between page
+      images through one relay; a decoded heap node brings back a second
+      representation of every node and the codecs between the two.
 
 A finding on one line can be waived in place with a comment naming the rule
 and a reason, e.g.
@@ -252,6 +258,14 @@ R10_POOL_HEADER = "src/storage/buffer_pool.h"
 R10_ALLOWED_FILES = {"src/storage/buffer_pool.h", "src/storage/buffer_pool.cc"}
 R10_ALLOWED_DIRS = ("tests/",)
 
+R11_DIRS = ("src/core/",)
+# Declarations and definitions only, as R9_DEFINE_RE: calls are preceded by
+# nothing, punctuation, `.`/`->` or `return`.
+R11_DEFINE_RE = re.compile(
+    r"(?:^|[^\w.>])(?!return\b)[A-Za-z_][\w:<>]*[\s*&]+"
+    r"(?:\w+::)*(DecodeNode|DeserializeNode|PeekNode)\s*\(")
+R11_NODE_RE = re.compile(r"\b(?:struct|class)\s+Node\b")
+
 
 def check_r1(rel: str, lines: list[str]):
     if rel in R1_ALLOWED_FILES:
@@ -387,6 +401,23 @@ def check_r10(rel: str, lines: list[str], raw_lines: list[str]):
                 f"PageFile::SimulateCache")
 
 
+def check_r11(rel: str, lines: list[str]):
+    if not rel.startswith(R11_DIRS):
+        return
+    for lineno, line in enumerate(lines, start=1):
+        m = R11_DEFINE_RE.search(line)
+        if m:
+            yield Finding(
+                rel, lineno, "R11",
+                f"{m.group(1)}() decodes an SR page into a heap node; the "
+                f"writer reads and edits its pages in place")
+        if R11_NODE_RE.search(line):
+            yield Finding(
+                rel, lineno, "R11",
+                "a Node type beside the SR pages; pages are the writer's "
+                "only representation of a node")
+
+
 # --------------------------------------------------------------------------
 # Discovery and driver.
 
@@ -471,7 +502,8 @@ def lint_files(root: pathlib.Path, files: list[str]) -> list[Finding]:
                   *check_r7(rel, code_lines),
                   *check_r8(rel, code_lines, raw_lines),
                   *check_r9(rel, code_lines),
-                  *check_r10(rel, code_lines, raw_lines)):
+                  *check_r10(rel, code_lines, raw_lines),
+                  *check_r11(rel, code_lines)):
             if f.rule not in waived.get(f.lineno, set()):
                 findings.append(f)
     return sorted(findings)
@@ -520,7 +552,8 @@ def run_self_test() -> int:
         ok = False
         print(f"self-test: SPURIOUS finding {rule} at {rel}:{lineno}")
     rules_seen = {rule for _, _, rule in want}
-    for rule in ("R1", "R2", "R3", "R4", "R5", "R7", "R8", "R9", "R10"):
+    for rule in ("R1", "R2", "R3", "R4", "R5", "R7", "R8", "R9", "R10",
+                 "R11"):
         if rule not in rules_seen:
             ok = False
             print(f"self-test: fixture tree seeds no {rule} violation")
