@@ -313,7 +313,7 @@ class SRTree : public PagedIndex {
   void ShrinkRoot() REQUIRES(writer_mu_);
 
   // --- search: the bound policy the shared traversals
-  //     (src/index/traversal.h) run with; defined in the .cc ---
+  //     (src/index/traversal.h) run with; defined in sr_search.cc ---
   struct SearchBound;
 
   // --- validation / stats (walk working pages; callers hold writer_mu_) ---

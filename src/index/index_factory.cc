@@ -6,7 +6,6 @@
 #include "src/storage/image_io.h"
 #include "src/core/sr_tree.h"
 #include "src/index/brute_force.h"
-#include "src/kdb/kdb_tree.h"
 #include "src/statictier/static_sr_tree.h"
 #include "src/statictier/tiered_index.h"
 #include "src/rstar/rstar_tree.h"

@@ -1,6 +1,6 @@
 // PagedIndex: the storage plumbing every paged tree shares — the SR-tree
-// (and the SS-tree, its sphere-only region), the static tier and the R*,
-// K-D-B, VAMSplit R and TV baselines.
+// (and the SS-tree, its sphere-only region), the static tier and the
+// R*-tree (and the TV, VAMSplit R and K-D-B trees, its subclasses).
 //
 // A paged tree keeps its nodes in one copy-on-write PageFile and follows its
 // one contract (src/storage/page_file.h): a single writer, serialized by

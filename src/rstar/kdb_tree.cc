@@ -1,54 +1,42 @@
-#include "src/kdb/kdb_tree.h"
+// The K-D-B-tree's own code: its partition writer, its image header and its
+// audit spec. It reads and writes the R*-tree's pages, and it sits apart
+// from rstar_tree.cc so that file, and with it the R*-tree's query path,
+// compiles as it does without the K-D-B-tree (GCC's inlining budget grows
+// with the size of a translation unit).
 
 #include <algorithm>
 #include <limits>
 
 #include "src/common/check.h"
-#include "src/debug/structural_auditor.h"
-#include "src/geometry/kernel.h"
-#include "src/index/traversal.h"
+#include "src/rstar/rstar_tree.h"
 #include "src/storage/image_io.h"
 
 namespace srtree {
-namespace {
-
-constexpr size_t kHeaderBytes = 8;
-
-bool SamePoint(PointView a, PointView b) {
-  return std::equal(a.begin(), a.end(), b.begin(), b.end());
-}
-
-}  // namespace
 
 KdbTree::KdbTree(const Options& options)
-    : PagedIndex(options.page_size), options_(options) {
-  CHECK_GT(options_.dim, 0);
+    : RStarTree(RStarOptions(options)), options_(options) {
   CHECK_LT(options_.domain_lo, options_.domain_hi);
+}
 
-  const size_t dim = static_cast<size_t>(options_.dim);
-  const size_t leaf_entry =
-      dim * sizeof(double) + sizeof(uint32_t) + options_.leaf_data_size;
-  const size_t node_entry = 2 * dim * sizeof(double) + sizeof(uint32_t);
-  leaf_cap_ = (options_.page_size - kHeaderBytes) / leaf_entry;
-  node_cap_ = (options_.page_size - kHeaderBytes) / node_entry;
-  page_shape_ = {.leaf_capacity = leaf_cap_,
-                 .node_capacity = node_cap_,
-                 .leaf_entry_bytes = leaf_entry,
-                 .node_entry_bytes = node_entry};
-  CHECK_GE(leaf_cap_, 2u);
-  CHECK_GE(node_cap_, 2u);
-
-  Node root;
-  root.id = file_.Allocate();
-  root.level = 0;
-  WriteNode(root);
-  root_id_ = root.id;
-  PublishBuilt(root_id_, root_level_, size_);  // the empty tree
+RStarTree::Options KdbTree::RStarOptions(const Options& options) {
+  return RStarTree::Options{.dim = options.dim,
+                            .active_dims = options.dim,
+                            .page_size = options.page_size,
+                            .leaf_data_size = options.leaf_data_size};
 }
 
 Rect KdbTree::Domain() const {
   return Rect(Point(options_.dim, options_.domain_lo),
               Point(options_.dim, options_.domain_hi));
+}
+
+AuditSpec KdbTree::GetAuditSpec() const {
+  AuditSpec spec;
+  spec.dim = options_.dim;
+  // Child regions tile their parent disjointly; the root tiles the domain.
+  spec.rect_semantics = RectSemantics::kPartition;
+  spec.domain = Domain();
+  return spec;
 }
 
 // --------------------------------------------------------------------------
@@ -70,22 +58,6 @@ struct KdbImageHeader {
   int32_t root_level;
   uint64_t size;
 };
-
-// True iff `o` would pass every constructor CHECK, so Open() can reject a
-// forged header with Corruption instead of crashing the process. The
-// negated comparison also rejects NaN domain bounds.
-bool PlausibleOptions(const KdbTree::Options& o) {
-  if (o.dim <= 0 || o.dim > (1 << 16)) return false;
-  if (!(o.domain_lo < o.domain_hi)) return false;
-  if (o.page_size <= kHeaderBytes || o.page_size > (1u << 28)) return false;
-  if (o.leaf_data_size > o.page_size) return false;
-  const size_t dim = static_cast<size_t>(o.dim);
-  const size_t leaf_entry =
-      dim * sizeof(double) + sizeof(uint32_t) + o.leaf_data_size;
-  const size_t node_entry = 2 * dim * sizeof(double) + sizeof(uint32_t);
-  return (o.page_size - kHeaderBytes) / leaf_entry >= 2 &&
-         (o.page_size - kHeaderBytes) / node_entry >= 2;
-}
 
 }  // namespace
 
@@ -117,97 +89,23 @@ StatusOr<std::unique_ptr<KdbTree>> KdbTree::Open(const std::string& path) {
   options.leaf_data_size = header.leaf_data_size;
   options.domain_lo = header.domain_lo;
   options.domain_hi = header.domain_hi;
-  if (!PlausibleOptions(options) || header.root_level < 0 ||
+  // The negated comparison also rejects NaN domain bounds.
+  if (!(options.domain_lo < options.domain_hi) ||
+      !PlausibleOptions(RStarOptions(options)) || header.root_level < 0 ||
       header.root_level > 64) {
     return Status::Corruption("implausible K-D-B-tree header");
   }
   auto tree = std::make_unique<KdbTree>(options);
   RETURN_IF_ERROR(tree->LoadFullPages(image.stream()));
-  RETURN_IF_ERROR(tree->ValidatePageTree("K-D-B-tree", header.root_id,
+  RETURN_IF_ERROR(tree->ValidatePageTree(tree->name(), header.root_id,
                                          header.root_level, header.size,
-                                         tree->page_shape_));
+                                         tree->page_shape()));
   tree->root_id_ = header.root_id;
   tree->root_level_ = header.root_level;
   tree->size_ = header.size;
-  tree->maintenance_ = MaintenanceStats{};
   tree->PublishBuilt(tree->root_id_, tree->root_level_, tree->size_);
   RETURN_IF_ERROR(tree->CheckInvariants());
   return tree;
-}
-
-// --------------------------------------------------------------------------
-// Page I/O
-// --------------------------------------------------------------------------
-
-void KdbTree::SerializeNode(const Node& node, char* buf) const {
-  CHECK_LE(node.count(), Capacity(node));
-  PageWriter w(buf, options_.page_size);
-  w.PutU8(static_cast<uint8_t>(node.level));
-  w.PutU8(0);
-  w.PutU16(static_cast<uint16_t>(node.count()));
-  w.PutU32(0);
-  if (node.is_leaf()) {
-    for (const LeafEntry& e : node.points) {
-      w.PutDoubles(e.point);
-      w.PutU32(e.oid);
-      w.Skip(options_.leaf_data_size);
-    }
-  } else {
-    for (const NodeEntry& e : node.children) {
-      w.PutDoubles(e.region.lo());
-      w.PutDoubles(e.region.hi());
-      w.PutU32(e.child);
-    }
-  }
-  // The rest of the page is zero (StageWrite hands back a dirty buffer).
-  w.Skip(w.remaining());
-}
-
-KdbTree::Node KdbTree::DeserializeNode(const char* buf, PageId id) const {
-  PageReader r(buf, options_.page_size);
-  Node node;
-  node.id = id;
-  node.level = r.GetU8();
-  r.GetU8();
-  const size_t count = r.GetU16();
-  r.GetU32();
-  const size_t dim = static_cast<size_t>(options_.dim);
-  if (node.level == 0) {
-    node.points.resize(count);
-    for (LeafEntry& e : node.points) {
-      e.point.resize(dim);
-      r.GetDoubles(e.point);
-      e.oid = r.GetU32();
-      r.Skip(options_.leaf_data_size);
-    }
-  } else {
-    node.children.resize(count);
-    for (NodeEntry& e : node.children) {
-      Point lo(dim), hi(dim);
-      r.GetDoubles(lo);
-      r.GetDoubles(hi);
-      e.region = Rect(std::move(lo), std::move(hi));
-      e.child = r.GetU32();
-    }
-  }
-  return node;
-}
-
-KdbTree::Node KdbTree::ReadNode(PageId id, int level) const {
-  // The writer's working page, read in place and counted once.
-  const char* page = file_.ReadInPlace(id, level);
-  Node node = DeserializeNode(page, id);
-  DCHECK_EQ(node.level, level);
-  return node;
-}
-
-KdbTree::Node KdbTree::PeekNode(PageId id) const {
-  return DeserializeNode(file_.PeekPage(id), id);
-}
-
-void KdbTree::WriteNode(const Node& node) {
-  // Copy-on-write staging keeps snapshots on the committed buffer.
-  SerializeNode(node, file_.StageWrite(node.id));
 }
 
 // --------------------------------------------------------------------------
@@ -235,7 +133,7 @@ Status KdbTree::InsertPoint(PointView point, uint32_t oid) {
   while (!cur.is_leaf()) {
     int chosen = -1;
     for (size_t i = 0; i < cur.children.size(); ++i) {
-      if (cur.children[i].region.Contains(point)) {
+      if (cur.children[i].rect.Contains(point)) {
         chosen = static_cast<int>(i);
         break;
       }
@@ -254,14 +152,14 @@ Status KdbTree::InsertPoint(PointView point, uint32_t oid) {
         return std::equal(point.begin(), point.end(), e.point.begin(),
                           e.point.end());
       });
-  if (static_cast<size_t>(copies) >= leaf_cap_) {
+  if (static_cast<size_t>(copies) >= leaf_capacity()) {
     return Status::FailedPrecondition(
         "a K-D-B point page holds at most leaf_capacity() copies of one "
         "point");
   }
   cur.points.push_back(LeafEntry{Point(point.begin(), point.end()), oid});
 
-  if (cur.points.size() <= leaf_cap_) {
+  if (cur.points.size() <= leaf_capacity()) {
     WriteNode(cur);
     return Status::OK();
   }
@@ -269,7 +167,7 @@ Status KdbTree::InsertPoint(PointView point, uint32_t oid) {
   // Split the overflowing page; replace the parent's entry with the new
   // entries and propagate overflow upward. Regions never change shape above
   // the split, so no ancestor updates are needed beyond the replacement.
-  Rect region = path.empty() ? Domain() : path.back().children[idx.back()].region;
+  Rect region = path.empty() ? Domain() : path.back().children[idx.back()].rect;
   std::vector<NodeEntry> new_entries;
   SplitToEntries(std::move(cur), region, new_entries);
 
@@ -278,11 +176,11 @@ Status KdbTree::InsertPoint(PointView point, uint32_t oid) {
     parent.children.erase(parent.children.begin() + idx[i]);
     parent.children.insert(parent.children.end(), new_entries.begin(),
                            new_entries.end());
-    if (parent.children.size() <= node_cap_) {
+    if (parent.children.size() <= node_capacity()) {
       WriteNode(parent);
       return Status::OK();
     }
-    region = (i > 0) ? path[i - 1].children[idx[i - 1]].region : Domain();
+    region = (i > 0) ? path[i - 1].children[idx[i - 1]].rect : Domain();
     new_entries.clear();
     SplitToEntries(std::move(parent), region, new_entries);
   }
@@ -295,7 +193,7 @@ Status KdbTree::InsertPoint(PointView point, uint32_t oid) {
     root.id = file_.Allocate();
     root.level = ++level;
     root.children = std::move(new_entries);
-    if (root.children.size() <= node_cap_) {
+    if (root.children.size() <= node_capacity()) {
       WriteNode(root);
       root_id_ = root.id;
       root_level_ = root.level;
@@ -318,29 +216,7 @@ void KdbTree::SplitToEntries(Node&& node, const Rect& region,
   int dim = 0;
   double value = 0.0;
   ChoosePlane(node, region, dim, value);
-
-  Node left, right;
-  left.id = node.id;
-  right.id = file_.Allocate();
-  left.level = right.level = node.level;
-  if (node.is_leaf()) {
-    for (LeafEntry& e : node.points) {
-      (e.point[dim] < value ? left.points : right.points)
-          .push_back(std::move(e));
-    }
-  } else {
-    for (NodeEntry& e : node.children) {
-      if (e.region.hi()[dim] <= value) {
-        left.children.push_back(std::move(e));
-      } else if (e.region.lo()[dim] >= value) {
-        right.children.push_back(std::move(e));
-      } else {
-        auto [l, r] = ForceSplit(e, node.level - 1, dim, value);
-        left.children.push_back(std::move(l));
-        right.children.push_back(std::move(r));
-      }
-    }
-  }
+  auto [left, right] = SplitAtPlane(node, dim, value);
   SplitToEntries(std::move(left), ClipHi(region, dim, value), out);
   SplitToEntries(std::move(right), ClipLo(region, dim, value), out);
 }
@@ -398,7 +274,7 @@ void KdbTree::ChoosePlane(const Node& node, const Rect& region, int& dim,
   for (int d = 0; d < options_.dim; ++d) {
     std::vector<double> candidates;
     for (const NodeEntry& e : node.children) {
-      for (const double v : {e.region.lo()[d], e.region.hi()[d]}) {
+      for (const double v : {e.rect.lo()[d], e.rect.hi()[d]}) {
         if (v > region.lo()[d] && v < region.hi()[d]) candidates.push_back(v);
       }
     }
@@ -408,9 +284,9 @@ void KdbTree::ChoosePlane(const Node& node, const Rect& region, int& dim,
     for (const double v : candidates) {
       size_t left = 0, right = 0, crossing = 0;
       for (const NodeEntry& e : node.children) {
-        if (e.region.hi()[d] <= v) {
+        if (e.rect.hi()[d] <= v) {
           ++left;
-        } else if (e.region.lo()[d] >= v) {
+        } else if (e.rect.lo()[d] >= v) {
           ++right;
         } else {
           ++crossing;
@@ -436,6 +312,16 @@ std::pair<KdbTree::NodeEntry, KdbTree::NodeEntry> KdbTree::ForceSplit(
     const NodeEntry& entry, int node_level, int dim, double value) {
   ++maintenance_.forced_splits;
   Node node = ReadNode(entry.child, node_level);
+  auto [left, right] = SplitAtPlane(node, dim, value);
+  WriteNode(left);
+  WriteNode(right);
+  return {NodeEntry{ClipHi(entry.rect, dim, value), left.id},
+          NodeEntry{ClipLo(entry.rect, dim, value), right.id}};
+}
+
+std::pair<KdbTree::Node, KdbTree::Node> KdbTree::SplitAtPlane(Node& node,
+                                                              int dim,
+                                                              double value) {
   Node left, right;
   left.id = node.id;
   right.id = file_.Allocate();
@@ -447,9 +333,9 @@ std::pair<KdbTree::NodeEntry, KdbTree::NodeEntry> KdbTree::ForceSplit(
     }
   } else {
     for (NodeEntry& e : node.children) {
-      if (e.region.hi()[dim] <= value) {
+      if (e.rect.hi()[dim] <= value) {
         left.children.push_back(std::move(e));
-      } else if (e.region.lo()[dim] >= value) {
+      } else if (e.rect.lo()[dim] >= value) {
         right.children.push_back(std::move(e));
       } else {
         auto [l, r] = ForceSplit(e, node.level - 1, dim, value);
@@ -458,10 +344,7 @@ std::pair<KdbTree::NodeEntry, KdbTree::NodeEntry> KdbTree::ForceSplit(
       }
     }
   }
-  WriteNode(left);
-  WriteNode(right);
-  return {NodeEntry{ClipHi(entry.region, dim, value), left.id},
-          NodeEntry{ClipLo(entry.region, dim, value), right.id}};
+  return {std::move(left), std::move(right)};
 }
 
 Rect KdbTree::ClipHi(const Rect& region, int dim, double value) {
@@ -494,7 +377,9 @@ bool KdbTree::DeleteFrom(PageId id, int level, PointView point, uint32_t oid) {
   Node node = ReadNode(id, level);
   if (node.is_leaf()) {
     for (size_t i = 0; i < node.points.size(); ++i) {
-      if (node.points[i].oid == oid && SamePoint(node.points[i].point, point)) {
+      const Point& p = node.points[i].point;
+      if (node.points[i].oid == oid &&
+          std::equal(point.begin(), point.end(), p.begin(), p.end())) {
         node.points.erase(node.points.begin() + i);
         WriteNode(node);
         return true;
@@ -505,133 +390,11 @@ bool KdbTree::DeleteFrom(PageId id, int level, PointView point, uint32_t oid) {
   // A boundary point may sit in either adjacent page: try every region that
   // contains it.
   for (const NodeEntry& e : node.children) {
-    if (e.region.Contains(point) &&
-        DeleteFrom(e.child, level - 1, point, oid)) {
+    if (e.rect.Contains(point) && DeleteFrom(e.child, level - 1, point, oid)) {
       return true;
     }
   }
   return false;
-}
-
-// --------------------------------------------------------------------------
-// Search
-// --------------------------------------------------------------------------
-
-// The K-D-B-tree's bound policy for the shared traversals
-// (src/index/traversal.h): squared rect MINDIST.
-struct KdbTree::SearchBound {
-  static constexpr BoundSpace kSpace = BoundSpace::kSquared;
-  const KdbTree& tree;
-  const PageFile::Snapshot& snap;
-
-  TraversalRoot root() const { return CommittedRoot(snap); }
-  void Prefetch(PageId id) const { snap.Prefetch(id); }
-
-  template <typename Offer, typename Child>
-  void Expand(PageId id, int level, PointView query, double leaf_bound_sq,
-              KernelScratch& scratch, IoStatsDelta* io, Offer&& offer,
-              Child&& child) const {
-    const char* page = snap.ReadInPlace(id, level, io);
-    const Node node = tree.DeserializeNode(page, id);
-    DCHECK_EQ(node.level, level);
-    if (node.is_leaf()) {
-      ScanLeafEntries(node.points, query, leaf_bound_sq, scratch, offer);
-      return;
-    }
-    const std::vector<double>& m2 = BatchRectMinDistSq(
-        scratch, query, node.children.size(),
-        [&](size_t i) -> const Rect& { return node.children[i].region; });
-    for (size_t i = 0; i < node.children.size(); ++i) {
-      child(m2[i], node.children[i].child);
-    }
-  }
-};
-
-std::vector<Neighbor> KdbTree::SearchSnapshot(
-    const PageFile::Snapshot& snap, PointView query, const QuerySpec& spec,
-    IoStatsDelta* io) const {
-  return Traverse(SearchBound{*this, snap}, query, spec, io);
-}
-
-// --------------------------------------------------------------------------
-// Stats & validation
-// --------------------------------------------------------------------------
-
-TreeStats KdbTree::GetTreeStats() const {
-  TreeStats stats;
-  stats.height = root_level_ + 1;
-  CollectStats(PeekNode(root_id_), stats);
-  return stats;
-}
-
-void KdbTree::CollectStats(const Node& node, TreeStats& stats) const {
-  if (node.is_leaf()) {
-    ++stats.leaf_count;
-    stats.entry_count += node.points.size();
-    return;
-  }
-  ++stats.node_count;
-  for (const NodeEntry& e : node.children) {
-    CollectStats(PeekNode(e.child), stats);
-  }
-}
-
-RegionSummary KdbTree::LeafRegionSummary() const {
-  RegionStatsCollector collector;
-  CollectRegions(PeekNode(root_id_), collector);
-  return collector.Finish();
-}
-
-void KdbTree::CollectRegions(const Node& node,
-                             RegionStatsCollector& collector) const {
-  if (node.is_leaf()) {
-    if (node.points.empty()) return;
-    collector.CountLeaf();
-    Rect bound = Rect::Empty(options_.dim);
-    for (const LeafEntry& e : node.points) bound.Expand(e.point);
-    collector.AddRect(bound);
-    return;
-  }
-  for (const NodeEntry& e : node.children) {
-    CollectRegions(PeekNode(e.child), collector);
-  }
-}
-
-Status KdbTree::CheckInvariants() const { return debug::AuditIndex(*this); }
-
-void KdbTree::VisitNodes(const NodeVisitor& visitor) const {
-  std::vector<int> path;
-  VisitSubtree(PeekNode(root_id_), path, visitor);
-}
-
-void KdbTree::VisitSubtree(const Node& node, std::vector<int>& path,
-                           const NodeVisitor& visitor) const {
-  NodeView view;
-  view.level = node.level;
-  view.capacity = Capacity(node);
-  view.min_entries = 0;  // the K-D-B-tree gives no utilization guarantee
-  view.entries.reserve(node.children.size());
-  for (const NodeEntry& e : node.children) {
-    view.entries.push_back(EntryView{&e.region, /*sphere=*/nullptr,
-                                     /*weight=*/0, /*has_weight=*/false});
-  }
-  view.points.reserve(node.points.size());
-  for (const LeafEntry& e : node.points) view.points.push_back(e.point);
-  visitor(path, view);
-  for (size_t i = 0; i < node.children.size(); ++i) {
-    path.push_back(static_cast<int>(i));
-    VisitSubtree(PeekNode(node.children[i].child), path, visitor);
-    path.pop_back();
-  }
-}
-
-AuditSpec KdbTree::GetAuditSpec() const {
-  AuditSpec spec;
-  spec.dim = options_.dim;
-  // Child regions tile their parent disjointly; the root tiles the domain.
-  spec.rect_semantics = RectSemantics::kPartition;
-  spec.domain = Domain();
-  return spec;
 }
 
 }  // namespace srtree

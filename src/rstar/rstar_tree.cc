@@ -93,10 +93,10 @@ struct LegacyVamImageHeader {
   uint64_t size;
 };
 
-// True iff `o` would pass every constructor CHECK, so Open() can reject a
-// forged header with Corruption instead of crashing the process. The
-// negated-range form also rejects NaN utilization/fraction values.
-bool PlausibleOptions(const RStarTree::Options& o) {
+}  // namespace
+
+// The negated-range form also rejects NaN utilization/fraction values.
+bool RStarTree::PlausibleOptions(const Options& o) {
   if (o.dim <= 0 || o.dim > (1 << 16)) return false;
   if (o.active_dims < 0 || o.active_dims > o.dim) return false;
   if (!(o.min_utilization > 0.0 && o.min_utilization <= 0.5)) return false;
@@ -112,8 +112,6 @@ bool PlausibleOptions(const RStarTree::Options& o) {
   return (o.page_size - kHeaderBytes) / leaf_entry >= 2 &&
          (o.page_size - kHeaderBytes) / node_entry >= 2;
 }
-
-}  // namespace
 
 Status RStarTree::Save(const std::string& path) const {
   RStarImageHeader header = {};

@@ -12,7 +12,8 @@
 // bounding rects, split axes, delete descent and the search MINDIST — runs
 // on that prefix, while leaves keep full vectors, so answers stay exact:
 // the prefix MINDIST lower-bounds the full distance. With fewer active
-// dimensions this is the TV-tree below.
+// dimensions this is the TV-tree below. The VAMSplit R-tree and the
+// K-D-B-tree below are this tree's pages and search under other writers.
 
 #ifndef SRTREE_RSTAR_RSTAR_TREE_H_
 #define SRTREE_RSTAR_RSTAR_TREE_H_
@@ -93,8 +94,15 @@ class RStarTree : public PagedIndex {
   template <typename Tree>
   static StatusOr<std::unique_ptr<Tree>> OpenImage(const std::string& path);
 
-  // What a subclass that builds its own pages (VamSplitRTree's bulk load)
-  // writes: R*'s nodes, staged through WriteNode, and the working root.
+  // True iff `options` would pass every constructor CHECK, so an Open() can
+  // reject a forged header with Corruption instead of crashing the process.
+  static bool PlausibleOptions(const Options& options);
+  // Open()'s view of the pages (PagedIndex::ValidatePageTree).
+  const PageTreeShape& page_shape() const { return page_shape_; }
+
+  // What a subclass with its own writer (VamSplitRTree's bulk load,
+  // KdbTree's partition) reads and writes: R*'s nodes, read through
+  // ReadNode/PeekNode and staged through WriteNode, and the working root.
   struct LeafEntry {
     Point point;  // full vector
     uint32_t oid;
@@ -115,7 +123,12 @@ class RStarTree : public PagedIndex {
     size_t count() const { return is_leaf() ? points.size() : children.size(); }
   };
 
+  Node ReadNode(PageId id, int level) const;  // writer side, counted
+  Node PeekNode(PageId id) const;  // no I/O accounting
   void WriteNode(const Node& node);
+  size_t Capacity(const Node& node) const {
+    return node.is_leaf() ? leaf_cap_ : node_cap_;
+  }
   // The bound of a node's entries, in the active subspace.
   Rect NodeBoundingRect(const Node& node) const;
 
@@ -143,15 +156,10 @@ class RStarTree : public PagedIndex {
     return p.subspan(0, static_cast<size_t>(active_dims_));
   }
 
-  // --- page I/O ---
-  Node ReadNode(PageId id, int level) const;  // writer side, counted
-  Node PeekNode(PageId id) const;  // no I/O accounting
+  // --- page codec ---
   void SerializeNode(const Node& node, char* buf) const;
   Node DeserializeNode(const char* buf, PageId id) const;
 
-  size_t Capacity(const Node& node) const {
-    return node.is_leaf() ? leaf_cap_ : node_cap_;
-  }
   size_t MinEntries(const Node& node) const {
     return node.is_leaf() ? leaf_min_ : node_min_;
   }
@@ -196,8 +204,12 @@ class RStarTree : public PagedIndex {
   size_t leaf_min_;
   size_t node_min_;
 
+ protected:
+  // Declared after the fields above so the query path's offsets into them
+  // match a tree without subclasses.
   MaintenanceStats maintenance_;
 
+ private:
   // Levels that already used forced reinsertion during the current
   // top-level Insert/Delete (the R* "first overflow per level" rule).
   std::set<int> reinserted_levels_;
@@ -290,6 +302,93 @@ class VamSplitRTree : public RStarTree {
   NodeEntry Build(const std::vector<Point>& points,
                   const std::vector<uint32_t>& oids, const VamLayout& layout,
                   std::span<const uint32_t> slots, size_t index);
+};
+
+// K-D-B-tree (Robinson, SIGMOD 1981) — the disjoint-partition baseline of
+// Section 2.1: the R*-tree's pages and search, every dimension active,
+// under a partition writer (src/rstar/kdb_tree.cc).
+//
+// Region pages hold disjoint rectangles that exactly partition the parent
+// region; point pages hold the data points. Splitting a region page can
+// force splits of descendants that cross the split plane, which is why the
+// K-D-B-tree cannot guarantee minimum storage utilization — the weakness
+// the paper measures. Following Section 3.1, split planes are chosen
+// R+-tree style (minimizing forced splits) rather than by cyclic dimension
+// choice. LeafRegionSummary() reports the MBR of each point page's points,
+// as for R*: the partition's own regions tile the whole domain, so their
+// raw volumes are meaningless for the Figure 5-style comparisons.
+class KdbTree final : public RStarTree {
+ public:
+  struct Options {
+    int dim = 2;
+    size_t page_size = kDefaultPageSize;
+    size_t leaf_data_size = 512;
+    // The indexed domain; the root region page partitions exactly this
+    // rectangle, so inserts outside it are rejected.
+    double domain_lo = -1e9;
+    double domain_hi = 1e9;
+  };
+
+  explicit KdbTree(const Options& options);
+
+  static constexpr char kImageTag[] = "kdbtree";
+  // Checksummed atomic image persistence; the header records the domain.
+  Status Save(const std::string& path) const override;
+  static StatusOr<std::unique_ptr<KdbTree>> Open(const std::string& path);
+
+  std::string name() const override { return "K-D-B-tree"; }
+  AuditSpec GetAuditSpec() const override;
+
+ private:
+  Status InsertLocked(PointView point, uint32_t oid) override
+      REQUIRES(writer_mu_);
+  // Removes the point. Underfull pages are left in place (the joining
+  // reorganization of Robinson's paper is not needed by any experiment);
+  // the partition invariant is preserved.
+  Status DeleteLocked(PointView point, uint32_t oid) override
+      REQUIRES(writer_mu_);
+
+  // R*'s options for a K-D-B-tree: its page shape, every dimension active.
+  static RStarTree::Options RStarOptions(const Options& options);
+  // The K-D-B-tree gives no utilization guarantee.
+  bool audits_min_fill() const override { return false; }
+
+  Rect Domain() const;
+
+  // Descends to the point page responsible for `point` and stores it,
+  // splitting pages as needed (Insert's body, before the commit). Fails,
+  // staging nothing, if the page would hold more than leaf_capacity()
+  // copies of `point`.
+  Status InsertPoint(PointView point, uint32_t oid);
+
+  // --- split machinery ---
+  // Splits an over-full node (recursively if a half still overflows) and
+  // appends the resulting (region, child) entries to `out`. `region` is the
+  // region the node was responsible for; the produced entries partition it.
+  void SplitToEntries(Node&& node, const Rect& region,
+                      std::vector<NodeEntry>& out);
+  // Chooses the split plane for an over-full node: point pages split at the
+  // most balanced distinct value on the max-spread dimension; region pages
+  // pick the child boundary minimizing forced splits.
+  void ChoosePlane(const Node& node, const Rect& region, int& dim,
+                   double& value) const;
+  // Splits the subtree rooted at `entry` with the plane <dim, value>, which
+  // strictly crosses its region; returns the two half entries. This is the
+  // "forced split" that propagates downward.
+  std::pair<NodeEntry, NodeEntry> ForceSplit(const NodeEntry& entry,
+                                             int node_level, int dim,
+                                             double value);
+  // Moves a node's entries to the two sides of the plane <dim, value>,
+  // force-splitting the children that cross it. The left half keeps the
+  // node's page; the right half gets a new one.
+  std::pair<Node, Node> SplitAtPlane(Node& node, int dim, double value);
+  static Rect ClipLo(const Rect& region, int dim, double value);
+  static Rect ClipHi(const Rect& region, int dim, double value);
+
+  bool DeleteFrom(PageId id, int level, PointView point, uint32_t oid);
+
+  // The K-D-B-tree's own options; RStarTree holds their mapping.
+  Options options_;
 };
 
 }  // namespace srtree

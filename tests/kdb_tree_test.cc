@@ -1,4 +1,4 @@
-#include "src/kdb/kdb_tree.h"
+#include "src/rstar/rstar_tree.h"
 
 #include <gtest/gtest.h>
 

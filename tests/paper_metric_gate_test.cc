@@ -269,24 +269,29 @@ TEST(PaperMetricGate, TvTreeUniformD10) {
   ExpectSame(Measure(IndexType::kTvTree, config, 3000, 0.3), want);
 }
 
-// Page pins for SR and SS trees built by Insert: every live page's bytes,
-// not only the counts above, so a writer change that moves an entry, a
-// radius ulp or an extent turns the suite red. Each digest is one CRC32C
-// chained over the (id, extent, CRC32C of the stored bytes) words of every
-// live page of the saved image, in id order.
+// Page pins for trees built by Insert: every live page's bytes, not only
+// the counts above, so a writer change that moves an entry, a radius ulp or
+// an extent turns the suite red. Each digest is one CRC32C chained over the
+// (id, extent, CRC32C of the stored bytes) words of every live page of the
+// saved image, in id order.
 struct PagePin {
   uint64_t live_pages = 0;
   uint64_t stored_bytes = 0;
   uint32_t digest = 0;
 };
 
-PagePin PinPages(const PointIndex& index, const std::string& name) {
+std::string SavedImage(const PointIndex& index, const std::string& name) {
   const std::string path = ::testing::TempDir() + "/page_pin_" + name + ".idx";
   EXPECT_TRUE(index.Save(path).ok());
   std::ifstream in(path, std::ios::binary);
   const std::string image((std::istreambuf_iterator<char>(in)),
                           std::istreambuf_iterator<char>());
   std::remove(path.c_str());
+  return image;
+}
+
+PagePin PinPages(const PointIndex& index, const std::string& name) {
+  const std::string image = SavedImage(index, name);
   const testing_image::PageImage parsed = testing_image::ParsePageImage(
       image, testing_image::IndexImagePageFileStart(image));
   PagePin pin;
@@ -311,13 +316,17 @@ void ExpectPin(const PagePin& got, const PagePin& want) {
 // Inserts n uniform points one by one and pins the pages, then deletes every
 // third point, so that underfull nodes condense and their orphans are
 // reinserted, and pins them again.
-void ExpectInsertBuiltPages(SRTree& tree, size_t n, const PagePin& built,
-                            const PagePin& after_deletes) {
-  const Dataset data = MakeUniformDataset(n, tree.dim(), /*seed=*/5);
-  const std::vector<Point> points = data.ToPoints();
+void InsertAll(PointIndex& tree, const std::vector<Point>& points) {
   for (size_t i = 0; i < points.size(); ++i) {
     ASSERT_TRUE(tree.Insert(points[i], static_cast<uint32_t>(i)).ok());
   }
+}
+
+void ExpectInsertBuiltPages(PointIndex& tree, size_t n, const PagePin& built,
+                            const PagePin& after_deletes) {
+  const Dataset data = MakeUniformDataset(n, tree.dim(), /*seed=*/5);
+  const std::vector<Point> points = data.ToPoints();
+  InsertAll(tree, points);
   ExpectPin(PinPages(tree, tree.name() + "_built"), built);
   for (size_t i = 0; i < points.size(); i += 3) {
     ASSERT_TRUE(tree.Delete(points[i], static_cast<uint32_t>(i)).ok());
@@ -367,6 +376,54 @@ TEST(PaperMetricGate, SrTreeWithoutRectRadiusInsertBuiltPagesD8) {
                          {129, 163656, 3648720538});
 }
 
+// The rect family on BaselineConfig(): R*'s reinserting writer and K-D-B's
+// partition writer over the R*-tree's pages.
+TEST(PaperMetricGate, RStarTreeInsertBuiltPagesD8) {
+  std::unique_ptr<PointIndex> tree =
+      MakeIndex(IndexType::kRStarTree, BaselineConfig());
+  ExpectInsertBuiltPages(*tree, 3000, {159, 325632, 1645083456},
+                         {119, 243712, 4182979890});
+}
+
+TEST(PaperMetricGate, KdbTreeInsertBuiltPagesD8) {
+  std::unique_ptr<PointIndex> tree =
+      MakeIndex(IndexType::kKdbTree, BaselineConfig());
+  ExpectInsertBuiltPages(*tree, 3000, {161, 329728, 2350240781},
+                         {161, 329728, 633666998});
+}
+
+// The whole saved image, header record included, of each rect tree built
+// by Insert on BaselineConfig(), so an image saved before a change opens
+// as the same bytes.
+uint32_t InsertBuiltImageDigest(IndexType type) {
+  std::unique_ptr<PointIndex> tree = MakeIndex(type, BaselineConfig());
+  InsertAll(*tree, MakeUniformDataset(3000, 8, /*seed=*/5).ToPoints());
+  const std::string image = SavedImage(*tree, tree->name() + "_image");
+  return Crc32c(image.data(), image.size());
+}
+
+TEST(PaperMetricGate, RStarTreeImageD8) {
+  EXPECT_EQ(InsertBuiltImageDigest(IndexType::kRStarTree), 2078384821u);
+}
+
+TEST(PaperMetricGate, KdbTreeImageD8) {
+  EXPECT_EQ(InsertBuiltImageDigest(IndexType::kKdbTree), 1065304592u);
+}
+
+// The K-D-B-tree's leaf regions are the MBRs of its point pages' points
+// (its own regions tile the domain), measured to the last bit.
+TEST(PaperMetricGate, KdbTreeLeafRegionsD8) {
+  std::unique_ptr<PointIndex> tree =
+      MakeIndex(IndexType::kKdbTree, BaselineConfig());
+  InsertAll(*tree, MakeUniformDataset(3000, 8, /*seed=*/5).ToPoints());
+  const RegionSummary regions = tree->LeafRegionSummary();
+  EXPECT_EQ(regions.leaf_count, 145u);
+  EXPECT_FALSE(regions.has_spheres);
+  EXPECT_TRUE(regions.has_rects);
+  EXPECT_EQ(regions.avg_rect_volume, 0.003349430638340996);
+  EXPECT_EQ(regions.avg_rect_diagonal, 1.4766164871869083);
+}
+
 // The delete phase's I/O and maintenance: counted reads and writes, splits
 // and forced reinsertions over deleting every third point of a tree built
 // by Insert (the shape of ExpectInsertBuiltPages), so a writer change that
@@ -378,12 +435,10 @@ struct DeleteIo {
   uint64_t reinsertions = 0;
 };
 
-void ExpectDeleteIo(SRTree& tree, size_t n, const DeleteIo& want) {
+void ExpectDeleteIo(PointIndex& tree, size_t n, const DeleteIo& want) {
   const Dataset data = MakeUniformDataset(n, tree.dim(), /*seed=*/5);
   const std::vector<Point> points = data.ToPoints();
-  for (size_t i = 0; i < points.size(); ++i) {
-    ASSERT_TRUE(tree.Insert(points[i], static_cast<uint32_t>(i)).ok());
-  }
+  InsertAll(tree, points);
   const IoStats io_before = tree.GetIoStats();
   const MaintenanceStats before = tree.GetMaintenanceStats();
   for (size_t i = 0; i < points.size(); i += 3) {
@@ -430,6 +485,18 @@ TEST(PaperMetricGate, SrTreeWithoutRectRadiusDeleteIoD8) {
   options.use_rect_in_radius = false;
   SRTree tree(options);
   ExpectDeleteIo(tree, 3000, {6736, 4711, 1, 3});
+}
+
+TEST(PaperMetricGate, RStarTreeDeleteIoD8) {
+  std::unique_ptr<PointIndex> tree =
+      MakeIndex(IndexType::kRStarTree, BaselineConfig());
+  ExpectDeleteIo(*tree, 3000, {4715, 4518, 3, 6});
+}
+
+TEST(PaperMetricGate, KdbTreeDeleteIoD8) {
+  std::unique_ptr<PointIndex> tree =
+      MakeIndex(IndexType::kKdbTree, BaselineConfig());
+  ExpectDeleteIo(*tree, 3000, {3037, 1000, 0, 0});
 }
 
 }  // namespace

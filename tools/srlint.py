@@ -62,6 +62,12 @@ tools/lint.py checks file *shape* (guards, include style); srlint checks
       its dimension-major pages in place and copies slots between page
       images through one relay; a decoded heap node brings back a second
       representation of every node and the codecs between the two.
+  R12 one rect page codec: under src/, nothing outside
+      src/rstar/rstar_tree.{h,cc} declares or defines SerializeNode or
+      DeserializeNode. The R*-tree's codec is the one rect page format;
+      the TV, VAMSplit and K-D-B trees are R*-tree subclasses that read and
+      write their pages through it. A second codec lets two trees' pages
+      drift apart and makes a page-format change two changes.
 
 A finding on one line can be waived in place with a comment naming the rule
 and a reason, e.g.
@@ -219,7 +225,6 @@ R2_ALLOWED_FILES = {"src/base/mutex.h"}
 R3_CONSUMER_DIRS = ("src/engine/", "src/benchlib/")
 R3_TREE_DIRS = (
     "src/core/",
-    "src/kdb/",
     "src/rstar/",
 )
 R3_INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"')
@@ -265,6 +270,12 @@ R11_DEFINE_RE = re.compile(
     r"(?:^|[^\w.>])(?!return\b)[A-Za-z_][\w:<>]*[\s*&]+"
     r"(?:\w+::)*(DecodeNode|DeserializeNode|PeekNode)\s*\(")
 R11_NODE_RE = re.compile(r"\b(?:struct|class)\s+Node\b")
+
+R12_ALLOWED_FILES = {"src/rstar/rstar_tree.h", "src/rstar/rstar_tree.cc"}
+# Declarations and definitions only, as R9_DEFINE_RE.
+R12_DEFINE_RE = re.compile(
+    r"(?:^|[^\w.>])(?!return\b)[A-Za-z_][\w:<>]*[\s*&]+"
+    r"(?:\w+::)*(SerializeNode|DeserializeNode)\s*\(")
 
 
 def check_r1(rel: str, lines: list[str]):
@@ -418,6 +429,19 @@ def check_r11(rel: str, lines: list[str]):
                 "only representation of a node")
 
 
+def check_r12(rel: str, lines: list[str]):
+    if not rel.startswith("src/") or rel in R12_ALLOWED_FILES:
+        return
+    for lineno, line in enumerate(lines, start=1):
+        m = R12_DEFINE_RE.search(line)
+        if m:
+            yield Finding(
+                rel, lineno, "R12",
+                f"{m.group(1)}() is a second rect page codec; rect trees "
+                f"read and write pages through the R*-tree's "
+                f"(src/rstar/rstar_tree.cc)")
+
+
 # --------------------------------------------------------------------------
 # Discovery and driver.
 
@@ -503,7 +527,8 @@ def lint_files(root: pathlib.Path, files: list[str]) -> list[Finding]:
                   *check_r8(rel, code_lines, raw_lines),
                   *check_r9(rel, code_lines),
                   *check_r10(rel, code_lines, raw_lines),
-                  *check_r11(rel, code_lines)):
+                  *check_r11(rel, code_lines),
+                  *check_r12(rel, code_lines)):
             if f.rule not in waived.get(f.lineno, set()):
                 findings.append(f)
     return sorted(findings)
@@ -553,7 +578,7 @@ def run_self_test() -> int:
         print(f"self-test: SPURIOUS finding {rule} at {rel}:{lineno}")
     rules_seen = {rule for _, _, rule in want}
     for rule in ("R1", "R2", "R3", "R4", "R5", "R7", "R8", "R9", "R10",
-                 "R11"):
+                 "R11", "R12"):
         if rule not in rules_seen:
             ok = False
             print(f"self-test: fixture tree seeds no {rule} violation")

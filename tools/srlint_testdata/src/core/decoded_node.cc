@@ -14,7 +14,7 @@ struct NodeEntry {  // compliant: an entry, not a decoded node
 
 class SRTree {
   void DecodeNode(const char* page, Node& node) const;     // srlint-expect(R11)
-  Node DeserializeNode(const char* page) const;            // srlint-expect(R11)
+  Node DeserializeNode(const char* page) const;  // srlint-expect(R11) srlint-expect(R12)
   bool PeekNode(int id, Node* out) const;                  // srlint-expect(R11)
   int NodeBytes(int level) const;  // compliant
 };
